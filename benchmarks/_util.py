@@ -54,6 +54,9 @@ def pins(db: TemporalDatabase) -> int:
 
 
 def reset_counters(db: TemporalDatabase) -> None:
+    """Zero the page counters and drop the engine's caches, so the next
+    read is measured against the store, not served from residue."""
+    db.engine.drop_caches()
     db.buffer.stats.reset()
     db._disk.stats.reset()
 

@@ -53,12 +53,6 @@ class _UnbatchedReader:
         return self._engine.all_versions(atom_id)
 
 
-def _cold(db):
-    """Clear decode caches so pins measure the read path, not residue."""
-    db.engine._decode_cache.clear()
-    db.engine._type_names.clear()
-
-
 def test_f6_report_header(benchmark, capsys):
     header(capsys, "R-F6",
            "batched fetch vs atom-at-a-time, cached decode, parallelism")
@@ -91,22 +85,20 @@ def test_f6_page_touches(benchmark, capsys, databases, strategy):
                                         db.metrics)
 
     def batched():
-        _cold(db)
+        db.engine.drop_caches()
         return db.builder.build_at(part, mtype, 1)
 
     def unbatched():
-        _cold(db)
+        db.engine.drop_caches()
         return unbatched_builder.build_at(part, mtype, 1)
 
     molecule = benchmark(batched)
     size = molecule.atom_count()
 
-    _cold(db)
     reset_counters(db)
     db.builder.build_at(part, mtype, 1)
     batched_pins = pins(db)
 
-    _cold(db)
     reset_counters(db)
     reference = unbatched_builder.build_at(part, mtype, 1)
     unbatched_pins = pins(db)

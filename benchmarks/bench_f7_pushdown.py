@@ -39,12 +39,6 @@ WINDOW = ("SELECT ALL FROM Part WHERE Part.name = 'part-3' "
           "VALID DURING [0, 6)")
 
 
-def _cold(db):
-    """Clear decode caches so counts measure the read path, not residue."""
-    db.engine._decode_cache.clear()
-    db.engine._type_names.clear()
-
-
 def _canonical(result):
     return (result.projected,
             [(entry.root_id, (entry.valid.start, entry.valid.end),
@@ -62,7 +56,6 @@ def _plans(db, text):
 
 
 def _decodes(db, query_plan):
-    _cold(db)
     before = db.metrics.value("engine.decode_cache.misses")
     reset_counters(db)
     result = execute_plan(db, query_plan)
@@ -100,7 +93,7 @@ def test_f7_selective_predicate_decodes(benchmark, capsys, databases,
     assert pushed_plan.pushdown is not None
 
     def run():
-        _cold(db)
+        db.engine.drop_caches()
         return execute_plan(db, pushed_plan)
 
     benchmark(run)
@@ -132,7 +125,7 @@ def test_f7_projection_and_window(benchmark, capsys, databases, strategy):
     win_pushed, win_stripped = _plans(db, WINDOW)
 
     def run():
-        _cold(db)
+        db.engine.drop_caches()
         return execute_plan(db, proj_pushed)
 
     benchmark(run)

@@ -18,15 +18,27 @@ The engine is deliberately free of transactions and locks — the database
 facade wraps every call in logging and locking; recovery replays logged
 operations through the very same methods.
 
+Reads are served through one per-atom cache (:class:`DecodedVersionCache`):
+an atom's full stored history, kept once a full-history read
+(``all_versions_many``, ``AS OF`` slices, ``prune_roots``) fetched it,
+and its decoded versions.  A warm atom is answered without touching the
+store — current slices pick the live version from the cached envelopes —
+and every mutation touch, undo and external store rewrite drops the
+atom's entry (:meth:`StorageEngine.invalidate_atom_caches`).
+
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
-``lifespan``, ``atoms_of_type``, the candidate selectors) never mutate
-engine-level state, so any number of threads may call them concurrently
-*provided no mutation runs at the same time* — the facade enforces this
-with its shared-read / exclusive-write latch.  The buffer pool and disk
-manager below are internally locked; everything between them and this
-class is read-pure on the read paths, except the decoded-version cache,
-which carries its own lock (and the type-name map, whose updates are
-single-dict operations, atomic under the GIL).
+``lifespan``, their ``_many`` forms, ``atoms_of_type``, the candidate
+selectors) change nothing but the caches, so any number of threads may
+call them concurrently *provided no mutation runs at the same time* —
+the facade enforces this with its shared-read / exclusive-write latch,
+which is also what keeps a history read from the store consistent until
+it is cached.  The buffer pool and disk manager below are internally
+locked; everything between them and this class is read-pure on the read
+paths.  The per-atom cache carries its own lock; a cached
+:class:`StoredHistory` never changes except its ``versions`` slot, which
+racing readers may each set to an equal tuple (one attribute store,
+atomic under the GIL); the type-name map's updates are single-dict
+operations, atomic under the GIL.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from __future__ import annotations
 import operator
 import struct
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import (
     Any,
@@ -43,7 +56,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -102,42 +114,93 @@ _LIVE_SETS_MAX_ATOMS = 65536
 DECODE_CACHE_ENTRY_OVERHEAD = 160
 
 
+class StoredHistory:
+    """One atom's full stored history, as a full-history read returns
+    it and the cache keeps it."""
+
+    __slots__ = ("stored", "versions", "_live_starts", "_live_seqs")
+
+    def __init__(self, stored: Iterable[StoredVersion]) -> None:
+        #: Every stored version (envelope plus payload), in seq order.
+        self.stored: Tuple[StoredVersion, ...] = tuple(stored)
+        #: The full decode, once a reader has made it: the same Version
+        #: objects the atom's decoded entries hold, in seq order, so a
+        #: warm full-history read is one lookup.
+        self.versions: Optional[Tuple[Version, ...]] = None
+        live = sorted((sv.vt_start, seq)
+                      for seq, sv in enumerate(self.stored) if sv.live)
+        self._live_starts = [start for start, _ in live]
+        self._live_seqs = [seq for _, seq in live]
+
+    def live_at(self, at: Timestamp) -> Optional[int]:
+        """The seq of the live version whose valid time contains *at*.
+
+        Live versions are valid-time disjoint (the engine's invariant),
+        so a bisect over their start points finds the only candidate.
+        """
+        index = bisect_right(self._live_starts, at) - 1
+        if index < 0:
+            return None
+        seq = self._live_seqs[index]
+        return seq if at < self.stored[seq].vt_end else None
+
+
+class _AtomEntry:
+    """Everything the cache holds for one atom."""
+
+    __slots__ = ("history", "decoded", "cost")
+
+    def __init__(self) -> None:
+        #: Filled only by full-history reads.
+        self.history: Optional[StoredHistory] = None
+        #: (seq, cols) -> (type_name, version, charged cost in bytes)
+        self.decoded: Dict[Tuple[int, Any], Tuple[str, Version, int]] = {}
+        self.cost = 0
+
+
 class DecodedVersionCache:
-    """Byte-bounded LRU of decoded versions, keyed by
-    ``(atom_id, seq, cols)``.
+    """Byte-bounded LRU of what the engine knows about each atom: its
+    stored history and its decoded versions.
 
-    ``cols`` is ``None`` for a full decode and a projection descriptor
-    (the attribute tuple plus a refs flag) for a partial one, so a
-    projected version can never be returned to a caller expecting the
-    full version or vice versa — the two live under distinct keys.
+    Entries are per atom, so one LRU order, one byte budget and one
+    ``pop`` cover both halves:
 
-    Each entry is charged its *encoded payload size* plus a fixed
-    overhead — the encoded size is a faithful, already-known proxy for
-    the decoded footprint (attribute values and reference sets dominate
-    both; a partial decode is charged the same full-payload size, a
-    deliberate overestimate that keeps the accounting simple and
-    conservative).  Occupancy is surfaced as the
-    ``engine.decode_cache.bytes`` gauge so the cache and the buffer
-    pool can share one memory budget.
+    * the **stored history** — every :class:`StoredVersion` (envelope
+      plus payload bytes) in seq order, filled only by full-history
+      reads, so a point slice never pays for a whole history;
+    * the **decoded versions**, keyed by ``(seq, cols)`` where ``cols``
+      is ``None`` for a full decode and a projection descriptor (the
+      attribute tuple plus a refs flag) for a partial one, so a
+      projected version can never be returned to a caller expecting the
+      full version or vice versa.
+
+    Each stored or decoded version is charged its *encoded payload
+    size* plus a fixed overhead — the encoded size is a faithful,
+    already-known proxy for the decoded footprint (a partial decode is
+    charged the full-payload size, a deliberate overestimate).  A
+    decoded version larger than the whole budget, and a history that
+    cannot fit together with its decodes, are never cached; such a
+    history is served straight from the store every time.  Occupancy is
+    the ``engine.decode_cache.bytes`` gauge.
 
     A sequence number is stable for the lifetime of an atom but its
     *content* changes under ``replace_version``/``pop_version``, so the
-    engine invalidates the whole atom on every mutation touch (including
-    undo).  A per-atom key index makes that O(cached versions of the
-    atom) instead of a full sweep.  Thread-safe: parallel molecule
-    builders hit it concurrently under the facade's shared-read latch.
+    engine drops the whole atom on every mutation touch (including
+    undo) and every external store rewrite (vacuum).  Thread-safe:
+    parallel molecule builders hit it concurrently under the facade's
+    shared-read latch.
     """
 
     def __init__(self, capacity_bytes: int, metrics) -> None:
         self._capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        # key -> (type_name, version, charged cost in bytes)
-        self._entries: "OrderedDict[Tuple[int, int, Any], \
-            Tuple[str, Version, int]]" = OrderedDict()
-        self._by_atom: Dict[int, Set[Tuple[int, Any]]] = {}
+        self._atoms: "OrderedDict[int, _AtomEntry]" = OrderedDict()
         self._bytes = 0
         self._c_hits = metrics.counter("engine.decode_cache.hits")
         self._c_misses = metrics.counter("engine.decode_cache.misses")
+        self._c_history_hits = metrics.counter("engine.history_cache.hits")
+        self._c_history_misses = metrics.counter(
+            "engine.history_cache.misses")
         self._c_invalidations = metrics.counter(
             "engine.decode_cache.invalidations")
         self._c_evictions = metrics.counter("engine.decode_cache.evictions")
@@ -154,64 +217,115 @@ class DecodedVersionCache:
 
     def get(self, atom_id: int, seq: int,
             cols: Any = None) -> Optional[Tuple[str, Version]]:
-        key = (atom_id, seq, cols)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            entry = self._atoms.get(atom_id)
+            found = None if entry is None else entry.decoded.get((seq, cols))
+            if found is None:
                 self._c_misses.inc()
                 return None
-            self._entries.move_to_end(key)
+            self._atoms.move_to_end(atom_id)
             self._c_hits.inc()
-            return entry[0], entry[1]
+            return found[0], found[1]
 
     def put(self, atom_id: int, seq: int, type_name: str,
             version: Version, nbytes: int = 0, cols: Any = None) -> None:
         cost = nbytes + DECODE_CACHE_ENTRY_OVERHEAD
         if cost > self._capacity_bytes:
             return  # an oversized entry would thrash the whole cache
-        key = (atom_id, seq, cols)
         with self._lock:
-            existing = self._entries.get(key)
+            entry = self._entry(atom_id)
+            existing = entry.decoded.get((seq, cols))
             if existing is not None:
-                self._bytes -= existing[2]
-            self._entries[key] = (type_name, version, cost)
-            self._entries.move_to_end(key)
-            self._bytes += cost
-            self._by_atom.setdefault(atom_id, set()).add((seq, cols))
-            while self._bytes > self._capacity_bytes and self._entries:
-                (old_atom, old_seq, old_cols), old = \
-                    self._entries.popitem(last=False)
-                self._bytes -= old[2]
-                self._c_evictions.inc()
-                seqs = self._by_atom.get(old_atom)
-                if seqs is not None:
-                    seqs.discard((old_seq, old_cols))
-                    if not seqs:
-                        del self._by_atom[old_atom]
-            self._g_bytes.set(self._bytes)
+                self._charge(entry, -existing[2])
+            entry.decoded[(seq, cols)] = (type_name, version, cost)
+            self._charge(entry, cost)
+            self._evict()
+
+    def histories(self, atom_ids: List[int]) -> Dict[int, StoredHistory]:
+        """The cached stored histories among *atom_ids*; an atom without
+        one counts a history miss."""
+        found: Dict[int, StoredHistory] = {}
+        with self._lock:
+            atoms = self._atoms
+            for atom_id in atom_ids:
+                entry = atoms.get(atom_id)
+                if entry is not None and entry.history is not None:
+                    atoms.move_to_end(atom_id)
+                    found[atom_id] = entry.history
+            if found:
+                self._c_history_hits.inc(len(found))
+            if len(found) < len(atom_ids):
+                self._c_history_misses.inc(len(atom_ids) - len(found))
+        return found
+
+    def put_history(self, atom_id: int, history: StoredHistory) -> None:
+        """Cache *history*, unless it is oversized: a history that
+        cannot fit in the budget together with its decodes (charged the
+        same again) is left uncached and served from the store every
+        time, rather than evicting itself while it is decoded.
+
+        Its full decode (``history.versions``) is charged nothing extra:
+        those are the atom's decoded entries, already charged, and they
+        leave the cache together with the history.
+        """
+        cost = (sum(len(sv.payload) for sv in history.stored)
+                + DECODE_CACHE_ENTRY_OVERHEAD * len(history.stored))
+        if 2 * cost > self._capacity_bytes:
+            return
+        with self._lock:
+            entry = self._entry(atom_id)
+            if entry.history is not None:
+                return  # a concurrent reader filled it first
+            entry.history = history
+            self._charge(entry, cost)
+            self._evict()
+
+    def note_decoded_hits(self, count: int) -> None:
+        """Count versions served from a history's full decode."""
+        self._c_hits.inc(count)
+
+    def _entry(self, atom_id: int) -> _AtomEntry:
+        """The atom's entry, created if absent, as most recently used.
+        Caller holds ``_lock``."""
+        entry = self._atoms.get(atom_id)
+        if entry is None:
+            entry = self._atoms[atom_id] = _AtomEntry()
+        else:
+            self._atoms.move_to_end(atom_id)
+        return entry
+
+    def _charge(self, entry: _AtomEntry, cost: int) -> None:
+        entry.cost += cost
+        self._bytes += cost
+
+    def _evict(self) -> None:
+        """Drop least recently used atoms until the budget holds.
+        Caller holds ``_lock``."""
+        while self._bytes > self._capacity_bytes and self._atoms:
+            _, old = self._atoms.popitem(last=False)
+            self._bytes -= old.cost
+            self._c_evictions.inc()
+        self._g_bytes.set(self._bytes)
 
     def invalidate_atom(self, atom_id: int) -> None:
         with self._lock:
             self._c_invalidations.inc()
-            seqs = self._by_atom.pop(atom_id, None)
-            if not seqs:
+            entry = self._atoms.pop(atom_id, None)
+            if entry is None:
                 return
-            for seq, cols in seqs:
-                entry = self._entries.pop((atom_id, seq, cols), None)
-                if entry is not None:
-                    self._bytes -= entry[2]
+            self._bytes -= entry.cost
             self._g_bytes.set(self._bytes)
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self._by_atom.clear()
+            self._atoms.clear()
             self._bytes = 0
             self._g_bytes.set(0)
 
     def __len__(self) -> int:
+        """Number of decoded versions held (histories not counted)."""
         with self._lock:
-            return len(self._entries)
+            return sum(len(entry.decoded) for entry in self._atoms.values())
 
 
 class StorageEngine:
@@ -236,6 +350,8 @@ class StorageEngine:
         self._c_versions_scanned = self.metrics.counter(
             "engine.versions_scanned")
         self._c_mutations = self.metrics.counter("engine.mutations")
+        self._c_pushdown_skipped = self.metrics.counter(
+            "engine.pushdown.skipped")
         self._decode_cache = DecodedVersionCache(decode_cache_bytes,
                                                  self.metrics)
         # The live-set cache: atom id -> {seq: decoded live Version}.
@@ -323,7 +439,8 @@ class StorageEngine:
         return type_name, version
 
     def invalidate_atom_caches(self, atom_id: int) -> None:
-        """Forget every cached decode for *atom_id*.
+        """Forget the cached history, decodes, type name and live set
+        of *atom_id*.
 
         Called on every mutation touch (forward and undo) and by
         maintenance tools that rewrite the store directly (vacuum).
@@ -346,17 +463,7 @@ class StorageEngine:
     def version_at(self, atom_id: int, at: Timestamp,
                    tt: Optional[Timestamp] = None) -> Optional[Version]:
         """The version valid at *at* as believed at *tt* (None = now)."""
-        self._c_version_reads.inc()
-        if not self.store.exists(atom_id):
-            return None
-        if tt is None:
-            hits = self.store.read_at(atom_id, at)
-            if not hits:
-                return None
-            self._c_versions_scanned.inc(len(hits))
-            seq, stored = hits[0]
-            return self._decode_cached(atom_id, seq, stored)[1]
-        return hist.version_at(self.all_versions(atom_id), at, tt)
+        return self.version_at_many([atom_id], at, tt)[atom_id]
 
     def version_at_many(self, atom_ids: Iterable[int], at: Timestamp,
                         tt: Optional[Timestamp] = None,
@@ -368,17 +475,21 @@ class StorageEngine:
         """Batched :meth:`version_at`: one result per distinct atom id.
 
         Unknown atoms map to ``None``, exactly as ``version_at`` returns
-        ``None`` for them.  The batch goes through the store's
-        set-oriented read path, so directory and record pages shared by
-        several atoms are pinned once for the whole call.
+        ``None`` for them.  With *tt* the answer comes from the atoms'
+        full histories (:meth:`all_versions_many`, which fills the
+        history cache).  Without it, an atom whose history is cached is
+        answered from the cached envelopes; the rest go through the
+        store's set-oriented ``read_at_many`` in one batch, so directory
+        and record pages shared by several atoms are pinned once for the
+        whole call.  A point slice never fills the history cache.
 
         *pred* / *projection* come from :meth:`compile_pushdown`: the
-        predicate is evaluated by the store on raw payloads, so atoms
-        whose version at *at* fails it come back as ``None`` without
-        ever being decoded; the projection makes the survivors decode
-        only the attributes the query reads.  Both apply only on the
-        current-knowledge path — the planner never pushes below an
-        ``AS OF`` query.
+        predicate is evaluated on raw payloads (by the store, or here on
+        cached ones), so atoms whose version at *at* fails it come back
+        as ``None`` without ever being decoded; the projection makes the
+        survivors decode only the attributes the query reads.  Both
+        apply only on the current-knowledge path — the planner never
+        pushes below an ``AS OF`` query.
         """
         ids = list(dict.fromkeys(atom_ids))
         result: Dict[int, Optional[Version]] = {}
@@ -392,29 +503,42 @@ class StorageEngine:
                 result[atom_id] = (None if versions is None
                                    else hist.version_at(versions, at, tt))
             return result
-        if pred is None:
-            # Keep the two-argument call for stores implementing only
-            # the original protocol (test doubles, external backends).
-            hits_by_atom = self.store.read_at_many(ids, at)
-        else:
-            hits_by_atom = self.store.read_at_many(ids, at, pred)
+        cached = self._decode_cache.histories(ids)
+        hits_by_atom: Dict[int, List[Tuple[int, StoredVersion]]] = {}
+        if len(cached) < len(ids):
+            misses = [atom_id for atom_id in ids if atom_id not in cached]
+            if pred is None:
+                # Keep the two-argument call for stores implementing
+                # only the original protocol (test doubles, external
+                # backends).
+                hits_by_atom = self.store.read_at_many(misses, at)
+            else:
+                hits_by_atom = self.store.read_at_many(misses, at, pred)
+        for atom_id, history in cached.items():
+            seq = history.live_at(at)
+            if seq is None:
+                continue
+            stored_version = history.stored[seq]
+            if pred is not None and not pred(stored_version.payload):
+                self._c_pushdown_skipped.inc()
+                continue
+            hits_by_atom[atom_id] = [(seq, stored_version)]
         for atom_id in ids:
             hits = hits_by_atom.get(atom_id)
             if not hits:
                 result[atom_id] = None
                 continue
             self._c_versions_scanned.inc(len(hits))
-            seq, stored = hits[0]
-            result[atom_id] = self._decode_cached(atom_id, seq, stored,
-                                                  projection)[1]
+            seq, stored_version = hits[0]
+            result[atom_id] = self._decode_cached(
+                atom_id, seq, stored_version, projection)[1]
         return result
 
     def all_versions(self, atom_id: int) -> List[Version]:
-        if not self.store.exists(atom_id):
+        """The atom's full recorded history, in sequence order."""
+        versions = self.all_versions_many([atom_id]).get(atom_id)
+        if versions is None:
             raise UnknownAtomError(f"no atom {atom_id}")
-        versions = [self._decode_cached(atom_id, seq, sv)[1]
-                    for seq, sv in enumerate(self.store.read_all(atom_id))]
-        self._c_versions_scanned.inc(len(versions))
         return versions
 
     def live_pairs(self, atom_id: int) -> List[Tuple[int, Version]]:
@@ -448,32 +572,43 @@ class StorageEngine:
             cache.pop(next(iter(cache)))
         cache[atom_id] = live
 
-    def all_versions_many(self, atom_ids: Iterable[int],
-                          pred: Optional[Callable[[bytes], bool]] = None
+    def _stored_histories(self, ids: List[int]) -> Dict[int, StoredHistory]:
+        """The full stored histories of the known atoms among *ids*, in
+        input order: cached entries as they are, the rest through one
+        batched store read whose results fill their entries.  Unknown
+        atoms are omitted."""
+        found = self._decode_cache.histories(ids)
+        if len(found) == len(ids):
+            return found
+        misses = [atom_id for atom_id in ids if atom_id not in found]
+        for atom_id, stored in self.store.read_all_many(misses).items():
+            history = StoredHistory(stored)
+            self._decode_cache.put_history(atom_id, history)
+            found[atom_id] = history
+        return {atom_id: found[atom_id] for atom_id in ids
+                if atom_id in found}
+
+    def all_versions_many(self, atom_ids: Iterable[int]
                           ) -> Dict[int, List[Version]]:
         """Batched :meth:`all_versions`; unknown atoms are *omitted*
         rather than raising, so callers can detect and handle them.
 
-        With *pred*, versions failing the payload predicate come back
-        from the store as ``None`` placeholders (preserving sequence
-        alignment) and are skipped without decoding, so the returned
-        histories hold only survivors.  Callers must treat a filtered
-        history as the *existential* answer it is — every absent
-        version is one that could not satisfy the predicate — and never
-        feed it to coalescing logic that needs the full timeline.
+        Cached histories are served without touching the store; the
+        rest are read in one batch and cached for the next caller.
         """
-        ids = list(dict.fromkeys(atom_ids))
-        if pred is None:
-            stored_histories = self.store.read_all_many(ids)
-        else:
-            stored_histories = self.store.read_all_many(ids, pred)
         result: Dict[int, List[Version]] = {}
-        for atom_id, stored_versions in stored_histories.items():
-            result[atom_id] = [
-                self._decode_cached(atom_id, seq, sv)[1]
-                for seq, sv in enumerate(stored_versions)
-                if sv is not None]
-            self._c_versions_scanned.inc(len(stored_versions))
+        histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
+        for atom_id, history in histories.items():
+            versions = history.versions
+            if versions is None:
+                # Racing readers may both decode; either tuple is right.
+                versions = history.versions = tuple(
+                    self._decode_cached(atom_id, seq, sv)[1]
+                    for seq, sv in enumerate(history.stored))
+            else:
+                self._decode_cache.note_decoded_hits(len(versions))
+            result[atom_id] = list(versions)
+            self._c_versions_scanned.inc(len(versions))
         return result
 
     def current_version(self, atom_id: int) -> Version:
@@ -493,6 +628,17 @@ class StorageEngine:
     def lifespan(self, atom_id: int,
                  tt: Optional[Timestamp] = None):
         return hist.lifespan(self.all_versions(atom_id), tt)
+
+    def drop_caches(self) -> None:
+        """Forget every cached history, decoded version, type name and
+        live set, so the next read of anything goes to the store.
+
+        The cold state the paper experiments measure; caches refill on
+        use.  Call it with no reader or mutation in flight.
+        """
+        self._decode_cache.clear()
+        self._type_names.clear()
+        self._live_sets.clear()
 
     # ------------------------------------------------------------------
     # Predicate / projection pushdown (compiled from planner specs)
@@ -599,14 +745,28 @@ class StorageEngine:
         before a single decode.  Atoms unknown to the store are *kept*:
         the unpruned path surfaces them as :class:`UnknownAtomError`
         during the history sweep, and pruning must not mask that.
+
+        The histories are read through the history cache (and fill it),
+        so the sweep that follows for the surviving roots reads none of
+        them again.  The predicate judges every stored version and counts
+        each failure on ``engine.pushdown.skipped``.
         """
         ids = list(dict.fromkeys(atom_ids))
-        if not ids:
-            return []
-        histories = self.store.read_all_many(ids, pred)
-        return [atom_id for atom_id in ids
-                if atom_id not in histories
-                or any(sv is not None for sv in histories[atom_id])]
+        histories = self._stored_histories(ids)
+        kept: List[int] = []
+        skipped = 0
+        for atom_id in ids:
+            history = histories.get(atom_id)
+            if history is None:
+                kept.append(atom_id)
+                continue
+            passed = sum(1 for sv in history.stored if pred(sv.payload))
+            skipped += len(history.stored) - passed
+            if passed:
+                kept.append(atom_id)
+        if skipped:
+            self._c_pushdown_skipped.inc(skipped)
+        return kept
 
     # ------------------------------------------------------------------
     # Plan application with index maintenance and undo capture

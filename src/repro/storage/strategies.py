@@ -176,14 +176,12 @@ class VersionStore:
     # once per batch rather than once per atom.  The generic fallbacks
     # below just loop; each strategy overrides them with a grouped plan.
     #
-    # The optional *pred* is a pushed-down payload predicate (from
-    # :meth:`StorageEngine.compile_pushdown`): versions failing it are
-    # withheld from the caller — dropped from ``read_at_many`` hits,
-    # ``None`` placeholders in ``read_all_many`` histories (sequence
-    # numbers are positional, so alignment must survive the filter) —
-    # and counted on the ``engine.pushdown.skipped`` counter.  The
-    # engine then never decodes them and the decode cache holds only
-    # survivors.
+    # The optional *pred* of ``read_at_many`` is a pushed-down payload
+    # predicate (from :meth:`StorageEngine.compile_pushdown`): hits
+    # failing it are dropped and counted on the
+    # ``engine.pushdown.skipped`` counter, so the engine never decodes
+    # them.  ``read_all_many`` takes none: whole histories are cached
+    # above the store, and the engine filters them there.
 
     #: Bound to the real ``engine.pushdown.skipped`` counter by stores
     #: wired to a metrics registry; ``None`` keeps the accounting a
@@ -219,26 +217,17 @@ class VersionStore:
             result[atom_id] = hits
         return result
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      pred: Optional[Callable[[bytes], bool]] = None
-                      ) -> Dict[int, List[Optional[StoredVersion]]]:
+    def read_all_many(self, atom_ids: Iterable[int]
+                      ) -> Dict[int, List[StoredVersion]]:
         """Batched :meth:`read_all`; atoms not in the store are omitted."""
-        result: Dict[int, List[Optional[StoredVersion]]] = {}
+        result: Dict[int, List[StoredVersion]] = {}
         for atom_id in atom_ids:
             if atom_id in result:
                 continue
             try:
-                versions = self.read_all(atom_id)
+                result[atom_id] = list(self.read_all(atom_id))
             except UnknownAtomError:
                 continue
-            if pred is not None:
-                filtered: List[Optional[StoredVersion]] = [
-                    sv if pred(sv.payload) else None for sv in versions]
-                self._note_skips(
-                    sum(1 for sv in filtered if sv is None))
-                result[atom_id] = filtered
-            else:
-                result[atom_id] = list(versions)
         return result
 
     def version_count(self, atom_id: int) -> int:
@@ -459,19 +448,9 @@ class ClusteredStore(_BaseStore):
             result[atom_id] = hits
         return result
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      pred: Optional[Callable[[bytes], bool]] = None
-                      ) -> Dict[int, List[Optional[StoredVersion]]]:
-        histories = self._records_many(atom_ids)
-        if pred is None:
-            return histories
-        result: Dict[int, List[Optional[StoredVersion]]] = {}
-        for atom_id, versions in histories.items():
-            filtered: List[Optional[StoredVersion]] = [
-                sv if pred(sv.payload) else None for sv in versions]
-            self._note_skips(sum(1 for sv in filtered if sv is None))
-            result[atom_id] = filtered
-        return result
+    def read_all_many(self, atom_ids: Iterable[int]
+                      ) -> Dict[int, List[StoredVersion]]:
+        return self._records_many(atom_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +647,10 @@ class ChainedStore(_BaseStore):
             result.setdefault(atom_id, [])
         return result
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      pred: Optional[Callable[[bytes], bool]] = None
-                      ) -> Dict[int, List[Optional[StoredVersion]]]:
+    def read_all_many(self, atom_ids: Iterable[int]
+                      ) -> Dict[int, List[StoredVersion]]:
         frontier, _missing = self._frontier(atom_ids)
-        collected: Dict[int, List[Optional[StoredVersion]]] = {
+        collected: Dict[int, List[StoredVersion]] = {
             atom_id: [] for atom_id in frontier}
         while frontier:
             records = self._segment.read_many(
@@ -680,11 +658,7 @@ class ChainedStore(_BaseStore):
             advanced: Dict[int, Tuple[RecordId, int]] = {}
             for atom_id, (rid, seq) in frontier.items():
                 prev, sv = self._decode(records[rid])
-                if pred is not None and not pred(sv.payload):
-                    self._note_skips()
-                    collected[atom_id].append(None)  # hold the slot
-                else:
-                    collected[atom_id].append(sv)  # newest first
+                collected[atom_id].append(sv)  # newest first
                 if prev != _NO_RECORD:
                     advanced[atom_id] = (prev, seq - 1)
             frontier = advanced
@@ -959,9 +933,8 @@ class SeparatedStore(_BaseStore):
             result[atom_id].append((seq, sv))
         return result
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      pred: Optional[Callable[[bytes], bool]] = None
-                      ) -> Dict[int, List[Optional[StoredVersion]]]:
+    def read_all_many(self, atom_ids: Iterable[int]
+                      ) -> Dict[int, List[StoredVersion]]:
         current_fetch: Dict[int, RecordId] = {}
         vdir_fetch: Dict[int, RecordId] = {}
         for atom_id, payload in self._entries_many(atom_ids).items():
@@ -982,20 +955,13 @@ class SeparatedStore(_BaseStore):
         hist_records = self._history.read_many(
             rid for rids in hist_order.values() for rid in rids)
         current_records = self._current.read_many(current_fetch.values())
-        result: Dict[int, List[Optional[StoredVersion]]] = {}
+        result: Dict[int, List[StoredVersion]] = {}
         for atom_id, current_rid in current_fetch.items():
             versions = [self._decode_version(hist_records[rid])
                         for rid in hist_order[atom_id]]
             versions.append(
                 self._decode_version(current_records[current_rid]))
-            if pred is not None:
-                filtered: List[Optional[StoredVersion]] = [
-                    sv if pred(sv.payload) else None for sv in versions]
-                self._note_skips(
-                    sum(1 for sv in filtered if sv is None))
-                result[atom_id] = filtered
-            else:
-                result[atom_id] = versions
+            result[atom_id] = versions
         return result
 
 

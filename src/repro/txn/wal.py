@@ -139,6 +139,12 @@ class WriteAheadLog:
         self._commit_cv = threading.Condition(threading.Lock())
         self._durable_lsn = 0
         self._sync_leader_active = False
+        # Set when a commit fsync fails.  The kernel may have dropped the
+        # dirty pages it could not write, so a retried fsync can succeed
+        # without the records ever reaching the disk: the log is
+        # unusable until the database is reopened (and recovery rereads
+        # what actually survived).
+        self._fsync_failure: Optional[OSError] = None
         self._pending_syncs: List[int] = []
         # True when the last group showed concurrent commit load; gates
         # the leader's straggler window so solo committers never wait.
@@ -321,15 +327,22 @@ class WriteAheadLog:
         if not self._sync_on_commit:
             return
         if not self._group_commit:
-            self.flush(sync=True)
+            with self._commit_cv:
+                self._raise_if_poisoned()
+            try:
+                self.flush(sync=True)
+            except OSError as exc:
+                raise self._poison(exc) from exc
             with self._commit_cv:
                 self._durable_lsn = max(self._durable_lsn, lsn)
             return
         with self._commit_cv:
+            self._raise_if_poisoned()
             if lsn <= self._durable_lsn:
                 return
             self._pending_syncs.append(lsn)
             while True:
+                self._raise_if_poisoned()
                 if lsn <= self._durable_lsn:
                     return
                 if not self._sync_leader_active:
@@ -342,7 +355,7 @@ class WriteAheadLog:
         # fixed which bytes the fsync makes durable, and keeping appends
         # unblocked during the device flush is what lets the next batch
         # form while this one syncs.
-        target = -1
+        synced = False
         try:
             # Straggler window (PostgreSQL's commit_delay idea): when the
             # previous round had company, concurrent committers are mid
@@ -361,9 +374,15 @@ class WriteAheadLog:
                 fd = self._file.fileno()
             os.fsync(fd)
             self._c_fsyncs.inc()
+            synced = True
+        except OSError as exc:
+            # Poison before the finally wakes anyone: every waiter, this
+            # leader included, must fail rather than be told its commit
+            # is durable.
+            raise self._poison(exc) from exc
         finally:
             with self._commit_cv:
-                if target >= 0:
+                if synced:
                     served = [p for p in self._pending_syncs if p <= target]
                     self._pending_syncs = [p for p in self._pending_syncs
                                            if p > target]
@@ -374,6 +393,18 @@ class WriteAheadLog:
                                                or bool(self._pending_syncs))
                 self._sync_leader_active = False
                 self._commit_cv.notify_all()
+
+    def _poison(self, exc: OSError) -> WALError:
+        with self._commit_cv:
+            self._fsync_failure = exc
+        return WALError(f"WAL fsync failed: {exc}")
+
+    def _raise_if_poisoned(self) -> None:
+        """Caller holds ``_commit_cv``."""
+        if self._fsync_failure is not None:
+            raise WALError(
+                "WAL is unusable after a failed fsync; reopen the database "
+                f"(cause: {self._fsync_failure})")
 
     @property
     def shippable_lsn(self) -> int:

@@ -1,8 +1,13 @@
 """Tests for the write-ahead log."""
 
+import errno
+import threading
+
 import pytest
 
+from repro import TemporalDatabase
 from repro.errors import WALError
+from repro.txn import wal as wal_module
 from repro.txn.wal import LogRecordType, WriteAheadLog
 
 
@@ -185,6 +190,114 @@ class TestSyncTo:
         lsn = wal.append(LogRecordType.COMMIT, 1)
         wal.truncate()
         assert wal.durable_lsn == lsn
+
+
+def _eio(fd):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+class TestFsyncFailure:
+    """A failed commit fsync poisons the log: nothing it covered is
+    reported durable, and no later commit succeeds until reopen."""
+
+    @pytest.mark.parametrize("group_commit", [True, False])
+    def test_failed_fsync_is_never_reported_durable(self, tmp_path,
+                                                    monkeypatch,
+                                                    group_commit):
+        log = WriteAheadLog(tmp_path / "eio.log", sync_on_commit=True,
+                            group_commit=group_commit)
+        try:
+            lsn = log.append(LogRecordType.COMMIT, 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(wal_module.os, "fsync", _eio)
+                with pytest.raises(WALError, match="fsync failed"):
+                    log.sync_to(lsn)
+            assert log.durable_lsn == 0
+            assert log.shippable_lsn == 0
+            # The device works again, but the kernel may have dropped the
+            # pages it failed to write: a retry must not report success.
+            with pytest.raises(WALError, match="reopen"):
+                log.sync_to(lsn)
+            later = log.append(LogRecordType.COMMIT, 2)
+            with pytest.raises(WALError, match="reopen"):
+                log.sync_to(later)
+            assert log.durable_lsn == 0
+        finally:
+            log.close()
+
+    def test_waiting_followers_fail_with_the_leader(self, tmp_path,
+                                                    monkeypatch):
+        log = WriteAheadLog(tmp_path / "eio.log", sync_on_commit=True,
+                            group_window=0)
+        in_fsync = threading.Event()
+        release = threading.Event()
+
+        def slow_eio(fd):
+            in_fsync.set()
+            assert release.wait(10)
+            raise OSError(errno.EIO, "Input/output error")
+
+        outcomes = {}
+
+        def commit(name, lsn):
+            try:
+                log.sync_to(lsn)
+                outcomes[name] = "durable"
+            except WALError:
+                outcomes[name] = "failed"
+
+        try:
+            monkeypatch.setattr(wal_module.os, "fsync", slow_eio)
+            leader = threading.Thread(
+                target=commit,
+                args=("leader", log.append(LogRecordType.COMMIT, 1)))
+            leader.start()
+            assert in_fsync.wait(10)
+            followers = [threading.Thread(
+                target=commit,
+                args=(f"follower{i}", log.append(LogRecordType.COMMIT,
+                                                 i + 2)))
+                for i in range(3)]
+            for thread in followers:
+                thread.start()
+            release.set()
+            for thread in [leader, *followers]:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert outcomes == {"leader": "failed", "follower0": "failed",
+                                "follower1": "failed", "follower2": "failed"}
+            assert log.durable_lsn == 0
+        finally:
+            release.set()
+            monkeypatch.undo()
+            log.close()
+
+    def test_database_refuses_commits_until_reopened(self, tmp_path,
+                                                     monkeypatch, cad_schema):
+        path = str(tmp_path / "eiodb")
+        db = TemporalDatabase.create(path, cad_schema)
+        with db.transaction() as txn:
+            kept = txn.insert("Part", {"name": "kept"}, valid_from=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_module.os, "fsync", _eio)
+            with pytest.raises(WALError):
+                with db.transaction() as txn:
+                    txn.insert("Part", {"name": "lost"}, valid_from=0)
+        with pytest.raises(WALError, match="reopen"):
+            with db.transaction() as txn:
+                txn.insert("Part", {"name": "refused"}, valid_from=0)
+        # The failed transactions' outcome is unknown until recovery
+        # reads what reached the disk: abandon the instance like a
+        # crashed process and reopen.
+        db._wal._file.flush()
+        db._disk._file.flush()
+        reopened = TemporalDatabase.open(path)
+        try:
+            assert reopened.version_at(kept, 0).values["name"] == "kept"
+            with reopened.transaction() as txn:
+                txn.insert("Part", {"name": "after"}, valid_from=0)
+        finally:
+            reopened.close()
 
 
 class TestReplicationSurface:
