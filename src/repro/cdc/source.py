@@ -2,10 +2,11 @@
 
 One :class:`ChangeStreamSource` lives inside a
 :class:`~repro.server.server.DatabaseServer`, next to the replication
-:class:`~repro.replication.source.ReplicationSource` whose batch /
-long-poll / ack plumbing it mirrors.  A request names a subscriber, a
-resume LSN, server-side filters, and an optional long-poll window; the
-response carries a bounded batch of decoded change events.
+:class:`~repro.replication.source.ReplicationSource` whose request
+parsing, long-poll, batch and cursor plumbing it shares.  A request
+names a subscriber, a resume LSN, server-side filters, and an optional
+long-poll window; the response carries a bounded batch of decoded
+change events.
 
 Three invariants distinguish a change stream from a raw WAL stream:
 
@@ -20,14 +21,13 @@ Three invariants distinguish a change stream from a raw WAL stream:
   resume point attaches at the current quiescent head (it tails new
   changes; it does not replay history unless it asks with
   ``from_lsn=1``).
-* **Durable cursors** — every ack is recorded in the WAL's CDC
-  subscriber registry (holding retention like a replica) *and*
-  persisted in the catalog extras, so a consumer that reconnects after
-  a server restart resumes exactly where it acked.  Acks are
-  epoch-qualified: a clean shutdown restarts the LSN space (bumping
-  ``wal_epoch``), making old LSNs meaningless, so cursors from a prior
-  epoch are discarded and such a subscriber re-attaches at the head —
-  responses carry ``epoch`` so consumers can detect the reset.
+* **Durable cursors** — every ack advances the subscriber's ``"cdc"``
+  cursor in the database's durable WAL cursor registry (holding
+  retention like a replica's), so a consumer that reconnects after a
+  server restart resumes exactly where it acked.  A clean shutdown
+  that restarts the LSN space (bumping ``wal_epoch``) discards the
+  cursors, and such a subscriber re-attaches at the head — responses
+  carry ``epoch`` so consumers can detect the reset.
 
 Filters (``types``, ``kinds``, ``roots``) drop events server-side;
 filtered events still advance the cursor, so a narrow subscription
@@ -36,22 +36,18 @@ stays cheap without pinning the log.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Set
 
 from repro.cdc.events import EVENT_KINDS, decode_operation
 from repro.errors import ReplicationError
 from repro.replication.source import (
-    MAX_BATCH_BYTES,
-    MAX_BATCH_RECORDS,
-    MAX_STREAM_WAIT_MS,
-    DEFAULT_BATCH_RECORDS,
+    await_head,
+    cursor_status,
+    fill_batch,
+    parse_stream_request,
 )
 from repro.txn.recovery import _scan_commit_state
 from repro.txn.wal import LogRecordType
-
-#: Catalog extras key holding persisted per-subscriber acked LSNs.
-CDC_EXTRAS_KEY = "cdc_subscribers"
 
 
 class ChangeStreamSource:
@@ -68,103 +64,33 @@ class ChangeStreamSource:
         self._c_filtered = metrics.counter("cdc.events_filtered")
         self._g_subscribers = metrics.gauge("cdc.subscribers")
         self._g_max_lag = metrics.gauge("cdc.max_ack_lag")
-        # Re-arm retention holds for subscribers that acked before the
-        # last shutdown: their cursors are durable, so the log must keep
-        # their resume points readable even while they are offline.
-        # Entries from a previous WAL epoch are dropped — the clean
-        # shutdown that bumped the epoch also reset the LSN space, so
-        # those cursors name positions that no longer exist.
-        stale = [name for name, entry in self._raw_acks().items()
-                 if self._entry_ack(entry) is None]
-        for name in stale:
-            self._drop_persisted(name)
-        for name, acked in self._persisted_acks().items():
-            self._wal.subscribe_cdc(name, acked)
         self._refresh_gauges()
-
-    # -- persisted cursors --------------------------------------------------
-
-    def _raw_acks(self) -> Dict[str, Any]:
-        extras = self._db._catalog.extras.get(CDC_EXTRAS_KEY)
-        return dict(extras) if isinstance(extras, dict) else {}
-
-    def _entry_ack(self, entry: Any) -> Optional[int]:
-        """The acked LSN of one ``[epoch, lsn]`` entry, or ``None`` when
-        it belongs to another WAL epoch (or predates the format)."""
-        if (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and int(entry[0]) == self._epoch()):
-            return int(entry[1])
-        return None
-
-    def _persisted_acks(self) -> Dict[str, int]:
-        acks: Dict[str, int] = {}
-        for name, entry in self._raw_acks().items():
-            acked = self._entry_ack(entry)
-            if acked is not None:
-                acks[name] = acked
-        return acks
-
-    def _persist_ack(self, name: str, acked: int) -> None:
-        acks = self._raw_acks()
-        current = self._entry_ack(acks.get(name))
-        if current is not None and current >= acked:
-            return
-        acks[name] = [self._epoch(), acked]
-        self._db._catalog.extras[CDC_EXTRAS_KEY] = acks
-        # Durable at the next checkpoint, exactly like replica_id /
-        # wal_epoch; an ack lost to a crash only widens the resume
-        # overlap, and quiescent cursors make re-delivery detectable
-        # (events carry their LSN).
-
-    def _drop_persisted(self, name: str) -> None:
-        acks = self._raw_acks()
-        if name in acks:
-            del acks[name]
-            self._db._catalog.extras[CDC_EXTRAS_KEY] = acks
-
-    # -- request handling ---------------------------------------------------
 
     def handle(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one SUBSCRIBE request; see ``docs/cdc.md`` for the
         payload shape."""
         self._c_requests.inc()
-        try:
-            subscriber = str(payload["subscriber"])
-        except KeyError:
-            raise ReplicationError(
-                "SUBSCRIBE requires a subscriber name") from None
-        if payload.get("unsubscribe"):
-            self._wal.release_cdc(subscriber)
-            self._drop_persisted(subscriber)
+        request = parse_stream_request(payload, "SUBSCRIBE", "subscriber",
+                                       default_from=None, name_required=True)
+        subscriber = request.name
+        if request.unsubscribe:
+            self._db.release_cursor(subscriber)
             self._refresh_gauges()
             return {"released": True, "subscriber": subscriber}
-        try:
-            raw_from = payload.get("from_lsn")
-            from_lsn = None if raw_from is None else int(raw_from)
-            max_records = int(payload.get("max_records",
-                                          DEFAULT_BATCH_RECORDS))
-            wait_ms = int(payload.get("wait_ms", 0))
-            ack = payload.get("ack_lsn")
-            acked = None if ack is None else int(ack)
-        except (TypeError, ValueError) as exc:
-            raise ReplicationError(
-                f"malformed SUBSCRIBE request: {exc}") from exc
         types, kinds, roots = self._parse_filters(payload)
-        max_records = max(1, min(max_records, MAX_BATCH_RECORDS))
-        wait_ms = max(0, min(wait_ms, MAX_STREAM_WAIT_MS))
 
-        if acked is not None:
+        if request.ack_lsn is not None:
             # Apply the request's ack *before* resolving the resume
             # point: a reconnecting consumer that reports its consumed
             # watermark but no explicit from_lsn must resume after that
-            # watermark, not after the last persisted one (which lags
-            # by the batch the consumer processed while disconnected).
-            self._wal.ack_cdc(subscriber, acked)
-            self._persist_ack(subscriber, acked)
+            # watermark, not after the last stored one (which lags by
+            # the batch the consumer processed while disconnected).
+            self._db.ack_cursor(subscriber, "cdc", request.ack_lsn)
+        from_lsn = request.from_lsn
         if from_lsn is None:
-            persisted = self._persisted_acks().get(subscriber)
-            if persisted is not None:
-                from_lsn = int(persisted) + 1
+            cursor = self._wal.subscribers("cdc").get(subscriber)
+            if cursor is not None:
+                from_lsn = int(cursor["acked"]) + 1
             else:
                 # Fresh subscriber: attach at the current quiescent
                 # head so the first batch holds only *new* changes and
@@ -172,19 +98,11 @@ class ChangeStreamSource:
                 head = self._wal.shippable_lsn
                 _, quiescent, _ = _scan_commit_state(self._wal, 0, head)
                 from_lsn = quiescent + 1
-        if from_lsn < 1:
-            raise ReplicationError(
-                f"from_lsn must be >= 1, got {from_lsn}")
-        if acked is None:
-            acked = from_lsn - 1
-            self._wal.ack_cdc(subscriber, acked)
-            self._persist_ack(subscriber, acked)
+        if request.ack_lsn is None:
+            self._db.ack_cursor(subscriber, "cdc", from_lsn - 1)
 
-        head = self._wal.shippable_lsn
-        if head < from_lsn and wait_ms:
-            self._c_waits.inc()
-            head = self._wal.wait_for_shippable(from_lsn, wait_ms / 1000.0)
-
+        head = await_head(self._wal, from_lsn, request.wait_ms,
+                          self._c_waits)
         events: List[Dict[str, Any]] = []
         next_from = from_lsn
         bound = from_lsn - 1
@@ -194,41 +112,31 @@ class ChangeStreamSource:
             self._c_scanned.inc(len(records))
             committed, bound, _ = _scan_commit_state(
                 self._wal, from_lsn - 1, head, records)
-            budget = MAX_BATCH_BYTES
-            cursor = from_lsn - 1
+
+            def step(record: Any) -> Optional[Dict[str, Any]]:
+                if (record.type is not LogRecordType.OPERATION
+                        or record.txn_id not in committed):
+                    return None
+                event = decode_operation(self._db.engine, record.payload)
+                if event is None:
+                    return None
+                self._c_decoded.inc()
+                if not self._admit(event, types, kinds, roots):
+                    self._c_filtered.inc()
+                    return None
+                event["lsn"] = record.lsn
+                event["txn_id"] = record.txn_id
+                return event
+
             with self._db._read_view():
-                for record in records:
-                    if record.lsn > bound:
-                        break
-                    cursor = record.lsn
-                    if (record.type is not LogRecordType.OPERATION
-                            or record.txn_id not in committed):
-                        continue
-                    event = decode_operation(self._db.engine,
-                                             record.payload)
-                    if event is None:
-                        continue
-                    self._c_decoded.inc()
-                    if not self._admit(event, types, kinds, roots):
-                        self._c_filtered.inc()
-                        continue
-                    event["lsn"] = record.lsn
-                    event["txn_id"] = record.txn_id
-                    events.append(event)
-                    budget -= len(json.dumps(event,
-                                             separators=(",", ":"))) + 32
-                    if len(events) >= max_records or budget <= 0:
-                        break
+                events, cursor = fill_batch(
+                    [record for record in records if record.lsn <= bound],
+                    from_lsn, request.max_records, step)
             next_from = cursor + 1
         self._refresh_gauges()
-        return {
-            "events": events,
-            "head": head,
-            "bound": bound,
-            "next_from": next_from,
-            "caught_up": next_from > bound,
-            "epoch": self._epoch(),
-        }
+        return {"events": events, "head": head, "bound": bound,
+                "next_from": next_from, "caught_up": next_from > bound,
+                "epoch": self._db.wal_epoch}
 
     @staticmethod
     def _parse_filters(payload: Dict[str, Any]
@@ -263,11 +171,8 @@ class ChangeStreamSource:
                 return False
         return True
 
-    def _epoch(self) -> int:
-        return int(self._db._catalog.extras.get("wal_epoch", 0))
-
     def _refresh_gauges(self) -> None:
-        subscribers = self._wal.cdc_subscribers()
+        subscribers = self._wal.subscribers("cdc")
         head = self._wal.shippable_lsn
         self._g_subscribers.set(len(subscribers))
         self._g_max_lag.set(max(
@@ -278,18 +183,9 @@ class ChangeStreamSource:
         """CDC block for STATS/state_snapshot: per-subscriber cursor,
         ack lag in records, and the log bytes the cursor pins."""
         head = self._wal.shippable_lsn
-        subscribers = {}
-        for name, entry in self._wal.cdc_subscribers().items():
-            acked = int(entry["acked"])
-            subscribers[name] = {
-                "acked": acked,
-                "lag": max(0, head - acked),
-                "held_bytes": self._wal.held_bytes(acked),
-                "last_seen": entry["last_seen"],
-            }
         return {
             "head": head,
-            "epoch": self._epoch(),
-            "subscribers": subscribers,
+            "epoch": self._db.wal_epoch,
+            "subscribers": cursor_status(self._wal, "cdc", head),
             "events_decoded": int(self._c_decoded.value),
         }

@@ -78,6 +78,10 @@ _PAGES_FILE = "pages.db"
 _CATALOG_FILE = "catalog.json"
 _WAL_FILE = "wal.log"
 
+#: Catalog extras key holding the durable WAL cursors (replicas and CDC
+#: subscribers): ``{name: [wal_epoch, kind, acked_lsn]}``.
+WAL_CURSORS_KEY = "wal_cursors"
+
 
 #: Valid values of :attr:`DatabaseConfig.durability`.
 DURABILITY_MODES = ("sync", "none")
@@ -342,6 +346,14 @@ class TemporalDatabase:
         self._txn_manager = TransactionManager(self._wal, self._locks,
                                                self._clock,
                                                write_guard=self._state_latch)
+        # Re-arm the durable WAL cursors, so every process that opens
+        # the database keeps the log a registered consumer still needs;
+        # cursors of another WAL epoch name a dead log's LSNs.
+        for name, (epoch, kind, acked) in (
+                catalog.extras.get(WAL_CURSORS_KEY) or {}).items():
+            if int(epoch) == self.wal_epoch:
+                self._wal.subscribe(name, kind, int(acked))
+        self._store_cursors()
         if _fresh:
             self.checkpoint()
 
@@ -382,9 +394,14 @@ class TemporalDatabase:
             # The page image may contain effects of unfinished work: fall
             # back to the checkpoint and replay the committed tail.  Both
             # files come from one manifest generation — never a mix.
+            # Except the WAL cursors: registrations and releases are
+            # saved to the live catalog, so its copy is the newest.
+            cursors = catalog.extras.get(WAL_CURSORS_KEY)
             restore_checkpoint(path, [os.path.join(path, _PAGES_FILE),
                                       os.path.join(path, _CATALOG_FILE)])
             catalog.load()
+            if cursors is not None:
+                catalog.extras[WAL_CURSORS_KEY] = cursors
             schema = Schema.from_dict(catalog.schema or {})
         db = cls(path, schema, catalog, config, _fresh=False)
         if needs_replay:
@@ -601,6 +618,7 @@ class TemporalDatabase:
             catalog = self._catalog
             catalog.extras["store_state"] = self.store.persist_state()
             catalog.extras["index_state"] = self.indexes.persist_state()
+            self._store_cursors()
             catalog.next_atom_id = self._next_atom_id
             catalog.clock = self._clock.now()
             if catalog.extras.get("replica_of"):
@@ -613,6 +631,37 @@ class TemporalDatabase:
                                           self._wal.next_lsn - 1)
             catalog.save()
             self._publish_checkpoint()
+
+    @property
+    def wal_epoch(self) -> int:
+        """The WAL epoch: bumped whenever a clean shutdown restarts the
+        LSN space, so consumers resuming by LSN detect number reuse."""
+        return int(self._catalog.extras.get("wal_epoch", 0))
+
+    def ack_cursor(self, name: str, kind: str, acked_lsn: int) -> None:
+        """Register or advance the durable WAL cursor *name* of *kind*
+        (``"replica"`` or ``"cdc"``).  A new name is persisted before
+        this returns; ack advances ride the next checkpoint (a stale
+        persisted ack only retains more log, never less)."""
+        if self._wal.subscribe(name, kind, acked_lsn):
+            self._save_cursors()
+
+    def release_cursor(self, name: str) -> None:
+        """Drop the WAL cursor *name* and its retention hold, durably."""
+        if self._wal.release(name):
+            self._save_cursors()
+
+    def _store_cursors(self) -> None:
+        self._catalog.extras[WAL_CURSORS_KEY] = {
+            name: [self.wal_epoch, entry["kind"], int(entry["acked"])]
+            for name, entry in self._wal.subscribers().items()}
+
+    def _save_cursors(self) -> None:
+        """Save the registry to the live catalog (kept by crash recovery),
+        ordered against checkpoints by the exclusive latch."""
+        with self._state_latch.write():
+            self._store_cursors()
+            self._catalog.save()
 
     def _publish_checkpoint(self) -> None:
         publish_checkpoint(self.path,
@@ -637,7 +686,7 @@ class TemporalDatabase:
                 raise TransactionStateError(
                     "cannot close with active transactions")
             self.checkpoint()
-            # truncate() refuses while a subscribed replica still needs
+            # truncate() refuses while a registered cursor still needs
             # the log; the records are kept and the LSN space survives
             # the restart, so the replica can resume where it left off.
             # On a replica, applied_lsn must keep naming the primary's
@@ -650,8 +699,7 @@ class TemporalDatabase:
                     # the epoch so a replica resuming from an old LSN
                     # detects the reset instead of silently applying
                     # different records under reused numbers.
-                    self._catalog.extras["wal_epoch"] = (
-                        int(self._catalog.extras.get("wal_epoch", 0)) + 1)
+                    self._catalog.extras["wal_epoch"] = self.wal_epoch + 1
                 self._catalog.applied_lsn = 0
             self._catalog.extras["clean_shutdown"] = True
             self._catalog.save()

@@ -109,8 +109,14 @@ class ReplicaApplier:
         # under reused numbers, so the applier faults instead.
         if "primary_epoch" not in extras:
             extras["primary_epoch"] = int(extras.get("wal_epoch", 0))
+            # The bootstrap copy inherited the primary's durable WAL
+            # cursors; they name the primary's consumers, not ours.
+            for name in db._wal.subscribers():
+                db.release_cursor(name)
         self._expected_epoch = int(extras["primary_epoch"])
-        db._catalog.save()
+        # Checkpointed, not just saved: crash recovery restores the
+        # checkpointed catalog, and must not lose this identity.
+        db.checkpoint()
 
         # Resume points.  catalog.applied_lsn is the durable watermark;
         # replication_applied_lsn was seeded from it when the replica

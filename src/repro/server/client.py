@@ -55,6 +55,13 @@ DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 1.0
 
 
+def _stream_payload(**fields: Any) -> Dict[str, Any]:
+    """A ``WAL_STREAM``/``SUBSCRIBE`` payload without its unset (``None``)
+    and false fields; the server parses and clamps the rest."""
+    return {key: value for key, value in fields.items()
+            if value is not None and value is not False}
+
+
 class DatabaseClient:
     """One connection to a :class:`~repro.server.server.DatabaseServer`."""
 
@@ -365,21 +372,21 @@ class DatabaseClient:
 
     def wal_stream(self, from_lsn: int, max_records: int = 512,
                    wait_ms: int = 0, replica: Optional[str] = None,
-                   ack_lsn: Optional[int] = None) -> Dict[str, Any]:
+                   ack_lsn: Optional[int] = None,
+                   unsubscribe: bool = False) -> Dict[str, Any]:
         """Fetch one batch of WAL records (``WAL_STREAM`` opcode).
 
         The replication plane: replicas long-poll this in a loop (see
         ``repro.replication.ReplicaApplier``).  *replica* subscribes the
         named replica for log retention and *ack_lsn* acks its durable
-        replay watermark.  Not retried — the applier owns reconnects.
+        replay watermark; *unsubscribe* instead deletes the replica's
+        subscription, releasing its hold.  Not retried — the applier
+        owns reconnects.
         """
-        payload: Dict[str, Any] = {"from_lsn": int(from_lsn),
-                                   "max_records": int(max_records),
-                                   "wait_ms": int(wait_ms)}
-        if replica is not None:
-            payload["replica"] = replica
-        if ack_lsn is not None:
-            payload["ack_lsn"] = int(ack_lsn)
+        payload = _stream_payload(
+            from_lsn=from_lsn, max_records=max_records,
+            wait_ms=wait_ms, replica=replica, ack_lsn=ack_lsn,
+            unsubscribe=unsubscribe)
         return self._roundtrip(Opcode.WAL_STREAM, payload)
 
     def change_stream(self, subscriber: str,
@@ -398,22 +405,13 @@ class DatabaseClient:
         *from_lsn* resumes exactly after the last acked event.  Not
         retried — :meth:`subscribe` owns the polling loop.
         """
-        payload: Dict[str, Any] = {"subscriber": subscriber}
-        if unsubscribe:
-            payload["unsubscribe"] = True
-            return self._roundtrip(Opcode.SUBSCRIBE, payload)
-        payload["max_records"] = int(max_records)
-        payload["wait_ms"] = int(wait_ms)
-        if from_lsn is not None:
-            payload["from_lsn"] = int(from_lsn)
-        if types:
-            payload["types"] = list(types)
-        if kinds:
-            payload["kinds"] = list(kinds)
-        if roots:
-            payload["roots"] = [int(root) for root in roots]
-        if ack_lsn is not None:
-            payload["ack_lsn"] = int(ack_lsn)
+        payload = _stream_payload(
+            subscriber=subscriber, from_lsn=from_lsn,
+            max_records=max_records, wait_ms=wait_ms,
+            types=list(types) if types else None,
+            kinds=list(kinds) if kinds else None,
+            roots=list(roots) if roots else None,
+            ack_lsn=ack_lsn, unsubscribe=unsubscribe)
         return self._roundtrip(Opcode.SUBSCRIBE, payload)
 
     def subscribe(self, subscriber: str,

@@ -8,8 +8,8 @@ than the cutoff become unanswerable, everything else is unaffected.
 
 The vacuum rebuilds each affected atom in place through the version
 store (delete and re-append), holds the exclusive side of the facade's
-state latch, requires a quiescent database, and checkpoints when done
-so the reclaimed space is durable.
+state latch, requires a quiescent database with no registered WAL
+cursors, and checkpoints when done so the reclaimed space is durable.
 """
 
 from __future__ import annotations
@@ -41,10 +41,18 @@ def vacuum_superseded(db: TemporalDatabase,
     """Physically remove versions superseded before *before_tt*.
 
     Returns a :class:`VacuumReport`.  Raises
-    :class:`TransactionStateError` when transactions are active.
+    :class:`TransactionStateError` when transactions are active or a WAL
+    cursor is registered: vacuum is not logged, so replicas would keep
+    versions the primary dropped and lagging CDC subscribers could no
+    longer decode theirs.
     """
     if db._txn_manager.active_transactions():
         raise TransactionStateError("vacuum requires a quiescent database")
+    cursors = sorted(db._wal.subscribers())
+    if cursors:
+        raise TransactionStateError(
+            f"vacuum refused while WAL cursors are registered: "
+            f"{', '.join(cursors)}; unsubscribe them first")
     report = VacuumReport()
     store = db.engine.store
     with db._state_latch.write():

@@ -122,19 +122,12 @@ class WriteAheadLog:
         self._c_group_commits = self.metrics.counter("wal.group_commits")
         self._h_batch_size = self.metrics.histogram("wal.commit_batch_size")
         self._g_retained = self.metrics.gauge("wal.retention_held_bytes")
-        # Replication subscriber registry: name -> {"acked": lsn,
-        # "last_seen": monotonic}.  Guarded by _subs_lock; in-memory only
-        # (a primary restart forgets subscribers, and replicas resubscribe
-        # on their first stream request after reconnecting).
+        # WAL cursor registry: name -> {"kind": "replica" | "cdc",
+        # "acked": lsn, "last_seen": monotonic}, guarded by _subs_lock.
+        # Both kinds hold retention alike.  The database persists the
+        # registry in its catalog and re-arms it here on open.
         self._subs_lock = threading.Lock()
-        self._subscribers: Dict[str, Dict[str, float]] = {}
-        # CDC subscriber registry: same shape, separate namespace.  The
-        # retention guard treats both kinds identically (min-acked across
-        # the union); they are kept apart so status surfaces can tell a
-        # replica from a change-stream consumer.  CDC entries are
-        # re-registered from the catalog's persisted acks on server
-        # start, so a disconnected consumer's resume point stays held.
-        self._cdc_subscribers: Dict[str, Dict[str, float]] = {}
+        self._cursors: Dict[str, Dict[str, Any]] = {}
         # Group-commit state: guarded by _commit_cv's lock, never by _lock.
         self._commit_cv = threading.Condition(threading.Lock())
         self._durable_lsn = 0
@@ -440,77 +433,54 @@ class WriteAheadLog:
             head = self.shippable_lsn
         return head
 
-    # -- replication subscribers ------------------------------------------------
+    # -- WAL cursors ---------------------------------------------------------
 
-    def subscribe(self, name: str, acked_lsn: int = 0) -> None:
-        """Register (or refresh) a replication subscriber.
-
-        While a subscriber's acked LSN trails the log head,
-        :meth:`truncate` refuses to discard the log — the retention
-        guard that keeps a lagging replica's resume point readable.
+    def subscribe(self, name: str, kind: str, acked_lsn: int = 0) -> bool:
+        """Register (or refresh) the named cursor of *kind* (``"replica"``
+        or ``"cdc"``) and advance its acked LSN (monotone); returns
+        whether the name is new.  While the acked LSN trails the head,
+        :meth:`truncate` refuses — the retention guard that keeps a
+        lagging consumer's resume point readable.
         """
         with self._subs_lock:
-            entry = self._subscribers.setdefault(
-                name, {"acked": 0, "last_seen": 0.0})
+            entry = self._cursors.get(name)
+            created = entry is None
+            if created:
+                entry = self._cursors[name] = {
+                    "kind": kind, "acked": 0, "last_seen": 0.0}
+            elif entry["kind"] != kind:
+                raise WALError(f"cursor {name!r} is registered as a "
+                               f"{entry['kind']} cursor, not {kind}")
             entry["acked"] = max(entry["acked"], acked_lsn)
             entry["last_seen"] = time.monotonic()
         self._update_retention_gauge()
+        return created
 
     def ack(self, name: str, lsn: int) -> None:
-        """Record a subscriber's durable replay watermark (monotone)."""
-        self.subscribe(name, lsn)
+        """Advance a registered cursor's acked LSN (monotone)."""
+        self.subscribe(name, self._cursors[name]["kind"], lsn)
 
-    def release(self, name: str) -> None:
-        """Drop a subscriber; its retention hold is released."""
+    def release(self, name: str) -> bool:
+        """Drop a cursor, releasing its retention hold; returns whether
+        it was registered."""
         with self._subs_lock:
-            self._subscribers.pop(name, None)
+            released = self._cursors.pop(name, None) is not None
         self._update_retention_gauge()
+        return released
 
-    def subscribers(self) -> Dict[str, Dict[str, float]]:
-        """Snapshot of the subscriber registry (for STATS/monitoring)."""
+    def subscribers(self, kind: Optional[str] = None
+                    ) -> Dict[str, Dict[str, Any]]:
+        """Snapshot of the cursor registry, optionally of one kind."""
         with self._subs_lock:
             return {name: dict(entry)
-                    for name, entry in self._subscribers.items()}
-
-    # -- CDC subscribers -----------------------------------------------------
-
-    def subscribe_cdc(self, name: str, acked_lsn: int = 0) -> None:
-        """Register (or refresh) a CDC change-stream subscriber.
-
-        Counts toward the retention guard exactly like a replica: while
-        its acked LSN trails the head, :meth:`truncate` refuses.
-        """
-        with self._subs_lock:
-            entry = self._cdc_subscribers.setdefault(
-                name, {"acked": 0, "last_seen": 0.0})
-            entry["acked"] = max(entry["acked"], acked_lsn)
-            entry["last_seen"] = time.monotonic()
-        self._update_retention_gauge()
-
-    def ack_cdc(self, name: str, lsn: int) -> None:
-        """Record a CDC subscriber's consumed watermark (monotone)."""
-        self.subscribe_cdc(name, lsn)
-
-    def release_cdc(self, name: str) -> None:
-        """Drop a CDC subscriber; its retention hold is released."""
-        with self._subs_lock:
-            self._cdc_subscribers.pop(name, None)
-        self._update_retention_gauge()
-
-    def cdc_subscribers(self) -> Dict[str, Dict[str, float]]:
-        """Snapshot of the CDC subscriber registry."""
-        with self._subs_lock:
-            return {name: dict(entry)
-                    for name, entry in self._cdc_subscribers.items()}
+                    for name, entry in self._cursors.items()
+                    if kind is None or entry["kind"] == kind}
 
     def min_acked_lsn(self) -> Optional[int]:
-        """The slowest subscriber's acked LSN across *both* registries
-        (replicas and CDC consumers), or ``None`` without subscribers."""
+        """The slowest cursor's acked LSN across both kinds (replicas
+        and CDC consumers), or ``None`` without cursors."""
         with self._subs_lock:
-            acks = [int(entry["acked"])
-                    for registry in (self._subscribers,
-                                     self._cdc_subscribers)
-                    for entry in registry.values()]
+            acks = [int(entry["acked"]) for entry in self._cursors.values()]
         return min(acks) if acks else None
 
     def held_bytes(self, acked_lsn: int) -> int:
@@ -573,8 +543,11 @@ class WriteAheadLog:
         The replication read path.  Raises :class:`WALError` when the
         log no longer contains *from_lsn* (truncated past the request):
         the caller must bootstrap the replica from a fresh checkpoint
-        copy instead of resuming.  Like :meth:`read_all`, the scan takes
-        the append lock only to flush, so shipping never blocks writers.
+        copy instead of resuming.  That includes a log emptied by
+        :meth:`truncate` while *from_lsn* is at or below *upto_lsn* —
+        the caller's flushed head, so a concurrent append never reads
+        as a truncation.  Like :meth:`read_all`, the scan takes the
+        append lock only to flush, so shipping never blocks writers.
         """
         if from_lsn < 1:
             raise WALError(f"from_lsn must be >= 1, got {from_lsn}")
@@ -588,17 +561,20 @@ class WriteAheadLog:
             if upto_lsn is not None and record.lsn > upto_lsn:
                 return
             yield record
+        if first and upto_lsn is not None and from_lsn <= upto_lsn:
+            raise WALError(
+                f"records up to lsn {upto_lsn} have been truncated; "
+                f"cannot resume from lsn {from_lsn}")
 
     # -- maintenance ------------------------------------------------------------
 
     def truncate(self) -> bool:
         """Discard the log (after a checkpoint made it redundant).
 
-        Returns ``False`` without touching the file when a subscribed
-        replica's or CDC consumer's acked LSN still trails the head —
-        truncating would destroy its resume point.  The
-        ``wal.retention_held_bytes`` gauge shows the bytes the slowest
-        subscriber is pinning.
+        Returns ``False`` without touching the file when a registered
+        cursor's acked LSN still trails the head — truncating would
+        destroy its resume point.  The ``wal.retention_held_bytes``
+        gauge shows the bytes the slowest cursor is pinning.
         """
         floor = self.min_acked_lsn()
         if floor is not None and floor < self._next_lsn - 1:

@@ -8,10 +8,12 @@ covered by test_server.py additions and the CI smoke job.
 
 import pytest
 
-from repro import DatabaseConfig, TemporalDatabase
+from repro import DatabaseConfig, TemporalDatabase, VersionStrategy
 from repro.cdc.events import EVENT_KINDS, fold_events
-from repro.cdc.source import CDC_EXTRAS_KEY, ChangeStreamSource
+from repro.cdc.source import ChangeStreamSource
+from repro.core.database import WAL_CURSORS_KEY
 from repro.errors import ReplicationError
+from repro.replication.source import ReplicationSource
 from repro.temporal import FOREVER
 
 
@@ -226,77 +228,147 @@ class TestCursors:
         resumed = source.handle({"subscriber": "worker"})
         lsns = [e["lsn"] for e in resumed["events"]]
         assert lsns and min(lsns) > acked
-        assert CDC_EXTRAS_KEY in db._catalog.extras
+        db.checkpoint()  # ack advances are persisted by checkpoints
+        assert db._catalog.extras[WAL_CURSORS_KEY]["worker"] == [
+            db.wal_epoch, "cdc", acked]
 
     def test_unsubscribe_releases_everything(self, db):
         load_history(db)
         source = ChangeStreamSource(db)
         stream(source, subscriber="quitter", ack_lsn=2)
-        assert "quitter" in db._wal.cdc_subscribers()
+        assert "quitter" in db._wal.subscribers("cdc")
+        assert "quitter" in db._catalog.extras[WAL_CURSORS_KEY]
         body = source.handle({"subscriber": "quitter",
                               "unsubscribe": True})
         assert body["released"]
-        assert "quitter" not in db._wal.cdc_subscribers()
-        assert "quitter" not in db._catalog.extras.get(CDC_EXTRAS_KEY, {})
+        assert "quitter" not in db._wal.subscribers("cdc")
+        assert "quitter" not in db._catalog.extras.get(WAL_CURSORS_KEY, {})
 
     def test_subscriber_name_required(self, db):
         with pytest.raises(ReplicationError, match="subscriber"):
             ChangeStreamSource(db).handle({"from_lsn": 1})
 
 
+class Cursor:
+    """Drives one named WAL cursor of either kind through its source:
+    a CDC subscriber over SUBSCRIBE or a replica over WAL_STREAM."""
+
+    def __init__(self, db, kind, name):
+        self.kind, self.name = kind, name
+        if kind == "cdc":
+            self.source = ChangeStreamSource(db)
+        else:
+            self.source = ReplicationSource(db)
+
+    def poll(self, **fields):
+        """One request; returns (lsns delivered, response body)."""
+        if self.kind == "cdc":
+            body = self.source.handle({"subscriber": self.name, **fields})
+            return [e["lsn"] for e in body["events"]], body
+        body = self.source.handle({"replica": self.name, **fields})
+        return [r[0] for r in body["records"]], body
+
+    def resume(self, acked):
+        """Continue after *acked*: a CDC cursor resumes from its stored
+        ack on its own, a replica names its position."""
+        if self.kind == "cdc":
+            return self.poll()
+        return self.poll(from_lsn=acked + 1)
+
+
+#: Every version strategy x both cursor kinds (the CDC cases are named
+#: by the bare strategy).
+CASES = [(strategy, kind) for strategy in VersionStrategy
+         for kind in ("cdc", "replica")]
+
+
+@pytest.fixture(params=CASES, ids=[
+    strategy.value if kind == "cdc" else f"{strategy.value}-{kind}"
+    for strategy, kind in CASES])
+def case(request):
+    """A ``(strategy, cursor kind)`` pair."""
+    return request.param
+
+
+@pytest.fixture(params=["cdc", "replica"])
+def kind(request):
+    return request.param
+
+
 class TestRestart:
     def test_lagging_cursor_survives_clean_restart(self, tmp_path,
-                                                   cad_schema, strategy):
+                                                   cad_schema, case):
+        strategy, kind = case
         path = str(tmp_path / "cdcdb")
         db = TemporalDatabase.create(path, cad_schema,
                                      DatabaseConfig(strategy=strategy))
         load_history(db)
-        source = ChangeStreamSource(db)
-        first = stream(source, subscriber="durable", max_records=3)
-        acked = first["events"][-1]["lsn"]
-        source.handle({"subscriber": "durable", "from_lsn": acked + 1,
-                       "ack_lsn": acked, "max_records": 1})
-        expect = [e["lsn"] for e in stream(source, subscriber="ref")
-                  ["events"] if e["lsn"] > acked]
+        cursor = Cursor(db, kind, "durable")
+        delivered, _ = cursor.poll(from_lsn=1, max_records=3)
+        acked = delivered[-1]
+        cursor.poll(from_lsn=acked + 1, ack_lsn=acked, max_records=1)
+        expect = [lsn for lsn in Cursor(db, kind, "ref").poll(
+            from_lsn=1, max_records=4096)[0] if lsn > acked]
         db.close()  # truncation refused: the lagging cursor pins the log
 
         db2 = TemporalDatabase.open(path)
-        source2 = ChangeStreamSource(db2)
-        registry = db2._wal.cdc_subscribers()
+        registry = db2._wal.subscribers(kind)
         assert registry["durable"]["acked"] == acked
-        resumed = source2.handle({"subscriber": "durable"})
-        assert [e["lsn"] for e in resumed["events"]] == expect
+        assert db2._wal.truncate() is False
+        delivered, _ = Cursor(db2, kind, "durable").resume(acked)
+        assert delivered == expect
         db2.close()
 
     def test_caught_up_cursor_dropped_across_epoch_reset(self, tmp_path,
-                                                         cad_schema,
-                                                         strategy):
+                                                         cad_schema, case):
+        strategy, kind = case
         path = str(tmp_path / "cdcdb")
         db = TemporalDatabase.create(path, cad_schema,
                                      DatabaseConfig(strategy=strategy))
         load_history(db)
-        source = ChangeStreamSource(db)
-        body = stream(source, subscriber="done")
-        head = body["events"][-1]["lsn"]
-        source.handle({"subscriber": "done", "from_lsn": head + 1,
-                       "ack_lsn": db._wal.shippable_lsn, "max_records": 1})
-        old_epoch = int(db._catalog.extras.get("wal_epoch", 0))
+        cursor = Cursor(db, kind, "done")
+        delivered, _ = cursor.poll(from_lsn=1, max_records=4096)
+        head = db._wal.shippable_lsn
+        cursor.poll(from_lsn=head + 1, ack_lsn=head, max_records=1)
+        old_epoch = db.wal_epoch
         db.close()  # fully acked: the log truncates and the epoch bumps
 
         db2 = TemporalDatabase.open(path)
-        assert int(db2._catalog.extras["wal_epoch"]) == old_epoch + 1
-        source2 = ChangeStreamSource(db2)
+        assert db2.wal_epoch == old_epoch + 1
         # The persisted cursor named an LSN of the dead epoch; keeping
-        # it would strand the subscriber past the restarted head.
-        assert db2._wal.cdc_subscribers() == {}
-        assert "done" not in db2._catalog.extras.get(CDC_EXTRAS_KEY, {})
-        body = source2.handle({"subscriber": "done"})
-        assert body["events"] == [] and body["caught_up"]
+        # it would strand the consumer past the restarted head.
+        assert db2._wal.subscribers() == {}
+        assert "done" not in db2._catalog.extras.get(WAL_CURSORS_KEY, {})
+        cursor = Cursor(db2, kind, "done")
+        delivered, body = cursor.resume(0)
+        assert delivered == [] and body["caught_up"]
         assert body["epoch"] == old_epoch + 1
         with db2.transaction() as txn:
             txn.insert("Part", {"name": "fresh"}, valid_from=0)
-        body = source2.handle({"subscriber": "done"})
-        assert [e["after"]["name"] for e in body["events"]] == ["fresh"]
+        delivered, body = cursor.resume(0)
+        if kind == "cdc":
+            assert [e["after"]["name"] for e in body["events"]] == ["fresh"]
+        else:
+            assert delivered == list(range(1, db2._wal.shippable_lsn + 1))
+        db2.close()
+
+    def test_registration_survives_a_crash(self, tmp_path, cad_schema,
+                                           kind):
+        path = str(tmp_path / "cdcdb")
+        db = TemporalDatabase.create(path, cad_schema)
+        load_history(db)
+        Cursor(db, kind, "early").poll(from_lsn=1, ack_lsn=1,
+                                       max_records=1)
+        # Crash-style abandonment: no close(), and no checkpoint since
+        # the cursor registered.
+        db._wal._file.flush()
+        db._disk._file.flush()
+
+        db2 = TemporalDatabase.open(path)
+        assert db2.last_recovery is not None
+        registry = db2._wal.subscribers(kind)
+        assert registry["early"]["acked"] == 1
+        assert db2._wal.truncate() is False
         db2.close()
 
 

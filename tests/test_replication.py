@@ -20,7 +20,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro import DatabaseConfig, TemporalDatabase
-from repro.errors import RemoteError, ReplicationError
+from repro.core.database import WAL_CURSORS_KEY
+from repro.errors import RemoteError, ReplicationError, WALError
 from repro.replication import ReplicaApplier, routing_bound
 from repro.server import ClientPool, DatabaseClient, DatabaseServer
 from repro.server.protocol import encode_payload
@@ -179,6 +180,41 @@ class TestWalStream:
                     client.wal_stream(from_lsn=1, max_records=10)
             assert excinfo.value.remote_type == "WALError"
             assert not excinfo.value.transient
+
+    def test_emptied_log_surfaces_as_replica_error(self, tmp_path,
+                                                   cad_schema):
+        with cluster(tmp_path, cad_schema, replicas=1,
+                     start_appliers=False) as c:
+            with c.primary_client() as client:
+                write_parts(client, 0, 2)
+            c.pdb.checkpoint()
+            assert c.pdb._wal.truncate()  # no cursor registered yet
+            head = c.pdb._wal.shippable_lsn
+            with pytest.raises(WALError, match="truncated"):
+                c.primary.wal_source.handle({"from_lsn": 1})
+            # The replica's resume point is gone: it must report the
+            # fault, not poll forever as connected and lagging.
+            applier = c.appliers[0]
+            applier.start()
+            wait_until(lambda: "truncated" in (applier.last_error or ""),
+                       message="the truncation to reach last_error")
+            assert not applier.connected
+            assert applier.applied_lsn < head
+
+    def test_unsubscribe_releases_a_replica_hold(self, tmp_path,
+                                                 cad_schema):
+        with cluster(tmp_path, cad_schema, replicas=0) as c:
+            with c.primary_client() as client:
+                write_parts(client, 0, 2)
+                client.wal_stream(from_lsn=1, replica="gone", ack_lsn=0)
+                assert c.pdb._wal.truncate() is False
+                body = client.wal_stream(from_lsn=1, replica="gone",
+                                         unsubscribe=True)
+            assert body == {"released": True, "replica": "gone"}
+            assert c.pdb._wal.subscribers() == {}
+            assert c.pdb._wal.truncate() is True
+            assert c.pdb.metrics.gauge(
+                "wal.retention_held_bytes").value == 0
 
 
 class TestReplicaApplies:
@@ -472,6 +508,25 @@ class TestReplicaRestart:
                         pc, rc,
                         f"SELECT ALL FROM Part VALID HISTORY AS OF {tt}")
 
+    def test_bootstrap_copy_drops_the_primarys_cursors(self, tmp_path,
+                                                        cad_schema):
+        primary_path = str(tmp_path / "primary")
+        pdb = TemporalDatabase.create(primary_path, cad_schema)
+        with pdb.transaction() as txn:
+            txn.insert("Part", {"name": "p", "cost": 1.0}, valid_from=0)
+        pdb.ack_cursor("downstream", "replica", 0)
+        pdb.close()  # the lagging cursor keeps the log and the epoch
+        replica_path = str(tmp_path / "replica")
+        shutil.copytree(primary_path, replica_path)
+        rdb = TemporalDatabase.open(replica_path)
+        assert "downstream" in rdb._wal.subscribers()
+        ReplicaApplier(rdb, "127.0.0.1", 1, replica_id="r0")
+        # The copy's cursors name the primary's consumers: holding them
+        # here would pin the replica's log forever.
+        assert rdb._wal.subscribers() == {}
+        assert rdb._catalog.extras[WAL_CURSORS_KEY] == {}
+        rdb.close()
+
     def test_epoch_mismatch_is_fatal(self, tmp_path, cad_schema):
         with cluster(tmp_path, cad_schema, replicas=1) as c:
             applier = c.appliers[0]
@@ -574,8 +629,11 @@ class TestCascading:
             head = c["pdb"]._wal.shippable_lsn
             wait_until(lambda: c["b_applier"].applied_lsn >= head,
                        message="hop B to reach the primary head")
-            # Every hop reports the same replayed position...
-            assert c["a_applier"].status()["replayed_lsn"] >= head
+            # Every hop reports the same replayed position (hop A
+            # forwards shipped records before it applies them, so B can
+            # get there first)...
+            wait_until(lambda: c["a_applier"].status()["replayed_lsn"]
+                       >= head, message="hop A to replay the head")
             assert c["b_applier"].status()["replayed_lsn"] >= head
             # ...the middle hop carries its downstream in the *replica*
             # registry (B holds retention on A exactly as A does on the

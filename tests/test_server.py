@@ -1418,11 +1418,11 @@ class TestChangeStreams:
         with DatabaseClient(server.host, server.port) as client:
             feed = client.subscribe("wire-cancel", from_lsn=1)
             self._drain(feed)
-            assert "wire-cancel" in sdb._wal.cdc_subscribers()
+            assert "wire-cancel" in sdb._wal.subscribers("cdc")
             feed.cancel()
-        assert "wire-cancel" not in sdb._wal.cdc_subscribers()
-        from repro.cdc.source import CDC_EXTRAS_KEY
-        extras = sdb._catalog.extras.get(CDC_EXTRAS_KEY) or {}
+        assert "wire-cancel" not in sdb._wal.subscribers("cdc")
+        from repro.core.database import WAL_CURSORS_KEY
+        extras = sdb._catalog.extras.get(WAL_CURSORS_KEY) or {}
         assert "wire-cancel" not in extras
 
     def test_stats_reports_cdc_subscribers(self, sdb, server):

@@ -124,6 +124,37 @@ class TestVacuum:
             vacuum_superseded(db, 100)
         txn.abort()
 
+    def test_vacuum_refuses_while_cursors_are_registered(self, db):
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "a", "cost": 1.0},
+                              valid_from=0)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=10)
+        db.ack_cursor("replica-9", "replica", 0)
+        db.ack_cursor("audit", "cdc", 0)
+        before = db.history(part)
+        with pytest.raises(TransactionStateError,
+                           match="audit, replica-9"):
+            vacuum_superseded(db, db._clock.now())
+        assert db.history(part) == before
+        db.release_cursor("audit")
+        db.release_cursor("replica-9")
+        assert vacuum_superseded(db, db._clock.now()).versions_removed > 0
+
+    def test_offline_vacuum_sees_persisted_cursors(self, tmp_path,
+                                                   cad_schema):
+        from repro import TemporalDatabase
+        path = str(tmp_path / "vac")
+        db = TemporalDatabase.create(path, cad_schema)
+        with db.transaction() as txn:
+            txn.insert("Part", {"name": "a"}, valid_from=0)
+        db.ack_cursor("audit", "cdc", 0)
+        db.close()
+        reopened = TemporalDatabase.open(path)
+        with pytest.raises(TransactionStateError, match="audit"):
+            vacuum_superseded(reopened, reopened._clock.now())
+        reopened.close()
+
     def test_vacuum_is_idempotent(self, db):
         with db.transaction() as txn:
             part = txn.insert("Part", {"name": "a"}, valid_from=0)

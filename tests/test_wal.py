@@ -395,10 +395,21 @@ class TestReplicationSurface:
         with pytest.raises(WALError, match="truncated"):
             list(wal.read_records_from(5))
 
+    def test_read_records_from_emptied_log_raises(self, wal):
+        for i in range(3):
+            wal.append(LogRecordType.OPERATION, 1, {"i": i})
+        assert wal.truncate()
+        # The records up to the caller's head are gone: a resume point
+        # inside them must fail loudly, not read as "nothing new yet".
+        with pytest.raises(WALError, match="truncated"):
+            list(wal.read_records_from(2, upto_lsn=3))
+        # Past the head there is simply nothing to ship yet.
+        assert list(wal.read_records_from(4, upto_lsn=3)) == []
+
     def test_retention_guard_refuses_truncate(self, wal):
         wal.append(LogRecordType.BEGIN, 1, {"tt": 0})
         wal.append(LogRecordType.COMMIT, 1)
-        wal.subscribe("r1", acked_lsn=1)
+        wal.subscribe("r1", "replica", acked_lsn=1)
         assert wal.truncate() is False
         assert wal.metrics.gauge("wal.retention_held_bytes").value > 0
         assert wal.size_bytes() > 0  # the log survived
@@ -406,7 +417,7 @@ class TestReplicationSurface:
     def test_ack_to_head_releases_the_guard(self, wal):
         wal.append(LogRecordType.BEGIN, 1, {"tt": 0})
         head = wal.append(LogRecordType.COMMIT, 1)
-        wal.subscribe("r1", acked_lsn=0)
+        wal.subscribe("r1", "replica", acked_lsn=0)
         assert wal.truncate() is False
         wal.ack("r1", head)
         assert wal.truncate() is True
@@ -415,19 +426,28 @@ class TestReplicationSurface:
 
     def test_release_drops_the_hold(self, wal):
         wal.append(LogRecordType.COMMIT, 1)
-        wal.subscribe("r1", acked_lsn=0)
+        wal.subscribe("r1", "replica", acked_lsn=0)
         assert wal.truncate() is False
         wal.release("r1")
         assert wal.truncate() is True
 
     def test_min_acked_is_slowest_subscriber(self, wal):
         assert wal.min_acked_lsn() is None
-        wal.subscribe("fast", acked_lsn=9)
-        wal.subscribe("slow", acked_lsn=2)
+        wal.subscribe("fast", "replica", acked_lsn=9)
+        wal.subscribe("slow", "cdc", acked_lsn=2)
         assert wal.min_acked_lsn() == 2
         assert set(wal.subscribers()) == {"fast", "slow"}
+        assert set(wal.subscribers("cdc")) == {"slow"}
+
+    def test_one_namespace_across_kinds(self, wal):
+        assert wal.subscribe("r1", "replica") is True
+        assert wal.subscribe("r1", "replica", acked_lsn=3) is False
+        with pytest.raises(WALError, match="replica cursor"):
+            wal.subscribe("r1", "cdc")
+        assert wal.release("r1") is True
+        assert wal.release("r1") is False
 
     def test_acks_are_monotone(self, wal):
-        wal.subscribe("r1", acked_lsn=5)
+        wal.subscribe("r1", "replica", acked_lsn=5)
         wal.ack("r1", 3)  # a stale ack never regresses the floor
         assert wal.min_acked_lsn() == 5
