@@ -183,7 +183,7 @@ def cmd_load(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
-    import threading
+    import socket
 
     from repro.obs import EventLog
     from repro.server import AdmissionController, DatabaseServer
@@ -225,9 +225,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         metrics_host=args.host,
         worker_threads=args.worker_threads,
         replication=applier)
-    stop = threading.Event()
+    # The handlers do nothing: the interpreter writes each caught
+    # signal's number to the wakeup socket the main thread waits on.  A
+    # handler that takes a lock (threading.Event.set) deadlocks when a
+    # second signal lands while the first one's handler holds it.  Once
+    # shutdown starts, further signals are ignored, through interpreter
+    # exit, so a repeated SIGTERM cannot cut the checkpoint short.
+    wakeup, wakeup_writer = socket.socketpair()
+    wakeup_writer.setblocking(False)
+    signal.set_wakeup_fd(wakeup_writer.fileno())
     for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
+        signal.signal(signum, lambda *_: None)
     server.start()
     if applier is not None:
         applier.start()
@@ -241,8 +249,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{server.sidecar.port} (/metrics /health /stats)",
               flush=True)
     try:
-        stop.wait()
+        wakeup.recv(1)
     finally:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.SIG_IGN)
         print("shutting down: draining requests, checkpointing...",
               flush=True)
         if applier is not None:
@@ -251,6 +261,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         db.close()
         if event_sink is not None:
             event_sink.close()
+        signal.set_wakeup_fd(-1)
+        wakeup.close()
+        wakeup_writer.close()
         print("closed cleanly", flush=True)
     return 0
 

@@ -35,6 +35,14 @@ flip side: decoding assumes the history is retained — a vacuum that
 discards superseded versions limits how far back a cold subscriber can
 decode exact before-images.)
 
+Images are ``AS OF`` point reads, read a run of operations at a time
+(:class:`ImageReader`; a ``SUBSCRIBE`` batch reads its committed
+operations in chunks of at most its ``max_records``): one engine call
+fetches each touched atom's stored history once, selects every image
+from the stored envelopes and peeked transaction times, and decodes
+only the versions selected — at most two per event, however long the
+atoms' histories are.
+
 :func:`fold_events` is the consumer-side replay: net the events of a
 window ``(t1, t2]`` at one valid instant into the same records
 ``DIFF <molecule> BETWEEN t1 AND t2`` computes from two time slices.
@@ -43,7 +51,8 @@ The differential oracle in the tests holds the two byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.version import OUT, split_ref_key
 from repro.errors import UnknownAtomError
@@ -93,17 +102,6 @@ def _type_name(engine, atom_id: int) -> Optional[str]:
         return None  # vacuumed or never-applied atom; event stays usable
 
 
-def _version_at(engine, atom_id: int, probe: int, tt: int):
-    """The version valid at *probe* as believed at *tt*, or ``None``
-    (unknown, vacuumed, or no state then)."""
-    if tt < 0:
-        return None
-    try:
-        return engine.version_at(atom_id, probe, tt)
-    except UnknownAtomError:
-        return None
-
-
 def _has_out_ref(version, link: str, dst: int) -> bool:
     if version is None:
         return False
@@ -114,7 +112,72 @@ def _has_out_ref(version, link: str, dst: int) -> bool:
     return False
 
 
-def decode_operation(engine, payload: Dict[str, Any]
+_Parsed = Tuple[str, int, Tuple[int, int], int]
+_Request = Tuple[int, int, int]
+
+
+def _parse(payload: Dict[str, Any]) -> Optional[_Parsed]:
+    """``(op, tt, valid window, subject atom)`` of a logged OPERATION
+    payload, or ``None`` for an operation no event reports.  The subject
+    is the atom whose images are read: a link's source, else the atom."""
+    op = payload.get("op")
+    if op == "correct":
+        window = (int(payload["ws"]), int(payload["we"]))
+    elif op in ("insert", "update", "delete", "link", "unlink"):
+        window = (int(payload["vf"]), int(payload["vt"]))
+    else:
+        return None
+    subject = int(payload["src"] if op in ("link", "unlink")
+                  else payload["atom_id"])
+    return op, int(payload["tt"]), window, subject
+
+
+def _image_requests(parsed: _Parsed) -> List[_Request]:
+    """The ``AS OF`` point reads of an operation's after- and
+    before-image: its subject at the window's last instant, as believed
+    at the transaction time and just before it (transaction time 0 has
+    no earlier belief)."""
+    _, tt, window, subject = parsed
+    probe = window[1] - 1
+    if tt > 0:
+        return [(subject, probe, tt), (subject, probe, tt - 1)]
+    return [(subject, probe, tt)]
+
+
+class ImageReader:
+    """Reads the images of a run of logged operations ahead, one chunk
+    per engine call.
+
+    Built over the run's payloads in log order, and handed to
+    :func:`decode_operation` for each of them in that order.  When the
+    chunk read last cannot answer an operation, the next ``limit()``
+    operations of the run are read together with one
+    :meth:`~repro.core.engine.StorageEngine.versions_as_of_many`: every
+    touched atom's stored history is fetched once for the chunk and
+    only the versions the images select are decoded.
+    """
+
+    def __init__(self, engine, payloads: Iterable[Dict[str, Any]],
+                 limit: Callable[[], int]) -> None:
+        self._engine = engine
+        self._ahead = iter(payloads)
+        self._limit = limit
+        self._images: Dict[_Request, Any] = {}
+
+    def images(self, requests: List[_Request]) -> Dict[_Request, Any]:
+        """A map answering every one of *requests*."""
+        if not all(request in self._images for request in requests):
+            chunk = [parsed for parsed in map(
+                _parse, islice(self._ahead, self._limit()))
+                if parsed is not None]
+            self._images = self._engine.versions_as_of_many(
+                request for parsed in chunk
+                for request in _image_requests(parsed))
+        return self._images
+
+
+def decode_operation(engine, payload: Dict[str, Any],
+                     reader: Optional[ImageReader] = None
                      ) -> Optional[Dict[str, Any]]:
     """Decode one logged OPERATION payload into a change event.
 
@@ -123,28 +186,26 @@ def decode_operation(engine, payload: Dict[str, Any]
     "change it now" operations: the current-state instant): the
     before-image is the version governing that instant as believed just
     before the transaction time, the after-image the one believed just
-    after, both read back from the engine.  The event's ``vt`` is the
-    after-image's valid window (the record the operation established) —
-    which is also what DIFF reports for the same transition.  Returns
-    ``None`` when the operation changed nothing at that instant: an
-    idempotent re-link, an unlink removing nothing, or an operation on
-    a vacuumed atom whose history is gone.
+    after, both read back from the engine — in one call of their own,
+    or from *reader* when the caller decodes a run of operations.  The
+    event's ``vt`` is the after-image's valid window (the record the
+    operation established) — which is also what DIFF reports for the
+    same transition.  Returns ``None`` when the operation changed
+    nothing at that instant: an idempotent re-link, an unlink removing
+    nothing, or an operation on a vacuumed atom whose history is gone.
     """
-    op = payload.get("op")
-    tt = int(payload["tt"])
-    if op == "correct":
-        window = (int(payload["ws"]), int(payload["we"]))
-    elif op in ("insert", "update", "delete", "link", "unlink"):
-        window = (int(payload["vf"]), int(payload["vt"]))
-    else:
+    parsed = _parse(payload)
+    if parsed is None:
         return None
-    probe = window[1] - 1
+    requests = _image_requests(parsed)
+    images = (engine.versions_as_of_many(requests) if reader is None
+              else reader.images(requests))
+    after_v = images[requests[0]]
+    before_v = images[requests[1]] if len(requests) > 1 else None
+    op, tt, window, subject = parsed
     if op in ("link", "unlink"):
-        src = int(payload["src"])
         dst = int(payload["dst"])
         link = payload["link"]
-        before_v = _version_at(engine, src, probe, tt - 1)
-        after_v = _version_at(engine, src, probe, tt)
         was = _has_out_ref(before_v, link, dst)
         now = _has_out_ref(after_v, link, dst)
         if was == now:
@@ -155,16 +216,13 @@ def decode_operation(engine, payload: Dict[str, Any]
         host = after_v if after_v is not None else before_v
         return event_record(
             "link_added" if now else "link_removed",
-            src, _type_name(engine, src), tt,
+            subject, _type_name(engine, subject), tt,
             (host.vt.start, host.vt.end),
-            link=link, src=src, dst=dst)
-    atom_id = int(payload["atom_id"])
-    before_v = _version_at(engine, atom_id, probe, tt - 1)
-    after_v = _version_at(engine, atom_id, probe, tt)
+            link=link, src=subject, dst=dst)
     if before_v is None and after_v is None:
         return None
     type_name = (payload["type"] if op == "insert"
-                 else _type_name(engine, atom_id))
+                 else _type_name(engine, subject))
     before = dict(before_v.values) if before_v is not None else None
     after = dict(after_v.values) if after_v is not None else None
     if after_v is not None:
@@ -176,7 +234,7 @@ def decode_operation(engine, payload: Dict[str, Any]
         # the removed record's own start (a correction may have split
         # validity so the governing slice starts inside the window).
         vt = (max(window[0], before_v.vt.start), window[1])
-    return event_record(kind, atom_id, type_name, tt, vt,
+    return event_record(kind, subject, type_name, tt, vt,
                         before=before, after=after)
 
 

@@ -29,6 +29,11 @@ Three invariants distinguish a change stream from a raw WAL stream:
   cursors, and such a subscriber re-attaches at the head — responses
   carry ``epoch`` so consumers can detect the reset.
 
+Committed operations are decoded a run at a time — at most the batch's
+``max_records`` per engine call (:class:`~repro.cdc.events.ImageReader`)
+— so a poll reads each touched atom's history once and decodes only
+the versions its events select.
+
 Filters (``types``, ``kinds``, ``roots``) drop events server-side;
 filtered events still advance the cursor, so a narrow subscription
 stays cheap without pinning the log.
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
-from repro.cdc.events import EVENT_KINDS, decode_operation
+from repro.cdc.events import EVENT_KINDS, ImageReader, decode_operation
 from repro.errors import ReplicationError
 from repro.replication.source import (
     await_head,
@@ -113,11 +118,24 @@ class ChangeStreamSource:
             committed, bound, _ = _scan_commit_state(
                 self._wal, from_lsn - 1, head, records)
 
+            batch = [record for record in records if record.lsn <= bound]
+            kept = 0
+            # Images are read a run of operations per engine call, never
+            # more operations than the batch still has room for events.
+            reader = ImageReader(
+                self._db.engine,
+                [record.payload for record in batch
+                 if record.type is LogRecordType.OPERATION
+                 and record.txn_id in committed],
+                lambda: request.max_records - kept)
+
             def step(record: Any) -> Optional[Dict[str, Any]]:
+                nonlocal kept
                 if (record.type is not LogRecordType.OPERATION
                         or record.txn_id not in committed):
                     return None
-                event = decode_operation(self._db.engine, record.payload)
+                event = decode_operation(self._db.engine, record.payload,
+                                         reader)
                 if event is None:
                     return None
                 self._c_decoded.inc()
@@ -126,12 +144,12 @@ class ChangeStreamSource:
                     return None
                 event["lsn"] = record.lsn
                 event["txn_id"] = record.txn_id
+                kept += 1
                 return event
 
             with self._db._read_view():
-                events, cursor = fill_batch(
-                    [record for record in records if record.lsn <= bound],
-                    from_lsn, request.max_records, step)
+                events, cursor = fill_batch(batch, from_lsn,
+                                            request.max_records, step)
             next_from = cursor + 1
         self._refresh_gauges()
         return {"events": events, "head": head, "bound": bound,

@@ -10,6 +10,7 @@ carry.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Tuple
 
 from repro.core.schema import AtomType, Schema
@@ -27,6 +28,9 @@ from repro.temporal import Interval
 
 _TT_START = "__tt_start"
 _TT_END = "__tt_end"
+#: The transaction-time pair: the first two fields of every row format,
+#: fixed-width TIME values the encoder never leaves null.
+_TT_PAIR = struct.Struct("<qq")
 
 
 class VersionCodec:
@@ -37,6 +41,10 @@ class VersionCodec:
         self._formats: Dict[str, List[FieldSpec]] = {}
         for atom_type in schema.atom_types:
             self._formats[atom_type.name] = self._build_format(atom_type)
+        # Null-bitmap length per type: where the transaction-time pair
+        # starts in a payload (see peek_tt).
+        self._bitmap_lens = {name: (len(fields) + 7) // 8
+                             for name, fields in self._formats.items()}
         # (type, attrs, need_refs, with_tt) -> (fields, flags, stop index);
         # built lazily, read-only after, so plain dict ops suffice under
         # the facade's read latch.
@@ -141,6 +149,25 @@ class VersionCodec:
         fields, flags, stop = self._partial_plan(type_name, attrs,
                                                  False, False)
         return decode_row_partial(fields, payload, offset, flags, stop)
+
+    def peek_tt(self, type_name: str, payload: bytes,
+                offset: int = 0) -> Tuple[int, int]:
+        """The transaction-time pair ``(start, end)`` of a raw payload.
+
+        The pair is the row's first two fields, fixed-width and never
+        null, so it sits right after the null bitmap: two integer reads,
+        nothing else decoded — the probe ``AS OF`` point reads use to
+        pick the one version worth decoding.
+        """
+        try:
+            at = offset + self._bitmap_lens[type_name]
+        except KeyError:
+            raise SerializationError(
+                f"no row format for atom type {type_name!r}") from None
+        if len(payload) < at + _TT_PAIR.size or payload[offset] & 0b11:
+            raise SerializationError(
+                "record carries no transaction-time pair")
+        return _TT_PAIR.unpack_from(payload, at)
 
     def decode_partial(self, type_name: str, stored: StoredVersion,
                        attrs: Tuple[str, ...], need_refs: bool) -> Version:

@@ -20,11 +20,13 @@ operations through the very same methods.
 
 Reads are served through one per-atom cache (:class:`DecodedVersionCache`):
 an atom's full stored history, kept once a full-history read
-(``all_versions_many``, ``AS OF`` slices, ``prune_roots``) fetched it,
-and its decoded versions.  A warm atom is answered without touching the
-store — current slices pick the live version from the cached envelopes —
-and every mutation touch, undo and external store rewrite drops the
-atom's entry (:meth:`StorageEngine.invalidate_atom_caches`).
+(``all_versions_many``, ``AS OF`` point reads, ``prune_roots``) fetched
+it, and its decoded versions.  A warm atom is answered without touching
+the store — current slices pick the live version from the cached
+envelopes, ``AS OF`` reads select theirs from the envelopes and peeked
+transaction times, and each decodes only the version it picks — and
+every mutation touch, undo and external store rewrite drops the atom's
+entry (:meth:`StorageEngine.invalidate_atom_caches`).
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
 ``lifespan``, their ``_many`` forms, ``atoms_of_type``, the candidate
@@ -167,7 +169,8 @@ class DecodedVersionCache:
 
     * the **stored history** — every :class:`StoredVersion` (envelope
       plus payload bytes) in seq order, filled only by full-history
-      reads, so a point slice never pays for a whole history;
+      reads (``AS OF`` point reads among them), so a current-knowledge
+      point slice never pays for a whole history;
     * the **decoded versions**, keyed by ``(seq, cols)`` where ``cols``
       is ``None`` for a full decode and a projection descriptor (the
       attribute tuple plus a refs flag) for a partial one, so a
@@ -383,13 +386,17 @@ class StorageEngine:
         return StoredVersion(stored.vt_start, stored.vt_end, stored.live,
                              prefix + stored.payload)
 
-    def _decode(self, stored: StoredVersion) -> Tuple[str, Version]:
-        (type_id,) = _TYPE_PREFIX.unpack_from(stored.payload, 0)
+    def _stored_type_name(self, payload: bytes) -> str:
+        """The atom type a type-prefixed payload was stored as."""
+        (type_id,) = _TYPE_PREFIX.unpack_from(payload, 0)
         try:
-            type_name = self._type_by_id[type_id]
+            return self._type_by_id[type_id]
         except KeyError:
             raise UnknownTypeError(
                 f"stored record carries unknown type id {type_id}") from None
+
+    def _decode(self, stored: StoredVersion) -> Tuple[str, Version]:
+        type_name = self._stored_type_name(stored.payload)
         body = StoredVersion(stored.vt_start, stored.vt_end, stored.live,
                              stored.payload[_TYPE_PREFIX.size:])
         return type_name, self.codec.decode(type_name, body)
@@ -475,13 +482,14 @@ class StorageEngine:
         """Batched :meth:`version_at`: one result per distinct atom id.
 
         Unknown atoms map to ``None``, exactly as ``version_at`` returns
-        ``None`` for them.  With *tt* the answer comes from the atoms'
-        full histories (:meth:`all_versions_many`, which fills the
-        history cache).  Without it, an atom whose history is cached is
-        answered from the cached envelopes; the rest go through the
-        store's set-oriented ``read_at_many`` in one batch, so directory
-        and record pages shared by several atoms are pinned once for the
-        whole call.  A point slice never fills the history cache.
+        ``None`` for them.  With *tt* the answer is
+        :meth:`versions_as_of_many`'s (the atoms' stored histories, one
+        version decoded per atom).  Without it, an atom whose history
+        is cached is answered from the cached envelopes; the rest go
+        through the store's set-oriented ``read_at_many`` in one batch,
+        so directory and record pages shared by several atoms are
+        pinned once for the whole call.  A point slice never fills the
+        history cache.
 
         *pred* / *projection* come from :meth:`compile_pushdown`: the
         predicate is evaluated on raw payloads (by the store, or here on
@@ -492,17 +500,14 @@ class StorageEngine:
         pushes below an ``AS OF`` query.
         """
         ids = list(dict.fromkeys(atom_ids))
+        if tt is not None:
+            found = self.versions_as_of_many(
+                (atom_id, at, tt) for atom_id in ids)
+            return {atom_id: found[(atom_id, at, tt)] for atom_id in ids}
         result: Dict[int, Optional[Version]] = {}
         if not ids:
             return result
         self._c_version_reads.inc(len(ids))
-        if tt is not None:
-            histories = self.all_versions_many(ids)
-            for atom_id in ids:
-                versions = histories.get(atom_id)
-                result[atom_id] = (None if versions is None
-                                   else hist.version_at(versions, at, tt))
-            return result
         cached = self._decode_cache.histories(ids)
         hits_by_atom: Dict[int, List[Tuple[int, StoredVersion]]] = {}
         if len(cached) < len(ids):
@@ -533,6 +538,72 @@ class StorageEngine:
             result[atom_id] = self._decode_cached(
                 atom_id, seq, stored_version, projection)[1]
         return result
+
+    def versions_as_of_many(
+            self, requests: Iterable[Tuple[int, Timestamp, Timestamp]]
+    ) -> Dict[Tuple[int, Timestamp, Timestamp], Optional[Version]]:
+        """``AS OF`` point reads: for each ``(atom, at, tt)`` request, the
+        version valid at *at* as believed at *tt* — one result per
+        distinct request, ``None`` for unknown atoms and for no state.
+
+        Every requested atom's stored history comes from the history
+        cache or from one batched ``read_all_many`` (which fills it).
+        The answer is then *selected* before anything is decoded: the
+        stored envelopes are scanned newest-first and, for each one
+        whose valid time contains *at*, only the transaction-time pair
+        is peeked (:meth:`VersionCodec.peek_tt`); the first version
+        believed at *tt* is the one decoded (through the decode cache).
+        When the history's full decode is already cached, it is scanned
+        instead and nothing is decoded at all.
+
+        The first hit is the only one: versions believed at one
+        transaction time are valid-time disjoint (the invariant
+        :func:`~repro.core.history.check_history` checks and
+        :meth:`StoredHistory.live_at` relies on), so the newest-first
+        answer equals :func:`repro.core.history.version_at` over the
+        full decode.
+        """
+        wanted = list(dict.fromkeys(requests))
+        result: Dict[Tuple[int, Timestamp, Timestamp],
+                     Optional[Version]] = {}
+        if not wanted:
+            return result
+        ids = list(dict.fromkeys(atom_id for atom_id, _, _ in wanted))
+        self._c_version_reads.inc(len(ids))
+        histories = self._stored_histories(ids)
+        for request in wanted:
+            history = histories.get(request[0])
+            result[request] = (None if history is None
+                               else self._as_of(history, *request))
+        self._c_versions_scanned.inc(
+            sum(1 for version in result.values() if version is not None))
+        return result
+
+    def _as_of(self, history: StoredHistory, atom_id: int, at: Timestamp,
+               tt: Timestamp) -> Optional[Version]:
+        """The version of *history* valid at *at* as believed at *tt*,
+        picked newest-first: from the cached full decode when there is
+        one, otherwise from the envelopes and peeked transaction-time
+        pairs alone, decoding only the version picked."""
+        versions = history.versions
+        if versions is not None:
+            for version in reversed(versions):
+                if version.vt.contains(at) and version.tt.contains(tt):
+                    self._decode_cache.note_decoded_hits(1)
+                    return version
+            return None
+        stored = history.stored
+        peek_tt = self.codec.peek_tt
+        for seq in range(len(stored) - 1, -1, -1):
+            stored_version = stored[seq]
+            if not stored_version.contains(at):
+                continue
+            payload = stored_version.payload
+            tt_start, tt_end = peek_tt(self._stored_type_name(payload),
+                                       payload, _TYPE_PREFIX.size)
+            if tt_start <= tt < tt_end:
+                return self._decode_cached(atom_id, seq, stored_version)[1]
+        return None
 
     def all_versions(self, atom_id: int) -> List[Version]:
         """The atom's full recorded history, in sequence order."""

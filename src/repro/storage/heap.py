@@ -24,6 +24,7 @@ record appears exactly once.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -38,6 +39,9 @@ _FLAG_WHOLE = 0
 _FLAG_HEAD = 1
 _FLAG_MIDDLE = 2
 _FLAG_TAIL = 3
+
+#: Sort key for batches of record ids: the same order as RecordId's own.
+_PAGE_SLOT = operator.attrgetter("page_id", "slot")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -212,7 +216,9 @@ class HeapSegment:
     def read_many(self, rids: Iterable[RecordId]) -> Dict[RecordId, bytes]:
         """Batched :meth:`read`: payloads for many records at once.
 
-        Record ids are sorted and grouped by page so each underlying page
+        Record ids are sorted (on a plain ``(page_id, slot)`` key: the
+        dataclass ordering's per-pair ``__lt__`` cost more than the reads
+        it orders) and grouped by page so each underlying page
         is pinned once per batch regardless of how many of its records
         were requested.  Spanned records (head fragments) fall back to
         the chained per-fragment read.  Returns ``{rid: payload}`` for
@@ -222,7 +228,7 @@ class HeapSegment:
         out: Dict[RecordId, bytes] = {}
         spanned: List[RecordId] = []
         group: List[RecordId] = []
-        for rid in sorted(set(rids)):
+        for rid in sorted(set(rids), key=_PAGE_SLOT):
             if group and group[-1].page_id != rid.page_id:
                 self._read_page_group(group, out, spanned)
                 group = []

@@ -1,0 +1,232 @@
+"""``AS OF`` point reads that decode only the version they select.
+
+:meth:`StorageEngine.versions_as_of_many` picks each answer newest-first
+from the stored envelopes and peeked transaction times, and decodes
+just that version.  The differential tests hold it equal to the
+full-history reference, :func:`repro.core.history.version_at` over
+``all_versions``, on every strategy, over histories with corrections,
+deletes and link changes, for unknown and vacuumed atoms, and in each
+cache state the engine can be in: cold, a cached stored history only,
+and a cached full decode.
+
+The decode-cost gate holds the point of it: a ``SUBSCRIBE`` poll of N
+events decodes at most 2N versions whatever the chains' lengths.
+"""
+
+import json
+import os
+import random
+
+import pytest
+
+from repro import (
+    AtomType,
+    Attribute,
+    DatabaseConfig,
+    DataType,
+    ReproError,
+    Schema,
+    TemporalDatabase,
+)
+from repro.cdc.source import ChangeStreamSource
+from repro.core import history as hist
+from repro.temporal import FOREVER
+from repro.tools import vacuum_superseded
+
+
+def mixed_history(db, seed=11):
+    """A randomized history over Parts and Components: updates from
+    assorted instants, past-window corrections (fragmented validity),
+    windowed and open deletes, links and unlinks.  Returns the atom ids
+    plus one atom that is deleted outright (vacuum removes it)."""
+    rng = random.Random(seed)
+    with db.transaction() as txn:
+        parts = [txn.insert("Part", {"name": f"p{i}", "cost": float(i)},
+                            valid_from=rng.randrange(0, 5))
+                 for i in range(4)]
+        comps = [txn.insert("Component", {"cname": f"c{i}"},
+                            valid_from=0)
+                 for i in range(3)]
+        doomed = txn.insert("Part", {"name": "doomed"}, valid_from=0)
+    with db.transaction() as txn:
+        txn.delete(doomed, valid_from=0)
+    for _ in range(60):
+        roll = rng.random()
+        try:
+            with db.transaction() as txn:
+                part = rng.choice(parts)
+                if roll < 0.35:
+                    txn.update(part, {"cost": float(rng.randrange(100))},
+                               valid_from=rng.randrange(0, 40))
+                elif roll < 0.55:
+                    start = rng.randrange(0, 30)
+                    txn.correct(part, start, start + rng.randrange(1, 15),
+                                {"cost": float(rng.randrange(100))})
+                elif roll < 0.65:
+                    start = rng.randrange(10, 40)
+                    txn.delete(part, valid_from=start,
+                               valid_to=start + rng.randrange(1, 10))
+                elif roll < 0.85:
+                    txn.link("contains", part, rng.choice(comps),
+                             valid_from=rng.randrange(0, 30))
+                else:
+                    txn.unlink("contains", part, rng.choice(comps),
+                               valid_from=rng.randrange(0, 30))
+        except ReproError:
+            pass  # no validity there, double link, unlink of nothing
+    return parts + comps + [doomed]
+
+
+def requests_for(db, atoms):
+    """Every atom (plus one never created) at instants on and around
+    each stored boundary, as believed at every transaction time."""
+    unknown = max(atoms) + 1000
+    instants = {0, 7, 23, FOREVER - 1}
+    for atom_id in atoms:
+        if db.engine.atom_exists(atom_id):
+            for version in db.engine.all_versions(atom_id):
+                instants.update((version.vt.start, version.vt.end - 1))
+    believed = range(0, db._clock.now() + 2)
+    return [(atom_id, at, tt) for atom_id in atoms + [unknown]
+            for at in sorted(instants) for tt in believed]
+
+
+def reference(db, requests):
+    """``history.version_at`` over each atom's full decode."""
+    histories = db.engine.all_versions_many({a for a, _, _ in requests})
+    return {(a, at, tt): (hist.version_at(histories[a], at, tt)
+                          if a in histories else None)
+            for a, at, tt in requests}
+
+
+def assert_same(found, expected):
+    assert found.keys() == expected.keys()
+    wrong = [request for request, version in expected.items()
+             if found[request] != version]
+    assert not wrong, wrong[:5]
+
+
+def check_all_cache_states(db, atoms):
+    engine = db.engine
+    requests = requests_for(db, atoms)
+    expected = reference(db, requests)
+
+    engine.drop_caches()  # cold: every history comes from the store
+    assert_same(engine.versions_as_of_many(requests), expected)
+
+    engine.drop_caches()  # a cached stored history, no full decode
+    engine.versions_as_of_many((a, 0, 0) for a in atoms)
+    histories = engine._decode_cache.histories(atoms)
+    assert histories and all(h.versions is None
+                             for h in histories.values())
+    assert_same(engine.versions_as_of_many(requests), expected)
+
+    engine.drop_caches()  # the full decode cached beside the history
+    engine.all_versions_many(atoms)
+    assert all(h.versions is not None
+               for h in engine._decode_cache.histories(atoms).values())
+    assert_same(engine.versions_as_of_many(requests), expected)
+
+    # The single-instant wrapper answers the same, cold and warm.
+    ids = atoms + [max(atoms) + 1000]
+    for at, tt in ((7, 5), (FOREVER - 1, db._clock.now())):
+        for _ in range(2):
+            assert engine.version_at_many(ids, at, tt) == {
+                a: expected[(a, at, tt)] for a in ids}
+        engine.drop_caches()
+
+
+class TestAsOfDifferential:
+    def test_mixed_history_all_cache_states(self, db):
+        atoms = mixed_history(db)
+        assert any(len(db.engine.all_versions(a)) > 10 for a in atoms)
+        check_all_cache_states(db, atoms)
+
+    def test_vacuumed_atoms(self, db):
+        atoms = mixed_history(db, seed=5)
+        cutoff = db._clock.now() // 2
+        report = vacuum_superseded(db, cutoff)
+        assert report.versions_removed
+        doomed = atoms[-1]
+        assert not db.engine.atom_exists(doomed)
+        check_all_cache_states(db, atoms)
+        assert db.engine.versions_as_of_many(
+            [(doomed, 0, 1)]) == {(doomed, 0, 1): None}
+
+    def test_empty_request_list(self, db):
+        assert db.engine.versions_as_of_many([]) == {}
+
+
+def _chain_db(path, strategy, chain):
+    """Four Parts, each a chain of *chain* stored versions (an update
+    from instant 0 closes one version and appends one)."""
+    schema = Schema("chains")
+    schema.add_atom_type(AtomType("Part", [
+        Attribute("name", DataType.STRING, required=True),
+        Attribute("cost", DataType.FLOAT)]))
+    db = TemporalDatabase.create(path, schema,
+                                 DatabaseConfig(strategy=strategy,
+                                                durability="none"))
+    with db.transaction() as txn:
+        parts = [txn.insert("Part", {"name": f"p{i}", "cost": 0.0},
+                            valid_from=0) for i in range(4)]
+    for step in range(chain - 1):
+        with db.transaction() as txn:
+            for part in parts:
+                txn.update(part, {"cost": step + 1.0}, valid_from=0)
+    assert all(len(db.history(part)) == chain for part in parts)
+    return db, parts
+
+
+POLL_EVENTS = 16
+
+
+class TestCdcDecodeCost:
+    """CI gate: a poll's decodes track its events, not chain length."""
+
+    def test_poll_decodes_at_most_two_versions_per_event(self, tmp_path,
+                                                         strategy):
+        decodes = {}
+        for chain in (10, 100, 400):
+            db, parts = _chain_db(str(tmp_path / f"db{chain}"), strategy,
+                                  chain)
+            source = ChangeStreamSource(db)
+            start = source.handle({"subscriber": "gate"})["next_from"]
+            for step in range(POLL_EVENTS // 2):
+                with db.transaction() as txn:  # 2-update commits
+                    txn.update(parts[step % 4], {"cost": -1.0 - step},
+                               valid_from=0)
+                    txn.update(parts[(step + 1) % 4],
+                               {"cost": -100.0 - step}, valid_from=0)
+            db.engine.drop_caches()
+            misses = db.metrics.counter("engine.decode_cache.misses")
+            before = misses.value
+            body = source.handle({"subscriber": "gate", "from_lsn": start})
+            decodes[chain] = misses.value - before
+            assert len(body["events"]) == POLL_EVENTS
+            assert all(event["kind"] == "attribute_changed"
+                       for event in body["events"])
+            db.close()
+        assert all(count <= 2 * POLL_EVENTS for count in decodes.values()), (
+            decodes)
+        assert len(set(decodes.values())) == 1, decodes  # flat in length
+
+
+class TestLegacyCatalogKey:
+    def test_open_drops_stale_cdc_subscribers_key(self, tmp_path,
+                                                  cad_schema):
+        path = str(tmp_path / "db")
+        TemporalDatabase.create(path, cad_schema).close()
+        catalog_file = os.path.join(path, "catalog.json")
+        with open(catalog_file, encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["extras"]["cdc_subscribers"] = {"old": [0, 7]}
+        with open(catalog_file, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+        db = TemporalDatabase.open(path)
+        assert "cdc_subscribers" not in db._catalog.extras
+        assert db._wal.subscribers() == {}
+        db.close()
+        with open(catalog_file, encoding="utf-8") as handle:
+            assert "cdc_subscribers" not in json.load(handle)["extras"]

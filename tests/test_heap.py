@@ -1,5 +1,7 @@
 """Tests for heap segments, including spanned records."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,33 @@ class TestUpdate:
         rid = heap.insert(b"d" * 20_000)
         new_rid = heap.update(rid, b"small now")
         assert heap.read(new_rid) == b"small now"
+
+
+class TestReadMany:
+    def test_results_and_order_match_record_id_order(self, heap):
+        """Whole records come back in ``RecordId`` order, then spanned
+        ones in the same order: one pin per page, results unchanged."""
+        payloads = {}
+        for i in range(120):
+            body = (f"r{i}".encode() * 3000 if i % 17 == 0
+                    else f"r{i}".encode() * (1 + i % 40))
+            payloads[heap.insert(body)] = body
+        rids = list(payloads) * 2
+        random.Random(3).shuffle(rids)
+        ordered = sorted(set(rids))  # the dataclass ordering
+        whole = [rid for rid in ordered if len(payloads[rid]) < 3000]
+        spanned = [rid for rid in ordered if len(payloads[rid]) >= 3000]
+        assert spanned and len({rid.page_id for rid in whole}) > 1
+        found = heap.read_many(rids)
+        assert list(found) == whole + spanned
+        assert found == {rid: payloads[rid] for rid in ordered}
+
+    def test_missing_record_raises(self, heap):
+        kept = heap.insert(b"y")
+        rid = heap.insert(b"x")
+        heap.delete(rid)
+        with pytest.raises(RecordNotFoundError):
+            heap.read_many([kept, rid])
 
 
 class TestScan:
