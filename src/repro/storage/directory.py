@@ -101,13 +101,12 @@ class AtomDirectory:
     def _locate(self, atom_id: int) -> Optional[Tuple[int, int]]:
         """Find (page id, slot) of the entry for *atom_id*, if present."""
         page_id = self._bucket_for(atom_id)
+        key = _ENTRY_KEY.pack(atom_id)
         while page_id != INVALID_PAGE_ID:
             with self._buffer.page(page_id) as frame:
-                page = SlottedPage(frame.data)
-                for slot in page.iter_slots():
-                    key, _ = self._unpack_entry(page.read(slot))
-                    if key == atom_id:
-                        return page_id, slot
+                slot = SlottedPage(frame.data).find(key)
+                if slot is not None:
+                    return page_id, slot
                 page_id = _get_next(frame.data)
         return None
 
@@ -138,18 +137,16 @@ class AtomDirectory:
             by_bucket.setdefault(
                 hash(atom_id) % len(self._buckets), []).append(atom_id)
         for bucket_index, wanted in by_bucket.items():
-            pending = set(wanted)
+            pending = {_ENTRY_KEY.pack(atom_id): atom_id for atom_id in wanted}
             page_id = self._buckets[bucket_index]
             while page_id != INVALID_PAGE_ID and pending:
                 with self._buffer.page(page_id) as frame:
                     page = SlottedPage(frame.data)
-                    for slot in page.iter_slots():
-                        key, payload = self._unpack_entry(page.read(slot))
-                        if key in pending:
-                            result[key] = payload
-                            pending.discard(key)
-                            if not pending:
-                                break
+                    for key in list(pending):
+                        slot = page.find(key)
+                        if slot is not None:
+                            result[pending.pop(key)] = (
+                                page.read(slot)[_ENTRY_KEY.size:])
                     page_id = _get_next(frame.data)
         return result
 

@@ -283,16 +283,24 @@ class HeapSegment:
         anything else is a delete + reinsert and the caller must store the
         returned id.
         """
-        body = self._read_fragment(rid)
-        if body[0] == _FLAG_WHOLE and len(payload) <= self.max_unspanned():
+        if len(payload) <= self.max_unspanned():
+            # One pin checks the envelope and rewrites; a spanned head
+            # falls through to the delete, which dirties the page anyway.
             with self._buffer.page(rid.page_id, dirty=True) as frame:
                 page = SlottedPage(frame.data)
                 try:
-                    page.update(rid.slot, bytes([_FLAG_WHOLE]) + payload)
-                    self._refresh_free(rid.page_id, page)
-                    return rid
-                except PageFullError:
-                    self._refresh_free(rid.page_id, page)
+                    flag = page.read(rid.slot)[0]
+                except Exception as exc:
+                    raise RecordNotFoundError(
+                        f"{self.name}: no record {rid}") from exc
+                if flag == _FLAG_WHOLE:
+                    try:
+                        page.update(rid.slot, bytes([_FLAG_WHOLE]) + payload)
+                    except PageFullError:
+                        pass  # the page is unchanged; relocate below
+                    else:
+                        self._refresh_free(rid.page_id, page)
+                        return rid
         self.delete(rid)
         return self.insert(payload)
 

@@ -19,12 +19,21 @@ A slotted page stores variable-length records inside one page image::
 Deleting or shrinking records leaves dead space between live records;
 :meth:`SlottedPage.insert` compacts lazily when the contiguous gap is too
 small but the total free space suffices.
+
+Every question about the slot directory as a whole (live slots, live
+bytes, the first dead slot, free space, compaction) is answered from one
+tuple read by a single C-level ``struct`` unpack of the whole directory
+and filtered with ``itertools`` and tuple methods, never by a Python
+loop per slot.  :meth:`SlottedPage.find` compares a key against each
+record's leading bytes in place, without copying records.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Tuple
+from itertools import compress, repeat
+from operator import add
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import PageError, PageFullError
 
@@ -34,6 +43,16 @@ _SLOT = struct.Struct("<HH")    # offset, length
 _HEADER_AT = RESERVED_BYTES
 _SLOTS_AT = RESERVED_BYTES + _HEADER.size
 _DEAD = 0  # offset value marking an empty slot
+
+#: Whole-directory codecs by slot count: ``<{2n}H`` (offset, length) pairs.
+_DIRECTORIES: Dict[int, struct.Struct] = {}
+
+
+def _directory_codec(num_slots: int) -> struct.Struct:
+    codec = _DIRECTORIES.get(num_slots)
+    if codec is None:
+        codec = _DIRECTORIES[num_slots] = struct.Struct(f"<{2 * num_slots}H")
+    return codec
 
 
 class SlottedPage:
@@ -78,6 +97,16 @@ class SlottedPage:
         _SLOT.pack_into(self._data, _SLOTS_AT + slot * _SLOT.size,
                         offset, length)
 
+    def _scan(self) -> Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]:
+        """``(num_slots, data_start, offsets, lengths)`` in two unpacks.
+
+        A dead slot's offset is 0, so ``offsets`` doubles as the liveness
+        mask for :func:`itertools.compress`.
+        """
+        num_slots, data_start = _HEADER.unpack_from(self._data, _HEADER_AT)
+        pairs = _directory_codec(num_slots).unpack_from(self._data, _SLOTS_AT)
+        return num_slots, data_start, pairs[0::2], pairs[1::2]
+
     # -- inspection ----------------------------------------------------------------
 
     @property
@@ -86,25 +115,40 @@ class SlottedPage:
 
     def live_records(self) -> int:
         """Number of slots holding a record."""
-        return sum(1 for _ in self.iter_slots())
+        _, _, offsets, _ = self._scan()
+        return len(offsets) - offsets.count(_DEAD)
 
     def iter_slots(self) -> Iterator[int]:
-        """Yield the slot numbers of live records, ascending."""
-        num_slots, _ = self._read_header()
-        for slot in range(num_slots):
-            offset, _length = self._read_slot(slot)
-            if offset != _DEAD:
-                yield slot
+        """Yield the slot numbers of live records, ascending.
 
-    def _live_bytes(self) -> int:
-        total = 0
-        for slot in self.iter_slots():
-            _, length = self._read_slot(slot)
-            total += length
-        return total
+        The directory is read once up front, so the caller may mutate the
+        page while iterating.
+        """
+        num_slots, _, offsets, _ = self._scan()
+        return compress(range(num_slots), offsets)
 
-    def _directory_end(self, num_slots: int) -> int:
+    def find(self, prefix: bytes) -> Optional[int]:
+        """Slot of the first live record starting with *prefix*, or ``None``.
+
+        Compares in place: no record is copied.  *prefix* must be
+        non-empty (an empty prefix would match the dead slots too).
+        """
+        num_slots, _, offsets, lengths = self._scan()
+        # A dead slot is (0, 0): the empty range [0, 0) matches nothing.
+        matches = map(self._data.startswith, repeat(prefix), offsets,
+                      map(add, offsets, lengths))
+        return next(compress(range(num_slots), matches), None)
+
+    @staticmethod
+    def _directory_end(num_slots: int) -> int:
         return _SLOTS_AT + num_slots * _SLOT.size
+
+    def _unused_bytes(self, num_slots: int, offsets: Tuple[int, ...],
+                      lengths: Tuple[int, ...]) -> int:
+        """Bytes held by neither the slot directory nor a live record:
+        the contiguous gap plus the holes compaction would reclaim."""
+        return (len(self._data) - self._directory_end(num_slots)
+                - sum(compress(lengths, offsets)))
 
     def free_space(self) -> int:
         """Largest record insertable into this page.
@@ -112,24 +156,12 @@ class SlottedPage:
         Counts dead space (recoverable by compaction); the slot-directory
         entry is only charged when no dead slot can be reused.
         """
-        num_slots, _ = self._read_header()
-        used = self._directory_end(num_slots) + self._live_bytes()
-        slot_cost = 0 if self._find_free_slot() is not None else _SLOT.size
-        return max(0, len(self._data) - used - slot_cost)
-
-    def _contiguous_space(self) -> int:
-        num_slots, data_start = self._read_header()
-        return data_start - self._directory_end(num_slots)
+        num_slots, _, offsets, lengths = self._scan()
+        slot_cost = 0 if _DEAD in offsets else _SLOT.size
+        return max(0, self._unused_bytes(num_slots, offsets, lengths)
+                   - slot_cost)
 
     # -- mutation -------------------------------------------------------------------
-
-    def _find_free_slot(self) -> Optional[int]:
-        num_slots, _ = self._read_header()
-        for slot in range(num_slots):
-            offset, _ = self._read_slot(slot)
-            if offset == _DEAD:
-                return slot
-        return None
 
     def insert(self, payload: bytes) -> int:
         """Store *payload* and return its slot number.
@@ -137,26 +169,20 @@ class SlottedPage:
         Raises :class:`PageFullError` when the page cannot hold it even
         after compaction.
         """
-        reuse = self._find_free_slot()
-        slot_cost = 0 if reuse is not None else _SLOT.size
-        num_slots, data_start = self._read_header()
-        total_free = (len(self._data) - self._directory_end(num_slots)
-                      - self._live_bytes())
-        if len(payload) + slot_cost > total_free:
+        num_slots, data_start, offsets, lengths = self._scan()
+        slot = offsets.index(_DEAD) if _DEAD in offsets else num_slots
+        slot_cost = 0 if slot < num_slots else _SLOT.size
+        total_free = self._unused_bytes(num_slots, offsets, lengths)
+        needed = len(payload) + slot_cost
+        if needed > total_free:
             raise PageFullError(
                 f"record of {len(payload)} bytes does not fit "
                 f"({total_free - slot_cost} free)")
-        if len(payload) + slot_cost > self._contiguous_space():
-            self.compact()
-            num_slots, data_start = self._read_header()
+        if needed > data_start - self._directory_end(num_slots):
+            data_start = self._compact(num_slots, offsets, lengths)
         offset = data_start - len(payload)
         self._data[offset:data_start] = payload
-        if reuse is not None:
-            slot = reuse
-        else:
-            slot = num_slots
-            num_slots += 1
-        self._write_header(num_slots, offset)
+        self._write_header(max(num_slots, slot + 1), offset)
         self._write_slot(slot, offset, len(payload))
         return slot
 
@@ -174,26 +200,25 @@ class SlottedPage:
         """Replace the record in *slot*, keeping its slot number.
 
         Shrinking updates rewrite in place; growing updates relocate the
-        record within the page.  Raises :class:`PageFullError` when the
-        new payload does not fit even after compaction.
+        record within the page.  Raises :class:`PageFullError` (leaving
+        the page unchanged) when the new payload does not fit even after
+        compaction.
         """
         offset, length = self._slot_or_raise(slot)
         if len(payload) <= length:
             self._data[offset:offset + len(payload)] = payload
             self._write_slot(slot, offset, len(payload))
             return
-        # Free the old image first so its space counts as reclaimable.
-        self._write_slot(slot, _DEAD, 0)
-        num_slots, _ = self._read_header()
-        total_free = (len(self._data) - self._directory_end(num_slots)
-                      - self._live_bytes())
-        if len(payload) > total_free:
-            self._write_slot(slot, offset, length)  # roll back
+        # The old image counts as reclaimable space.
+        num_slots, data_start, offsets, lengths = self._scan()
+        if len(payload) > (self._unused_bytes(num_slots, offsets, lengths)
+                           + length):
             raise PageFullError(
                 f"grown record of {len(payload)} bytes does not fit")
-        if len(payload) > self._contiguous_space():
-            self.compact()
-        _, data_start = self._read_header()
+        if len(payload) > data_start - self._directory_end(num_slots):
+            self._write_slot(slot, _DEAD, 0)
+            num_slots, _, offsets, lengths = self._scan()
+            data_start = self._compact(num_slots, offsets, lengths)
         new_offset = data_start - len(payload)
         self._data[new_offset:data_start] = payload
         self._write_header(num_slots, new_offset)
@@ -201,14 +226,30 @@ class SlottedPage:
 
     def compact(self) -> None:
         """Repack live records against the page end, squeezing out holes."""
-        records = [(slot, self.read(slot)) for slot in self.iter_slots()]
-        num_slots, _ = self._read_header()
-        data_start = len(self._data)
-        for slot, payload in records:
-            data_start -= len(payload)
-            self._data[data_start:data_start + len(payload)] = payload
-            self._write_slot(slot, data_start, len(payload))
+        num_slots, _, offsets, lengths = self._scan()
+        self._compact(num_slots, offsets, lengths)
+
+    def _compact(self, num_slots: int, offsets: Tuple[int, ...],
+                 lengths: Tuple[int, ...]) -> int:
+        """Repack the live records (lowest slot at the page end) with one
+        image write and one directory write; returns the new data start."""
+        data = self._data
+        new_offsets = [_DEAD] * num_slots
+        records = []
+        data_start = len(data)
+        for slot in compress(range(num_slots), offsets):
+            offset, length = offsets[slot], lengths[slot]
+            records.append(data[offset:offset + length])
+            data_start -= length
+            new_offsets[slot] = data_start
+        records.reverse()
+        data[data_start:] = b"".join(records)
+        pairs = [0] * (2 * num_slots)
+        pairs[0::2] = new_offsets
+        pairs[1::2] = lengths
+        _directory_codec(num_slots).pack_into(data, _SLOTS_AT, *pairs)
         self._write_header(num_slots, data_start)
+        return data_start
 
     # -- internals --------------------------------------------------------------------
 

@@ -704,12 +704,17 @@ class SeparatedStore(_BaseStore):
         vt_start, vt_end, live, at = _unpack_envelope(record, 0)
         return StoredVersion(vt_start, vt_end, live, record[at:])
 
-    def _dir_entry(self, atom_id: int) -> Tuple[RecordId, RecordId, int,
-                                                Tuple[int, int, bool]]:
+    @classmethod
+    def _decode_dir(cls, payload: bytes) -> Tuple[RecordId, RecordId, int,
+                                                  Tuple[int, int, bool]]:
         (cpage, cslot, vpage, vslot, count,
-         vt_start, vt_end, live) = self._DIR_VALUE.unpack(self._entry(atom_id))
+         vt_start, vt_end, live) = cls._DIR_VALUE.unpack(payload)
         return (RecordId(cpage, cslot), RecordId(vpage, vslot), count,
                 (vt_start, vt_end, bool(live)))
+
+    def _dir_entry(self, atom_id: int) -> Tuple[RecordId, RecordId, int,
+                                                Tuple[int, int, bool]]:
+        return self._decode_dir(self._entry(atom_id))
 
     def _put_dir(self, atom_id: int, current: RecordId, vdir: RecordId,
                  count: int, envelope: Tuple[int, int, bool]) -> None:
@@ -735,54 +740,62 @@ class SeparatedStore(_BaseStore):
             return []
         return self._parse_vdir(self._vdir.read(vdir_rid))
 
-    def _encode_vdir(self, entries: List[Tuple[int, int, bool,
-                                               RecordId]]) -> bytes:
-        return b"".join(
-            self._VDIR_ENTRY.pack(vt_start, vt_end, 1 if live else 0,
-                                  rid.page_id, rid.slot)
-            for vt_start, vt_end, live, rid in entries)
+    @classmethod
+    def _pack_vdir_entry(cls, envelope: Tuple[int, int, bool],
+                         rid: RecordId) -> bytes:
+        vt_start, vt_end, live = envelope
+        return cls._VDIR_ENTRY.pack(vt_start, vt_end, 1 if live else 0,
+                                    rid.page_id, rid.slot)
 
     # -- protocol --------------------------------------------------------------
+    #
+    # The vdir is a flat array of fixed-size entries, so every mutation
+    # splices bytes (append, truncate, overwrite at ``seq * size``) and
+    # never parses or re-encodes the list.  The current record is
+    # rewritten where it stands; its id only moves when the new version
+    # no longer fits its page.
 
     def append_version(self, atom_id: int, sv: StoredVersion) -> None:
         envelope = (sv.vt_start, sv.vt_end, sv.live)
-        if not self.exists(atom_id):
-            rid = self._current.insert(self._encode_version(sv))
+        record = self._encode_version(sv)
+        payload = self._directory.get(atom_id)
+        if payload is None:
+            rid = self._current.insert(record)
             self._put_dir(atom_id, rid, _NO_RECORD, 1, envelope)
             return
-        current_rid, vdir_rid, count, old_env = self._dir_entry(atom_id)
+        current_rid, vdir_rid, count, old_env = self._decode_dir(payload)
         # Migrate the superseded current version into the history segment.
-        old_record = self._current.read(current_rid)
-        hist_rid = self._history.insert(old_record)
-        self._current.delete(current_rid)
-        entries = self._read_vdir(vdir_rid)
-        entries.append((old_env[0], old_env[1], old_env[2], hist_rid))
-        encoded = self._encode_vdir(entries)
+        hist_rid = self._history.insert(self._current.read(current_rid))
+        current_rid = self._current.update(current_rid, record)
+        entry = self._pack_vdir_entry(old_env, hist_rid)
         if vdir_rid == _NO_RECORD:
-            vdir_rid = self._vdir.insert(encoded)
+            vdir_rid = self._vdir.insert(entry)
         else:
-            vdir_rid = self._vdir.update(vdir_rid, encoded)
-        new_current = self._current.insert(self._encode_version(sv))
-        self._put_dir(atom_id, new_current, vdir_rid, count + 1, envelope)
+            vdir_rid = self._vdir.update(
+                vdir_rid, self._vdir.read(vdir_rid) + entry)
+        self._put_dir(atom_id, current_rid, vdir_rid, count + 1, envelope)
 
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
-        current_rid, vdir_rid, count, _env = self._dir_entry(atom_id)
+        current_rid, vdir_rid, count, env = self._dir_entry(atom_id)
         if not (0 <= seq < count):
             raise StorageError(f"atom {atom_id} has no version {seq}")
+        envelope = (sv.vt_start, sv.vt_end, sv.live)
         if seq == count - 1:
             new_rid = self._current.update(current_rid,
                                            self._encode_version(sv))
-            self._put_dir(atom_id, new_rid, vdir_rid, count,
-                          (sv.vt_start, sv.vt_end, sv.live))
+            self._put_dir(atom_id, new_rid, vdir_rid, count, envelope)
             return
-        entries = self._read_vdir(vdir_rid)
-        _, _, _, hist_rid = entries[seq]
-        new_hist = self._history.update(hist_rid, self._encode_version(sv))
-        entries[seq] = (sv.vt_start, sv.vt_end, sv.live, new_hist)
-        new_vdir = self._vdir.update(vdir_rid, self._encode_vdir(entries))
+        vdir = self._vdir.read(vdir_rid)
+        at = seq * self._VDIR_ENTRY.size
+        *_, page, slot = self._VDIR_ENTRY.unpack_from(vdir, at)
+        new_hist = self._history.update(RecordId(page, slot),
+                                        self._encode_version(sv))
+        new_vdir = self._vdir.update(
+            vdir_rid, vdir[:at] + self._pack_vdir_entry(envelope, new_hist)
+            + vdir[at + self._VDIR_ENTRY.size:])
         if new_vdir != vdir_rid:
-            self._put_dir(atom_id, current_rid, new_vdir, count, _env)
+            self._put_dir(atom_id, current_rid, new_vdir, count, env)
 
     def pop_version(self, atom_id: int) -> None:
         current_rid, vdir_rid, count, _env = self._dir_entry(atom_id)
@@ -790,19 +803,21 @@ class SeparatedStore(_BaseStore):
             self.delete_atom(atom_id)
             return
         # The previous version migrates back from history to current.
-        self._current.delete(current_rid)
-        entries = self._read_vdir(vdir_rid)
-        vt_start, vt_end, live, hist_rid = entries.pop()
+        vdir = self._vdir.read(vdir_rid)
+        last = len(vdir) - self._VDIR_ENTRY.size
+        vt_start, vt_end, live, page, slot = self._VDIR_ENTRY.unpack_from(
+            vdir, last)
+        hist_rid = RecordId(page, slot)
         record = self._history.read(hist_rid)
         self._history.delete(hist_rid)
-        restored = self._current.insert(record)
-        if entries:
-            vdir_rid = self._vdir.update(vdir_rid, self._encode_vdir(entries))
+        restored = self._current.update(current_rid, record)
+        if last:
+            vdir_rid = self._vdir.update(vdir_rid, vdir[:last])
         else:
             self._vdir.delete(vdir_rid)
             vdir_rid = _NO_RECORD
         self._put_dir(atom_id, restored, vdir_rid, count - 1,
-                      (vt_start, vt_end, live))
+                      (vt_start, vt_end, bool(live)))
 
     def delete_atom(self, atom_id: int) -> None:
         current_rid, vdir_rid, _count, _env = self._dir_entry(atom_id)

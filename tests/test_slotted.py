@@ -96,6 +96,17 @@ class TestUpdate:
         assert page.read(a) == b"A" * 150
         assert page.read(b) == b"b" * 50
 
+    def test_growing_update_reuses_its_own_space(self, page):
+        a = page.insert(b"a" * 200)
+        b = page.insert(b"b" * 200)
+        # 84 bytes free: the grown record fits only in its old image's
+        # space plus the gap, which takes a compaction.
+        page.update(a, b"A" * 250)
+        assert page.read(a) == b"A" * 250
+        assert page.read(b) == b"b" * 200
+        # Header, two slots and the next insert's slot are charged.
+        assert page.free_space() == PAGE_SIZE - RESERVED_BYTES - 4 - 12 - 450
+
     def test_growing_update_beyond_capacity_rejected(self, page):
         slot = page.insert(b"x")
         with pytest.raises(PageFullError):
@@ -150,22 +161,63 @@ class TestFreeSpace:
         assert page.live_records() == 1
 
 
+class TestFind:
+    def test_finds_record_by_leading_bytes(self, page):
+        page.insert(b"alpha-1")
+        beta = page.insert(b"beta-2")
+        assert page.find(b"beta") == beta
+        assert page.find(b"gamma") is None
+
+    def test_prefix_longer_than_record_does_not_match(self, page):
+        page.insert(b"ab")
+        page.insert(b"cdef")  # stored right below "ab" in the page
+        assert page.find(b"abcd") is None
+
+    def test_dead_slots_never_match(self, page):
+        doomed = page.insert(b"key-1")
+        page.delete(doomed)
+        assert page.find(b"key-1") is None
+        assert page.find(b"\x00") is None
+
+    def test_first_live_match_wins(self, page):
+        first = page.insert(b"dup-a")
+        page.insert(b"dup-b")
+        assert page.find(b"dup") == first
+
+
+# Model of the layout's space accounting: the directory never shrinks
+# (slot numbers are stable), each slot costs 4 bytes, live records cost
+# their length, and a dead slot is reused before the directory grows.
+_DIRECTORY_AT = RESERVED_BYTES + 4
+_SLOT_BYTES = 4
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "update"]),
                           st.integers(0, 20),
-                          st.binary(max_size=60)),
+                          st.one_of(st.just(b""), st.binary(max_size=60))),
                 max_size=60))
 def test_random_operations_match_model(operations):
-    """The slotted page behaves like a dict from slot to payload."""
+    """The slotted page behaves like a dict from slot to payload, and its
+    space accounting matches a byte-exact model after every step."""
     page = SlottedPage.format(bytearray(PAGE_SIZE))
     model = {}
+    num_slots = 0
     for kind, key, payload in operations:
+        free = (PAGE_SIZE - _DIRECTORY_AT - _SLOT_BYTES * num_slots
+                - sum(map(len, model.values())))
+        dead = [slot for slot in range(num_slots) if slot not in model]
+        slot_cost = 0 if dead else _SLOT_BYTES
         if kind == "insert":
+            fits = len(payload) + slot_cost <= free
             try:
                 slot = page.insert(payload)
             except PageFullError:
+                assert not fits
                 continue
-            assert slot not in model
+            assert fits
+            assert slot == (dead[0] if dead else num_slots)
+            num_slots = max(num_slots, slot + 1)
             model[slot] = payload
         elif kind == "delete" and model:
             slot = sorted(model)[key % len(model)]
@@ -173,9 +225,20 @@ def test_random_operations_match_model(operations):
             del model[slot]
         elif kind == "update" and model:
             slot = sorted(model)[key % len(model)]
+            fits = len(payload) <= free + len(model[slot])
             try:
                 page.update(slot, payload)
             except PageFullError:
+                assert not fits
+                assert page.read(slot) == model[slot]
                 continue
+            assert fits
             model[slot] = payload
+        free = (PAGE_SIZE - _DIRECTORY_AT - _SLOT_BYTES * num_slots
+                - sum(map(len, model.values())))
+        has_dead = len(model) < num_slots
+        assert page.num_slots == num_slots
+        assert page.live_records() == len(model)
+        assert page.free_space() == max(
+            0, free - (0 if has_dead else _SLOT_BYTES))
     assert {slot: page.read(slot) for slot in page.iter_slots()} == model

@@ -211,6 +211,82 @@ class TestSeparatedSignature:
         disk.close()
 
 
+class TestSeparatedSplices:
+    """SEPARATED edits its version directory by splicing fixed-size
+    entries; every read must agree with CLUSTERED (which re-encodes the
+    whole history) across the boundary where the vdir starts to span."""
+
+    # 4 KiB pages hold 150 vdir entries unspanned; 160 versions give 159.
+    VERSIONS = 160
+
+    @staticmethod
+    def version(index, live=True, size=40):
+        return StoredVersion(index * 10, index * 10 + 10, live,
+                             bytes([index % 251]) * size)
+
+    @staticmethod
+    def assert_same(separated, clustered, atom_ids):
+        for atom_id in atom_ids:
+            assert separated.read_all(atom_id) == clustered.read_all(atom_id)
+            assert separated.read_live(atom_id) == clustered.read_live(atom_id)
+            seqs = range(separated.version_count(atom_id))
+            assert (separated.read_versions(atom_id, seqs)
+                    == clustered.read_versions(atom_id, seqs))
+        for at in (0, 5, 805, 1595, 10_000):
+            assert (separated.read_at_many(atom_ids, at)
+                    == clustered.read_at_many(atom_ids, at))
+
+    def test_spanned_vdir_splices_match_clustered(self, tmp_path):
+        disk = DiskManager(tmp_path / "splice.db")
+        pool = BufferManager(disk, capacity=256)
+        assert pool.page_size == 4096
+        separated = open_version_store(VersionStrategy.SEPARATED, pool)
+        clustered = open_version_store(VersionStrategy.CLUSTERED, pool)
+        atoms = [1, 2]
+        for index in range(self.VERSIONS):
+            for atom_id in atoms:
+                version = self.version(index, live=index % 7 != 3)
+                separated.append_version(atom_id, version)
+                clustered.append_version(atom_id, version)
+            if index in (0, 1, 149, 150, 151, self.VERSIONS - 1):
+                self.assert_same(separated, clustered, atoms)
+        # The history entries no longer fit one page: the vdir spans.
+        _cur, vdir_rid, _count, _env = separated._dir_entry(1)
+        assert len(separated._vdir.read(vdir_rid)) > separated._vdir.max_unspanned()
+        for seq in (0, 80, self.VERSIONS - 2):
+            edited = self.version(seq + 1000, live=seq != 80, size=70)
+            separated.replace_version(1, seq, edited)
+            clustered.replace_version(1, seq, edited)
+            self.assert_same(separated, clustered, atoms)
+        # Roll back across the span boundary (159 -> 140 history entries).
+        for _ in range(20):
+            separated.pop_version(1)
+            clustered.pop_version(1)
+            self.assert_same(separated, clustered, atoms)
+        _cur, vdir_rid, count, _env = separated._dir_entry(1)
+        assert count == self.VERSIONS - 20
+        assert len(separated._vdir.read(vdir_rid)) <= separated._vdir.max_unspanned()
+        disk.close()
+
+    def test_current_record_keeps_its_rid_across_appends(self, tmp_path):
+        disk = DiskManager(tmp_path / "rid.db")
+        pool = BufferManager(disk, capacity=64)
+        store = open_version_store(VersionStrategy.SEPARATED, pool)
+        # Fill the current segment's first page, so the atom under test
+        # lands on a later one; then free room on the first page, where a
+        # delete-and-reinsert would move the current record.
+        for atom_id in range(1, 41):
+            store.append_version(atom_id, self.version(0, size=200))
+        current_rid = store._dir_entry(40)[0]
+        assert current_rid.page_id != store._dir_entry(1)[0].page_id
+        store.delete_atom(1)
+        for index in range(1, 40):
+            store.append_version(40, self.version(index, size=200 + index))
+            assert store._dir_entry(40)[0] == current_rid
+        assert store.read_current(40) == (39, self.version(39, size=239))
+        disk.close()
+
+
 class TestClusteredSignature:
     """The clustered store rewrites the whole record per append."""
 
