@@ -34,7 +34,7 @@ def _build_crashed_dir(base, updates):
     churn = [op for op in ops if op[-1] > 0][:updates]
     ids = apply_to_database(db, setup)
     db.checkpoint()
-    wal_at_checkpoint = db.io_stats()["wal_bytes"]
+    wal_at_checkpoint = db.metrics.value("wal.bytes")
     txn = db.begin()
     in_txn = 0
     for _, handle, changes, at in churn:
@@ -45,7 +45,7 @@ def _build_crashed_dir(base, updates):
         txn.update(ids[handle], changes, valid_from=at)
         in_txn += 1
     txn.commit()
-    wal_bytes = db.io_stats()["wal_bytes"] - wal_at_checkpoint
+    wal_bytes = db.metrics.value("wal.bytes") - wal_at_checkpoint
     operations = len(churn)
     db._wal._file.flush()
     db._disk._file.flush()

@@ -1,24 +1,22 @@
-"""R-F6 — The set-oriented read path: batching, caching, parallelism.
+"""R-F6 — The set-oriented read path: batching and the history memo.
 
-Three questions, one per section:
+Two questions, one per section:
 
 1. **Page touches per molecule** — building through the batched
    ``version_at_many`` path must touch fewer buffer pages than the
-   atom-at-a-time baseline (a reader proxy that hides the batch methods),
-   for every storage strategy.  This is the CI gate: batching that stops
-   paying off fails the run.
+   atom-at-a-time baseline (a reader whose batch methods loop over the
+   engine's per-atom ``version_at`` / ``all_versions``), for every
+   storage strategy.  This is the CI gate: batching that stops paying
+   off fails the run.
 2. **History reconstruction** — ``build_history``'s per-call boundary
-   memo must cut ``engine.versions_scanned`` versus the per-slice rescan
-   it replaced.
-3. **Parallel construction** — ``build_many(parallelism=N)`` over a
-   40-root workload must return exactly the serial result in the same
-   order; wall-clock per thread count is recorded.  (On a single-core
-   host under the GIL, CPU-bound construction does not speed up — the
-   row exists to record the honest number, not to flatter it.)
+   memo must read each consulted atom's history at most once per call,
+   however many slices the sweep builds (an absolute count gate).
 
 Decode caches are cleared before each measured run so page touches
 reflect the read path itself, not residue from a previous measurement.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -32,13 +30,11 @@ from benchmarks._util import (
 )
 from repro import MoleculeType
 from repro.core.builder import MoleculeBuilder
-from repro.workloads import WorkloadSpec, fanout_spec
-
-PARALLELISMS = [1, 2, 4, 8]
+from repro.workloads import fanout_spec
 
 
 class _UnbatchedReader:
-    """Engine facade without the batch methods: the atom-at-a-time path."""
+    """The atom-at-a-time path: one engine read per atom."""
 
     def __init__(self, engine):
         self._engine = engine
@@ -46,16 +42,37 @@ class _UnbatchedReader:
     def atom_type_name(self, atom_id):
         return self._engine.atom_type_name(atom_id)
 
-    def version_at(self, atom_id, at, tt=None):
-        return self._engine.version_at(atom_id, at, tt)
+    def version_at_many(self, atom_ids, at, tt=None):
+        return {atom_id: self._engine.version_at(atom_id, at, tt)
+                for atom_id in dict.fromkeys(atom_ids)}
 
-    def all_versions(self, atom_id):
-        return self._engine.all_versions(atom_id)
+    def all_versions_many(self, atom_ids):
+        return {atom_id: self._engine.all_versions(atom_id)
+                for atom_id in dict.fromkeys(atom_ids)}
+
+
+class _HistoryCountingReader:
+    """The engine, counting how often each atom's history is requested."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.history_reads = Counter()
+
+    def atom_type_name(self, atom_id):
+        return self._engine.atom_type_name(atom_id)
+
+    def version_at_many(self, atom_ids, at, tt=None):
+        return self._engine.version_at_many(atom_ids, at, tt)
+
+    def all_versions_many(self, atom_ids):
+        ids = list(dict.fromkeys(atom_ids))
+        self.history_reads.update(ids)
+        return self._engine.all_versions_many(ids)
 
 
 def test_f6_report_header(benchmark, capsys):
     header(capsys, "R-F6",
-           "batched fetch vs atom-at-a-time, cached decode, parallelism")
+           "batched fetch vs atom-at-a-time, history memo")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -130,15 +147,7 @@ def test_f6_history_memo(benchmark, capsys, databases, strategy):
     window = Interval(0, 8)
 
     def memoized():
-        db.builder.history_memo_enabled = True
         return db.builder.build_history(part, mtype, window)
-
-    def rescanning():
-        db.builder.history_memo_enabled = False
-        try:
-            return db.builder.build_history(part, mtype, window)
-        finally:
-            db.builder.history_memo_enabled = True
 
     states = benchmark(memoized)
 
@@ -146,48 +155,18 @@ def test_f6_history_memo(benchmark, capsys, databases, strategy):
     memoized()
     memo_scans = db.metrics.value("engine.versions_scanned") - before
 
-    before = db.metrics.value("engine.versions_scanned")
-    baseline = rescanning()
-    rescan_scans = db.metrics.value("engine.versions_scanned") - before
-
-    assert [str(span) for span, _ in states] == [
-        str(span) for span, _ in baseline]
+    counting = _HistoryCountingReader(db.engine)
+    counted = MoleculeBuilder(counting, db.metrics).build_history(
+        part, mtype, window)
+    assert [str(span) for span, _ in counted] == [
+        str(span) for span, _ in states]
+    reads = counting.history_reads
     emit(capsys,
          f"R-F6 | {strategy.value:>9} | history states={len(states):>2} | "
-         f"versions_scanned memo={memo_scans:>5} rescan={rescan_scans:>5}")
-    assert memo_scans <= rescan_scans
-
-
-# -- 3: parallel build_many ---------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def wide_db(tmp_path_factory):
-    path = tmp_path_factory.mktemp("f6wide") / "db"
-    spec = WorkloadSpec(parts=48, fanout=8, suppliers=8,
-                        versions_per_atom=2, seed=6, share_components=False)
-    db, ids, groups = build_db(str(path), spec, buffer_pages=2048)
-    yield db, [ids[handle] for handle in groups["Part"]]
-    db.close()
-
-
-@pytest.mark.parametrize("parallelism", PARALLELISMS)
-def test_f6_parallel_build_many(benchmark, capsys, wide_db, parallelism):
-    db, roots = wide_db
-    mtype = MoleculeType.parse(
-        "Part.contains.Component.supplied_by.Supplier", db.schema)
-    serial = db.builder.build_many(roots, mtype, 1)
-
-    def run():
-        return db.builder.build_many(roots, mtype, 1,
-                                     parallelism=parallelism)
-
-    molecules = benchmark(run)
-    assert [m.root.atom_id for m in molecules] == [
-        m.root.atom_id for m in serial]
-    for mine, theirs in zip(molecules, serial):
-        assert mine.same_composition_as(theirs)
-    mean_ms = benchmark.stats.stats.mean * 1000
-    emit(capsys,
-         f"R-F6 | parallel | roots={len(roots):>3} threads={parallelism} | "
-         f"mean={mean_ms:8.2f} ms | identical_to_serial=yes")
+         f"versions_scanned memo={memo_scans:>5} | "
+         f"history reads={sum(reads.values()):>3} "
+         f"atoms={len(reads):>3}")
+    # The CI gate: one sweep reads each consulted atom's history once.
+    assert reads and max(reads.values()) == 1, (
+        f"{strategy.value}: build_history re-read histories "
+        f"{sorted(atom for atom, n in reads.items() if n > 1)}")

@@ -36,7 +36,6 @@ Quick start::
 
 from repro.core.database import DatabaseConfig, TemporalDatabase
 from repro.core.datatypes import DataType
-from repro.core.diff import MoleculeDiff, diff_molecules
 from repro.core.molecule import Molecule, MoleculeEdge, MoleculeType
 from repro.core.schema import AtomType, Attribute, Cardinality, LinkType, Schema
 from repro.core.version import Version
@@ -51,8 +50,6 @@ __all__ = [
     "DatabaseConfig",
     "TemporalDatabase",
     "DataType",
-    "MoleculeDiff",
-    "diff_molecules",
     "Molecule",
     "MoleculeEdge",
     "MoleculeType",

@@ -12,8 +12,7 @@ Expansion is *level-at-a-time*: instead of probing the reader once per
 child, each BFS depth level gathers every child id discovered across the
 whole frontier (all roots of a batch included) and issues one set-oriented
 ``version_at_many`` call, which the storage layer answers with grouped
-page accesses.  Readers that lack the batch API (simple oracles, test
-doubles) are served by a per-atom fallback with identical semantics.
+page accesses.
 
 For interval (``VALID DURING``) queries the builder runs an event sweep:
 build the slice at the window start, find the earliest valid-time boundary
@@ -29,35 +28,37 @@ construction logic serves the on-disk engine and the in-memory oracle.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
 
 from repro.core import history as hist
 from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
 from repro.core.version import Version
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, UnknownAtomError
 from repro.obs import MetricsRegistry
 from repro.temporal import FOREVER, Interval, Timestamp
 
 
 class VersionReader(Protocol):
-    """What the builder needs from an engine: per-atom version access.
+    """What the builder needs from an engine: set-oriented version access.
 
-    Readers *may* additionally provide the set-oriented
-    ``version_at_many(atom_ids, at, tt)`` and ``all_versions_many(atom_ids)``
-    of :class:`~repro.core.engine.StorageEngine`; the builder detects them
-    and batches every expansion level through them when present.
+    :class:`~repro.core.engine.StorageEngine` additionally accepts the
+    ``pred`` / ``projection`` keywords of its pushdown; the builder
+    passes them only when a caller compiled them against the engine.
     """
 
     def atom_type_name(self, atom_id: int) -> str:
         """The atom's type name (atoms never change type)."""
 
-    def version_at(self, atom_id: int, at: Timestamp,
-                   tt: Optional[Timestamp] = None) -> Optional[Version]:
-        """The version valid at *at* as believed at *tt* (None = now)."""
+    def version_at_many(self, atom_ids: Iterable[int], at: Timestamp,
+                        tt: Optional[Timestamp] = None
+                        ) -> Dict[int, Optional[Version]]:
+        """The version of each distinct atom valid at *at* as believed
+        at *tt* (None = now); unknown atoms map to ``None``."""
 
-    def all_versions(self, atom_id: int) -> List[Version]:
-        """The full recorded history of the atom, in sequence order."""
+    def all_versions_many(self, atom_ids: Iterable[int]
+                          ) -> Dict[int, List[Version]]:
+        """The full recorded history of each known atom, in sequence
+        order; unknown atoms are omitted."""
 
 
 # One pending child expansion: the parent's children list to append to,
@@ -81,11 +82,7 @@ class MoleculeBuilder:
         self._c_atoms = metrics.counter("builder.atoms_expanded")
         self._c_slices = metrics.counter("builder.slices")
         self._c_boundary_scans = metrics.counter("builder.boundary_scans")
-        self._c_parallel = metrics.counter("builder.parallel_builds")
         self._h_batch = metrics.histogram("builder.batch_size")
-        #: History sweeps memoize per-atom boundary points by default;
-        #: benchmarks flip this off to measure the per-slice rescan cost.
-        self.history_memo_enabled = True
 
     # -- set-oriented fetch ----------------------------------------------------
 
@@ -95,24 +92,17 @@ class MoleculeBuilder:
                     ) -> Dict[int, Optional[Version]]:
         """One version fetch for a whole frontier level.
 
-        Uses the reader's batch API when it has one; otherwise falls back
-        to per-atom ``version_at`` calls with identical results.  The
-        pushdown arguments are forwarded only to readers that advertise
-        ``supports_pushdown`` (the real engine); protocol-only readers
-        keep seeing the original call shape.
+        The pushdown arguments are forwarded only when set, so readers
+        implementing the bare protocol see the plain call shape.
         """
         ids = list(dict.fromkeys(atom_ids))
         if not ids:
             return {}
         self._h_batch.observe(len(ids))
-        fetch = getattr(self._reader, "version_at_many", None)
-        if fetch is not None:
-            if ((pred is not None or projection is not None)
-                    and getattr(self._reader, "supports_pushdown", False)):
-                return fetch(ids, at, tt, pred=pred, projection=projection)
-            return fetch(ids, at, tt)
-        return {atom_id: self._reader.version_at(atom_id, at, tt)
-                for atom_id in ids}
+        if pred is None and projection is None:
+            return self._reader.version_at_many(ids, at, tt)
+        return self._reader.version_at_many(ids, at, tt, pred=pred,
+                                            projection=projection)
 
     # -- time-slice construction ---------------------------------------------
 
@@ -128,17 +118,14 @@ class MoleculeBuilder:
 
     def build_many(self, root_ids: Iterable[int], mtype: MoleculeType,
                    at: Timestamp, tt: Optional[Timestamp] = None,
-                   parallelism: int = 1,
                    root_pred=None, projection=None) -> List[Molecule]:
         """Molecules for every root id that is valid at the instant.
 
         Duplicate root ids are built once (first occurrence wins the
         position).  All roots are grown level-at-a-time sharing one
-        version batch per level.  With ``parallelism > 1`` the roots are
-        fanned across a thread pool; results are returned in input order
-        regardless of scheduling, so every mode yields the identical
-        list.  The caller must hold the facade's read latch (or otherwise
-        guarantee no concurrent mutation) for the duration of the call.
+        version batch per level.  The caller must hold the facade's read
+        latch (or otherwise guarantee no concurrent mutation) for the
+        duration of the call.
 
         *root_pred* (a compiled payload predicate) applies to the root
         fetch only — a root whose version at the instant fails it builds
@@ -149,24 +136,7 @@ class MoleculeBuilder:
         ids = list(dict.fromkeys(root_ids))
         if not ids:
             return []
-        if parallelism <= 1 or len(ids) == 1:
-            built = self._build_forest(ids, mtype, at, tt,
-                                       root_pred, projection)
-        else:
-            self._c_parallel.inc()
-            workers = min(parallelism, len(ids))
-            # Round-robin striping balances skewed molecule sizes better
-            # than contiguous chunks; order is restored below.
-            chunks = [ids[offset::workers] for offset in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(self._build_forest, chunk, mtype,
-                                       at, tt, root_pred, projection)
-                           for chunk in chunks]
-                by_root: Dict[int, Optional[Molecule]] = {}
-                for chunk, future in zip(chunks, futures):
-                    for root_id, (molecule, _) in zip(chunk, future.result()):
-                        by_root[root_id] = molecule
-            built = [(by_root[root_id], set()) for root_id in ids]
+        built = self._build_forest(ids, mtype, at, tt, root_pred, projection)
         return [molecule for molecule, _ in built if molecule is not None]
 
     def _build_collect(self, root_id: int, mtype: MoleculeType,
@@ -265,8 +235,7 @@ class MoleculeBuilder:
         """
         states: List[Tuple[Interval, Molecule]] = []
         at = window.start
-        memo: Optional[Dict[int, List[Timestamp]]] = (
-            {} if self.history_memo_enabled else None)
+        memo: Dict[int, List[Timestamp]] = {}
         while at < window.end:
             molecule, consulted = self._build_collect(root_id, mtype, at, tt)
             next_at = self._next_boundary(consulted, at, tt, memo)
@@ -296,36 +265,26 @@ class MoleculeBuilder:
 
     def _next_boundary(self, atom_ids: Set[int], after: Timestamp,
                        tt: Optional[Timestamp],
-                       memo: Optional[Dict[int, List[Timestamp]]] = None
-                       ) -> Timestamp:
+                       memo: Dict[int, List[Timestamp]]) -> Timestamp:
         """Earliest valid-time boundary after *after* among the atoms.
 
-        With a *memo* (one dict per ``build_history`` call), each atom's
-        history is read and decoded once for the whole sweep — missing
-        atoms are filled through one batched ``all_versions_many`` when
-        the reader offers it.
+        The *memo* (one dict per ``build_history`` call) keeps each
+        atom's boundary points, so the sweep reads and decodes every
+        history once: atoms not yet in it are read through one batched
+        ``all_versions_many``.
         """
         self._c_boundary_scans.inc()
-        if memo is not None:
-            missing = [atom_id for atom_id in atom_ids
-                       if atom_id not in memo]
-            if missing:
-                batch = getattr(self._reader, "all_versions_many", None)
-                histories = batch(missing) if batch is not None else {}
-                for atom_id in missing:
-                    versions = histories.get(atom_id)
-                    if versions is None:
-                        # Per-atom read: raises UnknownAtomError for
-                        # vanished atoms exactly like the unmemoized path.
-                        versions = self._reader.all_versions(atom_id)
-                    memo[atom_id] = self._boundary_points(versions, tt)
+        missing = [atom_id for atom_id in atom_ids if atom_id not in memo]
+        if missing:
+            histories = self._reader.all_versions_many(missing)
+            for atom_id in missing:
+                versions = histories.get(atom_id)
+                if versions is None:
+                    raise UnknownAtomError(f"no atom {atom_id}")
+                memo[atom_id] = self._boundary_points(versions, tt)
         boundary = FOREVER
         for atom_id in atom_ids:
-            if memo is not None:
-                points = memo[atom_id]
-            else:
-                points = self._boundary_points(
-                    self._reader.all_versions(atom_id), tt)
+            points = memo[atom_id]
             position = bisect_right(points, after)
             if position < len(points) and points[position] < boundary:
                 boundary = points[position]

@@ -5,7 +5,8 @@ A database lives in one directory::
     <path>/pages.db        the page file
     <path>/catalog.json    the persistent catalog (schema, segments, ...)
     <path>/wal.log         the write-ahead log
-    <path>/*.ckpt          checkpoint copies of page file and catalog
+    <path>/ckpt.manifest   names the current checkpoint generation
+    <path>/*.ckpt.<gen>    that generation's page-file and catalog copies
 
 Typical use::
 
@@ -107,9 +108,6 @@ class DatabaseConfig:
     * ``"none"`` — commits are acknowledged without forcing (or even
       flushing) the log; a crash may silently lose them.  Benchmarks
       and recoverable bulk loads only.
-
-    ``sync_commits`` is the deprecated boolean spelling of the same
-    knob; when given it overrides ``durability``.
     """
 
     strategy: VersionStrategy = VersionStrategy.SEPARATED
@@ -120,11 +118,8 @@ class DatabaseConfig:
     group_commit: bool = True
     lock_timeout: float = 10.0
     decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES
-    sync_commits: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.sync_commits is not None:
-            self.durability = "sync" if self.sync_commits else "none"
         if self.durability not in DURABILITY_MODES:
             raise ValueError(
                 f"durability must be one of {DURABILITY_MODES}, "
@@ -508,21 +503,16 @@ class TemporalDatabase:
 
     def molecules_at(self, root_ids: List[int],
                      molecule_type: "str | MoleculeType",
-                     at: Timestamp, tt: Optional[Timestamp] = None,
-                     parallelism: int = 1) -> List[Molecule]:
+                     at: Timestamp, tt: Optional[Timestamp] = None
+                     ) -> List[Molecule]:
         """Build molecules for many roots in one set-oriented pass.
 
         Duplicate root ids are built once; results come back in input
-        order, with roots invalid at the instant dropped.  With
-        ``parallelism > 1`` the roots are fanned across a thread pool —
-        the whole call holds the shared-read latch, so every worker sees
-        the same consistent snapshot, and the result is deterministic
-        and identical to the single-threaded mode.
+        order, with roots invalid at the instant dropped.
         """
         mtype = self._resolve_molecule_type(molecule_type)
         with self._read_view():
-            return self.builder.build_many(root_ids, mtype, at, tt,
-                                           parallelism=parallelism)
+            return self.builder.build_many(root_ids, mtype, at, tt)
 
     def _resolve_molecule_type(
             self, molecule_type: "str | MoleculeType") -> MoleculeType:
@@ -755,34 +745,6 @@ class TemporalDatabase:
 
     def storage_stats(self) -> StorageStats:
         return self.store.stats()
-
-    def io_stats(self) -> Dict[str, Any]:
-        """Physical and buffer I/O counters plus log volume.
-
-        .. deprecated:: retained as a thin view over the metrics
-           registry (``db.metrics``); prefer :meth:`metrics_snapshot`
-           for the full per-layer breakdown.
-        """
-        metrics = self.metrics
-        return {
-            "disk_reads": metrics.value("disk.reads"),
-            "disk_writes": metrics.value("disk.writes"),
-            "buffer_hits": metrics.value("buffer.hits"),
-            "buffer_misses": metrics.value("buffer.misses"),
-            "buffer_evictions": metrics.value("buffer.evictions"),
-            "wal_bytes": self._wal.size_bytes(),
-            "file_bytes": self._disk.data_bytes_on_disk(),
-        }
-
-    def reset_io_stats(self) -> None:
-        """Zero the disk and buffer counters.
-
-        .. deprecated:: equivalent to ``db.metrics.reset("disk.")`` plus
-           ``db.metrics.reset("buffer.")``; kept for the benchmark
-           harness and older callers.
-        """
-        self.metrics.reset("disk.")
-        self.metrics.reset("buffer.")
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """JSON-safe dump of every metric the kernel has recorded."""

@@ -77,7 +77,7 @@ from repro.errors import (
     UnknownAtomError,
     UnknownTypeError,
 )
-from repro.storage.strategies import StoredVersion, VersionStore
+from repro.storage.strategies import StoredVersion, VersionStore, iter_histories
 from repro.temporal import FOREVER, Interval, Timestamp
 
 _TYPE_PREFIX = struct.Struct("<H")
@@ -190,8 +190,7 @@ class DecodedVersionCache:
     *content* changes under ``replace_version``/``pop_version``, so the
     engine drops the whole atom on every mutation touch (including
     undo) and every external store rewrite (vacuum).  Thread-safe:
-    parallel molecule builders hit it concurrently under the facade's
-    shared-read latch.
+    concurrent queries hit it under the facade's shared-read latch.
     """
 
     def __init__(self, capacity_bytes: int, metrics) -> None:
@@ -333,11 +332,6 @@ class DecodedVersionCache:
 
 class StorageEngine:
     """Logical operations over one version store."""
-
-    #: The molecule builder probes this before passing pushdown kwargs,
-    #: so test doubles implementing the bare VersionReader protocol keep
-    #: working unchanged.
-    supports_pushdown = True
 
     def __init__(self, schema: Schema, store: VersionStore,
                  indexes: IndexManager,
@@ -512,13 +506,7 @@ class StorageEngine:
         hits_by_atom: Dict[int, List[Tuple[int, StoredVersion]]] = {}
         if len(cached) < len(ids):
             misses = [atom_id for atom_id in ids if atom_id not in cached]
-            if pred is None:
-                # Keep the two-argument call for stores implementing
-                # only the original protocol (test doubles, external
-                # backends).
-                hits_by_atom = self.store.read_at_many(misses, at)
-            else:
-                hits_by_atom = self.store.read_at_many(misses, at, pred)
+            hits_by_atom = self.store.read_at_many(misses, at, pred)
         for atom_id, history in cached.items():
             seq = history.live_at(at)
             if seq is None:
@@ -1122,8 +1110,9 @@ class StorageEngine:
         attribute = atom_type.attribute(attribute_name)
         name = self.indexes.create_attribute_index(
             type_name, attribute_name, attribute.data_type.key_width)
-        for atom_id in self.atoms_of_type(type_name):
-            for stored in self.store.read_all(atom_id):
+        for atom_id, history in iter_histories(
+                self.store, self.atoms_of_type(type_name)):
+            for stored in history:
                 _, version = self._decode(stored)
                 value = version.values.get(attribute_name)
                 if value is None:
@@ -1136,8 +1125,9 @@ class StorageEngine:
         """Create and backfill a valid-time (change) index."""
         self.schema.atom_type(type_name)
         name = self.indexes.create_vt_index(type_name)
-        for atom_id in self.atoms_of_type(type_name):
-            for stored in self.store.read_all(atom_id):
+        for atom_id, history in iter_histories(
+                self.store, self.atoms_of_type(type_name)):
+            for stored in history:
                 self.indexes.add_vt_entry(name, stored.vt_start, atom_id)
         return name
 

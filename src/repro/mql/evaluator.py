@@ -146,11 +146,9 @@ def execute_plan(db, query_plan: QueryPlan,
 def _execute(db, query_plan: QueryPlan, tracer) -> QueryResult:
     analyzed = query_plan.analyzed
     # Compile the plan's pushdown spec against the engine once per
-    # execution; engines without pushdown support (oracles, test
-    # doubles) silently run the legacy decode-then-filter path.
+    # execution.
     pred = projection = None
-    if (query_plan.pushdown is not None
-            and getattr(db.engine, "supports_pushdown", False)):
+    if query_plan.pushdown is not None:
         pred, projection = db.engine.compile_pushdown(query_plan.pushdown)
     with tracer.span("mql.execute", plan=query_plan.describe()) as top:
         with tracer.span("access",

@@ -136,8 +136,7 @@ def _produce(db, query_plan, roots: List[int], chunk_entries: int,
         return _project(analyzed, entries)
 
     def compiled_pushdown():
-        if (query_plan.pushdown is not None
-                and getattr(db.engine, "supports_pushdown", False)):
+        if query_plan.pushdown is not None:
             return db.engine.compile_pushdown(query_plan.pushdown)
         return None, None
 

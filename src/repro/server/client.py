@@ -12,7 +12,7 @@ transaction — a retried frame inside a transaction could double-apply a
 mutation; the right unit of retry there is the whole transaction, which
 belongs to the caller.
 
-Trace propagation (protocol v2): unless ``trace_context=False``, every
+Trace propagation: unless ``trace_context=False``, every
 request frame carries a fresh ``trace`` object (``trace_id`` plus the
 client span's ``span_id``), so the server's spans, slow-query events,
 and ERROR frames correlate with this client's requests.
@@ -196,7 +196,7 @@ class DatabaseClient:
                                 body.get("message", ""),
                                 transient=bool(body.get("transient")))
             # The server echoes the request's trace id into the ERROR
-            # frame (protocol v2) so a failure is greppable in the
+            # frame so a failure is greppable in the
             # server's slow-query/event logs.
             error.trace_id = body.get("trace_id")
             raise error
@@ -359,8 +359,8 @@ class DatabaseClient:
         Returns a :class:`ResultCursor` that pulls the result in chunks
         of at most *chunk_entries* entries, so neither side ever
         materializes the whole result (or needs it to fit one wire
-        frame).  Requires protocol v3; iterate the cursor for entry
-        dicts, or use ``chunks()`` for whole batches.
+        frame).  Iterate the cursor for entry dicts, or use ``chunks()``
+        for whole batches.
         """
         payload: Dict[str, Any] = {"text": text,
                                    "stream": {"chunk_entries":

@@ -19,28 +19,25 @@ in-process oracle byte for byte.
 
 A connection opens with a handshake: the client sends a HELLO frame
 whose payload carries the magic and protocol version; the server
-answers RESULT with the negotiated version (or ERROR, then closes, on a
-version it does not speak).  Everything after the handshake is
+answers RESULT echoing the version (or ERROR naming the version it
+speaks, then closes, on any other).  Everything after the handshake is
 request/response: every request frame gets exactly one RESULT or ERROR
 frame with the same ``request_id``.
 
-Protocol version history:
+The protocol is at version 3, the only version the server speaks.
+Beyond the request/response opcodes, version 3 carries:
 
-* **1** — the original frame set (QUERY ... CLOSE).
-* **2** — adds the ``STATS`` opcode and an optional ``trace`` object in
-  request payloads (``{"trace": {"trace_id": ..., "span_id": ...}}``)
-  carrying the client's trace context, so the server's spans, slow-query
-  events, and ERROR frames correlate with the client's.  Version-1
-  clients are still accepted: the ``trace`` key is simply absent and
-  STATS is never sent.
-* **3** — adds streaming cursors: a ``QUERY`` whose payload carries a
-  ``stream`` object answers with a cursor handle instead of entries,
-  the ``FETCH`` opcode pulls one bounded chunk of entries per
-  round-trip, and ``CLOSE_CURSOR`` releases a cursor early (exhausted
-  cursors close themselves).  Results too large for one frame fail with
-  a structured ``ResultTooLargeError`` pointing at cursors.  Version-1
-  and -2 clients never send ``stream``/FETCH and see byte-identical
-  behaviour.
+* the ``STATS`` opcode;
+* an optional ``trace`` object in request payloads
+  (``{"trace": {"trace_id": ..., "span_id": ...}}``) carrying the
+  client's trace context, so the server's spans, slow-query events, and
+  ERROR frames correlate with the client's;
+* streaming cursors: a ``QUERY`` whose payload carries a ``stream``
+  object answers with a cursor handle instead of entries, the ``FETCH``
+  opcode pulls one bounded chunk of entries per round-trip, and
+  ``CLOSE_CURSOR`` releases a cursor early (exhausted cursors close
+  themselves).  Results too large for one frame fail with a structured
+  ``ResultTooLargeError`` pointing at cursors.
 
 Within version 3 the ``WAL_STREAM`` opcode was added for log-shipping
 replication (see ``docs/replication.md``): a replica long-polls batches
@@ -69,15 +66,11 @@ from repro.errors import ConnectionClosedError, ProtocolError
 #: Protocol magic, sent in the HELLO payload.
 PROTOCOL_MAGIC = "tmad"
 
-#: Wire protocol version; bumped on any frame-level change.  The server
-#: accepts every version in :data:`SUPPORTED_PROTOCOL_VERSIONS` and the
-#: handshake response carries the negotiated (client's) version.
+#: Wire protocol version; bumped on any frame-level change.
 PROTOCOL_VERSION = 3
 
-#: Versions the server still speaks.  Version 1 lacks trace context and
-#: the STATS opcode; version 2 lacks streaming cursors; both are
-#: otherwise identical.
-SUPPORTED_PROTOCOL_VERSIONS = frozenset((1, 2, 3))
+#: Versions the server speaks; a HELLO naming any other is refused.
+SUPPORTED_PROTOCOL_VERSIONS = frozenset((PROTOCOL_VERSION,))
 
 #: Hard cap on a frame's ``length`` field.  Larger prefixes are treated
 #: as corruption (or abuse) and fail fast without allocating.

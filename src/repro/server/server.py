@@ -30,7 +30,7 @@ freed slot wakes the loop through ``on_slot_freed``; a parked request
 past its deadline gets a transient ERROR.  The queue bound and shed
 behaviour are unchanged from the threaded server.
 
-Streaming cursors (protocol v3): a QUERY whose payload carries a
+Streaming cursors: a QUERY whose payload carries a
 ``stream`` object opens a server-side cursor over the chunked
 execution path (:mod:`repro.mql.stream`) and answers with a handle;
 each FETCH materializes exactly one chunk of entries — the server
@@ -44,7 +44,7 @@ executing requests finish and their responses flush, rolls back
 whatever transactions remained open, and checkpoints the database so a
 subsequent open needs no recovery.
 
-Observability: requests carrying a protocol-v2+ ``trace`` object are
+Observability: requests carrying a ``trace`` object are
 served under the client's trace context — the server's spans,
 slow-query events, and ERROR frames all carry the client's
 ``trace_id``.  Handshakes are timed into their own
@@ -86,7 +86,6 @@ from repro.server.http_sidecar import MetricsSidecar
 from repro.temporal import FOREVER
 from repro.server.protocol import (
     PROTOCOL_MAGIC,
-    PROTOCOL_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
     Frame,
     FrameAssembler,
@@ -226,7 +225,6 @@ class Session:
         self.id = session_id
         self.conn = conn
         self.peer = peer
-        self.protocol = PROTOCOL_VERSION  # negotiated in the handshake
         self.txn = None  # TransactionContext while a txn is open
         self.last_active = time.monotonic()
         self.closing = False
@@ -871,25 +869,20 @@ class DatabaseServer:
                 f"unsupported protocol version {version!r}; server "
                 f"speaks {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"))
             return False
-        # Negotiation: answer with the *client's* version, so an old
-        # client sees exactly the protocol it asked for and a new one
-        # learns the server understood v3 (streaming cursors).
-        session.protocol = version
         body = {
             "magic": PROTOCOL_MAGIC,
             "protocol": version,
             "server": "repro",
             "session_id": session.id,
             "schema": self.db.schema.name,
+            # Capability advertisement: the role tells a pool it is
+            # talking to a replica, and the replication block carries
+            # the watermarks routing needs.
+            "role": ("replica" if self.replication is not None
+                     else "primary"),
         }
-        if version >= 3:
-            # Capability advertisement (added keys, no version bump):
-            # the role tells a pool it is talking to a replica, and the
-            # replication block carries the watermarks routing needs.
-            body["role"] = ("replica" if self.replication is not None
-                            else "primary")
-            if self.replication is not None:
-                body["replication"] = self.replication.status()
+        if self.replication is not None:
+            body["replication"] = self.replication.status()
         self._queue_result(session, frame.request_id, body)
         return True
 
@@ -975,7 +968,7 @@ class DatabaseServer:
             pong: Dict[str, Any] = {
                 "pong": True,
                 "admission": self.admission.snapshot()}
-            if self.replication is not None and session.protocol >= 3:
+            if self.replication is not None:
                 # Replica watermarks ride on PING so a routing pool can
                 # refresh them with the cheapest possible round-trip.
                 pong["replication"] = self.replication.status()
@@ -1108,10 +1101,10 @@ class DatabaseServer:
         The server opens its own capture so the profile shows the whole
         request — a ``server.request`` root wrapping the kernel's
         ``mql.execute`` tree — rather than only the query internals.
-        When the request carries trace context (protocol v2+), the
-        capture joins the *client's* trace: every server span gets the
-        client's ``trace_id`` and the root parents onto the client's
-        span id, so the client can stitch both processes into one tree.
+        When the request carries trace context, the capture joins the
+        *client's* trace: every server span gets the client's
+        ``trace_id`` and the root parents onto the client's span id, so
+        the client can stitch both processes into one tree.
         """
         db = self.db
         with db.tracer.capture(trace_id=trace_id or new_trace_id(),
@@ -1181,10 +1174,6 @@ class DatabaseServer:
     def _handle_open_cursor(self, session: Session, request_id: int,
                             payload: Dict[str, Any]
                             ) -> Tuple[List[bytes], bool]:
-        if session.protocol < 3:
-            raise ProtocolError(
-                f"streaming cursors need protocol version >= 3 "
-                f"(session negotiated {session.protocol})")
         spec = payload.get("stream")
         chunk_entries = 0
         if spec is True:
@@ -1222,10 +1211,6 @@ class DatabaseServer:
 
     def _handle_fetch(self, session: Session, request_id: int,
                       payload: Dict[str, Any]) -> Tuple[List[bytes], bool]:
-        if session.protocol < 3:
-            raise ProtocolError(
-                f"FETCH needs protocol version >= 3 "
-                f"(session negotiated {session.protocol})")
         cursor = self._find_cursor(session, payload)
         try:
             chunk = next(cursor.chunks, None)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError, UnknownAtomError
@@ -128,14 +129,19 @@ class VersionStore:
         raise NotImplementedError
 
     # -- reads ------------------------------------------------------------------
-
-    def read_all(self, atom_id: int) -> List[StoredVersion]:
-        raise NotImplementedError
-
-    def read_at(self, atom_id: int, at: int) -> List[Tuple[int, StoredVersion]]:
-        """Live versions whose valid time contains *at* (at most one when
-        the engine's disjointness invariant holds)."""
-        raise NotImplementedError
+    #
+    # The write path reads one atom at a time (``read_current``,
+    # ``read_live``, ``read_versions``, ``version_count``); every other
+    # read is set-oriented: one call answers many atoms, so a strategy
+    # sorts its directory probes and pins every touched page once per
+    # batch rather than once per atom.
+    #
+    # The optional *pred* of ``read_at_many`` is a pushed-down payload
+    # predicate (from :meth:`StorageEngine.compile_pushdown`): hits
+    # failing it are dropped and counted on the
+    # ``engine.pushdown.skipped`` counter, so the engine never decodes
+    # them.  ``read_all_many`` takes none: whole histories are cached
+    # above the store, and the engine filters them there.
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         """The newest (highest-sequence) version."""
@@ -145,13 +151,9 @@ class VersionStore:
         """All live versions with their sequence numbers, in seq order.
 
         Revision planning only touches live versions, so this is the
-        write path's read: a strategy that can locate the live set
-        without materialising the closed majority (SEPARATED's dense
-        current segment plus envelope-only version directory) should
-        override the full-history fallback.
+        write path's read.
         """
-        return [(seq, sv) for seq, sv in enumerate(self.read_all(atom_id))
-                if sv.live]
+        raise NotImplementedError
 
     def read_versions(self, atom_id: int,
                       seqs: Iterable[int]) -> Dict[int, StoredVersion]:
@@ -160,28 +162,7 @@ class VersionStore:
         Used to capture pre-images for undo without re-reading the whole
         history; *seqs* outside the atom raise :class:`StorageError`.
         """
-        wanted = set(seqs)
-        versions = self.read_all(atom_id)
-        missing = [seq for seq in wanted
-                   if not (0 <= seq < len(versions))]
-        if missing:
-            raise StorageError(
-                f"atom {atom_id} has no version {missing[0]}")
-        return {seq: versions[seq] for seq in wanted}
-
-    # -- batched reads ---------------------------------------------------------
-    #
-    # The set-oriented entry points: one call answers many atoms, so a
-    # strategy can sort its directory probes and pin every touched page
-    # once per batch rather than once per atom.  The generic fallbacks
-    # below just loop; each strategy overrides them with a grouped plan.
-    #
-    # The optional *pred* of ``read_at_many`` is a pushed-down payload
-    # predicate (from :meth:`StorageEngine.compile_pushdown`): hits
-    # failing it are dropped and counted on the
-    # ``engine.pushdown.skipped`` counter, so the engine never decodes
-    # them.  ``read_all_many`` takes none: whole histories are cached
-    # above the store, and the engine filters them there.
+        raise NotImplementedError
 
     #: Bound to the real ``engine.pushdown.skipped`` counter by stores
     #: wired to a metrics registry; ``None`` keeps the accounting a
@@ -195,40 +176,20 @@ class VersionStore:
     def read_at_many(self, atom_ids: Iterable[int], at: int,
                      pred: Optional[Callable[[bytes], bool]] = None
                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        """Batched :meth:`read_at`.
+        """Live versions whose valid time contains *at* (at most one per
+        atom when the engine's disjointness invariant holds), as
+        ``{atom_id: [(seq, version)]}``.
 
-        Returns ``{atom_id: hits}`` with every distinct requested id
-        present; atoms not in the store map to an empty hit list instead
-        of raising.
+        Every distinct requested id is present; atoms not in the store
+        map to an empty hit list instead of raising.
         """
-        result: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        for atom_id in atom_ids:
-            if atom_id in result:
-                continue
-            try:
-                hits = self.read_at(atom_id, at)
-            except UnknownAtomError:
-                result[atom_id] = []
-                continue
-            if pred is not None:
-                kept = [(seq, sv) for seq, sv in hits if pred(sv.payload)]
-                self._note_skips(len(hits) - len(kept))
-                hits = kept
-            result[atom_id] = hits
-        return result
+        raise NotImplementedError
 
     def read_all_many(self, atom_ids: Iterable[int]
                       ) -> Dict[int, List[StoredVersion]]:
-        """Batched :meth:`read_all`; atoms not in the store are omitted."""
-        result: Dict[int, List[StoredVersion]] = {}
-        for atom_id in atom_ids:
-            if atom_id in result:
-                continue
-            try:
-                result[atom_id] = list(self.read_all(atom_id))
-            except UnknownAtomError:
-                continue
-        return result
+        """The full histories, in sequence order, of the known atoms
+        among *atom_ids*; atoms not in the store are omitted."""
+        raise NotImplementedError
 
     def version_count(self, atom_id: int) -> int:
         raise NotImplementedError
@@ -239,10 +200,6 @@ class VersionStore:
     def atom_ids(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def scan_all(self) -> Iterator[Tuple[int, List[StoredVersion]]]:
-        for atom_id in list(self.atom_ids()):
-            yield atom_id, self.read_all(atom_id)
-
     # -- maintenance ----------------------------------------------------------------
 
     def stats(self) -> StorageStats:
@@ -251,6 +208,27 @@ class VersionStore:
     def persist_state(self) -> Dict[str, List[int]]:
         """Page lists to store in the catalog, keyed by component name."""
         raise NotImplementedError
+
+
+#: Atoms per ``read_all_many`` call when a maintenance pass walks many
+#: atoms (index backfills, vacuum), so peak memory stays bounded however
+#: large the store grows.
+HISTORY_CHUNK_ATOMS = 256
+
+
+def iter_histories(store: VersionStore, atom_ids: Iterable[int]
+                   ) -> Iterator[Tuple[int, List[StoredVersion]]]:
+    """``(atom_id, history)`` for the known atoms among *atom_ids*, in
+    input order, read ``HISTORY_CHUNK_ATOMS`` atoms per batch."""
+    pending = iter(atom_ids)
+    while True:
+        chunk = list(islice(pending, HISTORY_CHUNK_ATOMS))
+        if not chunk:
+            return
+        histories = store.read_all_many(chunk)
+        for atom_id in chunk:
+            if atom_id in histories:
+                yield atom_id, histories[atom_id]
 
 
 class _BaseStore(VersionStore):
@@ -395,17 +373,28 @@ class ClusteredStore(_BaseStore):
         self._segment.delete(rid)
         self._directory.delete(atom_id)
 
-    def read_all(self, atom_id: int) -> List[StoredVersion]:
+    def _history(self, atom_id: int) -> List[StoredVersion]:
         rid, _ = self._dir_entry(atom_id)
         return self._decode(self._segment.read(rid))
 
-    def read_at(self, atom_id: int, at: int) -> List[Tuple[int, StoredVersion]]:
-        return [(seq, sv) for seq, sv in enumerate(self.read_all(atom_id))
-                if sv.live and sv.contains(at)]
-
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
-        versions = self.read_all(atom_id)
+        versions = self._history(atom_id)
         return len(versions) - 1, versions[-1]
+
+    def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
+        return [(seq, sv) for seq, sv in enumerate(self._history(atom_id))
+                if sv.live]
+
+    def read_versions(self, atom_id: int,
+                      seqs: Iterable[int]) -> Dict[int, StoredVersion]:
+        wanted = set(seqs)
+        versions = self._history(atom_id)
+        missing = [seq for seq in wanted
+                   if not (0 <= seq < len(versions))]
+        if missing:
+            raise StorageError(
+                f"atom {atom_id} has no version {missing[0]}")
+        return {seq: versions[seq] for seq in wanted}
 
     def version_count(self, atom_id: int) -> int:
         return self._dir_entry(atom_id)[1]
@@ -432,9 +421,10 @@ class ClusteredStore(_BaseStore):
     def read_at_many(self, atom_ids: Iterable[int], at: int,
                      pred: Optional[Callable[[bytes], bool]] = None
                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        histories = self._records_many(atom_ids)
+        ids = list(dict.fromkeys(atom_ids))
+        histories = self._records_many(ids)
         result: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        for atom_id in dict.fromkeys(atom_ids):
+        for atom_id in ids:
             versions = histories.get(atom_id)
             if versions is None:
                 result[atom_id] = []
@@ -558,19 +548,11 @@ class ChainedStore(_BaseStore):
             self._segment.delete(rid)
         self._directory.delete(atom_id)
 
-    def read_all(self, atom_id: int) -> List[StoredVersion]:
-        newest_first = [sv for _, _, _, sv in self._walk(atom_id)]
-        newest_first.reverse()
-        return newest_first
-
-    def read_at(self, atom_id: int, at: int) -> List[Tuple[int, StoredVersion]]:
-        # Live versions are valid-time disjoint, so the first hit is the
-        # only hit and the walk can stop — the cost is proportional to the
-        # temporal distance of *at* from now (the strategy's signature).
-        for seq, _rid, _prev, sv in self._walk(atom_id):
-            if sv.live and sv.contains(at):
-                return [(seq, sv)]
-        return []
+    def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
+        live = [(seq, sv) for seq, _rid, _prev, sv in self._walk(atom_id)
+                if sv.live]
+        live.reverse()
+        return live
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         rid, count = self._dir_entry(atom_id)
@@ -620,7 +602,8 @@ class ChainedStore(_BaseStore):
     def read_at_many(self, atom_ids: Iterable[int], at: int,
                      pred: Optional[Callable[[bytes], bool]] = None
                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        frontier, missing = self._frontier(atom_ids)
+        ids = list(dict.fromkeys(atom_ids))
+        frontier, missing = self._frontier(ids)
         result: Dict[int, List[Tuple[int, StoredVersion]]] = {
             atom_id: [] for atom_id in missing}
         while frontier:
@@ -643,7 +626,7 @@ class ChainedStore(_BaseStore):
                 else:
                     result[atom_id] = []
             frontier = advanced
-        for atom_id in dict.fromkeys(atom_ids):
+        for atom_id in ids:
             result.setdefault(atom_id, [])
         return result
 
@@ -827,28 +810,6 @@ class SeparatedStore(_BaseStore):
             self._vdir.delete(vdir_rid)
         self._current.delete(current_rid)
         self._directory.delete(atom_id)
-
-    def read_all(self, atom_id: int) -> List[StoredVersion]:
-        current_rid, vdir_rid, _count, _env = self._dir_entry(atom_id)
-        versions = [self._decode_version(self._history.read(rid))
-                    for _, _, _, rid in self._read_vdir(vdir_rid)]
-        versions.append(self._decode_version(self._current.read(current_rid)))
-        return versions
-
-    def read_at(self, atom_id: int, at: int) -> List[Tuple[int, StoredVersion]]:
-        current_rid, vdir_rid, count, env = self._dir_entry(atom_id)
-        vt_start, vt_end, live = env
-        if live and vt_start <= at < vt_end:
-            # Answered from the directory entry alone: one record fetch.
-            return [(count - 1,
-                     self._decode_version(self._current.read(current_rid)))]
-        hits: List[Tuple[int, StoredVersion]] = []
-        for seq, (e_start, e_end, e_live, rid) in enumerate(
-                self._read_vdir(vdir_rid)):
-            if e_live and e_start <= at < e_end:
-                hits.append((seq,
-                             self._decode_version(self._history.read(rid))))
-        return hits
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         current_rid, _vdir, count, _env = self._dir_entry(atom_id)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.core.database import TemporalDatabase
 from repro.errors import TransactionStateError
+from repro.storage.strategies import iter_histories
 from repro.temporal import Timestamp
 
 
@@ -56,9 +57,9 @@ def vacuum_superseded(db: TemporalDatabase,
     report = VacuumReport()
     store = db.engine.store
     with db._state_latch.write():
-        for atom_id in list(store.atom_ids()):
+        for atom_id, stored_versions in iter_histories(
+                store, list(store.atom_ids())):
             report.atoms_visited += 1
-            stored_versions = store.read_all(atom_id)
             keep = [sv for sv, version
                     in zip(stored_versions,
                            (db.engine._decode(sv)[1]

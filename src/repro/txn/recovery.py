@@ -26,8 +26,8 @@ first staged as ``<file>.ckpt.<generation>`` and fsynced, then a small
 JSON manifest naming the complete generation is atomically renamed
 into place (``ckpt.manifest``).  A crash at any point mid-checkpoint
 leaves the manifest pointing at the previous, complete generation.
-The legacy per-file ``<file>.ckpt`` copies (pre-manifest databases)
-remain readable as a fallback.
+``create`` publishes the first generation, so every database that can
+need replay has a manifest; restoring without one is an error.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _fsync_directory(directory: str) -> None:
 
 
 def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
-    """The current checkpoint manifest, or ``None`` (legacy/fresh dir)."""
+    """The current checkpoint manifest, or ``None`` (fresh dir)."""
     path = os.path.join(directory, MANIFEST_FILE)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -131,17 +131,19 @@ def _cleanup_stale_generations(directory: str, current: int) -> None:
 
 
 def restore_checkpoint(directory: str, paths: List[str]) -> None:
-    """Overwrite *paths* with their copies from the current checkpoint.
+    """Overwrite *paths* with their copies from the current checkpoint
+    generation.
 
-    Prefers the manifest generation; falls back to legacy per-file
-    ``.ckpt`` twins for databases checkpointed before manifests existed.
+    Raises :class:`RecoveryError` before touching any file when the
+    directory has no manifest, or the manifest lacks one of *paths*.
     """
     manifest = read_manifest(directory)
     if manifest is None:
-        for path in paths:
-            checkpoint_restore(path)
-        return
+        raise RecoveryError(
+            f"cannot restore: no checkpoint manifest "
+            f"{os.path.join(directory, MANIFEST_FILE)}")
     files = manifest["files"]
+    sources = []
     for path in paths:
         base = os.path.basename(path)
         source_name = files.get(base)
@@ -151,27 +153,9 @@ def restore_checkpoint(directory: str, paths: List[str]) -> None:
         source = os.path.join(directory, source_name)
         if not os.path.exists(source):
             raise RecoveryError(f"missing checkpoint file {source}")
+        sources.append(source)
+    for source, path in zip(sources, paths):
         shutil.copyfile(source, path)
-
-
-def checkpoint_copy(path: str) -> None:
-    """Atomically snapshot *path* to its legacy checkpoint twin.
-
-    Retained for single-file callers and pre-manifest databases; new
-    checkpoints go through :func:`publish_checkpoint`, which snapshots
-    all checkpoint files as one atomic generation.
-    """
-    temp = path + CHECKPOINT_SUFFIX + ".tmp"
-    shutil.copyfile(path, temp)
-    os.replace(temp, path + CHECKPOINT_SUFFIX)
-
-
-def checkpoint_restore(path: str) -> None:
-    """Overwrite *path* with its legacy checkpoint twin."""
-    source = path + CHECKPOINT_SUFFIX
-    if not os.path.exists(source):
-        raise RecoveryError(f"no checkpoint copy for {path}")
-    shutil.copyfile(source, path)
 
 
 def _scan_commit_state(wal: WriteAheadLog, after_lsn: int,

@@ -11,7 +11,8 @@ mismatch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from collections import Counter
+from typing import List
 
 import pytest
 
@@ -24,8 +25,10 @@ from repro import (
     Schema,
     TemporalDatabase,
 )
+from repro.core import history as hist
 from repro.core.builder import MoleculeBuilder
 from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
+from repro.temporal import FOREVER, Interval
 from repro.testing import ReferenceDatabase
 from repro.workloads import (
     apply_to_database,
@@ -83,7 +86,8 @@ def preorder(molecule: Molecule):
 
 
 class _UnbatchedReader:
-    """A reader proxy without the batch methods: forces the fallback path."""
+    """A reader whose batch methods loop over the engine's per-atom
+    reads: the atom-at-a-time access pattern behind the same protocol."""
 
     def __init__(self, engine) -> None:
         self._engine = engine
@@ -91,11 +95,32 @@ class _UnbatchedReader:
     def atom_type_name(self, atom_id: int) -> str:
         return self._engine.atom_type_name(atom_id)
 
-    def version_at(self, atom_id, at, tt=None):
-        return self._engine.version_at(atom_id, at, tt)
+    def version_at_many(self, atom_ids, at, tt=None):
+        return {atom_id: self._engine.version_at(atom_id, at, tt)
+                for atom_id in dict.fromkeys(atom_ids)}
 
-    def all_versions(self, atom_id):
-        return self._engine.all_versions(atom_id)
+    def all_versions_many(self, atom_ids):
+        return {atom_id: self._engine.all_versions(atom_id)
+                for atom_id in dict.fromkeys(atom_ids)}
+
+
+class _HistoryCountingReader:
+    """The engine, counting how often each atom's history is requested."""
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+        self.history_reads: Counter = Counter()
+
+    def atom_type_name(self, atom_id: int) -> str:
+        return self._engine.atom_type_name(atom_id)
+
+    def version_at_many(self, atom_ids, at, tt=None):
+        return self._engine.version_at_many(atom_ids, at, tt)
+
+    def all_versions_many(self, atom_ids):
+        ids = list(dict.fromkeys(atom_ids))
+        self.history_reads.update(ids)
+        return self._engine.all_versions_many(ids)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -191,16 +216,15 @@ class TestLegacyEquivalence:
     def test_reference_reader_uses_batch_protocol(self, workload_db):
         db, _ = workload_db
         ref = ReferenceDatabase(cad_schema())
-        # The oracle grew version_at_many/all_versions_many; the builder
-        # must pick them up via getattr, same as the engine path.
+        # The oracle implements the batch protocol the builder reads
+        # through, same as the engine.
         builder = MoleculeBuilder(ref)
-        assert getattr(ref, "version_at_many", None) is not None
         with db.transaction():
             pass  # no-op; just ensures db fixture stays in scope
         assert builder.build_at(999, MoleculeType("Part"), 0) is None
 
 
-# -- build_many: dedupe, ordering, parallelism ------------------------------
+# -- build_many: dedupe, ordering --------------------------------------------
 
 
 class TestBuildMany:
@@ -229,28 +253,6 @@ class TestBuildMany:
         molecules = db.builder.build_many(shuffled, mtype, 3)
         assert [m.root.atom_id for m in molecules] == [wanted[1], wanted[0]]
 
-    def test_parallel_matches_serial(self, workload_db):
-        db, roots = workload_db
-        mtype = MoleculeType.parse(
-            "Part.contains.Component.supplied_by.Supplier", db.schema)
-        serial = db.builder.build_many(roots, mtype, 3)
-        before = db.metrics.value("builder.parallel_builds")
-        parallel = db.builder.build_many(roots, mtype, 3, parallelism=4)
-        assert db.metrics.value("builder.parallel_builds") == before + 1
-        assert [m.root.atom_id for m in parallel] == [
-            m.root.atom_id for m in serial]
-        for mine, theirs in zip(parallel, serial):
-            assert mine.same_composition_as(theirs)
-            assert preorder(mine) == preorder(theirs)
-
-    def test_facade_molecules_at_parallel(self, workload_db):
-        db, roots = workload_db
-        serial = db.molecules_at(roots, "Part.contains.Component", 3)
-        parallel = db.molecules_at(roots, "Part.contains.Component", 3,
-                                   parallelism=4)
-        assert [m.root.atom_id for m in parallel] == [
-            m.root.atom_id for m in serial]
-
     def test_batch_size_histogram_observes(self, workload_db):
         db, roots = workload_db
         mtype = MoleculeType.parse("Part.contains.Component", db.schema)
@@ -264,43 +266,61 @@ class TestBuildMany:
 # -- build_history memoization ----------------------------------------------
 
 
+def rescanning_history(db, root_id, mtype, window):
+    """``build_history`` without the boundary memo, as an in-test oracle:
+    every boundary search re-reads each consulted atom's history."""
+    states = []
+    at = window.start
+    while at < window.end:
+        molecule, consulted = db.builder._build_collect(root_id, mtype, at,
+                                                        None)
+        next_at = FOREVER
+        for atom_id in consulted:
+            for _, version in hist.live_versions(
+                    db.engine.all_versions(atom_id), None):
+                for point in (version.vt.start, version.vt.end):
+                    if at < point < next_at:
+                        next_at = point
+        if molecule is not None:
+            span = Interval(at, min(next_at, window.end))
+            if (states and states[-1][0].meets(span)
+                    and states[-1][1].same_composition_as(molecule)):
+                states[-1] = (Interval(states[-1][0].start, span.end),
+                              states[-1][1])
+            else:
+                states.append((span, molecule))
+        at = next_at
+    return states
+
+
 class TestHistoryMemo:
     def test_memo_on_and_off_agree(self, workload_db):
-        from repro.temporal import Interval
-
         db, roots = workload_db
         mtype = MoleculeType.parse("Part.contains.Component", db.schema)
         window = Interval(0, 10)
-        with_memo = [db.builder.build_history(root, mtype, window)
-                     for root in roots]
-        db.builder.history_memo_enabled = False
-        try:
-            without = [db.builder.build_history(root, mtype, window)
-                       for root in roots]
-        finally:
-            db.builder.history_memo_enabled = True
-        for mine, theirs in zip(with_memo, without):
+        for root in roots:
+            mine = db.builder.build_history(root, mtype, window)
+            theirs = rescanning_history(db, root, mtype, window)
             assert [str(span) for span, _ in mine] == [
                 str(span) for span, _ in theirs]
             for (_, m), (_, t) in zip(mine, theirs):
                 assert m.same_composition_as(t)
 
     def test_memo_cuts_version_scans(self, workload_db):
-        from repro.temporal import Interval
-
+        """One ``build_history`` call reads each consulted atom's history
+        at most once, however many slices its sweep builds."""
         db, roots = workload_db
         mtype = MoleculeType.parse("Part.contains.Component", db.schema)
         window = Interval(0, 10)
-        db.builder.history_memo_enabled = False
-        try:
-            before = db.metrics.value("engine.versions_scanned")
-            for root in roots:
-                db.builder.build_history(root, mtype, window)
-            unmemoized = db.metrics.value("engine.versions_scanned") - before
-        finally:
-            db.builder.history_memo_enabled = True
-        before = db.metrics.value("engine.versions_scanned")
+        swept = 0
         for root in roots:
-            db.builder.build_history(root, mtype, window)
-        memoized = db.metrics.value("engine.versions_scanned") - before
-        assert memoized <= unmemoized
+            reader = _HistoryCountingReader(db.engine)
+            states = MoleculeBuilder(reader, db.metrics).build_history(
+                root, mtype, window)
+            expected = db.builder.build_history(root, mtype, window)
+            assert [str(span) for span, _ in states] == [
+                str(span) for span, _ in expected]
+            if reader.history_reads:
+                assert max(reader.history_reads.values()) == 1, root
+                swept += 1
+        assert swept

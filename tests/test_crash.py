@@ -36,6 +36,7 @@ import time
 import pytest
 
 from repro import DatabaseConfig, TemporalDatabase
+from repro.errors import RecoveryError
 from repro.txn.recovery import (
     MANIFEST_FILE,
     publish_checkpoint,
@@ -66,18 +67,24 @@ CHILD_SCRIPT = textwrap.dedent("""\
     """)
 
 
+def _child_env():
+    """The environment for a child process that imports this ``src``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def _run_child_until_kill(tmp_path, durability, acks_before_kill=6):
     """Start the committing child, SIGKILL it after N acks, return acks."""
     db_path = str(tmp_path / "killdb")
     script = tmp_path / "child.py"
     script.write_text(CHILD_SCRIPT)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     child = subprocess.Popen(
         [sys.executable, str(script), db_path, durability],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        text=True)
     acked = []
     try:
         assert child.stdout is not None
@@ -340,27 +347,71 @@ class TestMidCheckpointCrash:
             os.path.join(path, f"pages.db.ckpt.{first}"))
         db.close()
 
-    def test_legacy_checkpoint_without_manifest_still_restores(
+    def test_restore_without_manifest_raises_recovery_error(
             self, tmp_path, cad_schema):
-        """Pre-manifest databases (bare ``.ckpt`` twins) remain openable."""
-        path = str(tmp_path / "legacydb")
-        db = TemporalDatabase.create(path, cad_schema,
-                                     DatabaseConfig(buffer_pages=32))
-        with db.transaction() as txn:
-            part = txn.insert("Part", {"name": "old", "cost": 7.0},
-                              valid_from=0)
-        db.checkpoint()
-        db._wal._file.flush()
+        """A database that needs replay but has no manifest refuses to
+        open, before it touches a file."""
+        path, _part, db = self._make(tmp_path, cad_schema)
+        db.buffer.flush_all()
         db._disk._file.flush()
-        # Rewrite the checkpoint in the legacy single-file layout.
-        manifest = read_manifest(path)
-        import shutil
-        for base, staged in manifest["files"].items():
-            shutil.copyfile(os.path.join(path, staged),
-                            os.path.join(path, base + ".ckpt"))
+        db._wal._file.flush()
         os.remove(os.path.join(path, MANIFEST_FILE))
-        recovered = TemporalDatabase.open(path)
+        before = {name: _read_bytes(os.path.join(path, name))
+                  for name in ("pages.db", "catalog.json")}
+        with pytest.raises(RecoveryError, match=MANIFEST_FILE):
+            TemporalDatabase.open(path)
+        assert before == {name: _read_bytes(os.path.join(path, name))
+                          for name in before}
+
+    def test_sigkill_before_first_checkpoint_recovers(self, tmp_path):
+        """``create`` publishes a manifest: a database killed before its
+        first explicit checkpoint restores from it and replays."""
+        db_path = str(tmp_path / "freshdb")
+        script = tmp_path / "fresh.py"
+        script.write_text(FRESH_CHILD_SCRIPT)
+        child = subprocess.Popen(
+            [sys.executable, str(script), db_path], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_child_env(), text=True)
         try:
-            assert recovered.version_at(part, 0).values["cost"] == 7.0
+            assert child.stdout is not None
+            line = child.stdout.readline()
+            if not line.startswith("ACK "):
+                pytest.fail(f"child exited: {child.stderr.read()}")
+            atom = int(line.split()[1])
+            child.kill()
+            child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert read_manifest(db_path)["generation"] == 1
+        recovered = TemporalDatabase.open(db_path)
+        try:
+            assert recovered.version_at(atom, 0).values["name"] == "first"
         finally:
             recovered.close()
+
+
+def _read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+FRESH_CHILD_SCRIPT = textwrap.dedent("""\
+    import sys
+    import time
+
+    from repro import (AtomType, Attribute, DataType, Schema,
+                       TemporalDatabase)
+
+    schema = Schema("fresh")
+    schema.add_atom_type(AtomType("Part", [
+        Attribute("name", DataType.STRING, required=True)]))
+    db = TemporalDatabase.create(sys.argv[1], schema)
+    with db.transaction() as txn:
+        atom = txn.insert("Part", {"name": "first"}, valid_from=0)
+    sys.stdout.write(f"ACK {atom}\\n")
+    sys.stdout.flush()
+    time.sleep(60)
+    """)

@@ -354,15 +354,6 @@ class TestReads:
             db.history(12345)
         assert db.version_at(12345, 0) is None
 
-    def test_io_stats_available(self, db):
-        with db.transaction() as txn:
-            txn.insert("Part", {"name": "x"}, valid_from=0)
-        stats = db.io_stats()
-        assert stats["wal_bytes"] > 0
-        assert stats["file_bytes"] > 0
-        db.reset_io_stats()
-        assert db.io_stats()["disk_reads"] == 0
-
     def test_storage_stats(self, db, strategy):
         with db.transaction() as txn:
             txn.insert("Part", {"name": "x"}, valid_from=0)

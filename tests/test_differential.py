@@ -70,26 +70,23 @@ class TestWorkloadDifferential:
                 assert m.same_composition_as(t)
         db.close()
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_batched_build_many_matches_oracle(self, tmp_path, strategy,
-                                               parallelism):
-        """The set-oriented read path (batched fetch, decode cache, and
-        optional thread parallelism) returns exactly what per-root oracle
-        construction does, in root order."""
+    def test_batched_build_many_matches_oracle(self, tmp_path, strategy):
+        """The set-oriented read path (batched fetch and decode cache)
+        returns exactly what per-root oracle construction does, in root
+        order."""
         spec = small_spec(seed=7)
         ops, groups = generate_bom(spec)
         ref = ReferenceDatabase(cad_schema())
         ref_ids = apply_to_reference(ref, ops)
         db = TemporalDatabase.create(
-            str(tmp_path / f"dbpar{parallelism}"), cad_schema(),
+            str(tmp_path / "dbbatch"), cad_schema(),
             DatabaseConfig(strategy=strategy, buffer_pages=48))
         db_ids = apply_to_database(db, ops)
         roots = [db_ids[handle] for handle in groups["Part"]]
         back = {db_ids[handle]: ref_ids[handle]
                 for handle in groups["Part"]}
         for at in (0, 1, 2, spec.versions_per_atom):
-            mine = db.molecules_at(roots, "Part.contains.Component", at,
-                                   parallelism=parallelism)
+            mine = db.molecules_at(roots, "Part.contains.Component", at)
             theirs = [ref.molecule_at(back[root],
                                       "Part.contains.Component", at)
                       for root in roots]

@@ -34,7 +34,8 @@ def store_live(engine, atom_id):
 
 
 class TestStoreContract:
-    """read_live / read_versions agree with read_all on every strategy."""
+    """read_live / read_versions agree with read_all_many on every
+    strategy."""
 
     def _seed(self, engine):
         insert(engine, 1, tt=0)
@@ -46,14 +47,14 @@ class TestStoreContract:
     def test_read_live_matches_filtered_read_all(self, engine):
         self._seed(engine)
         store = engine.store
-        expected = [(seq, sv) for seq, sv in enumerate(store.read_all(1))
-                    if sv.live]
+        expected = [(seq, sv) for seq, sv
+                    in enumerate(store.read_all_many([1])[1]) if sv.live]
         assert sorted(store.read_live(1)) == sorted(expected)
 
     def test_read_versions_matches_read_all(self, engine):
         self._seed(engine)
         store = engine.store
-        full = store.read_all(1)
+        full = store.read_all_many([1])[1]
         seqs = [0, len(full) - 1, len(full) // 2]
         got = store.read_versions(1, seqs)
         assert got == {seq: full[seq] for seq in seqs}

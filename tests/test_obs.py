@@ -277,17 +277,6 @@ class TestExplainAnalyze:
 
 
 class TestKernelCounters:
-    def test_io_stats_compat_shim(self, obs_db):
-        stats = obs_db.io_stats()
-        assert set(stats) == {"disk_reads", "disk_writes", "buffer_hits",
-                              "buffer_misses", "buffer_evictions",
-                              "wal_bytes", "file_bytes"}
-        assert stats["buffer_hits"] == obs_db.metrics.value("buffer.hits")
-        obs_db.reset_io_stats()
-        after = obs_db.io_stats()
-        assert after["disk_reads"] == 0
-        assert after["buffer_hits"] == 0
-
     def test_wal_counters(self, obs_db):
         appends = obs_db.metrics.value("wal.appends")
         wal_bytes = obs_db.metrics.value("wal.bytes")

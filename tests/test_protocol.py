@@ -177,13 +177,13 @@ class TestResultSerialization:
 
 
 class TestProtocolVersioning:
-    def test_version_three_is_current_and_older_still_supported(self):
+    def test_version_three_is_the_only_version(self):
         from repro.server.protocol import (
             PROTOCOL_VERSION,
             SUPPORTED_PROTOCOL_VERSIONS,
         )
         assert PROTOCOL_VERSION == 3
-        assert {1, 2, 3} <= SUPPORTED_PROTOCOL_VERSIONS
+        assert SUPPORTED_PROTOCOL_VERSIONS == {3}
 
     def test_stats_opcode_exists(self):
         assert Opcode.STATS == 12
@@ -194,8 +194,8 @@ class TestProtocolVersioning:
         assert Opcode.CLOSE_CURSOR == 14
 
     def test_v1_payload_without_trace_decodes(self):
-        """An old client's frame — no ``trace`` key — round-trips and
-        yields an empty trace context, not an error."""
+        """A frame without a ``trace`` key round-trips and yields an
+        empty trace context, not an error."""
         from repro.server.protocol import extract_trace_context
         data = frame_bytes(payload=encode_payload(
             {"text": "SELECT ALL FROM Part VALID AT 5"}))

@@ -561,7 +561,7 @@ class TestHistoryBudget:
         for step in range(1, 6):
             with db.transaction() as txn:
                 txn.update(part, {"cost": float(step)}, valid_from=step)
-        stored = db.engine.store.read_all(part)
+        stored = db.engine.store.read_all_many([part])[part]
         history_cost = (sum(len(sv.payload) for sv in stored)
                         + DECODE_CACHE_ENTRY_OVERHEAD * len(stored))
         # Every single version and the stored history alone fit, but not

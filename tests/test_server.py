@@ -725,15 +725,26 @@ class TestServerLifecycleRaces:
 
 
 class TestProtocolNegotiation:
-    def test_v1_client_is_accepted_and_echoed(self, server, monkeypatch):
-        """An old client (protocol 1, no trace context) still talks to
-        a v2 server; the handshake echoes the client's version."""
-        import repro.server.client as client_module
-        monkeypatch.setattr(client_module, "PROTOCOL_VERSION", 1)
-        with DatabaseClient(server.host, server.port,
-                            trace_context=False) as client:
-            assert client.session["protocol"] == 1
-            assert client.ping()["pong"] is True
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_hello_is_refused(self, server, version):
+        """Protocols 1 and 2 are gone: the HELLO gets a HandshakeError
+        naming the version the server speaks, then the server hangs up."""
+        sock = socket.create_connection((server.host, server.port),
+                                        timeout=5)
+        sock.settimeout(5)
+        try:
+            write_frame(sock, Opcode.HELLO, 1, encode_payload(
+                {"magic": PROTOCOL_MAGIC, "protocol": version}))
+            frame = read_frame(sock)
+            assert frame.opcode == Opcode.ERROR
+            body = frame.decode()
+            assert body["error"] == "HandshakeError"
+            assert f"protocol version {version}" in body["message"]
+            assert "speaks [3]" in body["message"]
+            with pytest.raises(ConnectionClosedError):
+                read_frame(sock)
+        finally:
+            sock.close()
 
     def test_v2_client_negotiates_v2(self, server):
         with DatabaseClient(server.host, server.port) as client:
@@ -968,13 +979,12 @@ class TestMonitorCli:
 # ---------------------------------------------------------------------------
 
 
-def _handshake_raw(server, protocol=None):
-    """Raw socket past a handshake at an explicit protocol version."""
+def _handshake_raw(server):
+    """Raw socket past a handshake."""
     sock = socket.create_connection((server.host, server.port), timeout=5)
     sock.settimeout(5)
     write_frame(sock, Opcode.HELLO, 1, encode_payload(
-        {"magic": PROTOCOL_MAGIC,
-         "protocol": PROTOCOL_VERSION if protocol is None else protocol}))
+        {"magic": PROTOCOL_MAGIC, "protocol": PROTOCOL_VERSION}))
     frame = read_frame(sock)
     assert frame.opcode == Opcode.RESULT
     return sock
@@ -1034,23 +1044,6 @@ class TestStreamingCursors:
             assert _wait_until(
                 lambda: server.state_snapshot()["open_cursors"] == 0)
             assert client.ping()["pong"] is True
-
-    def test_fetch_rejected_below_protocol_v3(self, server):
-        sock = _handshake_raw(server, protocol=2)
-        write_frame(sock, Opcode.FETCH, 2, encode_payload({"cursor_id": 1}))
-        frame = read_frame(sock)
-        assert frame.opcode == Opcode.ERROR
-        assert frame.decode()["error"] == "ProtocolError"
-        sock.close()
-
-    def test_stream_open_rejected_below_protocol_v3(self, server):
-        sock = _handshake_raw(server, protocol=2)
-        write_frame(sock, Opcode.QUERY, 2, encode_payload(
-            {"text": "SELECT ALL FROM Part VALID AT 5", "stream": True}))
-        frame = read_frame(sock)
-        assert frame.opcode == Opcode.ERROR
-        assert frame.decode()["error"] == "ProtocolError"
-        sock.close()
 
     def test_unknown_cursor_is_a_clean_error(self, server):
         sock = _handshake_raw(server)

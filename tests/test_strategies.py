@@ -29,11 +29,21 @@ def sv(start, end, live=True, payload=b""):
                          f"v[{start},{end})".encode())
 
 
+def history(store, atom_id):
+    return store.read_all_many([atom_id])[atom_id]
+
+
+def hits_at(store, atom_id, at):
+    return store.read_at_many([atom_id], at)[atom_id]
+
+
 class TestContract:
     def test_missing_atom(self, store):
         assert not store.exists(9)
+        assert store.read_all_many([9]) == {}
+        assert store.read_at_many([9], 0) == {9: []}
         with pytest.raises(UnknownAtomError):
-            store.read_all(9)
+            store.read_current(9)
 
     def test_single_version(self, store):
         store.append_version(1, sv(0, 100))
@@ -44,31 +54,31 @@ class TestContract:
     def test_append_order_preserved(self, store):
         for i in range(10):
             store.append_version(1, sv(i * 10, (i + 1) * 10))
-        versions = store.read_all(1)
+        versions = history(store, 1)
         assert [v.vt_start for v in versions] == [i * 10 for i in range(10)]
 
     def test_read_at_hits_the_right_version(self, store):
         for i in range(10):
             store.append_version(1, sv(i * 10, (i + 1) * 10))
-        assert store.read_at(1, 55) == [(5, sv(50, 60))]
-        assert store.read_at(1, 0) == [(0, sv(0, 10))]
-        assert store.read_at(1, 99) == [(9, sv(90, 100))]
+        assert hits_at(store, 1, 55) == [(5, sv(50, 60))]
+        assert hits_at(store, 1, 0) == [(0, sv(0, 10))]
+        assert hits_at(store, 1, 99) == [(9, sv(90, 100))]
 
     def test_read_at_miss(self, store):
         store.append_version(1, sv(0, 10))
-        assert store.read_at(1, 50) == []
+        assert hits_at(store, 1, 50) == []
 
     def test_read_at_skips_dead_versions(self, store):
         store.append_version(1, sv(0, 100, live=False))
         store.append_version(1, sv(0, 100, live=True, payload=b"alive"))
-        assert store.read_at(1, 5) == [(1, StoredVersion(0, 100, True,
+        assert hits_at(store, 1, 5) == [(1, StoredVersion(0, 100, True,
                                                          b"alive"))]
 
     def test_replace_version(self, store):
         store.append_version(1, sv(0, 10))
         store.append_version(1, sv(10, 20))
         store.replace_version(1, 0, sv(0, 10, live=False, payload=b"closed"))
-        versions = store.read_all(1)
+        versions = history(store, 1)
         assert versions[0] == StoredVersion(0, 10, False, b"closed")
         assert versions[1] == sv(10, 20)
 
@@ -77,7 +87,7 @@ class TestContract:
         store.append_version(1, sv(10, 20))
         big = b"B" * 3000
         store.replace_version(1, 0, StoredVersion(0, 10, True, big))
-        assert store.read_all(1)[0].payload == big
+        assert history(store, 1)[0].payload == big
 
     def test_replace_newest(self, store):
         store.append_version(1, sv(0, 10))
@@ -108,7 +118,7 @@ class TestContract:
         store.append_version(1, sv(10, 20))
         store.pop_version(1)
         store.append_version(1, sv(10, 30))
-        assert store.read_all(1) == [sv(0, 10), sv(10, 30)]
+        assert history(store, 1) == [sv(0, 10), sv(10, 30)]
 
     def test_delete_atom(self, store):
         store.append_version(1, sv(0, 10))
@@ -128,16 +138,21 @@ class TestContract:
         store.append_version(1, sv(0, 10))
         store.append_version(2, sv(5, 15))
         store.append_version(2, sv(15, 25))
-        scanned = {atom_id: versions for atom_id, versions
-                   in store.scan_all()}
-        assert set(scanned) == {1, 2}
-        assert len(scanned[2]) == 2
+        assert store.read_all_many(store.atom_ids()) == {
+            1: [sv(0, 10)], 2: [sv(5, 15), sv(15, 25)]}
+
+    def test_batched_reads_accept_an_iterator(self, store):
+        store.append_version(1, sv(0, 10))
+        store.append_version(2, sv(5, 15))
+        assert store.read_at_many(iter([1, 2, 9, 1]), 7) == {
+            1: [(0, sv(0, 10))], 2: [(0, sv(5, 15))], 9: []}
+        assert store.read_all_many(iter([2, 9])) == {2: [sv(5, 15)]}
 
     def test_large_payloads_span_pages(self, store):
         big = bytes(range(256)) * 64  # 16 KiB
         store.append_version(1, StoredVersion(0, 10, True, big))
         store.append_version(1, StoredVersion(10, 20, True, big * 2))
-        versions = store.read_all(1)
+        versions = history(store, 1)
         assert versions[0].payload == big
         assert versions[1].payload == big * 2
 
@@ -145,7 +160,7 @@ class TestContract:
         for i in range(200):
             store.append_version(1, sv(i, i + 1))
         assert store.version_count(1) == 200
-        assert store.read_at(1, 137) == [(137, sv(137, 138))]
+        assert hits_at(store, 1, 137) == [(137, sv(137, 138))]
 
     def test_stats_reflect_growth(self, store):
         empty_pages = store.stats().total_pages
@@ -168,7 +183,7 @@ class TestContract:
         reopened = open_version_store(strategy, pool, state)
         for atom_id in (1, 2, 3):
             assert reopened.version_count(atom_id) == 4
-            assert reopened.read_at(atom_id, 7) == [(1, sv(5, 10))]
+            assert hits_at(reopened, atom_id, 7) == [(1, sv(5, 10))]
         disk.close()
 
 
@@ -182,10 +197,10 @@ class TestChainedSignature:
         for i in range(64):
             store.append_version(1, sv(i, i + 1, payload=b"p" * 200))
         pool.stats.reset()
-        store.read_at(1, 63)  # newest: directory + 1 record
+        store.read_at_many([1], 63)  # newest: directory + 1 record
         near = pool.stats.hits + pool.stats.misses
         pool.stats.reset()
-        store.read_at(1, 0)  # oldest: walks the whole chain
+        store.read_at_many([1], 0)  # oldest: walks the whole chain
         far = pool.stats.hits + pool.stats.misses
         assert far > near * 4
         disk.close()
@@ -201,10 +216,10 @@ class TestSeparatedSignature:
         for i in range(64):
             store.append_version(1, sv(i, i + 1, payload=b"p" * 200))
         pool.stats.reset()
-        store.read_at(1, 63)
+        store.read_at_many([1], 63)
         current_cost = pool.stats.hits + pool.stats.misses
         pool.stats.reset()
-        store.read_at(1, 0)
+        store.read_at_many([1], 0)
         past_cost = pool.stats.hits + pool.stats.misses
         # Past access adds the version directory probe but does not walk.
         assert past_cost <= current_cost + 4
@@ -226,8 +241,9 @@ class TestSeparatedSplices:
 
     @staticmethod
     def assert_same(separated, clustered, atom_ids):
+        assert (separated.read_all_many(atom_ids)
+                == clustered.read_all_many(atom_ids))
         for atom_id in atom_ids:
-            assert separated.read_all(atom_id) == clustered.read_all(atom_id)
             assert separated.read_live(atom_id) == clustered.read_live(atom_id)
             seqs = range(separated.version_count(atom_id))
             assert (separated.read_versions(atom_id, seqs)
@@ -341,6 +357,5 @@ def test_random_operations_match_model(tmp_path_factory, operations,
             model[atom_id].pop()
             if not model[atom_id]:
                 del model[atom_id]
-    assert {atom_id: store.read_all(atom_id)
-            for atom_id in store.atom_ids()} == model
+    assert store.read_all_many(store.atom_ids()) == model
     disk.close()
