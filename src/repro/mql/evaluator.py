@@ -4,13 +4,15 @@ Execution shape:
 
 1. Obtain root candidates from the plan's access path (index lookup or
    type scan).
-2. For a time-slice (``VALID AT``): build each candidate's molecule at
-   the instant, evaluate the predicate over the complex object, keep
-   survivors.
-3. For an interval (``VALID DURING`` / ``VALID HISTORY``): compute each
-   candidate's molecule history over the window and keep the states
-   satisfying the predicate.
-4. Apply the projection.
+2. Run them through :func:`_batches`, the one execution loop eager
+   (:func:`execute_plan`) and streamed (:mod:`repro.mql.stream`) queries
+   share.  For a time-slice (``VALID AT``) it builds each candidate's
+   molecule at the instant and keeps those satisfying the predicate;
+   for an interval (``VALID DURING`` / ``VALID HISTORY``) it computes
+   each candidate's molecule history over the window and keeps the
+   satisfying states; for ``DIFF`` it nets change events between two
+   transaction-time slices.
+3. Apply the WHEN filter and the projection, per batch.
 
 Predicate semantics over a molecule are existential per comparison: a
 comparison on type T holds when some atom of type T inside the molecule
@@ -20,7 +22,7 @@ satisfies it; ``NOT`` negates the inner predicate's truth.
 from __future__ import annotations
 
 import operator
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.cdc.diff import compute_diff
 from repro.core.molecule import Molecule
@@ -81,6 +83,20 @@ def execute_query(db, text: str,
                         profile=profile or analyzed.query.explain)
 
 
+def parse_cached(db, text: str) -> CompiledQuery:
+    """The plan-cache entry for *text*, parsed and cached on a miss.
+
+    The one way into the database's plan cache: :func:`_compile` starts
+    here, and the server's ``PREPARE`` calls it to prime the cache.
+    """
+    cache = db._plan_cache
+    entry = cache.get(text)
+    if entry is None:
+        entry = CompiledQuery(parse_query(text), None)
+        cache.put(text, entry)
+    return entry
+
+
 def _compile(db, text: str,
              params: Optional[Dict[str, Any]]) -> AnalyzedQuery:
     """Parse + bind + analyze, through the database's plan cache.
@@ -95,14 +111,8 @@ def _compile(db, text: str,
     walk (molecule resolution + schema checks) is skipped.  This is the
     hot path of the server's PREPARE/EXECUTE protocol.
     """
-    cache = getattr(db, "_plan_cache", None)
-    if cache is None:
-        query = bind_parameters(parse_query(text), params)
-        return analyze(query, db.schema)
-    entry = cache.get(text)
-    if entry is None:
-        entry = CompiledQuery(parse_query(text), None)
-        cache.put(text, entry)
+    cache = db._plan_cache
+    entry = parse_cached(db, text)
     if not params and entry.analyzed is not None:
         return entry.analyzed
     if not params and not has_parameters(entry.query):
@@ -144,58 +154,102 @@ def execute_plan(db, query_plan: QueryPlan,
 
 
 def _execute(db, query_plan: QueryPlan, tracer) -> QueryResult:
-    analyzed = query_plan.analyzed
-    # Compile the plan's pushdown spec against the engine once per
-    # execution.
-    pred = projection = None
-    if query_plan.pushdown is not None:
-        pred, projection = db.engine.compile_pushdown(query_plan.pushdown)
+    """The eager caller of :func:`_batches`: every root in one batch."""
     with tracer.span("mql.execute", plan=query_plan.describe()) as top:
         with tracer.span("access",
                          path=type(query_plan.root_access).__name__) as span:
             roots = _root_candidates(db, query_plan)
             span.set("roots", len(roots))
-        if analyzed.query.diff is not None:
-            entries = _evaluate_diff(db, analyzed, roots, tracer)
-            top.set("entries", len(entries))
-            # DIFF rows are event records, not molecules: always
-            # projected, never WHEN-filtered (the window *is* the tt
-            # range) and never value-projected.
-            return QueryResult(entries, query_plan.describe(), True)
-        valid = analyzed.valid
-        if isinstance(valid, (ValidAt, ValidAtNow)):
-            # "NOW" in valid time means the current, open-ended state: the
-            # far-future instant every until-changed version contains.
-            at = valid.at if isinstance(valid, ValidAt) else FOREVER - 1
-            with tracer.span("slice", at=at) as span:
-                entries = _evaluate_slice(db, analyzed, roots, at,
-                                          pred, projection)
-                span.set("entries", len(entries))
-        elif isinstance(valid, ValidDuring):
-            window = Interval(valid.start, valid.end)
-            with tracer.span("window", window=str(window)) as span:
-                entries = _evaluate_window(db, analyzed, roots, window,
-                                           pred)
-                span.set("entries", len(entries))
-        elif isinstance(valid, ValidHistory):
-            window = Interval(TMIN, FOREVER)
-            with tracer.span("window", window="history") as span:
-                entries = _evaluate_window(db, analyzed, roots, window,
-                                           pred)
-                span.set("entries", len(entries))
-        else:  # pragma: no cover - parser produces no other clause
-            raise EvaluationError(f"unknown temporal clause {valid!r}")
-        if analyzed.query.when is not None:
-            with tracer.span("filter.when",
-                             relation=analyzed.query.when.relation) as span:
-                entries = _filter_when(entries, analyzed.query.when)
-                span.set("entries", len(entries))
-        with tracer.span("project") as span:
-            entries = _project(analyzed, entries)
-            span.set("entries", len(entries))
+        (entries,) = _batches(db, query_plan, roots, tracer)
         top.set("entries", len(entries))
     return QueryResult(entries, query_plan.describe(),
-                       isinstance(analyzed.query.select, SelectPaths))
+                       _projected(query_plan.analyzed))
+
+
+def _projected(analyzed: AnalyzedQuery) -> bool:
+    """Whether entries carry rows rather than molecules: DIFF rows are
+    event records, and ``SELECT`` paths project values."""
+    return (analyzed.query.diff is not None
+            or isinstance(analyzed.query.select, SelectPaths))
+
+
+def _batches(db, query_plan: QueryPlan, roots: List[int], tracer,
+             root_batch: Optional[int] = None
+             ) -> Iterator[List[ResultEntry]]:
+    """The one execution loop: finished entry lists, one per root batch.
+
+    "Finished" means the WHERE check, the WHEN filter and the projection
+    are applied, so the batches concatenate (roots are sorted) to the
+    eager result.  ``root_batch=None`` runs every root as one batch (the
+    eager caller, which always gets exactly one, even for no roots);
+    otherwise a slice or DIFF batch holds at most *root_batch* roots and
+    a window batch one root's history (the streaming caller).
+
+    Each batch compiles the pushdown and runs under its own read view;
+    the latch is reentrant, so an eager caller's outer view still covers
+    the whole query.  No span stays open across a ``yield``.
+    """
+    analyzed = query_plan.analyzed
+    query = analyzed.query
+    valid = analyzed.valid
+    size = root_batch
+    if query.diff is not None:
+        # DIFF rows are event records, not molecules: never WHEN-filtered
+        # (the window *is* the tt range) and never value-projected.
+        def evaluate(batch, pred, projection):
+            return _evaluate_diff(db, analyzed, batch, tracer)
+    elif isinstance(valid, (ValidAt, ValidAtNow)):
+        # "NOW" in valid time means the current, open-ended state: the
+        # far-future instant every until-changed version contains.
+        at = valid.at if isinstance(valid, ValidAt) else FOREVER - 1
+
+        def evaluate(batch, pred, projection):
+            with tracer.span("slice", at=at) as span:
+                entries = _evaluate_slice(db, analyzed, batch, at,
+                                          pred, projection)
+                span.set("entries", len(entries))
+            return _finish(analyzed, entries, tracer)
+    elif isinstance(valid, (ValidDuring, ValidHistory)):
+        if isinstance(valid, ValidDuring):
+            window = Interval(valid.start, valid.end)
+            label = str(window)
+        else:
+            window, label = Interval(TMIN, FOREVER), "history"
+        if size is not None:
+            size = 1
+
+        def evaluate(batch, pred, projection):
+            with tracer.span("window", window=label) as span:
+                entries = _evaluate_window(db, analyzed, batch, window,
+                                           pred)
+                span.set("entries", len(entries))
+            return _finish(analyzed, entries, tracer)
+    else:  # pragma: no cover - parser produces no other clause
+        raise EvaluationError(f"unknown temporal clause {valid!r}")
+    if size is None:
+        size = max(len(roots), 1)
+    for start in range(0, max(len(roots), 1), size):
+        with db._read_view():
+            pred = projection = None
+            if query_plan.pushdown is not None:
+                pred, projection = db.engine.compile_pushdown(
+                    query_plan.pushdown)
+            entries = evaluate(roots[start:start + size], pred, projection)
+        yield entries
+
+
+def _finish(analyzed: AnalyzedQuery, entries: List[ResultEntry],
+            tracer) -> List[ResultEntry]:
+    """Apply the WHEN filter and the projection to one batch."""
+    when = analyzed.query.when
+    if when is not None:
+        with tracer.span("filter.when", relation=when.relation) as span:
+            entries = _filter_when(entries, when)
+            span.set("entries", len(entries))
+    with tracer.span("project") as span:
+        entries = _project(analyzed, entries)
+        span.set("entries", len(entries))
+    return entries
 
 
 #: Liberalized relation groups for the WHEN clause: each named relation

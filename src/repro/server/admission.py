@@ -12,9 +12,11 @@ things:
   A request arriving past that is shed immediately with
   :class:`~repro.errors.ServerSaturatedError`.
 
-A queued request that waits longer than ``request_timeout`` seconds is
-rejected with :class:`~repro.errors.RequestTimeoutError`.  The timeout
-governs *queue wait*, not execution — a request that has started runs
+The controller only keeps the counters: no thread ever waits on it.
+The event-loop server holds a queued request's frame itself, and
+answers one that waits longer than ``request_timeout`` seconds with
+:class:`~repro.errors.RequestTimeoutError`.  The timeout governs
+*queue wait*, not execution — a request that has started runs
 to completion (the kernel has no preemption points), which is the same
 cooperative contract as a classic ``statement_timeout``; see
 ``docs/server.md``.
@@ -32,11 +34,8 @@ view over those events.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
-
-from contextlib import contextmanager
+from typing import Any, Dict, List, Optional
 
 from repro.errors import RequestTimeoutError, ServerSaturatedError
 from repro.obs.events import EventLog
@@ -98,17 +97,14 @@ class SlowQueryLog:
 class AdmissionController:
     """Gate requests through a bounded in-flight set and wait queue.
 
-    Two call styles share the same counters and limits:
-
-    * the **blocking** style (``admit`` / ``admit_ungated``) the
-      thread-per-request paths and tests use — a caller without a slot
-      parks its *thread* on a condition variable;
-    * the **non-blocking** style the event-loop server uses
-      (:meth:`try_acquire`, :meth:`park`, :meth:`unpark`,
-      :meth:`release`, :meth:`observe`) — a request without a slot
-      parks as *data* (the loop keeps the frame and a deadline), and
-      :attr:`on_slot_freed` lets the loop wake up the instant a slot
-      frees instead of polling.
+    Admission never blocks a thread.  The event-loop server takes a slot
+    with :meth:`try_acquire`; a request that finds none parks as *data*
+    — the loop keeps the frame and a deadline, while :meth:`park`,
+    :meth:`unpark` and :meth:`timeout_parked` keep the queue bound,
+    gauge and events.  :meth:`release` frees the slot and fires
+    :attr:`on_release`, so the loop wakes up the instant a slot frees
+    instead of polling; :meth:`begin_request` and :meth:`observe` count
+    and time every request, gated or not.
     """
 
     def __init__(self, max_inflight: int = 8, max_queued: int = 32,
@@ -127,14 +123,13 @@ class AdmissionController:
         self.slow_queries = SlowQueryLog(self.events,
                                          threshold_ms=slow_query_ms)
         self._lock = threading.Lock()
-        self._slot_freed = threading.Condition(self._lock)
         self._inflight = 0
         self._queued = 0
         #: Callback invoked (outside the lock, from the releasing
         #: thread) every time an in-flight slot frees — the event-loop
         #: server points it at its wakeup pipe so parked requests
         #: dispatch immediately.
-        self.on_slot_freed: Optional[Any] = None
+        self.on_release: Optional[Any] = None
         if metrics is None:
             from repro.obs import MetricsRegistry
             metrics = MetricsRegistry()
@@ -160,66 +155,8 @@ class AdmissionController:
 
     # -- admission -----------------------------------------------------------
 
-    def _acquire(self, session_id: int = 0, opcode: str = "",
-                 request_id: int = 0,
-                 trace_id: Optional[str] = None) -> None:
-        deadline = (None if self.request_timeout is None
-                    else time.monotonic() + self.request_timeout)
-        with self._slot_freed:
-            if self._inflight < self.max_inflight:
-                self._inflight += 1
-                self._g_inflight.set(self._inflight)
-                return
-            if self._queued >= self.max_queued:
-                self._c_shed.inc()
-                self.events.emit("request.shed", session=session_id,
-                                 opcode=opcode, request_id=request_id,
-                                 trace_id=trace_id,
-                                 inflight=self._inflight,
-                                 queued=self._queued)
-                raise ServerSaturatedError(
-                    f"server saturated: {self._inflight} in flight, "
-                    f"{self._queued} queued (max {self.max_queued})")
-            self._queued += 1
-            self._g_queued.set(self._queued)
-            try:
-                while self._inflight >= self.max_inflight:
-                    if deadline is None:
-                        self._slot_freed.wait()
-                        continue
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._slot_freed.wait(remaining):
-                        if self._inflight < self.max_inflight:
-                            break
-                        self._c_timeouts.inc()
-                        self.events.emit("request.queue_timeout",
-                                         session=session_id,
-                                         opcode=opcode,
-                                         request_id=request_id,
-                                         trace_id=trace_id)
-                        raise RequestTimeoutError(
-                            f"request waited over "
-                            f"{self.request_timeout:.3g}s for a slot")
-                self._inflight += 1
-                self._g_inflight.set(self._inflight)
-            finally:
-                self._queued -= 1
-                self._g_queued.set(self._queued)
-
-    def _release(self) -> None:
-        with self._slot_freed:
-            self._inflight -= 1
-            self._g_inflight.set(self._inflight)
-            self._slot_freed.notify()
-        hook = self.on_slot_freed
-        if hook is not None:
-            hook()
-
-    # -- non-blocking admission (event-loop server) --------------------------
-
     def begin_request(self) -> None:
-        """Count one arriving request (the loop-side twin of the
-        ``admit*`` context managers' entry)."""
+        """Count one arriving request."""
         self._c_requests.inc()
 
     def try_acquire(self) -> bool:
@@ -277,66 +214,22 @@ class AdmissionController:
 
     def release(self) -> None:
         """Free a slot taken by :meth:`try_acquire` (fires
-        :attr:`on_slot_freed`)."""
-        self._release()
+        :attr:`on_release`)."""
+        with self._lock:
+            self._inflight -= 1
+            self._g_inflight.set(self._inflight)
+        hook = self.on_release
+        if hook is not None:
+            hook()
 
     def observe(self, session_id: int, opcode: str, text: str,
                 seconds: float, request_id: int = 0,
                 trace_id: Optional[str] = None) -> None:
         """Record one finished request's latency (histogram + slow-query
-        log) — the loop-side twin of the ``admit*`` exit path."""
+        log)."""
         self._h_latency.observe(seconds)
         self.slow_queries.record(session_id, opcode, text, seconds,
                                  request_id=request_id, trace_id=trace_id)
-
-    @contextmanager
-    def admit(self, session_id: int, opcode: str, text: str = "",
-              request_id: int = 0,
-              trace_id: Optional[str] = None) -> Iterator[None]:
-        """Hold an execution slot for the duration of one request.
-
-        Raises :class:`ServerSaturatedError` (queue full) or
-        :class:`RequestTimeoutError` (queue wait exceeded) *before*
-        yielding — the caller converts either into a transient ERROR
-        frame.  On exit the request's latency lands in the histogram
-        and, when over threshold, the slow-query event log.
-        """
-        self._c_requests.inc()
-        self._acquire(session_id, opcode, request_id, trace_id)
-        started = time.monotonic()
-        try:
-            yield
-        finally:
-            elapsed = time.monotonic() - started
-            self._release()
-            self._h_latency.observe(elapsed)
-            self.slow_queries.record(session_id, opcode, text, elapsed,
-                                     request_id=request_id,
-                                     trace_id=trace_id)
-
-    @contextmanager
-    def admit_ungated(self, session_id: int, opcode: str, text: str = "",
-                      request_id: int = 0,
-                      trace_id: Optional[str] = None) -> Iterator[None]:
-        """Metrics-only admission for frames that must never be shed.
-
-        COMMIT/ROLLBACK/CLOSE free locks, undo state, and sessions —
-        shedding one under load would strand a server-side transaction
-        the client believes finished.  STATS is the monitoring plane:
-        an operator diagnosing an overloaded server needs it to answer
-        precisely when gated requests are being refused.  All are
-        counted and timed like any request but never queued or shed.
-        """
-        self._c_requests.inc()
-        started = time.monotonic()
-        try:
-            yield
-        finally:
-            elapsed = time.monotonic() - started
-            self._h_latency.observe(elapsed)
-            self.slow_queries.record(session_id, opcode, text, elapsed,
-                                     request_id=request_id,
-                                     trace_id=trace_id)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

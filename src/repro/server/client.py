@@ -55,6 +55,17 @@ DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 1.0
 
 
+def _remote_error(body: Dict[str, Any]) -> RemoteError:
+    """The error an ERROR frame's body describes.  The server echoes the
+    request's trace id into it, so a failure is greppable in the
+    server's slow-query and event logs."""
+    error = RemoteError(body.get("error", "ReproError"),
+                        body.get("message", ""),
+                        transient=bool(body.get("transient")))
+    error.trace_id = body.get("trace_id")
+    return error
+
+
 def _stream_payload(**fields: Any) -> Dict[str, Any]:
     """A ``WAL_STREAM``/``SUBSCRIBE`` payload without its unset (``None``)
     and false fields; the server parses and clamps the rest."""
@@ -78,14 +89,17 @@ class DatabaseClient:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self._lock = threading.Lock()
+        # Reentrant: _roundtrip holds it across _send and _receive, which
+        # a cursor also calls on their own.
+        self._lock = threading.RLock()
         self._request_id = 0
         self._in_transaction = False
         self._closed = False
-        #: Request id of a sent-but-unread FETCH (cursor prefetch).
-        #: While set, any other request would desynchronize the strict
-        #: request/response stream, so _roundtrip refuses it.
-        self._pending_fetch: Optional[int] = None
+        #: Request id of a sent-but-unread frame.  Outside _roundtrip
+        #: only a cursor prefetch (FETCH) stays unread; while set, any
+        #: other request would desynchronize the strict request/response
+        #: stream, so _send refuses it.
+        self._unanswered: Optional[int] = None
         self._sock = socket.create_connection((host, port),
                                               timeout=connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -112,7 +126,7 @@ class DatabaseClient:
                 # Skip the graceful goodbye when a cursor prefetch is
                 # still on the wire — the stream position is unknown,
                 # and the server cleans up on disconnect regardless.
-                if self._pending_fetch is None:
+                if self._unanswered is None:
                     write_frame(self._sock, Opcode.CLOSE,
                                 self._next_request_id(), b"{}")
                     read_frame(self._sock)
@@ -137,6 +151,17 @@ class DatabaseClient:
 
     def _roundtrip(self, opcode: Opcode, payload: Dict[str, Any]) -> Any:
         """One request frame out, one response frame in.  Not retried."""
+        with self._lock:
+            return self._receive(self._send(opcode, payload))
+
+    def _send(self, opcode: Opcode, payload: Dict[str, Any]) -> int:
+        """Write one request frame without reading the response.
+
+        The returned request id must be redeemed with :meth:`_receive`
+        before anything else uses the connection; until then
+        ``_unanswered`` makes every other request fail fast instead of
+        desynchronizing the stream.
+        """
         if (self.trace_context and opcode != Opcode.HELLO
                 and "trace" not in payload):
             # Copy before stamping: callers (and the retry loop) reuse
@@ -147,7 +172,7 @@ class DatabaseClient:
         with self._lock:
             if self._closed:
                 raise ConnectionClosedError("client is closed")
-            if self._pending_fetch is not None:
+            if self._unanswered is not None:
                 raise CursorStateError(
                     "a streaming fetch is outstanding on this "
                     "connection; exhaust or close the cursor before "
@@ -156,18 +181,32 @@ class DatabaseClient:
             try:
                 write_frame(self._sock, opcode, request_id,
                             encode_payload(payload))
+            except OSError as exc:
+                self._abandon()
+                raise ConnectionClosedError(str(exc)) from exc
+            self._unanswered = request_id
+            return request_id
+
+    def _receive(self, request_id: int) -> Any:
+        """Read the response to a request :meth:`_send` wrote; returns
+        the RESULT body or raises the ERROR frame's :class:`RemoteError`."""
+        with self._lock:
+            if self._closed:
+                raise ConnectionClosedError("client is closed")
+            if self._unanswered != request_id:
+                raise CursorStateError(
+                    f"request {request_id} is not outstanding")
+            self._unanswered = None
+            try:
                 frame = read_frame(self._sock)
             except socket.timeout as exc:
                 # The response is lost; the stream position is unknown.
                 self._abandon()
                 raise ConnectionClosedError(
                     "timed out waiting for a response") from exc
-            except ConnectionClosedError:
-                self._abandon()
-                raise
-            except ProtocolError:
-                # Bad length prefix or CRC: the byte stream is
-                # desynchronized and can never be trusted again.
+            except (ConnectionClosedError, ProtocolError):
+                # A bad length prefix or CRC desynchronizes the byte
+                # stream for good.
                 self._abandon()
                 raise
             except OSError as exc:
@@ -180,26 +219,13 @@ class DatabaseClient:
                     # framing failure): it answers no specific request,
                     # so it carries request id 0.  Surface the error
                     # itself; the server hangs up after sending it.
-                    body = decode_payload(frame.payload)
-                    error = RemoteError(body.get("error", "ReproError"),
-                                        body.get("message", ""),
-                                        transient=bool(
-                                            body.get("transient")))
-                    error.trace_id = body.get("trace_id")
-                    raise error
+                    raise _remote_error(decode_payload(frame.payload))
                 raise ProtocolError(
                     f"response for request {frame.request_id}, "
                     f"expected {request_id}")
         body = decode_payload(frame.payload)
         if frame.opcode == Opcode.ERROR:
-            error = RemoteError(body.get("error", "ReproError"),
-                                body.get("message", ""),
-                                transient=bool(body.get("transient")))
-            # The server echoes the request's trace id into the ERROR
-            # frame so a failure is greppable in the
-            # server's slow-query/event logs.
-            error.trace_id = body.get("trace_id")
-            raise error
+            raise _remote_error(body)
         if frame.opcode != Opcode.RESULT:
             raise ProtocolError(f"unexpected response opcode "
                                 f"{frame.opcode}")
@@ -208,81 +234,11 @@ class DatabaseClient:
     def _abandon(self) -> None:
         """Mark the connection unusable after a stream-level failure."""
         self._closed = True
-        self._pending_fetch = None
+        self._unanswered = None
         try:
             self._sock.close()
         except OSError:
             pass
-
-    def _send_fetch(self, cursor_id: int) -> int:
-        """Write one FETCH frame without reading the response.
-
-        The returned request id must be redeemed with
-        :meth:`_recv_fetch` before anything else uses the connection;
-        until then ``_pending_fetch`` makes every other request fail
-        fast instead of desynchronizing the stream.
-        """
-        payload: Dict[str, Any] = {"cursor_id": cursor_id}
-        if self.trace_context:
-            payload["trace"] = {"trace_id": new_trace_id(),
-                                "span_id": new_span_id()}
-        with self._lock:
-            if self._closed:
-                raise ConnectionClosedError("client is closed")
-            if self._pending_fetch is not None:
-                raise CursorStateError(
-                    "a streaming fetch is already outstanding on this "
-                    "connection")
-            request_id = self._next_request_id()
-            try:
-                write_frame(self._sock, Opcode.FETCH, request_id,
-                            encode_payload(payload))
-            except OSError as exc:
-                self._abandon()
-                raise ConnectionClosedError(str(exc)) from exc
-            self._pending_fetch = request_id
-            return request_id
-
-    def _recv_fetch(self, request_id: int) -> Dict[str, Any]:
-        """Read the response to a previously sent FETCH."""
-        with self._lock:
-            if self._closed:
-                raise ConnectionClosedError("client is closed")
-            if self._pending_fetch != request_id:
-                raise CursorStateError(
-                    f"fetch {request_id} is not outstanding")
-            try:
-                frame = read_frame(self._sock)
-            except socket.timeout as exc:
-                self._abandon()
-                raise ConnectionClosedError(
-                    "timed out waiting for a response") from exc
-            except ConnectionClosedError:
-                self._abandon()
-                raise
-            except ProtocolError:
-                self._abandon()
-                raise
-            except OSError as exc:
-                self._abandon()
-                raise ConnectionClosedError(str(exc)) from exc
-            self._pending_fetch = None
-            if frame.request_id != request_id:
-                self._abandon()
-                raise ProtocolError(
-                    f"response for request {frame.request_id}, "
-                    f"expected {request_id}")
-        body = decode_payload(frame.payload)
-        if frame.opcode == Opcode.ERROR:
-            error = RemoteError(body.get("error", "ReproError"),
-                                body.get("message", ""),
-                                transient=bool(body.get("transient")))
-            error.trace_id = body.get("trace_id")
-            raise error
-        if frame.opcode != Opcode.RESULT:
-            raise ProtocolError(f"unexpected response opcode "
-                                f"{frame.opcode}")
-        return body
 
     def _reset_transaction_state(self) -> None:
         """Ensure no server-side transaction survives on this connection.
@@ -659,16 +615,17 @@ class ResultCursor:
 
     def _prefetch(self) -> None:
         if not self.done and not self._closed and self._pending is None:
-            self._pending = self._client._send_fetch(self.cursor_id)
+            self._pending = self._client._send(
+                Opcode.FETCH, {"cursor_id": self.cursor_id})
 
     def _next_chunk(self) -> Optional[List[Dict[str, Any]]]:
         if self.done or self._closed:
             return None
+        self._prefetch()
         request_id, self._pending = self._pending, None
-        if request_id is None:
-            request_id = self._client._send_fetch(self.cursor_id)
+        assert request_id is not None
         try:
-            body = self._client._recv_fetch(request_id)
+            body = self._client._receive(request_id)
         except BaseException:
             # Any failure ends the stream: the server reclaims the
             # cursor on error and on disconnect.
@@ -705,7 +662,7 @@ class ResultCursor:
         pending, self._pending = self._pending, None
         if pending is not None:
             try:
-                if self._client._recv_fetch(pending).get("done"):
+                if self._client._receive(pending).get("done"):
                     self.done = True
             except RemoteError:
                 self.done = True  # cursor already dead server-side

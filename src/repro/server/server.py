@@ -26,7 +26,7 @@ Admission control generalizes from threads-in-flight to
 queued-requests-per-loop: the loop takes an execution slot with
 ``try_acquire`` and submits to the pool, or *parks the request as
 data* (frame + deadline) when slots are busy — no thread waits.  A
-freed slot wakes the loop through ``on_slot_freed``; a parked request
+freed slot wakes the loop through ``on_release``; a parked request
 past its deadline gets a transient ERROR.  The queue bound and shed
 behaviour are unchanged from the threaded server.
 
@@ -341,7 +341,7 @@ class DatabaseServer:
                               + _UNGATED_WORKER_HEADROOM
                               + _REPLICATION_WORKER_HEADROOM)
         self._pool = _WorkerPool(max(1, worker_threads), self._on_job_error)
-        self.admission.on_slot_freed = self._on_slot_freed
+        self.admission.on_release = self._on_slot_freed
         # Cursor accounting (sessions own their cursors; this is the
         # server-wide gauge).
         self._cursor_lock = threading.Lock()
@@ -1057,19 +1057,10 @@ class DatabaseServer:
         bind + analyze, and later same-typed EXECUTEs only bind — the
         parameterized-analysis cache does the rest.
         """
-        from repro.mql.parser import has_parameters, parse_query
-        from repro.mql.planner import CompiledQuery
+        from repro.mql.evaluator import parse_cached
+        from repro.mql.parser import has_parameters
 
-        text = self._text(payload)
-        cache = getattr(self.db, "_plan_cache", None)
-        entry = cache.get(text) if cache is not None else None
-        if entry is None:
-            query = parse_query(text)
-            if cache is not None:
-                entry = CompiledQuery(query, None)
-                cache.put(text, entry)
-        else:
-            query = entry.query
+        query = parse_cached(self.db, self._text(payload)).query
         return [self._encode_result(request_id, {
             "prepared": True,
             "parameterized": has_parameters(query),

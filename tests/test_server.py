@@ -328,7 +328,7 @@ class TestAdmission:
         admission = AdmissionController(max_inflight=1, max_queued=0,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()  # occupy the only slot
+            admission.try_acquire()  # occupy the only slot
             try:
                 with DatabaseClient(srv.host, srv.port,
                                     max_retries=0) as client:
@@ -337,7 +337,7 @@ class TestAdmission:
                     assert info.value.remote_type == "ServerSaturatedError"
                     assert info.value.transient
             finally:
-                admission._release()
+                admission.release()
             assert sdb.metrics.value("server.load_shed") >= 1
 
     def test_queue_timeout_is_transient(self, sdb):
@@ -345,7 +345,7 @@ class TestAdmission:
                                         request_timeout=0.1,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()
+            admission.try_acquire()
             try:
                 with DatabaseClient(srv.host, srv.port,
                                     max_retries=0) as client:
@@ -354,14 +354,14 @@ class TestAdmission:
                     assert info.value.remote_type == "RequestTimeoutError"
                     assert info.value.transient
             finally:
-                admission._release()
+                admission.release()
 
     def test_client_retries_through_transient_saturation(self, sdb):
         admission = AdmissionController(max_inflight=1, max_queued=0,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()
-            releaser = threading.Timer(0.15, admission._release)
+            admission.try_acquire()
+            releaser = threading.Timer(0.15, admission.release)
             releaser.start()
             try:
                 with DatabaseClient(srv.host, srv.port, max_retries=5,
@@ -557,11 +557,11 @@ class TestTransactionFrameRobustness:
                 txn.insert("Part", {"name": "committed-under-load"},
                            valid_from=0)
                 _wait_admission_idle(admission)
-                admission._acquire()  # saturate: gated frames shed now
+                admission.try_acquire()  # saturate: gated frames shed now
                 try:
                     txn.commit()  # must not be shed
                 finally:
-                    admission._release()
+                    admission.release()
                 body = client.query("SELECT Part.name FROM Part "
                                     "VALID AT 5")
                 assert [e["row"]["Part.name"] for e in body["entries"]] \
@@ -576,11 +576,11 @@ class TestTransactionFrameRobustness:
                 txn = client.begin()
                 txn.insert("Part", {"name": "doomed"}, valid_from=0)
                 _wait_admission_idle(admission)
-                admission._acquire()
+                admission.try_acquire()
                 try:
                     txn.rollback()  # must not be shed
                 finally:
-                    admission._release()
+                    admission.release()
                 assert client._closed is False
                 assert client._in_transaction is False
                 body = client.query("SELECT ALL FROM Part VALID AT 5")
@@ -783,7 +783,7 @@ class TestStatsOpcode:
         admission = AdmissionController(max_inflight=1, max_queued=0,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()  # saturate the only slot
+            admission.try_acquire()  # saturate the only slot
             try:
                 with DatabaseClient(srv.host, srv.port,
                                     max_retries=0) as client:
@@ -792,7 +792,7 @@ class TestStatsOpcode:
                     body = client.stats()  # ungated: answers
                     assert body["server"]["admission"]["inflight"] == 1
             finally:
-                admission._release()
+                admission.release()
 
 
 class TestStructuredEvents:
@@ -800,14 +800,14 @@ class TestStructuredEvents:
         admission = AdmissionController(max_inflight=1, max_queued=0,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()
+            admission.try_acquire()
             try:
                 with DatabaseClient(srv.host, srv.port,
                                     max_retries=0) as client:
                     with pytest.raises(RemoteError):
                         client.ping()
             finally:
-                admission._release()
+                admission.release()
             (shed,) = admission.events.tail(event="request.shed")
             assert shed["opcode"] == "PING"
             assert shed["session"] >= 1
@@ -1022,6 +1022,23 @@ class TestStreamingCursors:
                                                 chunk_entries=3))
             assert streamed == eager["entries"]
 
+    def test_streamed_diff_equals_eager(self, sdb, server):
+        t0 = sdb._clock.now() - 1
+        _stock(sdb, count=7)
+        with sdb.transaction() as txn:
+            for atom_id in sdb.atoms_of_type("Part")[:5]:
+                txn.update(atom_id, {"cost": 99.0}, valid_from=0)
+        t2 = sdb._clock.now() - 1
+        text = f"DIFF Part BETWEEN {t0} AND {t2}"
+        with DatabaseClient(server.host, server.port) as client:
+            eager = client.query(text)
+            cursor = client.query_stream(text, chunk_entries=2)
+            streamed = list(cursor)
+            assert cursor.projected is True
+        assert len(eager["entries"]) > 2
+        assert [encode_payload(e) for e in streamed] == \
+            [encode_payload(e) for e in eager["entries"]]
+
     def test_interleaved_request_fails_fast_client_side(self, sdb, server):
         from repro.errors import CursorStateError
         _stock(sdb, count=12)
@@ -1163,7 +1180,7 @@ class TestAsyncAdmission:
                                         request_timeout=0.2,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()  # occupy the only slot
+            admission.try_acquire()  # occupy the only slot
             try:
                 with DatabaseClient(srv.host, srv.port,
                                     max_retries=0) as client:
@@ -1175,14 +1192,14 @@ class TestAsyncAdmission:
                     assert info.value.transient
                     assert 0.1 <= waited < 2.0
             finally:
-                admission._release()
+                admission.release()
 
     def test_queue_full_sheds_while_first_request_waits(self, sdb):
         admission = AdmissionController(max_inflight=1, max_queued=1,
                                         request_timeout=5.0,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()
+            admission.try_acquire()
             try:
                 first = _handshake_raw(srv)
                 second = _handshake_raw(srv)
@@ -1196,7 +1213,7 @@ class TestAsyncAdmission:
                 assert body["error"] == "ServerSaturatedError"
                 assert body["transient"] is True
             finally:
-                admission._release()
+                admission.release()
             # the freed slot dispatches the parked request
             assert read_frame(first).opcode == Opcode.RESULT
             first.close()
@@ -1207,11 +1224,11 @@ class TestAsyncAdmission:
                                         request_timeout=5.0,
                                         metrics=sdb.metrics)
         with DatabaseServer(sdb, admission=admission) as srv:
-            admission._acquire()
+            admission.try_acquire()
             sock = _handshake_raw(srv)
             write_frame(sock, Opcode.PING, 2, b"{}")
             assert _wait_until(lambda: admission.queued == 1)
-            admission._release()
+            admission.release()
             frame = read_frame(sock)
             assert frame.opcode == Opcode.RESULT
             assert frame.decode()["pong"] is True

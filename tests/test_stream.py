@@ -26,6 +26,12 @@ QUERIES = [
     "SELECT ALL FROM Part.contains.Component VALID AT 5",
     "SELECT ALL FROM Part.contains.Component "
     "WHERE Component.weight <= 3.0 VALID HISTORY",
+    "SELECT ALL FROM Part VALID DURING [0, 50) WHEN OVERLAPS [25, 30)",
+    "SELECT Part.name, Part.cost FROM Part VALID AT 25 AS OF 0",
+    # The fixture commits at tt 0 (inserts, links) and tt 1 (updates).
+    "DIFF Part BETWEEN 0 AND 1",
+    "DIFF Part BETWEEN 0 AND 1 WHERE Part.cost > 40",
+    "DIFF Part.contains.Component BETWEEN -1 AND 1",
 ]
 
 
@@ -69,6 +75,16 @@ class TestDifferential:
             else:
                 assert got.molecule.root.version.values == want.molecule.root.version.values
         assert stream.projected == eager.projected
+
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_small_root_batches_concatenate_to_eager(self, stocked, text):
+        params = {"c": 40.0} if "$c" in text else None
+        eager = execute_query(stocked, text, params)
+        stream = execute_query_stream(stocked, text, params,
+                                      chunk_entries=5, root_batch=4)
+        streamed = list(stream.entries())
+        assert [_key(e) for e in streamed] == [_key(e) for e in eager.entries]
+        assert [e.row for e in streamed] == [e.row for e in eager.entries]
 
     def test_chunk_sizes_are_exact(self, stocked):
         stream = execute_query_stream(
