@@ -9,10 +9,10 @@ new record plus directory maintenance); CLUSTERED rewrites the whole
 temporal-atom record, so its cost grows linearly with *h* — the
 fundamental write/read trade the paper's realization weighs.
 
-``test_t3_separated_append_cost_flat`` is the CI gate on SEPARATED's
-constant update cost: its per-update heap and buffer counts must be
-equal at histories 16 and 64, where the version directory still fits
-one page.  It gates on counts only, never on timings.
+``test_t3_append_cost_flat`` is the CI gate on the constant update cost
+of SEPARATED and CHAINED: their per-update heap and buffer counts must
+be equal at histories 16 and 64 (where SEPARATED's version directory
+still fits one page).  It gates on counts only, never on timings.
 """
 
 import itertools
@@ -107,21 +107,25 @@ def test_t3_append_version(benchmark, capsys, databases, strategy, history):
                     for name, value in counts.items()))
 
 
-def test_t3_separated_append_cost_flat(capsys, databases):
-    """The CI gate: a SEPARATED update costs the same heap inserts, heap
-    reads and buffer pins whatever the history length, as long as the
-    version directory is one page (it spans past ~150 versions at 4 KiB
-    pages).  Disk writes are reported but not gated: where a history
-    page fills up depends on the history length."""
+@pytest.mark.parametrize("strategy",
+                         [VersionStrategy.SEPARATED, VersionStrategy.CHAINED],
+                         ids=["separated", "chained"])
+def test_t3_append_cost_flat(capsys, databases, strategy):
+    """The CI gate: a SEPARATED or CHAINED update costs the same heap
+    inserts, heap reads and buffer pins whatever the history length —
+    for SEPARATED as long as the version directory is one page (it
+    spans past ~150 versions at 4 KiB pages).  Disk writes are reported
+    but not gated: where a history page fills up depends on the history
+    length."""
     rows = {}
     for history in (16, 64):
-        db, ids, groups = databases[(VersionStrategy.SEPARATED, history)]
+        db, ids, groups = databases[(strategy, history)]
         # Later than every time test_t3_append_version used, so each
         # update appends rather than revising the past.
         rows[history] = update_counts(db, updater(db, ids, groups,
                                                   history + 1000))
-    emit(capsys, *(f"R-T3 gate | separated history={history:>3} | {row}"
-                   for history, row in rows.items()))
+    emit(capsys, *(f"R-T3 gate | {strategy.value} history={history:>3} | "
+                   f"{row}" for history, row in rows.items()))
     gated = ("heap_inserts", "heap_reads", "buffer_pins")
     assert ({name: rows[16][name] for name in gated}
             == {name: rows[64][name] for name in gated}), rows

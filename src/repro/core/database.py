@@ -218,7 +218,7 @@ class TransactionContext:
                               LockMode.EXCLUSIVE)
         db._txn_manager.log_operation(self._txn, payload)
         with db._state_latch.write():
-            undos = _apply_with_undo(db.engine, payload)
+            undos = db.engine.apply(payload)
         for undo in undos:
             self._txn.add_undo(undo)
 
@@ -252,34 +252,6 @@ class TransactionContext:
     @property
     def is_active(self) -> bool:
         return self._txn.is_active
-
-
-def _apply_with_undo(engine: StorageEngine,
-                     payload: Dict[str, Any]) -> List[Any]:
-    """Apply one logged operation and return its undo actions."""
-    op = payload["op"]
-    tt = payload["tt"]
-    if op == "insert":
-        return engine.insert(payload["type"], payload["values"],
-                             payload["vf"], payload["vt"], tt,
-                             payload["atom_id"])
-    if op == "update":
-        return engine.update(payload["atom_id"], payload["changes"],
-                             payload["vf"], tt, payload["vt"])
-    if op == "delete":
-        return engine.delete(payload["atom_id"], payload["vf"], tt,
-                             payload["vt"])
-    if op == "correct":
-        return engine.correct(payload["atom_id"], payload["ws"],
-                              payload["we"], payload["changes"], tt)
-    if op == "link":
-        return engine.link(payload["link"], payload["src"], payload["dst"],
-                           payload["vf"], tt, payload["vt"])
-    if op == "unlink":
-        return engine.unlink(payload["link"], payload["src"],
-                             payload["dst"], payload["vf"], tt,
-                             payload["vt"])
-    raise TransactionStateError(f"unknown operation {op!r}")
 
 
 class TemporalDatabase:

@@ -15,32 +15,30 @@ codec payload, so any record can be decoded without consulting a
 separate atom-to-type map.
 
 The engine is deliberately free of transactions and locks — the database
-facade wraps every call in logging and locking; recovery replays logged
-operations through the very same methods.
+facade wraps every call in logging and locking.  Live transactions and
+recovery/replica replay both turn a logged operation into a mutation
+through one dispatch, :meth:`StorageEngine.apply`.
 
-Reads are served through one per-atom cache (:class:`DecodedVersionCache`):
-an atom's full stored history, kept once a full-history read
-(``all_versions_many``, ``AS OF`` point reads, ``prune_roots``) fetched
-it, and its decoded versions.  A warm atom is answered without touching
-the store — current slices pick the live version from the cached
-envelopes, ``AS OF`` reads select theirs from the envelopes and peeked
-transaction times, and each decodes only the version it picks — and
-every mutation touch, undo and external store rewrite drops the atom's
-entry (:meth:`StorageEngine.invalidate_atom_caches`).
+The engine's only per-atom state is its cache entry
+(:class:`DecodedVersionCache`): the stored history, decoded versions,
+live set and type name.  A warm atom is answered without touching the
+store — current slices pick the live version from the cached envelopes,
+``AS OF`` reads select theirs from the envelopes and peeked transaction
+times, and each decodes only the version it picks — and a warm mutation
+plans from the entry and learns its new sequence numbers from
+``append_version``, so it reads nothing from the store before it writes.
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
 ``lifespan``, their ``_many`` forms, ``atoms_of_type``, the candidate
-selectors) change nothing but the caches, so any number of threads may
+selectors) change nothing but the cache, so any number of threads may
 call them concurrently *provided no mutation runs at the same time* —
 the facade enforces this with its shared-read / exclusive-write latch,
 which is also what keeps a history read from the store consistent until
 it is cached.  The buffer pool and disk manager below are internally
 locked; everything between them and this class is read-pure on the read
-paths.  The per-atom cache carries its own lock; a cached
-:class:`StoredHistory` never changes except its ``versions`` slot, which
-racing readers may each set to an equal tuple (one attribute store,
-atomic under the GIL); the type-name map's updates are single-dict
-operations, atomic under the GIL.
+paths.  The cache carries its own lock; a cached :class:`StoredHistory`
+never changes except its ``versions`` slot, which racing readers may
+each set to an equal tuple (one attribute store, atomic under the GIL).
 """
 
 from __future__ import annotations
@@ -74,6 +72,7 @@ from repro.errors import (
     CardinalityError,
     SerializationError,
     TemporalUpdateError,
+    TransactionStateError,
     UnknownAtomError,
     UnknownTypeError,
 )
@@ -104,12 +103,6 @@ UndoAction = Callable[[], None]
 #: a byte budget makes the cache's footprint a real, tunable number that
 #: can share one memory budget with the buffer pool.
 DEFAULT_DECODE_CACHE_BYTES = 8 * 1024 * 1024
-
-#: Atoms whose live version set is cached for the write path.  Entries
-#: are a handful of decoded versions each (live sets are tiny — one per
-#: disjoint valid-time fragment), so the bound is about breadth, not
-#: bytes.
-_LIVE_SETS_MAX_ATOMS = 65536
 
 #: Fixed per-entry accounting overhead (key tuple, OrderedDict slot,
 #: Version object headers) added to each entry's payload size.
@@ -147,25 +140,39 @@ class StoredHistory:
         return seq if at < self.stored[seq].vt_end else None
 
 
-class _AtomEntry:
-    """Everything the cache holds for one atom."""
+#: An atom's live versions as the write path plans against them:
+#: seq -> (decoded live version, charged cost in bytes).
+LiveSet = Dict[int, Tuple[Version, int]]
 
-    __slots__ = ("history", "decoded", "cost")
+
+class _AtomEntry:
+    """Everything the engine knows about one atom."""
+
+    __slots__ = ("history", "decoded", "live", "type_name", "cost")
 
     def __init__(self) -> None:
         #: Filled only by full-history reads.
         self.history: Optional[StoredHistory] = None
         #: (seq, cols) -> (type_name, version, charged cost in bytes)
         self.decoded: Dict[Tuple[int, Any], Tuple[str, Version, int]] = {}
+        #: Filled by the write path's planning read, repaired by each
+        #: forward mutation.
+        self.live: Optional[LiveSet] = None
+        self.type_name: Optional[str] = None
         self.cost = 0
 
 
-class DecodedVersionCache:
-    """Byte-bounded LRU of what the engine knows about each atom: its
-    stored history and its decoded versions.
+def _live_cost(live: LiveSet) -> int:
+    """A live set's charge: its versions' plus one overhead for itself."""
+    return DECODE_CACHE_ENTRY_OVERHEAD + sum(cost for _, cost
+                                             in live.values())
 
-    Entries are per atom, so one LRU order, one byte budget and one
-    ``pop`` cover both halves:
+
+class DecodedVersionCache:
+    """Byte-bounded LRU of what the engine knows about each atom.
+
+    Entries are per atom, so one lock, one LRU order, one byte budget
+    and one ``pop`` cover all four parts:
 
     * the **stored history** — every :class:`StoredVersion` (envelope
       plus payload bytes) in seq order, filled only by full-history
@@ -175,22 +182,35 @@ class DecodedVersionCache:
       is ``None`` for a full decode and a projection descriptor (the
       attribute tuple plus a refs flag) for a partial one, so a
       projected version can never be returned to a caller expecting the
-      full version or vice versa.
+      full version or vice versa;
+    * the **live set** — the decoded live versions by seq, which every
+      mutation plans against;
+    * the **type name**, which every filler that decodes a payload sets.
 
-    Each stored or decoded version is charged its *encoded payload
-    size* plus a fixed overhead — the encoded size is a faithful,
-    already-known proxy for the decoded footprint (a partial decode is
-    charged the full-payload size, a deliberate overestimate).  A
-    decoded version larger than the whole budget, and a history that
-    cannot fit together with its decodes, are never cached; such a
-    history is served straight from the store every time.  Occupancy is
-    the ``engine.decode_cache.bytes`` gauge.
+    Each stored, decoded or live version is charged its *encoded
+    payload size* plus a fixed overhead — the encoded size is a
+    faithful, already-known proxy for the decoded footprint (a partial
+    decode is charged the full-payload size, a deliberate
+    overestimate).  A live set is charged one more overhead for itself,
+    and an entry created to hold a type name alone one overhead.
+    A decoded version or live set larger than the whole budget, and a
+    history that cannot fit together with its decodes, are never
+    cached; such a history is served straight from the store every
+    time.  Occupancy is the ``engine.decode_cache.bytes`` gauge.
 
-    A sequence number is stable for the lifetime of an atom but its
-    *content* changes under ``replace_version``/``pop_version``, so the
-    engine drops the whole atom on every mutation touch (including
-    undo) and every external store rewrite (vacuum).  Thread-safe:
-    concurrent queries hit it under the facade's shared-read latch.
+    Invalidation has one rule.  A sequence number is stable for the
+    lifetime of an atom but its *content* changes under
+    ``replace_version``/``pop_version``, so:
+
+    * a forward mutation (:meth:`mutated`) drops the history and the
+      decodes and keeps the type name — atoms never change type while
+      they exist — and installs the live set repaired from its plan,
+      claimed (:meth:`take_live`) before the store is touched, so an
+      exception leaves none behind;
+    * undo, vacuum, eviction and ``clear`` drop the whole entry.  Only
+      an undone insert removes an atom, and undo drops its entry.
+
+    Thread-safe: concurrent queries hit it under the shared-read latch.
     """
 
     def __init__(self, capacity_bytes: int, metrics) -> None:
@@ -240,6 +260,7 @@ class DecodedVersionCache:
             if existing is not None:
                 self._charge(entry, -existing[2])
             entry.decoded[(seq, cols)] = (type_name, version, cost)
+            entry.type_name = type_name
             self._charge(entry, cost)
             self._evict()
 
@@ -260,11 +281,13 @@ class DecodedVersionCache:
                 self._c_history_misses.inc(len(atom_ids) - len(found))
         return found
 
-    def put_history(self, atom_id: int, history: StoredHistory) -> None:
-        """Cache *history*, unless it is oversized: a history that
-        cannot fit in the budget together with its decodes (charged the
-        same again) is left uncached and served from the store every
-        time, rather than evicting itself while it is decoded.
+    def put_history(self, atom_id: int, history: StoredHistory,
+                    type_name: Optional[str] = None) -> None:
+        """Cache *history* (of an atom of *type_name*), unless it is
+        oversized: a history that cannot fit in the budget together with
+        its decodes (charged the same again) is left uncached and served
+        from the store every time, rather than evicting itself while it
+        is decoded.
 
         Its full decode (``history.versions``) is charged nothing extra:
         those are the atom's decoded entries, already charged, and they
@@ -279,12 +302,79 @@ class DecodedVersionCache:
             if entry.history is not None:
                 return  # a concurrent reader filled it first
             entry.history = history
+            entry.type_name = type_name or entry.type_name
             self._charge(entry, cost)
             self._evict()
 
     def note_decoded_hits(self, count: int) -> None:
         """Count versions served from a history's full decode."""
         self._c_hits.inc(count)
+
+    def known(self, atom_id: int
+              ) -> Tuple[Optional[str], Optional[LiveSet]]:
+        """The atom's type name and live set, each ``None`` when the
+        entry does not hold it."""
+        with self._lock:
+            entry = self._atoms.get(atom_id)
+            if entry is None:
+                return None, None
+            self._atoms.move_to_end(atom_id)
+            return entry.type_name, entry.live
+
+    def remember(self, atom_id: int, type_name: Optional[str],
+                 live: Optional[LiveSet] = None) -> None:
+        """Record the atom's type name and, from a planning read, its
+        live set."""
+        with self._lock:
+            self._remember(atom_id, type_name, live)
+
+    def take_live(self, atom_id: int) -> Optional[LiveSet]:
+        """Claim the atom's live set for a mutation: it leaves the entry
+        (and the budget) until :meth:`mutated` installs the repair."""
+        with self._lock:
+            entry = self._atoms.get(atom_id)
+            if entry is None or entry.live is None:
+                return None
+            live, entry.live = entry.live, None
+            self._charge(entry, -_live_cost(live))
+            self._g_bytes.set(self._bytes)
+            return live
+
+    def mutated(self, atom_id: int, live: Optional[LiveSet]) -> None:
+        """A forward mutation rewrote the atom: its entry keeps only the
+        type name and *live*, the claimed live set repaired from the
+        plan (``None`` when there was none)."""
+        with self._lock:
+            self._c_invalidations.inc()
+            old = self._pop(atom_id)
+            self._remember(atom_id, None if old is None else old.type_name,
+                           live)
+
+    def _remember(self, atom_id: int, type_name: Optional[str],
+                  live: Optional[LiveSet]) -> None:
+        """Caller holds ``_lock``.  An entry created to hold a type name
+        alone is charged one overhead."""
+        if live is not None and _live_cost(live) > self._capacity_bytes:
+            live = None
+        if type_name is not None or live is not None:
+            created = atom_id not in self._atoms
+            entry = self._entry(atom_id)
+            entry.type_name = type_name or entry.type_name
+            if live is not None:
+                if entry.live is not None:
+                    self._charge(entry, -_live_cost(entry.live))
+                entry.live = live
+                self._charge(entry, _live_cost(live))
+            elif created:
+                self._charge(entry, DECODE_CACHE_ENTRY_OVERHEAD)
+        self._evict()
+
+    def _pop(self, atom_id: int) -> Optional[_AtomEntry]:
+        """Drop the atom's entry and its bytes.  Caller holds ``_lock``."""
+        entry = self._atoms.pop(atom_id, None)
+        if entry is not None:
+            self._bytes -= entry.cost
+        return entry
 
     def _entry(self, atom_id: int) -> _AtomEntry:
         """The atom's entry, created if absent, as most recently used.
@@ -312,10 +402,7 @@ class DecodedVersionCache:
     def invalidate_atom(self, atom_id: int) -> None:
         with self._lock:
             self._c_invalidations.inc()
-            entry = self._atoms.pop(atom_id, None)
-            if entry is None:
-                return
-            self._bytes -= entry.cost
+            self._pop(atom_id)
             self._g_bytes.set(self._bytes)
 
     def clear(self) -> None:
@@ -351,24 +438,12 @@ class StorageEngine:
             "engine.pushdown.skipped")
         self._decode_cache = DecodedVersionCache(decode_cache_bytes,
                                                  self.metrics)
-        # The live-set cache: atom id -> {seq: decoded live Version}.
-        # Revision planning only reads live versions, and _apply_plan
-        # knows exactly how a plan changes the live set, so after one
-        # cold read_live an atom's updates plan against this map with no
-        # store reads at all — update cost stays O(live) no matter how
-        # long the closed history grows.  Dropped (not repaired) on
-        # undo and external store rewrites via invalidate_atom_caches.
-        self._live_sets: Dict[int, Dict[int, Version]] = {}
         self._c_live_hits = self.metrics.counter("engine.live_set.hits")
         self._c_live_misses = self.metrics.counter("engine.live_set.misses")
         # Monotone replay watermark: recovery/replication skip logged
         # operations at or below this LSN, making re-replay of an
         # overlapping committed range a no-op (see txn.recovery).
         self.applied_replay_lsn = 0
-        # Atoms never change type (insert enforces it), so this map only
-        # needs invalidation to forget atoms that disappear entirely; it
-        # is dropped on every mutation touch anyway for uniformity.
-        self._type_names: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Encoding helpers (type-prefixed payloads)
@@ -436,29 +511,26 @@ class StorageEngine:
                                                 entry[1], entry[2])
         self._decode_cache.put(atom_id, seq, type_name, version,
                                nbytes=len(stored.payload), cols=cols)
-        self._type_names.setdefault(atom_id, type_name)
         return type_name, version
 
     def invalidate_atom_caches(self, atom_id: int) -> None:
-        """Forget the cached history, decodes, type name and live set
-        of *atom_id*.
+        """Forget everything cached about *atom_id*: its history,
+        decodes, live set and type name.
 
-        Called on every mutation touch (forward and undo) and by
-        maintenance tools that rewrite the store directly (vacuum).
+        Called by undo and by maintenance tools that rewrite the store
+        directly (vacuum); a forward mutation keeps the type name and
+        repairs the live set instead (:meth:`DecodedVersionCache.mutated`).
         """
         self._decode_cache.invalidate_atom(atom_id)
-        self._type_names.pop(atom_id, None)
-        self._live_sets.pop(atom_id, None)
 
     def atom_type_name(self, atom_id: int) -> str:
-        type_name = self._type_names.get(atom_id)
+        type_name, _ = self._decode_cache.known(atom_id)
         if type_name is None:
-            # Unknown atoms must keep raising exactly as before: the
-            # store probe below is the authority, never the map.
+            # Unknown atoms raise here: only atoms the store holds ever
+            # get an entry with a type name.
             _, stored = self.store.read_current(atom_id)
-            (type_id,) = _TYPE_PREFIX.unpack_from(stored.payload, 0)
-            type_name = self._type_by_id[type_id]
-            self._type_names[atom_id] = type_name
+            type_name = self._stored_type_name(stored.payload)
+            self._decode_cache.remember(atom_id, type_name)
         return type_name
 
     def version_at(self, atom_id: int, at: Timestamp,
@@ -603,33 +675,30 @@ class StorageEngine:
     def live_pairs(self, atom_id: int) -> List[Tuple[int, Version]]:
         """The atom's live versions as (seq, version), in seq order.
 
-        Served from the live-set cache when warm; one store
-        ``read_live`` otherwise.  This is the planning read for every
-        mutation — closed versions are immutable, so revision never
-        needs them.
+        Served from the atom's cache entry when warm; one store
+        ``read_live`` otherwise (raising :class:`UnknownAtomError` for
+        an unknown atom).  This is the planning read for every mutation
+        — closed versions are immutable, so revision never needs them —
+        and each mutation repairs the cached set from its plan, so update
+        cost stays O(live) however long the closed history grows.  Its
+        decodes also name the atom's type, so mutations call it before
+        :meth:`atom_type_name` and a cold atom's type costs no extra read.
         """
-        cached = self._live_sets.get(atom_id)
-        if cached is not None:
+        _, live = self._decode_cache.known(atom_id)
+        if live is not None:
             self._c_live_hits.inc()
-            return sorted(cached.items())
-        if not self.store.exists(atom_id):
-            raise UnknownAtomError(f"no atom {atom_id}")
-        self._c_live_misses.inc()
-        pairs = [(seq, self._decode_cached(atom_id, seq, sv)[1])
-                 for seq, sv in self.store.read_live(atom_id)]
-        self._c_versions_scanned.inc(len(pairs))
-        self._remember_live(atom_id, dict(pairs))
-        return pairs
-
-    def _remember_live(self, atom_id: int,
-                       live: Dict[int, Version]) -> None:
-        cache = self._live_sets
-        if len(cache) >= _LIVE_SETS_MAX_ATOMS and atom_id not in cache:
-            # FIFO eviction: the bound only guards pathological breadth
-            # (bulk loads touching millions of atoms); hot write sets
-            # are far smaller and re-enter on their next touch.
-            cache.pop(next(iter(cache)))
-        cache[atom_id] = live
+        else:
+            stored = self.store.read_live(atom_id)
+            self._c_live_misses.inc()
+            live = {}
+            type_name: Optional[str] = None
+            for seq, sv in stored:
+                type_name, version = self._decode_cached(atom_id, seq, sv)
+                live[seq] = (version,
+                             len(sv.payload) + DECODE_CACHE_ENTRY_OVERHEAD)
+            self._c_versions_scanned.inc(len(live))
+            self._decode_cache.remember(atom_id, type_name, live)
+        return sorted((seq, version) for seq, (version, _) in live.items())
 
     def _stored_histories(self, ids: List[int]) -> Dict[int, StoredHistory]:
         """The full stored histories of the known atoms among *ids*, in
@@ -642,7 +711,8 @@ class StorageEngine:
         misses = [atom_id for atom_id in ids if atom_id not in found]
         for atom_id, stored in self.store.read_all_many(misses).items():
             history = StoredHistory(stored)
-            self._decode_cache.put_history(atom_id, history)
+            self._decode_cache.put_history(
+                atom_id, history, self._stored_type_name(stored[0].payload))
             found[atom_id] = history
         return {atom_id: found[atom_id] for atom_id in ids
                 if atom_id in found}
@@ -670,13 +740,6 @@ class StorageEngine:
             self._c_versions_scanned.inc(len(versions))
         return result
 
-    def current_version(self, atom_id: int) -> Version:
-        """The newest recorded version (regardless of validity)."""
-        if not self.store.exists(atom_id):
-            raise UnknownAtomError(f"no atom {atom_id}")
-        seq, stored = self.store.read_current(atom_id)
-        return self._decode_cached(atom_id, seq, stored)[1]
-
     def atom_exists(self, atom_id: int) -> bool:
         return self.store.exists(atom_id)
 
@@ -689,15 +752,13 @@ class StorageEngine:
         return hist.lifespan(self.all_versions(atom_id), tt)
 
     def drop_caches(self) -> None:
-        """Forget every cached history, decoded version, type name and
-        live set, so the next read of anything goes to the store.
+        """Forget every cached history, decoded version, live set and
+        type name, so the next read of anything goes to the store.
 
         The cold state the paper experiments measure; caches refill on
         use.  Call it with no reader or mutation in flight.
         """
         self._decode_cache.clear()
-        self._type_names.clear()
-        self._live_sets.clear()
 
     # ------------------------------------------------------------------
     # Predicate / projection pushdown (compiled from planner specs)
@@ -833,7 +894,7 @@ class StorageEngine:
 
     def _undo_invalidating(self, atom_id: int,
                            action: UndoAction) -> UndoAction:
-        """Wrap an undo so rollback also drops the atom's cached decodes."""
+        """Wrap an undo so rollback also drops the atom's cache entry."""
         def run() -> None:
             action()
             self.invalidate_atom_caches(atom_id)
@@ -845,53 +906,52 @@ class StorageEngine:
         self._c_mutations.inc()
         store = self.store
         # Claimed (not read) until the plan lands: any exception leaves
-        # the cache empty for this atom and the next touch rebuilds it
-        # from the store.
-        prior_live = self._live_sets.pop(atom_id, None)
+        # the entry without a live set and the next touch rebuilds it
+        # from the store.  The plan says exactly how the live set
+        # changes: a closed version (closures, stillborn rewrites)
+        # leaves it, a live rewrite or append joins it at its seq.
+        live = self._decode_cache.take_live(atom_id)
+
+        def repair(seq: int, version: Version, stored: StoredVersion) -> None:
+            if live is None:
+                return
+            if version.live:
+                live[seq] = (version, len(stored.payload)
+                             + DECODE_CACHE_ENTRY_OVERHEAD)
+            else:
+                live.pop(seq, None)
+
         replacements = plan.closures + plan.rewrites
         if replacements:
             originals = store.read_versions(
                 atom_id, [seq for seq, _ in replacements])
         for seq, replacement in replacements:
             old = originals[seq]
-            store.replace_version(atom_id, seq,
-                                  self._encode(type_name, replacement))
+            stored = self._encode(type_name, replacement)
+            store.replace_version(atom_id, seq, stored)
             undos.append(self._undo_invalidating(
                 atom_id,
                 lambda s=seq, o=old: store.replace_version(atom_id, s, o)))
+            repair(seq, replacement, stored)
         # Closures only change timestamps, but rewrites carry transformed
         # values the indexes have not seen yet.
         for _seq, replacement in plan.rewrites:
             self._index_version(type_name, atom_id, replacement)
-        first_append = not store.exists(atom_id)
-        append_base = 0 if first_append else store.version_count(atom_id)
+        first_append = False
         for version in plan.appends:
-            store.append_version(atom_id, self._encode(type_name, version))
+            stored = self._encode(type_name, version)
+            seq = store.append_version(atom_id, stored)
+            first_append = first_append or seq == 0
             undos.append(self._undo_invalidating(
                 atom_id, lambda: store.pop_version(atom_id)))
             self._index_version(type_name, atom_id, version)
-        if first_append and plan.appends:
+            repair(seq, version, stored)
+        if first_append:
             type_id = self.schema.atom_type(type_name).type_id
             self.indexes.register_atom(type_id, atom_id)
             undos.append(lambda: self.indexes.unregister_atom(type_id,
                                                               atom_id))
-        self.invalidate_atom_caches(atom_id)
-        if prior_live is not None:
-            # The plan states exactly how the live set changed, so the
-            # cache is repaired in place instead of rebuilt: closures
-            # leave the live set, rewrites stay only while still live
-            # (stillborns leave), appends join at their new sequence.
-            for seq, _closed in plan.closures:
-                prior_live.pop(seq, None)
-            for seq, replacement in plan.rewrites:
-                if replacement.live:
-                    prior_live[seq] = replacement
-                else:
-                    prior_live.pop(seq, None)
-            for offset, version in enumerate(plan.appends):
-                if version.live:
-                    prior_live[append_base + offset] = version
-            self._remember_live(atom_id, prior_live)
+        self._decode_cache.mutated(atom_id, live)
 
     def _index_version(self, type_name: str, atom_id: int,
                        version: Version) -> None:
@@ -921,11 +981,14 @@ class StorageEngine:
         atom_type = self.schema.atom_type(type_name)
         checked = atom_type.validate_values(values)
         window = Interval(valid_from, valid_to)
-        exists = self.store.exists(atom_id)
-        if exists and self.atom_type_name(atom_id) != type_name:
-            raise TemporalUpdateError(
-                f"atom {atom_id} already exists with a different type")
-        existing_live = self.live_pairs(atom_id) if exists else ()
+        try:
+            existing_live = self.live_pairs(atom_id)
+        except UnknownAtomError:
+            existing_live = []
+        else:
+            if self.atom_type_name(atom_id) != type_name:
+                raise TemporalUpdateError(
+                    f"atom {atom_id} already exists with a different type")
         plan = hist.insert_plan(checked, {}, window, tt,
                                 existing_live=existing_live)
         undos: List[UndoAction] = []
@@ -936,6 +999,7 @@ class StorageEngine:
                valid_from: Timestamp, tt: Timestamp,
                valid_to: Timestamp = FOREVER) -> List[UndoAction]:
         """Set *changes* over [valid_from, valid_to) (default: onwards)."""
+        live = self.live_pairs(atom_id)
         type_name = self.atom_type_name(atom_id)
         atom_type = self.schema.atom_type(type_name)
         checked = atom_type.validate_values(changes, partial=True)
@@ -948,8 +1012,7 @@ class StorageEngine:
             merged.update(checked)
             return version.with_state(merged, version.refs)
 
-        plan = hist.revise_pairs(self.live_pairs(atom_id), window, tt,
-                                 transform)
+        plan = hist.revise_pairs(live, window, tt, transform)
         undos: List[UndoAction] = []
         self._apply_plan(atom_id, type_name, plan, undos)
         return undos
@@ -958,10 +1021,10 @@ class StorageEngine:
                tt: Timestamp,
                valid_to: Timestamp = FOREVER) -> List[UndoAction]:
         """Logically delete: truncate validity inside the window."""
+        live = self.live_pairs(atom_id)
         type_name = self.atom_type_name(atom_id)
         window = Interval(valid_from, valid_to)
-        plan = hist.revise_pairs(self.live_pairs(atom_id), window, tt,
-                                 lambda version: None)
+        plan = hist.revise_pairs(live, window, tt, lambda version: None)
         undos: List[UndoAction] = []
         self._apply_plan(atom_id, type_name, plan, undos)
         return undos
@@ -970,6 +1033,7 @@ class StorageEngine:
                 window_end: Timestamp, changes: Dict[str, Any],
                 tt: Timestamp) -> List[UndoAction]:
         """Bitemporal correction: rewrite values inside a past window."""
+        live = self.live_pairs(atom_id)
         type_name = self.atom_type_name(atom_id)
         atom_type = self.schema.atom_type(type_name)
         checked = atom_type.validate_values(changes, partial=True)
@@ -980,11 +1044,38 @@ class StorageEngine:
             merged.update(checked)
             return version.with_state(merged, version.refs)
 
-        plan = hist.revise_pairs(self.live_pairs(atom_id), window, tt,
-                                 transform)
+        plan = hist.revise_pairs(live, window, tt, transform)
         undos: List[UndoAction] = []
         self._apply_plan(atom_id, type_name, plan, undos)
         return undos
+
+    def apply(self, payload: Dict[str, Any]) -> List[UndoAction]:
+        """Apply one logged operation (a WAL ``OPERATION`` payload), as
+        live transactions and replay both do; returns its undo actions."""
+        op = payload.get("op")
+        tt = payload["tt"]
+        if op == "insert":
+            return self.insert(payload["type"], payload["values"],
+                               payload["vf"], payload["vt"], tt,
+                               payload["atom_id"])
+        if op == "update":
+            return self.update(payload["atom_id"], payload["changes"],
+                               payload["vf"], tt, payload["vt"])
+        if op == "delete":
+            return self.delete(payload["atom_id"], payload["vf"], tt,
+                               payload["vt"])
+        if op == "correct":
+            return self.correct(payload["atom_id"], payload["ws"],
+                                payload["we"], payload["changes"], tt)
+        if op == "link":
+            return self.link(payload["link"], payload["src"],
+                             payload["dst"], payload["vf"], tt,
+                             payload["vt"])
+        if op == "unlink":
+            return self.unlink(payload["link"], payload["src"],
+                               payload["dst"], payload["vf"], tt,
+                               payload["vt"])
+        raise TransactionStateError(f"unknown logged operation {op!r}")
 
     # -- links --------------------------------------------------------------
 

@@ -32,19 +32,6 @@ _COLUMNS = (
 )
 
 
-def _metric_cells(span: Span) -> List[str]:
-    cells: List[str] = []
-    hits = span.metric("buffer.hits")
-    misses = span.metric("buffer.misses")
-    if hits or misses:
-        cells.append(f"pages={hits + misses} ({hits} hit/{misses} miss)")
-    for name, label in _COLUMNS[2:]:
-        value = span.metric(name)
-        if value:
-            cells.append(f"{label}={value}")
-    return cells
-
-
 def _dict_metric(metrics: Dict[str, int], name: str) -> int:
     return sum(value for key, value in metrics.items()
                if key == name or key.startswith(name + "{"))
@@ -64,8 +51,8 @@ def _dict_metric_cells(span: Dict[str, Any]) -> List[str]:
     return cells
 
 
-def _render_span_dict(span: Dict[str, Any], lines: List[str], prefix: str,
-                      last: bool, top: bool = False) -> None:
+def _render_tree(span: Dict[str, Any], lines: List[str], prefix: str,
+                 last: bool, top: bool = False) -> None:
     connector = "" if top else ("└─ " if last else "├─ ")
     attrs = " ".join(f"{key}={value}"
                      for key, value in (span.get("attrs") or {}).items())
@@ -79,8 +66,8 @@ def _render_span_dict(span: Dict[str, Any], lines: List[str], prefix: str,
     child_prefix = prefix + ("" if top else ("   " if last else "│  "))
     children = span.get("children") or []
     for index, child in enumerate(children):
-        _render_span_dict(child, lines, child_prefix,
-                          last=index == len(children) - 1)
+        _render_tree(child, lines, child_prefix,
+                     last=index == len(children) - 1)
 
 
 def render_profile_dict(profile: Dict[str, Any]) -> str:
@@ -100,7 +87,7 @@ def render_profile_dict(profile: Dict[str, Any]) -> str:
         header += f"  trace={trace_id}"
     lines = [header]
     for span in profile.get("spans") or []:
-        _render_span_dict(span, lines, prefix="", last=True, top=True)
+        _render_tree(span, lines, prefix="", last=True, top=True)
     return "\n".join(lines)
 
 
@@ -135,25 +122,7 @@ class QueryProfile:
 
     def render(self) -> str:
         """The operator tree as the CLI prints it."""
-        lines = [f"plan: {self.plan}"]
-        for span in self.spans:
-            self._render_span(span, lines, prefix="", last=True, top=True)
-        return "\n".join(lines)
-
-    def _render_span(self, span: Span, lines: List[str], prefix: str,
-                     last: bool, top: bool = False) -> None:
-        connector = "" if top else ("└─ " if last else "├─ ")
-        attrs = " ".join(f"{key}={value}" for key, value in span.attrs.items())
-        head = span.name + (f" [{attrs}]" if attrs else "")
-        cells = "  ".join(_metric_cells(span))
-        line = f"{prefix}{connector}{head:<44} {span.duration * 1e3:8.3f} ms"
-        if cells:
-            line += f"  {cells}"
-        lines.append(line)
-        child_prefix = prefix + ("" if top else ("   " if last else "│  "))
-        for index, child in enumerate(span.children):
-            self._render_span(child, lines, child_prefix,
-                              last=index == len(span.children) - 1)
+        return render_profile_dict(self.to_dict())
 
     def __repr__(self) -> str:
         names = ", ".join(span.name for span in self.spans)

@@ -311,9 +311,6 @@ class DatabaseServer:
         #: the selector batch can free their slots first.
         self._overflow: Deque[List[Any]] = collections.deque()
         self._next_session = 0
-        #: Kept for introspection parity with the threaded server; the
-        #: event loop owns sessions, so nothing lives here any more.
-        self._workers: Dict[int, threading.Thread] = {}
         self._stopping = threading.Event()
         self._loop_thread: Optional[threading.Thread] = None
         self._started_monotonic = time.monotonic()
@@ -1368,7 +1365,6 @@ class DatabaseServer:
             pass
         with self._sessions_lock:
             removed = self._sessions.pop(session.id, None)
-            self._workers.pop(session.id, None)
             remaining = len(self._sessions)
         self._g_connections.set(remaining)
         # Both the loop's teardown and the shutdown path reach here;

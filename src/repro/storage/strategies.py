@@ -111,7 +111,10 @@ class VersionStore:
 
     # -- mutation -----------------------------------------------------------
 
-    def append_version(self, atom_id: int, sv: StoredVersion) -> None:
+    def append_version(self, atom_id: int, sv: StoredVersion) -> int:
+        """Append *sv* as the atom's newest version, creating the atom
+        when it is new, with one directory probe; returns the sequence
+        number it was assigned (0 for a new atom)."""
         raise NotImplementedError
 
     def replace_version(self, atom_id: int, seq: int,
@@ -130,11 +133,11 @@ class VersionStore:
 
     # -- reads ------------------------------------------------------------------
     #
-    # The write path reads one atom at a time (``read_current``,
-    # ``read_live``, ``read_versions``, ``version_count``); every other
-    # read is set-oriented: one call answers many atoms, so a strategy
-    # sorts its directory probes and pins every touched page once per
-    # batch rather than once per atom.
+    # The write path reads one atom at a time (``read_live``,
+    # ``read_versions``, and ``read_current`` for a cold type-name
+    # lookup); every other read is set-oriented: one call answers many
+    # atoms, so a strategy sorts its directory probes and pins every
+    # touched page once per batch rather than once per atom.
     #
     # The optional *pred* of ``read_at_many`` is a pushed-down payload
     # predicate (from :meth:`StorageEngine.compile_pushdown`): hits
@@ -189,9 +192,6 @@ class VersionStore:
                       ) -> Dict[int, List[StoredVersion]]:
         """The full histories, in sequence order, of the known atoms
         among *atom_ids*; atoms not in the store are omitted."""
-        raise NotImplementedError
-
-    def version_count(self, atom_id: int) -> int:
         raise NotImplementedError
 
     def exists(self, atom_id: int) -> bool:
@@ -279,17 +279,34 @@ class _BaseStore(VersionStore):
         return state
 
 
+class _HeadStore(_BaseStore):
+    """A store whose directory entry is one record id (CLUSTERED's
+    history record, CHAINED's newest version) plus the version count."""
+
+    _DIR_VALUE = struct.Struct("<QHI")  # record page, record slot, count
+
+    @classmethod
+    def _unpack_dir(cls, payload: bytes) -> Tuple[RecordId, int]:
+        page, slot, count = cls._DIR_VALUE.unpack(payload)
+        return RecordId(page, slot), count
+
+    def _dir_entry(self, atom_id: int) -> Tuple[RecordId, int]:
+        return self._unpack_dir(self._entry(atom_id))
+
+    def _put_dir(self, atom_id: int, rid: RecordId, count: int) -> None:
+        self._directory.put(
+            atom_id, self._DIR_VALUE.pack(rid.page_id, rid.slot, count))
+
+
 # ---------------------------------------------------------------------------
 # CLUSTERED: the whole history in one spanned record ("temporal atom")
 # ---------------------------------------------------------------------------
 
 
-class ClusteredStore(_BaseStore):
+class ClusteredStore(_HeadStore):
     """All versions of an atom clustered into one logical record."""
 
     strategy = VersionStrategy.CLUSTERED
-
-    _DIR_VALUE = struct.Struct("<QHI")  # head page, head slot, count
 
     def __init__(self, buffer: BufferManager,
                  state: Optional[Dict[str, List[int]]] = None) -> None:
@@ -326,26 +343,20 @@ class ClusteredStore(_BaseStore):
             at += length
         return versions
 
-    def _dir_entry(self, atom_id: int) -> Tuple[RecordId, int]:
-        page, slot, count = self._DIR_VALUE.unpack(self._entry(atom_id))
-        return RecordId(page, slot), count
-
-    def _put_dir(self, atom_id: int, rid: RecordId, count: int) -> None:
-        self._directory.put(
-            atom_id, self._DIR_VALUE.pack(rid.page_id, rid.slot, count))
-
     # -- protocol --------------------------------------------------------------
 
-    def append_version(self, atom_id: int, sv: StoredVersion) -> None:
-        if self.exists(atom_id):
-            rid, count = self._dir_entry(atom_id)
-            versions = self._decode(self._segment.read(rid))
-            versions.append(sv)
-            new_rid = self._segment.update(rid, self._encode(versions))
-            self._put_dir(atom_id, new_rid, count + 1)
-        else:
+    def append_version(self, atom_id: int, sv: StoredVersion) -> int:
+        payload = self._directory.get(atom_id)
+        if payload is None:
             rid = self._segment.insert(self._encode([sv]))
             self._put_dir(atom_id, rid, 1)
+            return 0
+        rid, count = self._unpack_dir(payload)
+        versions = self._decode(self._segment.read(rid))
+        versions.append(sv)
+        new_rid = self._segment.update(rid, self._encode(versions))
+        self._put_dir(atom_id, new_rid, count + 1)
+        return count
 
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
@@ -396,9 +407,6 @@ class ClusteredStore(_BaseStore):
                 f"atom {atom_id} has no version {missing[0]}")
         return {seq: versions[seq] for seq in wanted}
 
-    def version_count(self, atom_id: int) -> int:
-        return self._dir_entry(atom_id)[1]
-
     # -- batched reads ---------------------------------------------------------
 
     def _records_many(self, atom_ids: Iterable[int]
@@ -410,10 +418,8 @@ class ClusteredStore(_BaseStore):
         """
         rid_for: Dict[int, RecordId] = {}
         for atom_id, payload in self._entries_many(atom_ids).items():
-            if payload is None:
-                continue
-            page, slot, _count = self._DIR_VALUE.unpack(payload)
-            rid_for[atom_id] = RecordId(page, slot)
+            if payload is not None:
+                rid_for[atom_id] = self._unpack_dir(payload)[0]
         records = self._segment.read_many(rid_for.values())
         return {atom_id: self._decode(records[rid])
                 for atom_id, rid in rid_for.items()}
@@ -448,12 +454,10 @@ class ClusteredStore(_BaseStore):
 # ---------------------------------------------------------------------------
 
 
-class ChainedStore(_BaseStore):
+class ChainedStore(_HeadStore):
     """Per-version records forming a backward chain from the current one."""
 
     strategy = VersionStrategy.CHAINED
-
-    _DIR_VALUE = struct.Struct("<QHI")  # newest page, newest slot, count
 
     def __init__(self, buffer: BufferManager,
                  state: Optional[Dict[str, List[int]]] = None) -> None:
@@ -477,14 +481,6 @@ class ChainedStore(_BaseStore):
         vt_start, vt_end, live, at = _unpack_envelope(record, at)
         return prev, StoredVersion(vt_start, vt_end, live, record[at:])
 
-    def _dir_entry(self, atom_id: int) -> Tuple[RecordId, int]:
-        page, slot, count = self._DIR_VALUE.unpack(self._entry(atom_id))
-        return RecordId(page, slot), count
-
-    def _put_dir(self, atom_id: int, rid: RecordId, count: int) -> None:
-        self._directory.put(
-            atom_id, self._DIR_VALUE.pack(rid.page_id, rid.slot, count))
-
     def _walk(self, atom_id: int) -> Iterator[Tuple[int, RecordId,
                                                     RecordId, StoredVersion]]:
         """Yield (seq, rid, prev rid, version) from newest to oldest."""
@@ -498,13 +494,15 @@ class ChainedStore(_BaseStore):
 
     # -- protocol --------------------------------------------------------------
 
-    def append_version(self, atom_id: int, sv: StoredVersion) -> None:
-        if self.exists(atom_id):
-            prev, count = self._dir_entry(atom_id)
-        else:
+    def append_version(self, atom_id: int, sv: StoredVersion) -> int:
+        payload = self._directory.get(atom_id)
+        if payload is None:
             prev, count = _NO_RECORD, 0
+        else:
+            prev, count = self._unpack_dir(payload)
         rid = self._segment.insert(self._encode(prev, sv))
         self._put_dir(atom_id, rid, count + 1)
+        return count
 
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
@@ -577,9 +575,6 @@ class ChainedStore(_BaseStore):
                 f"atom {atom_id} has no version {min(wanted)}")
         return result
 
-    def version_count(self, atom_id: int) -> int:
-        return self._dir_entry(atom_id)[1]
-
     # -- batched reads ---------------------------------------------------------
     #
     # Chains are walked breadth-first across the whole batch: every round
@@ -595,8 +590,8 @@ class ChainedStore(_BaseStore):
             if payload is None:
                 missing.append(atom_id)
                 continue
-            page, slot, count = self._DIR_VALUE.unpack(payload)
-            frontier[atom_id] = (RecordId(page, slot), count - 1)
+            rid, count = self._unpack_dir(payload)
+            frontier[atom_id] = (rid, count - 1)
         return frontier, missing
 
     def read_at_many(self, atom_ids: Iterable[int], at: int,
@@ -738,14 +733,14 @@ class SeparatedStore(_BaseStore):
     # rewritten where it stands; its id only moves when the new version
     # no longer fits its page.
 
-    def append_version(self, atom_id: int, sv: StoredVersion) -> None:
+    def append_version(self, atom_id: int, sv: StoredVersion) -> int:
         envelope = (sv.vt_start, sv.vt_end, sv.live)
         record = self._encode_version(sv)
         payload = self._directory.get(atom_id)
         if payload is None:
             rid = self._current.insert(record)
             self._put_dir(atom_id, rid, _NO_RECORD, 1, envelope)
-            return
+            return 0
         current_rid, vdir_rid, count, old_env = self._decode_dir(payload)
         # Migrate the superseded current version into the history segment.
         hist_rid = self._history.insert(self._current.read(current_rid))
@@ -757,6 +752,7 @@ class SeparatedStore(_BaseStore):
             vdir_rid = self._vdir.update(
                 vdir_rid, self._vdir.read(vdir_rid) + entry)
         self._put_dir(atom_id, current_rid, vdir_rid, count + 1, envelope)
+        return count
 
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
@@ -852,9 +848,6 @@ class SeparatedStore(_BaseStore):
             for seq, rid in fetch.items():
                 result[seq] = self._decode_version(records[rid])
         return result
-
-    def version_count(self, atom_id: int) -> int:
-        return self._dir_entry(atom_id)[2]
 
     # -- batched reads ---------------------------------------------------------
     #

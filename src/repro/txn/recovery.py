@@ -35,10 +35,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from repro.errors import RecoveryError
 from repro.txn.wal import LogRecord, LogRecordType, WriteAheadLog
+
+if TYPE_CHECKING:  # the engine package imports this one at runtime
+    from repro.core.engine import StorageEngine
 
 #: File-name suffix of checkpoint copies.
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -197,14 +200,7 @@ def _scan_commit_state(wal: WriteAheadLog, after_lsn: int,
     return committed, quiescent, last
 
 
-def committed_transactions(wal: WriteAheadLog, after_lsn: int,
-                           upto_lsn: Optional[int] = None) -> Set[int]:
-    """Transaction ids with a COMMIT record after the checkpoint."""
-    committed, _, _ = _scan_commit_state(wal, after_lsn, upto_lsn)
-    return committed
-
-
-def replay_operations(engine: Any, wal: WriteAheadLog,
+def replay_operations(engine: "StorageEngine", wal: WriteAheadLog,
                       after_lsn: int,
                       upto_lsn: Optional[int] = None,
                       quiescent_only: bool = False,
@@ -237,7 +233,7 @@ def replay_operations(engine: Any, wal: WriteAheadLog,
     assigned (the caller advances the clock and the id allocator past
     these), and the quiescent LSN the replay stopped honoring.
     """
-    metrics = getattr(engine, "metrics", None) or wal.metrics
+    metrics = engine.metrics
     c_replayed = metrics.counter("recovery.records_replayed")
     c_transactions = metrics.counter("recovery.transactions")
     committed, quiescent, _ = _scan_commit_state(wal, after_lsn, upto_lsn,
@@ -249,7 +245,7 @@ def replay_operations(engine: Any, wal: WriteAheadLog,
         # bound), so the superset of committed ids stays correct.
         bound = quiescent if bound is None else min(bound, quiescent)
     c_transactions.inc(len(committed))
-    guard = int(getattr(engine, "applied_replay_lsn", 0))
+    guard = engine.applied_replay_lsn
     replayed = 0
     max_tt = -1
     max_atom_id = 0
@@ -269,10 +265,14 @@ def replay_operations(engine: Any, wal: WriteAheadLog,
         if record.lsn <= guard:
             continue  # already applied by an earlier replay
         payload = record.payload
-        max_atom_id = max(max_atom_id, _apply_operation(engine, payload))
+        try:
+            engine.apply(payload)
+        except Exception as exc:  # noqa: BLE001 - wrap any replay failure
+            raise RecoveryError(
+                f"replay of {payload.get('op')!r} failed: {exc}") from exc
+        max_atom_id = max(max_atom_id, _atom_id_of(payload))
         max_tt = max(max_tt, int(payload.get("tt", -1)))
-        if hasattr(engine, "applied_replay_lsn"):
-            engine.applied_replay_lsn = record.lsn
+        engine.applied_replay_lsn = record.lsn
         replayed += 1
         c_replayed.inc()
     return {"operations": replayed, "transactions": len(committed),
@@ -280,37 +280,8 @@ def replay_operations(engine: Any, wal: WriteAheadLog,
             "quiescent_lsn": quiescent}
 
 
-def _apply_operation(engine: Any, payload: Dict[str, Any]) -> int:
-    """Dispatch one logged operation to the engine; returns the atom id
-    it touched (0 when none was assigned)."""
-    op = payload.get("op")
-    tt = payload["tt"]
-    try:
-        if op == "insert":
-            engine.insert(payload["type"], payload["values"],
-                          payload["vf"], payload["vt"], tt,
-                          payload["atom_id"])
-            return int(payload["atom_id"])
-        if op == "update":
-            engine.update(payload["atom_id"], payload["changes"],
-                          payload["vf"], tt, payload["vt"])
-            return int(payload["atom_id"])
-        if op == "delete":
-            engine.delete(payload["atom_id"], payload["vf"], tt,
-                          payload["vt"])
-            return int(payload["atom_id"])
-        if op == "correct":
-            engine.correct(payload["atom_id"], payload["ws"],
-                           payload["we"], payload["changes"], tt)
-            return int(payload["atom_id"])
-        if op == "link":
-            engine.link(payload["link"], payload["src"], payload["dst"],
-                        payload["vf"], tt, payload["vt"])
-            return max(int(payload["src"]), int(payload["dst"]))
-        if op == "unlink":
-            engine.unlink(payload["link"], payload["src"], payload["dst"],
-                          payload["vf"], tt, payload["vt"])
-            return max(int(payload["src"]), int(payload["dst"]))
-    except Exception as exc:  # noqa: BLE001 - wrap any replay failure
-        raise RecoveryError(f"replay of {op!r} failed: {exc}") from exc
-    raise RecoveryError(f"unknown logged operation {op!r}")
+def _atom_id_of(payload: Dict[str, Any]) -> int:
+    """The highest atom id a logged operation touched."""
+    if payload["op"] in ("link", "unlink"):
+        return max(int(payload["src"]), int(payload["dst"]))
+    return int(payload["atom_id"])

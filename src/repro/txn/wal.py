@@ -222,15 +222,21 @@ class WriteAheadLog:
         with self._lock:
             lsn = self._next_lsn
             self._next_lsn += 1
-            header = _HEADER.pack(record_type.value, txn_id, len(body), 0)
-            crc = zlib.crc32(_LSN.pack(lsn) + header + body)
-            header = _HEADER.pack(record_type.value, txn_id, len(body), crc)
-            record = _LSN.pack(lsn) + header + body
-            self._note_offset(lsn, len(record))
-            self._file.write(record)
-            self._c_appends.inc()
-            self._c_bytes.inc(len(record))
+            self._write_record(lsn, record_type.value, txn_id, body)
             return lsn
+
+    def _write_record(self, lsn: int, type_value: int, txn_id: int,
+                      body: bytes) -> None:
+        """Frame one record (LSN, header, CRC over both and the body),
+        mark its offset and write it.  Caller holds ``_lock``."""
+        header = _HEADER.pack(type_value, txn_id, len(body), 0)
+        crc = zlib.crc32(_LSN.pack(lsn) + header + body)
+        header = _HEADER.pack(type_value, txn_id, len(body), crc)
+        record = _LSN.pack(lsn) + header + body
+        self._note_offset(lsn, len(record))
+        self._file.write(record)
+        self._c_appends.inc()
+        self._c_bytes.inc(len(record))
 
     def append_shipped(self, lsn: int, type_value: int, txn_id: int,
                        payload: Dict[str, Any]) -> bool:
@@ -264,14 +270,7 @@ class WriteAheadLog:
                         f"replication stream gap: expected lsn "
                         f"{self._next_lsn}, got {lsn}")
             self._next_lsn = lsn + 1
-            header = _HEADER.pack(type_value, txn_id, len(body), 0)
-            crc = zlib.crc32(_LSN.pack(lsn) + header + body)
-            header = _HEADER.pack(type_value, txn_id, len(body), crc)
-            record = _LSN.pack(lsn) + header + body
-            self._note_offset(lsn, len(record))
-            self._file.write(record)
-            self._c_appends.inc()
-            self._c_bytes.inc(len(record))
+            self._write_record(lsn, type_value, txn_id, body)
         # A shipped record is shippable onward immediately — no fsync
         # barrier.  The durability rationale behind shippable_lsn does
         # not apply here: this log is a verbatim LSN-aligned copy of the

@@ -128,16 +128,11 @@ class TestIndexMaintenance:
 
 
 class TestReads:
-    def test_current_version(self, engine):
-        insert(engine, 1, values={"name": "a"}, tt=0)
-        engine.update(1, {"name": "b"}, 10, tt=1)
-        assert engine.current_version(1).values["name"] == "b"
-
     def test_unknown_atom(self, engine):
         with pytest.raises(UnknownAtomError):
             engine.all_versions(77)
         with pytest.raises(UnknownAtomError):
-            engine.current_version(77)
+            engine.live_pairs(77)
         assert engine.version_at(77, 0) is None
 
     def test_lifespan(self, engine):

@@ -1,17 +1,19 @@
 """The write path's live-version machinery.
 
 Mutation planning only ever reads transaction-time-open versions, so the
-stores expose ``read_live``/``read_versions`` and the engine keeps a
-per-atom live-set cache that ``_apply_plan`` repairs in place.  These
-tests pin the store contracts, prove the cache never drifts from store
-truth under mixed operations (including undo), and guard the headline
-property: update cost no longer scans the closed history.
+stores expose ``read_live``/``read_versions`` and the engine's per-atom
+cache entry holds the live set, which ``_apply_plan`` repairs in place.
+These tests pin the store contracts, prove the cache never drifts from
+store truth under mixed operations (including undo and eviction), and
+guard the headline properties: update cost no longer scans the closed
+history, and a warm mutation asks the store nothing before it writes.
 """
 
 import random
 
 import pytest
 
+from repro.core.engine import DECODE_CACHE_ENTRY_OVERHEAD, DecodedVersionCache
 from repro.errors import StorageError
 from repro.storage.strategies import StoredVersion
 from repro.temporal import FOREVER
@@ -70,30 +72,52 @@ class TestStoreContract:
         assert engine.store.read_live(1) == []
 
 
+def _mixed_ops_match_store(engine, between=lambda: None):
+    """Random updates, deletes, corrections and undone updates of one
+    atom; after each, the planning read equals the store's live set.
+    *between* runs after every operation."""
+    rng = random.Random(7)
+    insert(engine, 1, tt=0)
+    tt = 1
+    for _ in range(60):
+        op = rng.randrange(4)
+        start = rng.randrange(0, 90)
+        try:
+            if op == 0:
+                engine.update(1, {"cost": float(tt)}, start, tt)
+            elif op == 1:
+                engine.delete(1, start, tt, valid_to=start + 5)
+            elif op == 2:
+                engine.correct(1, start, start + 10,
+                               {"cost": float(-tt)}, tt)
+            else:
+                undos = engine.update(1, {"cost": 0.5}, start, tt)
+                for undo in reversed(undos):
+                    undo()
+        except Exception:  # revision may legitimately find no overlap
+            pass
+        tt += 1
+        between()
+        assert engine.live_pairs(1) == store_live(engine, 1)
+
+
 class TestLiveSetCache:
     def test_live_pairs_matches_store_after_each_op(self, engine):
-        rng = random.Random(7)
-        insert(engine, 1, tt=0)
-        tt = 1
-        for _ in range(60):
-            op = rng.randrange(4)
-            start = rng.randrange(0, 90)
-            try:
-                if op == 0:
-                    engine.update(1, {"cost": float(tt)}, start, tt)
-                elif op == 1:
-                    engine.delete(1, start, tt, valid_to=start + 5)
-                elif op == 2:
-                    engine.correct(1, start, start + 10,
-                                   {"cost": float(-tt)}, tt)
-                else:
-                    undos = engine.update(1, {"cost": 0.5}, start, tt)
-                    for undo in reversed(undos):
-                        undo()
-            except Exception:  # revision may legitimately find no overlap
-                pass
-            tt += 1
-            assert engine.live_pairs(1) == store_live(engine, 1)
+        _mixed_ops_match_store(engine)
+
+    def test_live_pairs_matches_store_under_eviction(self, engine):
+        # Room for about one small live set: touching a second atom
+        # between operations evicts atom 1, so planning must rebuild its
+        # live set from read_live again and again.
+        engine._decode_cache = DecodedVersionCache(
+            4 * DECODE_CACHE_ENTRY_OVERHEAD, engine.metrics)
+        engine.insert("Component", {"cname": "other"}, 0, FOREVER, 0, 2)
+        misses = engine.metrics.counter("engine.live_set.misses")
+        evictions = engine.metrics.counter("engine.decode_cache.evictions")
+        before = misses.value, evictions.value
+        _mixed_ops_match_store(engine, between=lambda: engine.live_pairs(2))
+        assert misses.value - before[0] >= 30
+        assert evictions.value > before[1]
 
     def test_cache_survives_valid_time_splits(self, engine):
         # A mid-window update splits validity into three live pieces;
@@ -137,6 +161,44 @@ class TestLiveSetCache:
         # One live version per update; a full-history planner would
         # scan 40+ versions each time.
         assert scanned.value - before <= 10
+
+    @staticmethod
+    def _count_probes(engine, monkeypatch):
+        calls = []
+        store = engine.store
+        for name in ("read_current", "exists", "read_live"):
+            def counted(*args, _name=name, _method=getattr(store, name)):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(store, name, counted)
+        return calls
+
+    def test_cold_update_reads_only_the_live_set(self, engine, monkeypatch):
+        # The planning read's decodes name the type: no read_current.
+        insert(engine, 1, tt=0)
+        engine.drop_caches()
+        calls = self._count_probes(engine, monkeypatch)
+        engine.update(1, {"cost": 1.0}, 10, tt=1)
+        assert calls == ["read_live"]
+
+    def test_warm_mutations_ask_the_store_nothing(self, engine,
+                                                  monkeypatch):
+        # One update each warms both atoms' entries (live set and type
+        # name); from then on every mutation plans from the entry and
+        # learns its new seqs from append_version.
+        insert(engine, 1, tt=0)
+        engine.insert("Component", {"cname": "c"}, 0, FOREVER, 0, 2)
+        engine.update(1, {"cost": 1.0}, 10, tt=1)
+        engine.update(2, {"weight": 1.0}, 10, tt=1)
+        calls = self._count_probes(engine, monkeypatch)
+        engine.update(1, {"cost": 2.0}, 20, tt=2)
+        engine.correct(1, 12, 15, {"cost": 9.0}, tt=3)
+        engine.link("contains", 1, 2, 30, tt=4)
+        engine.delete(1, 40, tt=5)
+        assert calls == []
+        monkeypatch.undo()
+        assert engine.live_pairs(1) == store_live(engine, 1)
+        assert engine.live_pairs(2) == store_live(engine, 2)
 
     def test_reopen_after_cached_updates(self, tmp_path, cad_schema,
                                          strategy):

@@ -2,13 +2,14 @@
 invalidation path.
 
 The engine caches, per atom, the stored history (filled by full-history
-reads) and decoded versions keyed by ``(seq, cols)``, plus atom type
-names by atom id.  A stale entry would silently serve old state, so
-every route that rewrites stored bytes — update/correct/delete,
-link/unlink, transaction rollback (undo), recovery replay, replica
-apply and vacuum — must drop the atom's entries.  These tests drive
-each route and check warm reads against ground truth and against a
-cold engine (``drop_caches``), alongside the cache's own metrics.
+reads), decoded versions keyed by ``(seq, cols)``, the live set the
+write path plans against and the atom's type name.  A stale entry would
+silently serve old state, so every route that rewrites stored bytes —
+update/correct/delete, link/unlink, transaction rollback (undo),
+recovery replay, replica apply and vacuum — must drop the atom's
+history and decodes.  These tests drive each route and check warm reads
+against ground truth and against a cold engine (``drop_caches``),
+alongside the cache's own metrics.
 """
 
 from __future__ import annotations
@@ -185,6 +186,22 @@ class TestTypeNameMap:
         for _ in range(5):
             assert db.engine.atom_type_name(part) == "Part"
         assert db.metrics.total("heap.record_reads") == reads_before
+
+    def test_aborted_insert_forgets_the_atom(self, db):
+        # The entry kept the type name across the update; undoing the
+        # insert removes the atom, so it must drop the entry too.
+        with pytest.raises(RuntimeError):
+            with db.transaction() as txn:
+                part = txn.insert("Part", {"name": "gone"}, valid_from=0)
+                txn.update(part, {"cost": 2.0}, valid_from=5)
+                assert db.engine.atom_type_name(part) == "Part"
+                raise RuntimeError("abort")
+        with pytest.raises(UnknownAtomError):
+            db.engine.atom_type_name(part)
+        db.engine.insert("Component", {"cname": "reborn"}, 0, FOREVER,
+                         100, part)
+        assert db.engine.atom_type_name(part) == "Component"
+        assert db.engine.version_at(part, 3).values["cname"] == "reborn"
 
 
 class TestEviction:
@@ -379,13 +396,15 @@ class TestHistoryEntries:
         _warm(db, part)
         db.engine.atom_type_name(part)
         engine = db.engine
-        assert engine._decode_cache.bytes_used > 0
-        assert engine._live_sets and engine._type_names
+        cache = engine._decode_cache
+        assert cache.bytes_used > 0
+        type_name, live = cache.known(part)
+        assert type_name == "Part" and live is not None
         engine.drop_caches()
-        assert engine._decode_cache.bytes_used == 0
-        assert len(engine._decode_cache) == 0
+        assert cache.bytes_used == 0
+        assert len(cache) == 0
         assert _cached_history(db, part) is None
-        assert not engine._live_sets and not engine._type_names
+        assert not cache._atoms  # no entry: no live set, no type name
 
 
 def _spec(type_name, attr, op, literal):
@@ -749,6 +768,8 @@ def test_concurrent_readers_keep_entries_and_budget_consistent(db):
             for _ in range(150):
                 ids = rng.sample(parts, 3)
                 with db._state_latch.read():
+                    if engine.atom_type_name(ids[0]) != "Part":
+                        errors.append((seed, ids[0], "type name"))
                     if rng.random() < 0.5:
                         got = engine.all_versions_many(ids)
                         want = {i: expected_histories[i] for i in ids}
