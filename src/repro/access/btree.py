@@ -72,6 +72,10 @@ class BPlusTree:
         self._c_node_reads = metrics.counter("btree.node_reads", index=name)
         self._c_node_writes = metrics.counter("btree.node_writes", index=name)
         self._c_splits = metrics.counter("btree.splits", index=name)
+        # One entry of each node kind, so a node decodes with a single
+        # ``iter_unpack`` over its entry bytes.
+        self._leaf_entry = struct.Struct(f"<{key_size}s{value_size}s")
+        self._internal_entry = struct.Struct(f"<{key_size}sQ")
         page_size = buffer.page_size
         self._leaf_cap = (page_size - _HEAD.size) // (key_size + value_size)
         self._internal_cap = (page_size - _HEAD.size) // (key_size + 8)
@@ -96,27 +100,21 @@ class BPlusTree:
         self._c_node_reads.inc()
         with self._buffer.page(page_id) as frame:
             data = frame.data
-        node_type, count, link = _HEAD.unpack_from(data, 0)
-        if node_type not in (_TYPE_LEAF, _TYPE_INTERNAL):
-            raise IndexCorruptError(
-                f"{self.name}: page {page_id} is not a tree node")
-        node = _Node(page_id, node_type == _TYPE_LEAF)
-        at = _HEAD.size
+            node_type, count, link = _HEAD.unpack_from(data, 0)
+            if node_type not in (_TYPE_LEAF, _TYPE_INTERNAL):
+                raise IndexCorruptError(
+                    f"{self.name}: page {page_id} is not a tree node")
+            node = _Node(page_id, node_type == _TYPE_LEAF)
+            entry = self._leaf_entry if node.is_leaf else self._internal_entry
+            entries = entry.iter_unpack(
+                data[_HEAD.size:_HEAD.size + count * entry.size])
+            keys, seconds = map(list, zip(*entries)) if count else ([], [])
+        node.keys = keys
         if node.is_leaf:
             node.next_leaf = link
-            for _ in range(count):
-                node.keys.append(bytes(data[at:at + self.key_size]))
-                at += self.key_size
-                node.values.append(bytes(data[at:at + self.value_size]))
-                at += self.value_size
+            node.values = seconds
         else:
-            node.children.append(link)
-            for _ in range(count):
-                node.keys.append(bytes(data[at:at + self.key_size]))
-                at += self.key_size
-                node.children.append(
-                    struct.unpack_from("<Q", data, at)[0])
-                at += 8
+            node.children = [link] + seconds
         return node
 
     def _write(self, node: _Node) -> None:

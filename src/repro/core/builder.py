@@ -10,16 +10,22 @@ existence is its own).
 
 Expansion is *level-at-a-time*: instead of probing the reader once per
 child, each BFS depth level gathers every child id discovered across the
-whole frontier (all roots of a batch included) and issues one set-oriented
-``version_at_many`` call, which the storage layer answers with grouped
-page accesses.
+whole frontier (all roots of a batch included) and resolves them in one
+call.  A time slice resolves through one set-oriented ``version_at_many``
+per level, which the storage layer answers with grouped page accesses.
 
-For interval (``VALID DURING``) queries the builder runs an event sweep:
-build the slice at the window start, find the earliest valid-time boundary
-of any involved or referenced atom after the current instant, and rebuild
-there; adjacent slices with identical composition are coalesced.  A
-per-call memo keeps each consulted atom's boundary points so the sweep
-reads and decodes every history once, not once per slice.
+Interval (``VALID DURING`` / ``VALID HISTORY``) queries run one sweep
+over the atoms' histories.  Each atom the expansion reaches is read once,
+through one batched ``all_versions_many`` per level that meets new
+atoms, and its versions believed at the query's transaction time become
+an in-memory timeline (valid-time sorted versions with their start and
+end points).  Every slice of the window is then expanded by the same
+level-at-a-time code, resolving each level by bisecting the timelines
+instead of calling the reader; the same bisects yield the earliest
+valid-time boundary after the instant among the atoms the slice
+consulted, which is where the next slice starts.  Adjacent slices with
+equal composition are coalesced.  So a sweep's reader calls depend on
+the molecule's depth, not on how many boundaries the window holds.
 
 The builder reads through the :class:`VersionReader` protocol so the same
 construction logic serves the on-disk engine and the in-memory oracle.
@@ -28,7 +34,8 @@ construction logic serves the on-disk engine and the in-memory oracle.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Protocol,
+                    Tuple)
 
 from repro.core import history as hist
 from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
@@ -61,12 +68,88 @@ class VersionReader(Protocol):
         order; unknown atoms are omitted."""
 
 
+#: Resolves one expansion level: atom ids -> the version each has in the
+#: slice being built (``None`` when it has none).
+Fetch = Callable[[List[int]], Dict[int, Optional[Version]]]
+
 # One pending child expansion: the parent's children list to append to,
 # the edge taken, the child id, the edge budget left *at the parent*, the
 # parent's depth, the parent's budget map, the path down to (and
 # including) the parent, and the index of the tree being grown.
 _Request = Tuple[List[MoleculeAtom], "object", int, int, int, dict,
                  frozenset, int]
+
+
+class _Timeline:
+    """One atom's versions believed at one transaction time, in
+    valid-time order.  They are valid-time disjoint (the history
+    invariant), so one bisect over their starts finds both the version
+    valid at an instant and the atom's next boundary after it."""
+
+    __slots__ = ("starts", "ends", "versions")
+
+    def __init__(self, versions: List[Version],
+                 tt: Optional[Timestamp]) -> None:
+        believed = sorted((version for _, version
+                           in hist.live_versions(versions, tt)),
+                          key=lambda version: version.vt.start)
+        self.versions = believed
+        self.starts = [version.vt.start for version in believed]
+        self.ends = [version.vt.end for version in believed]
+
+    def at(self, at: Timestamp) -> Tuple[Optional[Version], Timestamp]:
+        """The version valid at *at* (or ``None``) and the earliest start
+        or end point after *at* (``FOREVER`` when there is none)."""
+        index = bisect_right(self.starts, at) - 1
+        if index >= 0 and at < self.ends[index]:
+            return self.versions[index], self.ends[index]
+        index += 1
+        return (None, self.starts[index] if index < len(self.starts)
+                else FOREVER)
+
+
+class _Sweep:
+    """The timelines of one ``build_history`` call, resolving the slice
+    at :attr:`at` and tracking its next boundary."""
+
+    __slots__ = ("_reader", "_tt", "_timelines", "at", "boundary")
+
+    def __init__(self, reader: VersionReader,
+                 tt: Optional[Timestamp]) -> None:
+        self._reader = reader
+        self._tt = tt
+        self._timelines: Dict[int, _Timeline] = {}
+        self.at: Timestamp = 0
+        #: Earliest boundary after :attr:`at` among the atoms resolved
+        #: since :meth:`start` — the atoms the slice consulted.
+        self.boundary: Timestamp = FOREVER
+
+    def start(self, at: Timestamp) -> None:
+        self.at = at
+        self.boundary = FOREVER
+
+    def resolve(self, atom_ids: List[int]) -> Dict[int, Optional[Version]]:
+        """A :data:`Fetch` over the timelines; atoms met for the first
+        time are read in one ``all_versions_many``, and an atom the
+        reader does not know raises :class:`UnknownAtomError`."""
+        timelines = self._timelines
+        missing = [atom_id for atom_id in dict.fromkeys(atom_ids)
+                   if atom_id not in timelines]
+        if missing:
+            histories = self._reader.all_versions_many(missing)
+            for atom_id in missing:
+                versions = histories.get(atom_id)
+                if versions is None:
+                    raise UnknownAtomError(f"no atom {atom_id}")
+                timelines[atom_id] = _Timeline(versions, self._tt)
+        found: Dict[int, Optional[Version]] = {}
+        at, boundary = self.at, self.boundary
+        for atom_id in atom_ids:
+            found[atom_id], next_at = timelines[atom_id].at(at)
+            if next_at < boundary:
+                boundary = next_at
+        self.boundary = boundary
+        return found
 
 
 class MoleculeBuilder:
@@ -113,8 +196,8 @@ class MoleculeBuilder:
         Returns ``None`` when the root atom itself has no valid version at
         the instant.
         """
-        molecule, _ = self._build_collect(root_id, mtype, at, tt)
-        return molecule
+        molecules = self.build_many([root_id], mtype, at, tt)
+        return molecules[0] if molecules else None
 
     def build_many(self, root_ids: Iterable[int], mtype: MoleculeType,
                    at: Timestamp, tt: Optional[Timestamp] = None,
@@ -136,32 +219,31 @@ class MoleculeBuilder:
         ids = list(dict.fromkeys(root_ids))
         if not ids:
             return []
-        built = self._build_forest(ids, mtype, at, tt, root_pred, projection)
-        return [molecule for molecule, _ in built if molecule is not None]
 
-    def _build_collect(self, root_id: int, mtype: MoleculeType,
-                       at: Timestamp, tt: Optional[Timestamp]
-                       ) -> Tuple[Optional[Molecule], Set[int]]:
-        """Build a slice and collect every atom id consulted (including
-        referenced atoms that were invalid at the instant)."""
-        return self._build_forest([root_id], mtype, at, tt)[0]
+        def fetch(atom_ids: List[int]) -> Dict[int, Optional[Version]]:
+            return self._fetch_many(atom_ids, at, tt, projection=projection)
+
+        def fetch_roots(atom_ids: List[int]
+                        ) -> Dict[int, Optional[Version]]:
+            return self._fetch_many(atom_ids, at, tt, pred=root_pred,
+                                    projection=projection)
+
+        built = self._build_forest(ids, mtype, fetch, fetch_roots)
+        return [molecule for molecule in built if molecule is not None]
 
     def _build_forest(self, root_ids: List[int], mtype: MoleculeType,
-                      at: Timestamp, tt: Optional[Timestamp],
-                      root_pred=None, projection=None
-                      ) -> List[Tuple[Optional[Molecule], Set[int]]]:
+                      fetch: Fetch, fetch_roots: Optional[Fetch] = None
+                      ) -> List[Optional[Molecule]]:
         """Level-at-a-time construction of one molecule per root id.
 
-        Every depth level across *all* trees is resolved by a single
-        batched fetch.  Returns ``(molecule or None, consulted ids)`` per
-        root, in input order.
+        Every depth level across *all* trees is resolved by one *fetch*
+        call (*fetch_roots*, when given, resolves the roots).  Returns
+        the molecule, or ``None`` for a root with no version, per root in
+        input order.
         """
         self._c_slices.inc(len(root_ids))
-        consulted: List[Set[int]] = [{root_id} for root_id in root_ids]
         roots: List[Optional[MoleculeAtom]] = [None] * len(root_ids)
-        root_versions = self._fetch_many(root_ids, at, tt,
-                                         pred=root_pred,
-                                         projection=projection)
+        root_versions = (fetch_roots or fetch)(root_ids)
         depth_bound = mtype.max_path_length()
         # Frontier of materialized-but-unexpanded atoms.
         frontier: List[Tuple[int, MoleculeAtom, int, dict, frozenset]] = []
@@ -190,16 +272,13 @@ class MoleculeBuilder:
                     partner_ids = atom.version.refs.get(
                         edge.parent_ref_key, frozenset())
                     for child_id in sorted(partner_ids):
-                        consulted[index].add(child_id)
                         if child_id in path:
                             continue  # a data cycle: never revisit on a path
                         requests.append((children, edge, child_id, remaining,
                                          depth, budgets, path, index))
             if not requests:
                 break
-            versions = self._fetch_many(
-                (request[2] for request in requests), at, tt,
-                projection=projection)
+            versions = fetch([request[2] for request in requests])
             frontier = []
             for (children, edge, child_id, remaining, depth, budgets,
                  path, index) in requests:
@@ -212,13 +291,13 @@ class MoleculeBuilder:
                 children.append(child)
                 frontier.append((index, child, depth + 1, child_budgets,
                                  path))
-        results: List[Tuple[Optional[Molecule], Set[int]]] = []
-        for index, root_atom in enumerate(roots):
+        results: List[Optional[Molecule]] = []
+        for root_atom in roots:
             if root_atom is None:
-                results.append((None, consulted[index]))
+                results.append(None)
             else:
                 self._c_molecules.inc()
-                results.append((Molecule(mtype, root_atom), consulted[index]))
+                results.append(Molecule(mtype, root_atom))
         return results
 
     # -- interval construction -----------------------------------------------------
@@ -232,16 +311,20 @@ class MoleculeBuilder:
         Each returned interval is a maximal span inside the window during
         which the molecule's composition (atoms, values, references) is
         constant; spans where the root is not valid produce no entry.
+        Raises :class:`UnknownAtomError` when the root, or an atom a
+        slice references, is unknown to the reader.
         """
+        sweep = _Sweep(self._reader, tt)
         states: List[Tuple[Interval, Molecule]] = []
         at = window.start
-        memo: Dict[int, List[Timestamp]] = {}
         while at < window.end:
-            molecule, consulted = self._build_collect(root_id, mtype, at, tt)
-            next_at = self._next_boundary(consulted, at, tt, memo)
-            span_end = min(next_at, window.end)
+            self._c_boundary_scans.inc()
+            sweep.start(at)
+            (molecule,) = self._build_forest([root_id], mtype,
+                                             sweep.resolve)
+            next_at = sweep.boundary
             if molecule is not None:
-                span = Interval(at, span_end)
+                span = Interval(at, min(next_at, window.end))
                 if (states
                         and states[-1][0].meets(span)
                         and states[-1][1].same_composition_as(molecule)):
@@ -249,43 +332,5 @@ class MoleculeBuilder:
                                   states[-1][1])
                 else:
                     states.append((span, molecule))
-            if next_at >= window.end:
-                break
             at = next_at
         return states
-
-    def _boundary_points(self, versions: List[Version],
-                         tt: Optional[Timestamp]) -> List[Timestamp]:
-        """Sorted distinct valid-time boundaries of the live versions."""
-        points: Set[Timestamp] = set()
-        for _, version in hist.live_versions(versions, tt):
-            points.add(version.vt.start)
-            points.add(version.vt.end)
-        return sorted(points)
-
-    def _next_boundary(self, atom_ids: Set[int], after: Timestamp,
-                       tt: Optional[Timestamp],
-                       memo: Dict[int, List[Timestamp]]) -> Timestamp:
-        """Earliest valid-time boundary after *after* among the atoms.
-
-        The *memo* (one dict per ``build_history`` call) keeps each
-        atom's boundary points, so the sweep reads and decodes every
-        history once: atoms not yet in it are read through one batched
-        ``all_versions_many``.
-        """
-        self._c_boundary_scans.inc()
-        missing = [atom_id for atom_id in atom_ids if atom_id not in memo]
-        if missing:
-            histories = self._reader.all_versions_many(missing)
-            for atom_id in missing:
-                versions = histories.get(atom_id)
-                if versions is None:
-                    raise UnknownAtomError(f"no atom {atom_id}")
-                memo[atom_id] = self._boundary_points(versions, tt)
-        boundary = FOREVER
-        for atom_id in atom_ids:
-            points = memo[atom_id]
-            position = bisect_right(points, after)
-            if position < len(points) and points[position] < boundary:
-                boundary = points[position]
-        return boundary

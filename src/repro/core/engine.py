@@ -683,6 +683,8 @@ class StorageEngine:
         cost stays O(live) however long the closed history grows.  Its
         decodes also name the atom's type, so mutations call it before
         :meth:`atom_type_name` and a cold atom's type costs no extra read.
+        A cold read takes decodes the cache already holds but does not
+        put its own: the mutation that follows would drop them at once.
         """
         _, live = self._decode_cache.known(atom_id)
         if live is not None:
@@ -693,7 +695,9 @@ class StorageEngine:
             live = {}
             type_name: Optional[str] = None
             for seq, sv in stored:
-                type_name, version = self._decode_cached(atom_id, seq, sv)
+                cached = self._decode_cache.get(atom_id, seq)
+                type_name, version = (self._decode(sv) if cached is None
+                                      else cached)
                 live[seq] = (version,
                              len(sv.payload) + DECODE_CACHE_ENTRY_OVERHEAD)
             self._c_versions_scanned.inc(len(live))
@@ -868,8 +872,10 @@ class StorageEngine:
 
         The histories are read through the history cache (and fill it),
         so the sweep that follows for the surviving roots reads none of
-        them again.  The predicate judges every stored version and counts
-        each failure on ``engine.pushdown.skipped``.
+        them again.  Each history is judged newest-first and only until
+        a version passes, so ``engine.pushdown.skipped`` counts the
+        failures actually evaluated: all of a pruned root's versions,
+        and for a kept root those newer than its newest passing one.
         """
         ids = list(dict.fromkeys(atom_ids))
         histories = self._stored_histories(ids)
@@ -880,10 +886,11 @@ class StorageEngine:
             if history is None:
                 kept.append(atom_id)
                 continue
-            passed = sum(1 for sv in history.stored if pred(sv.payload))
-            skipped += len(history.stored) - passed
-            if passed:
-                kept.append(atom_id)
+            for stored_version in reversed(history.stored):
+                if pred(stored_version.payload):
+                    kept.append(atom_id)
+                    break
+                skipped += 1
         if skipped:
             self._c_pushdown_skipped.inc(skipped)
         return kept
@@ -1088,6 +1095,10 @@ class StorageEngine:
             raise CardinalityError(
                 f"{link_name}: atom {source_id} cannot be linked to itself")
         link = self.schema.link_type(link_name)
+        # The planning reads come first: their decodes name both types,
+        # so a cold link reads each atom's live set and nothing else.
+        self.live_pairs(source_id)
+        self.live_pairs(target_id)
         source_type = self.atom_type_name(source_id)
         target_type = self.atom_type_name(target_id)
         if (source_type, target_type) != (link.source, link.target):

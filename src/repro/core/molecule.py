@@ -312,20 +312,29 @@ class Molecule:
     def same_composition_as(self, other: "Molecule") -> bool:
         """Equal structure, atoms, and values (times ignored).
 
-        Only the links the molecule type traverses count: a change in a
+        Walks both trees in parallel and stops at the first difference:
+        atom id, type or values of an occurrence, the edges it was
+        expanded along, or the length and order of a child list.  Only
+        the links the molecule type traverses count: a change in a
         reference set the molecule never follows does not change this
         molecule's composition.
         """
-        return _composition(self.root) == _composition(other.root)
+        pending = [(self.root, other.root)]
+        while pending:
+            mine, theirs = pending.pop()
+            if (mine.atom_id != theirs.atom_id
+                    or mine.type_name != theirs.type_name
+                    or (mine.version is not theirs.version
+                        and mine.version.values != theirs.version.values)
+                    or mine.children.keys() != theirs.children.keys()):
+                return False
+            for edge, children in mine.children.items():
+                others = theirs.children[edge]
+                if len(children) != len(others):
+                    return False
+                pending.extend(zip(children, others))
+        return True
 
     def to_dict(self) -> Dict[str, Any]:
         return {"molecule_type": str(self.type), "root": self.root.to_dict()}
 
-
-def _composition(atom: MoleculeAtom) -> Tuple[Any, ...]:
-    """Structural fingerprint of a molecule subtree (times excluded)."""
-    return (atom.atom_id, atom.type_name, tuple(sorted(
-        atom.version.values.items(), key=lambda item: item[0])),
-        tuple((str(edge), tuple(_composition(child) for child in children))
-              for edge, children in sorted(atom.children.items(),
-                                           key=lambda item: str(item[0]))))

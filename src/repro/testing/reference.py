@@ -4,9 +4,13 @@ The oracle keeps every atom's history as a plain Python list of
 :class:`~repro.core.version.Version` objects and applies the same
 :class:`~repro.core.history.HistoryPlan` deltas the engine maps onto its
 version store.  It implements the builder's
-:class:`~repro.core.builder.VersionReader` protocol, so molecule
-construction — including interval queries — runs the identical algorithm
-over oracle data.
+:class:`~repro.core.builder.VersionReader` protocol, so time slices are
+expanded by the engine's own level-at-a-time builder over oracle data.
+Interval queries do *not* share the builder's sweep: the oracle answers
+them with :func:`rescanning_history`, the definition of a molecule's
+history (a slice at the window start and at every later valid-time
+boundary of the atoms it consulted), so a wrong sweep shows up as a
+differential mismatch.
 
 Because the plan computation is shared, the oracle does *not* retest the
 history algebra; what differential tests validate is everything below
@@ -16,14 +20,15 @@ recovery.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import history as hist
-from repro.core.builder import MoleculeBuilder
+from repro.core.builder import MoleculeBuilder, VersionReader
 from repro.core.molecule import Molecule, MoleculeType
 from repro.core.schema import Schema
 from repro.core.version import IN, OUT, Version, ref_key
 from repro.errors import TemporalUpdateError, UnknownAtomError
+from repro.obs import MetricsRegistry
 from repro.temporal import FOREVER, Interval, Timestamp
 
 
@@ -240,4 +245,69 @@ class ReferenceDatabase:
                          ) -> List[Tuple[Interval, Molecule]]:
         if isinstance(mtype, str):
             mtype = MoleculeType.parse(mtype, self.schema)
-        return self.builder.build_history(root_id, mtype, window, tt)
+        return rescanning_history(self, root_id, mtype, window, tt)
+
+
+class _ConsultedReader:
+    """A reader that records every atom a slice asks for."""
+
+    def __init__(self, reader: VersionReader) -> None:
+        self._reader = reader
+        self.consulted: Set[int] = set()
+
+    def atom_type_name(self, atom_id: int) -> str:
+        return self._reader.atom_type_name(atom_id)
+
+    def version_at_many(self, atom_ids: Iterable[int], at: Timestamp,
+                        tt: Optional[Timestamp] = None
+                        ) -> Dict[int, Optional[Version]]:
+        ids = list(atom_ids)
+        self.consulted.update(ids)
+        return self._reader.version_at_many(ids, at, tt)
+
+    def all_versions_many(self, atom_ids: Iterable[int]
+                          ) -> Dict[int, List[Version]]:
+        return self._reader.all_versions_many(atom_ids)
+
+
+def rescanning_history(reader: VersionReader, root_id: int,
+                       mtype: MoleculeType, window: Interval,
+                       tt: Optional[Timestamp] = None
+                       ) -> List[Tuple[Interval, Molecule]]:
+    """A molecule's coalesced states over *window*, by definition.
+
+    Builds the time slice at the window start, then again at the
+    earliest valid-time boundary after it of any atom that slice
+    consulted (the root and every referenced atom, valid or not),
+    re-reading those atoms' histories for every boundary search; a
+    slice equal in composition to the one before it extends that state.
+    Unknown atoms raise :class:`UnknownAtomError`.  This is what
+    :meth:`MoleculeBuilder.build_history` must answer, by a slower road
+    that shares none of its timelines.
+    """
+    consulting = _ConsultedReader(reader)
+    builder = MoleculeBuilder(consulting, MetricsRegistry())
+    states: List[Tuple[Interval, Molecule]] = []
+    at = window.start
+    while at < window.end:
+        consulting.consulted = set()
+        molecule = builder.build_at(root_id, mtype, at, tt)
+        histories = reader.all_versions_many(consulting.consulted)
+        next_at = FOREVER
+        for atom_id in consulting.consulted:
+            if atom_id not in histories:
+                raise UnknownAtomError(f"no atom {atom_id}")
+            for _, version in hist.live_versions(histories[atom_id], tt):
+                for point in (version.vt.start, version.vt.end):
+                    if at < point < next_at:
+                        next_at = point
+        if molecule is not None:
+            span = Interval(at, min(next_at, window.end))
+            if (states and states[-1][0].meets(span)
+                    and states[-1][1].same_composition_as(molecule)):
+                states[-1] = (Interval(states[-1][0].start, span.end),
+                              states[-1][1])
+            else:
+                states.append((span, molecule))
+        at = next_at
+    return states

@@ -1,4 +1,5 @@
-"""Level-at-a-time molecule construction versus the legacy recursion.
+"""Level-at-a-time molecule construction versus the legacy recursion,
+and the history sweep versus the definition of a molecule's history.
 
 The builder was rewritten from per-atom recursive descent to a
 breadth-first expansion that issues one batched version fetch per depth
@@ -6,7 +7,11 @@ level.  The refactor must be invisible: cycle handling, per-edge depth
 budgets, sorted child order, and depth-bound errors all carry over.
 ``legacy_build_at`` below re-implements the original recursion verbatim
 as an in-test oracle so any semantic drift shows up as a composition
-mismatch.
+mismatch.  ``build_history`` resolves every slice from in-memory
+timelines; :func:`repro.testing.rescanning_history` rebuilds each slice
+through point reads and re-reads histories per boundary, and the two
+must agree on every strategy, including ``AS OF``, shared components,
+recursion with a data cycle, and boundaries that change nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from collections import Counter
 from typing import List
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AtomType,
@@ -25,11 +32,11 @@ from repro import (
     Schema,
     TemporalDatabase,
 )
-from repro.core import history as hist
 from repro.core.builder import MoleculeBuilder
 from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
+from repro.errors import ReproError, UnknownAtomError
 from repro.temporal import FOREVER, Interval
-from repro.testing import ReferenceDatabase
+from repro.testing import ReferenceDatabase, rescanning_history
 from repro.workloads import (
     apply_to_database,
     cad_schema,
@@ -105,16 +112,19 @@ class _UnbatchedReader:
 
 
 class _HistoryCountingReader:
-    """The engine, counting how often each atom's history is requested."""
+    """The engine, counting how often each atom's history is requested
+    and how many point reads are made."""
 
     def __init__(self, engine) -> None:
         self._engine = engine
         self.history_reads: Counter = Counter()
+        self.point_reads = 0
 
     def atom_type_name(self, atom_id: int) -> str:
         return self._engine.atom_type_name(atom_id)
 
     def version_at_many(self, atom_ids, at, tt=None):
+        self.point_reads += 1
         return self._engine.version_at_many(atom_ids, at, tt)
 
     def all_versions_many(self, atom_ids):
@@ -263,44 +273,20 @@ class TestBuildMany:
         assert batched and batched[0]["count"] > 0
 
 
-# -- build_history memoization ----------------------------------------------
 
 
-def rescanning_history(db, root_id, mtype, window):
-    """``build_history`` without the boundary memo, as an in-test oracle:
-    every boundary search re-reads each consulted atom's history."""
-    states = []
-    at = window.start
-    while at < window.end:
-        molecule, consulted = db.builder._build_collect(root_id, mtype, at,
-                                                        None)
-        next_at = FOREVER
-        for atom_id in consulted:
-            for _, version in hist.live_versions(
-                    db.engine.all_versions(atom_id), None):
-                for point in (version.vt.start, version.vt.end):
-                    if at < point < next_at:
-                        next_at = point
-        if molecule is not None:
-            span = Interval(at, min(next_at, window.end))
-            if (states and states[-1][0].meets(span)
-                    and states[-1][1].same_composition_as(molecule)):
-                states[-1] = (Interval(states[-1][0].start, span.end),
-                              states[-1][1])
-            else:
-                states.append((span, molecule))
-        at = next_at
-    return states
+# -- build_history: the sweep against the definition -------------------------
 
 
 class TestHistoryMemo:
     def test_memo_on_and_off_agree(self, workload_db):
+        """The sweep answers what the definitional loop answers."""
         db, roots = workload_db
         mtype = MoleculeType.parse("Part.contains.Component", db.schema)
         window = Interval(0, 10)
         for root in roots:
             mine = db.builder.build_history(root, mtype, window)
-            theirs = rescanning_history(db, root, mtype, window)
+            theirs = rescanning_history(db.engine, root, mtype, window)
             assert [str(span) for span, _ in mine] == [
                 str(span) for span, _ in theirs]
             for (_, m), (_, t) in zip(mine, theirs):
@@ -308,7 +294,8 @@ class TestHistoryMemo:
 
     def test_memo_cuts_version_scans(self, workload_db):
         """One ``build_history`` call reads each consulted atom's history
-        at most once, however many slices its sweep builds."""
+        at most once, however many slices its sweep builds, and makes no
+        point read at all."""
         db, roots = workload_db
         mtype = MoleculeType.parse("Part.contains.Component", db.schema)
         window = Interval(0, 10)
@@ -320,7 +307,193 @@ class TestHistoryMemo:
             expected = db.builder.build_history(root, mtype, window)
             assert [str(span) for span, _ in states] == [
                 str(span) for span, _ in expected]
+            assert reader.point_reads == 0
             if reader.history_reads:
                 assert max(reader.history_reads.values()) == 1, root
                 swept += 1
         assert swept
+
+
+def sweep_schema() -> Schema:
+    """Parts, components and suppliers with a diamond-capable link set
+    and a recursive part-of link."""
+    schema = Schema("sweep")
+    schema.add_atom_type(AtomType("Part", [
+        Attribute("name", DataType.STRING, required=True),
+        Attribute("cost", DataType.FLOAT),
+    ]))
+    schema.add_atom_type(AtomType("Component", [
+        Attribute("weight", DataType.FLOAT),
+    ]))
+    schema.add_atom_type(AtomType("Supplier", [
+        Attribute("rating", DataType.FLOAT),
+    ]))
+    for name, (source, target) in SWEEP_LINKS.items():
+        schema.add_link_type(LinkType(name, source, target))
+    return schema
+
+
+SWEEP_LINKS = {
+    "contains": ("Part", "Component"),
+    "supplied_by": ("Component", "Supplier"),
+    "sourced_from": ("Part", "Supplier"),
+    "part_of": ("Part", "Part"),
+}
+
+#: A DAG (a supplier reachable over two paths), the plain two-level
+#: type, and a depth-bounded recursive type over a part-of cycle.
+SWEEP_TYPES = (
+    "Part(.contains.Component.supplied_by.Supplier)(.sourced_from.Supplier)",
+    "Part.contains.Component",
+    "Part.part_of[2].Part",
+)
+
+#: Atom slots of a sweep database: three parts, three components and
+#: two suppliers, each with the attribute its updates change.
+SWEEP_ATOMS = (("Part", "cost"),) * 3 + (("Component", "weight"),) * 3 + (
+    ("Supplier", "rating"),) * 2
+
+
+def sweep_db(path, strategy):
+    """A sweep database: every atom valid from 0, two parts sharing a
+    component, a supplier reachable from part 0 over two paths, and a
+    part-of cycle 0 -> 1 -> 2 -> 0.  Returns (db, atom ids, tts)."""
+    db = TemporalDatabase.create(
+        str(path), sweep_schema(),
+        DatabaseConfig(strategy=strategy, buffer_pages=32))
+    with db.transaction() as txn:
+        ids = []
+        for slot, (type_name, _) in enumerate(SWEEP_ATOMS):
+            values = {"name": f"p{slot}"} if type_name == "Part" else {}
+            ids.append(txn.insert(type_name, values, valid_from=0))
+        for link, a, b in (("contains", 0, 3), ("contains", 0, 4),
+                           ("contains", 1, 4), ("contains", 1, 5),
+                           ("supplied_by", 3, 6), ("supplied_by", 4, 7),
+                           ("sourced_from", 0, 6), ("part_of", 0, 1),
+                           ("part_of", 1, 2), ("part_of", 2, 0)):
+            txn.link(link, ids[a], ids[b], valid_from=0)
+    return db, ids, [txn.transaction_time]
+
+
+def assert_sweep_is_definition(db, root, mtype, window, tt=None):
+    mine = db.builder.build_history(root, mtype, window, tt)
+    theirs = rescanning_history(db.engine, root, mtype, window, tt)
+    assert [(span, molecule.to_dict()) for span, molecule in mine] == [
+        (span, molecule.to_dict()) for span, molecule in theirs], (
+            root, str(mtype), window, tt)
+    return mine
+
+
+@st.composite
+def sweep_programs(draw):
+    """Random updates, deletes, corrections and (un)links, each over a
+    random valid-time window, one transaction each."""
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        start = draw(st.integers(0, 30))
+        end = draw(st.one_of(st.just(FOREVER), st.integers(start + 1, 40)))
+        steps.append((
+            draw(st.sampled_from(["update", "delete", "correct", "link",
+                                  "unlink"])),
+            draw(st.integers(0, len(SWEEP_ATOMS) - 1)),
+            draw(st.integers(0, len(SWEEP_ATOMS) - 1)),
+            draw(st.sampled_from(sorted(SWEEP_LINKS))),
+            float(draw(st.integers(0, 2))),
+            start, end))
+    return steps
+
+
+def run_sweep_program(db, ids, tts, steps):
+    """Apply *steps*; a step the model refuses is skipped."""
+    for kind, a, b, link, value, start, end in steps:
+        try:
+            with db.transaction() as txn:
+                attr = SWEEP_ATOMS[a][1]
+                if kind == "update":
+                    txn.update(ids[a], {attr: value}, valid_from=start)
+                elif kind == "delete":
+                    txn.delete(ids[a], valid_from=start, valid_to=end)
+                elif kind == "correct":
+                    txn.correct(ids[a], start, end, {attr: value})
+                else:
+                    source, target = SWEEP_LINKS[link]
+                    src = [i for i, (t, _) in enumerate(SWEEP_ATOMS)
+                           if t == source]
+                    dst = [i for i, (t, _) in enumerate(SWEEP_ATOMS)
+                           if t == target]
+                    getattr(txn, kind)(link, ids[src[a % len(src)]],
+                                       ids[dst[b % len(dst)]],
+                                       valid_from=start, valid_to=end)
+                tts.append(txn.transaction_time)
+        except ReproError:
+            continue
+
+
+class TestSweepMatchesDefinition:
+    """``build_history``'s one sweep against the definitional loop
+    (:func:`repro.testing.rescanning_history`), on every strategy."""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=sweep_programs(), picks=st.lists(
+        st.integers(0, 10 ** 6), min_size=4, max_size=4))
+    def test_random_histories(self, tmp_path_factory, strategy, steps,
+                              picks):
+        db, ids, tts = sweep_db(tmp_path_factory.mktemp("sweep") / "db",
+                                strategy)
+        try:
+            run_sweep_program(db, ids, tts, steps)
+            a = picks[0] % 35
+            windows = (Interval(0, FOREVER), Interval(a, a + 1 + picks[1] % 12))
+            as_of = (None, tts[picks[2] % len(tts)],
+                     tts[picks[3] % len(tts)] + 1)
+            for text in SWEEP_TYPES:
+                mtype = MoleculeType.parse(text, db.schema)
+                for root in ids[:3]:
+                    for window in windows:
+                        for tt in as_of:
+                            assert_sweep_is_definition(db, root, mtype,
+                                                       window, tt)
+        finally:
+            db.close()
+
+    def test_unchanged_values_coalesce(self, tmp_path, strategy):
+        # Linking component 3 to a supplier at 5 splits its version
+        # there, but Part.contains.Component never follows that link:
+        # the boundary is visited and the two slices coalesce.
+        db, ids, _ = sweep_db(tmp_path / "db", strategy)
+        with db.transaction() as txn:
+            txn.link("supplied_by", ids[3], ids[7], valid_from=5)
+        mtype = MoleculeType.parse("Part.contains.Component", db.schema)
+        before = db.metrics.value("builder.boundary_scans")
+        states = assert_sweep_is_definition(db, ids[0], mtype,
+                                            Interval(0, 10))
+        assert db.metrics.value("builder.boundary_scans") - before == 2
+        assert [span for span, _ in states] == [Interval(0, 10)]
+        db.close()
+
+    def test_child_invalid_under_unchanged_parent(self, tmp_path,
+                                                  strategy):
+        # Component 3 is deleted over [3, 6) while part 0's refs keep
+        # naming it: the boundaries come from the child's history alone.
+        db, ids, _ = sweep_db(tmp_path / "db", strategy)
+        with db.transaction() as txn:
+            txn.delete(ids[3], valid_from=3, valid_to=6)
+        mtype = MoleculeType.parse("Part.contains.Component", db.schema)
+        states = assert_sweep_is_definition(db, ids[0], mtype,
+                                            Interval(0, 10))
+        assert [span for span, _ in states] == [
+            Interval(0, 3), Interval(3, 6), Interval(6, 10)]
+        assert [molecule.atom_count() for _, molecule in states] == [
+            3, 2, 3]
+        assert len(db.engine.all_versions(ids[0])) == 1
+        db.close()
+
+    def test_unknown_root_raises(self, tmp_path, strategy):
+        db, _, _ = sweep_db(tmp_path / "db", strategy)
+        mtype = MoleculeType.parse("Part.contains.Component", db.schema)
+        with pytest.raises(UnknownAtomError):
+            db.builder.build_history(999, mtype, Interval(0, 10))
+        with pytest.raises(UnknownAtomError):
+            rescanning_history(db.engine, 999, mtype, Interval(0, 10))
+        db.close()

@@ -181,6 +181,37 @@ class TestLiveSetCache:
         engine.update(1, {"cost": 1.0}, 10, tt=1)
         assert calls == ["read_live"]
 
+    def test_cold_link_reads_only_the_live_sets(self, engine, monkeypatch):
+        # Planning reads come first and name both types: no read_current.
+        insert(engine, 1, tt=0)
+        engine.insert("Component", {"cname": "c"}, 0, FOREVER, 0, 2)
+        engine.drop_caches()
+        calls = self._count_probes(engine, monkeypatch)
+        engine.link("contains", 1, 2, 5, tt=1)
+        assert calls == ["read_live", "read_live"]
+        monkeypatch.undo()
+        assert engine.live_pairs(1) == store_live(engine, 1)
+        assert engine.live_pairs(2) == store_live(engine, 2)
+
+    def test_cold_updates_put_no_decodes(self, engine, monkeypatch):
+        # The mutation drops the atom's decodes at once, so the cold
+        # planning read must not put any.
+        for atom_id in range(1, 51):
+            insert(engine, atom_id, tt=0)
+        engine.drop_caches()
+        cache = engine._decode_cache
+        puts = []
+        monkeypatch.setattr(cache, "put",
+                            lambda *args, _put=cache.put, **kwargs: (
+                                puts.append(args[:2]),
+                                _put(*args, **kwargs)))
+        for atom_id in range(1, 51):
+            engine.update(atom_id, {"cost": 1.0}, 10, tt=1)
+        assert puts == []
+        monkeypatch.undo()
+        for atom_id in (1, 50):
+            assert engine.live_pairs(atom_id) == store_live(engine, atom_id)
+
     def test_warm_mutations_ask_the_store_nothing(self, engine,
                                                   monkeypatch):
         # One update each warms both atoms' entries (live set and type

@@ -1,9 +1,30 @@
 """Tests for molecule *instances*: traversal order, occurrence counting,
 serialization."""
 
+import itertools
+
 import pytest
 
 from repro.testing import ReferenceDatabase
+
+
+def fingerprint(atom):
+    """The tuple fingerprint ``same_composition_as`` once compared: atom
+    id, type, sorted values, and per edge (by name) the children in
+    order."""
+    return (atom.atom_id, atom.type_name, tuple(sorted(
+        atom.version.values.items(), key=lambda item: item[0])),
+        tuple((str(edge), tuple(fingerprint(child) for child in children))
+              for edge, children in sorted(atom.children.items(),
+                                           key=lambda item: str(item[0]))))
+
+
+def assert_same_as_fingerprint(*molecules):
+    """``same_composition_as`` agrees with fingerprint equality on every
+    ordered pair."""
+    for a, b in itertools.product(molecules, repeat=2):
+        assert a.same_composition_as(b) == (
+            fingerprint(a.root) == fingerprint(b.root))
 
 
 @pytest.fixture
@@ -84,6 +105,7 @@ class TestComposition:
         b = ref.molecule_at(p1, "Part.contains.Component", 2)
         assert a.same_composition_as(b)
         assert b.same_composition_as(a)
+        assert_same_as_fingerprint(a, b)
 
     def test_value_change_breaks_composition(self, shared_component):
         ref, p1, _, shared = shared_component
@@ -91,6 +113,7 @@ class TestComposition:
         ref.update(shared, {"weight": 9.0}, valid_from=5)
         after = ref.molecule_at(p1, "Part.contains.Component", 6)
         assert not before.same_composition_as(after)
+        assert_same_as_fingerprint(before, after)
 
     def test_membership_change_breaks_composition(self, shared_component):
         ref, p1, _, shared = shared_component
@@ -98,3 +121,25 @@ class TestComposition:
         ref.unlink("contains", p1, shared, valid_from=5)
         after = ref.molecule_at(p1, "Part.contains.Component", 6)
         assert not before.same_composition_as(after)
+        assert_same_as_fingerprint(before, after)
+
+    def test_agrees_with_fingerprint_across_shapes(self, shared_component):
+        """Every molecule the fixture yields, across types, roots and
+        instants around a value change, an unlink and a child-order
+        change, compares as the fingerprint did."""
+        ref, p1, p2, shared = shared_component
+        extra = ref.insert("Component", {"cname": "extra"}, valid_from=0)
+        ref.link("contains", p1, extra, valid_from=3)
+        ref.update(shared, {"weight": 2.0}, valid_from=5)
+        ref.unlink("contains", p2, shared, valid_from=7)
+        molecules = [
+            molecule
+            for text, roots in (("Part.contains.Component", (p1, p2)),
+                                ("Component.contains.Part", (shared,)),
+                                ("Part", (p1, p2)))
+            for root in roots
+            for at in (1, 4, 6, 8)
+            for molecule in [ref.molecule_at(root, text, at)]
+            if molecule is not None]
+        assert len(molecules) == 20
+        assert_same_as_fingerprint(*molecules)
