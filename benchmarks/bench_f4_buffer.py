@@ -45,6 +45,9 @@ def test_f4_buffer_sweep(benchmark, capsys, seeded_dir, buffer_pages):
 
     workload()  # warm the pool to steady state
     benchmark(workload)
+    # Cold decodes, warm pool: warm decodes would answer the slice
+    # without a single page touch.
+    db.engine.drop_caches()
     db.metrics.reset()  # isolate one measured pass for the breakdown
     workload()
     stats = db.buffer.stats

@@ -13,7 +13,7 @@ Three questions, one per section:
    slices it builds (an absolute count gate).
 3. **Reader calls per history** — the sweep resolves every slice from
    in-memory timelines, so its reader calls (``version_at_many`` plus
-   ``all_versions_many``) must be the same for a window of 8 boundaries
+   ``versions_during_many``) must be the same for a window of 8 boundaries
    and one of 40, on every strategy (a count gate).
 
 Decode caches are cleared before each measured run so page touches
@@ -71,11 +71,11 @@ class _HistoryCountingReader:
         self.calls["version_at_many"] += 1
         return self._engine.version_at_many(atom_ids, at, tt)
 
-    def all_versions_many(self, atom_ids):
-        self.calls["all_versions_many"] += 1
+    def versions_during_many(self, atom_ids, window, tt=None):
+        self.calls["versions_during_many"] += 1
         ids = list(dict.fromkeys(atom_ids))
         self.history_reads.update(ids)
-        return self._engine.all_versions_many(ids)
+        return self._engine.versions_during_many(ids, window, tt)
 
 
 def test_f6_report_header(benchmark, capsys):
@@ -232,7 +232,8 @@ def test_f6_history_calls_flat(benchmark, capsys, tmp_path, strategy):
              f"R-F6 | {strategy.value:>9} | history boundaries="
              f"{boundaries:>2} | version_at_many="
              f"{rows[boundaries]['version_at_many']:>2} "
-             f"all_versions_many={rows[boundaries]['all_versions_many']:>2}")
+             f"versions_during_many="
+             f"{rows[boundaries]['versions_during_many']:>2}")
     db.close()
     # The CI gate: a sweep's reader calls do not grow with boundaries.
     assert sum(rows[8].values()) == sum(rows[40].values()), (

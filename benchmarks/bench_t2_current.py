@@ -8,6 +8,11 @@ touches per query — the hardware-independent cost.
 Expected shape: SEPARATED and CHAINED answer current slices from one
 record per atom; CLUSTERED drags the whole history through the buffer,
 so it touches the most pages (and the gap widens with history length).
+
+The "R-T2 warm" row repeats the query with the engine's caches as the
+cold pass left them: every atom's live version valid at the instant is
+decoded, so the repeat must make no buffer pin and no ``read_at_many``
+call on any strategy (a count gate).
 """
 
 import pytest
@@ -55,4 +60,28 @@ def test_t2_current_slice(benchmark, capsys, databases, strategy):
          f"R-T2 | strategy={strategy.value:>9} | molecules={len(molecules)} "
          f"| page_touches={pins(db):>5} | per_molecule="
          f"{pins(db) / max(1, len(molecules)):.1f}")
+
+    # Warm: the pass above decoded every atom's live version valid at
+    # the instant, so a repeat is answered from the decode cache.
+    store = db.engine.store
+    store_reads = []
+    read_at_many = store.read_at_many
+
+    def counting_read_at_many(*args, **kwargs):
+        store_reads.append(args[0])
+        return read_at_many(*args, **kwargs)
+
+    db.buffer.stats.reset()
+    store.read_at_many = counting_read_at_many
+    try:
+        warm = run()
+    finally:
+        del store.read_at_many
+    emit(capsys,
+         f"R-T2 warm | strategy={strategy.value:>9} | molecules={len(warm)} "
+         f"| page_touches={pins(db):>5} | read_at_many={len(store_reads)}")
+    # The CI gate: a warm current slice never reaches the store.
+    assert pins(db) == 0 and not store_reads, (
+        f"{strategy.value}: a warm current slice touched {pins(db)} pages "
+        f"in {len(store_reads)} read_at_many calls")
 

@@ -35,7 +35,8 @@ Three deliberate semantic choices, shared with the fold:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cdc.events import event_record, event_sort_key
 from repro.core.version import OUT, Version, split_ref_key
@@ -43,14 +44,6 @@ from repro.temporal import FOREVER
 
 #: Sentinel meaning "the atom has no state at the instant".
 _ABSENT = None
-
-
-def _state_at(candidates: List[Version], tau: int) -> Optional[Version]:
-    """The record governing the instant as believed at *tau*."""
-    for version in candidates:
-        if version.tt.contains(tau):
-            return version
-    return _ABSENT
 
 
 def _out_refs(version: Optional[Version]) -> Dict[Tuple[str, int], Version]:
@@ -89,39 +82,57 @@ def atom_delta(history: List[Version], type_name: Optional[str],
                at: Optional[int] = None) -> List[Dict[str, Any]]:
     """Net change events for one atom between belief times t1 and t2."""
     instant = FOREVER - 1 if at is None else at
-    candidates = [v for v in history if v.vt.contains(instant)]
+    # The records whose validity holds the instant, sorted by belief
+    # start; the sort is stable, so records with the same start keep
+    # their seq order.  The governing record at a belief time is the
+    # last one starting at or before it: when several start at the same
+    # belief time (a record written and superseded in one transaction
+    # beside its successor), the one with the higher seq — the newer
+    # one — governs, the engine's newest-first ``AS OF`` rule.
+    candidates = sorted((v for v in history if v.vt.contains(instant)),
+                        key=lambda v: v.tt.start)
+    starts = [v.tt.start for v in candidates]
     boundaries = sorted(
         {v.tt.start for v in candidates if t1 < v.tt.start <= t2}
         | {v.tt.end for v in candidates
            if v.tt.end != FOREVER and t1 < v.tt.end <= t2})
-    initial = _state_at(candidates, t1)
+
+    def state_at(tau: int) -> Optional[Version]:
+        index = bisect_right(starts, tau) - 1
+        if index >= 0 and tau < candidates[index].tt.end:
+            return candidates[index]
+        return _ABSENT
+
+    initial = state_at(t1)
     prev = initial
+    # Each record governs one run of belief times, so it is the current
+    # state of at most one step: its references are computed once.
+    prev_refs = _out_refs(prev)
     last_value: Optional[Tuple[int, Optional[Version],
                                Optional[Version]]] = None
     link_transitions: Dict[Tuple[str, int], List[Tuple[str, int,
                                                        Version]]] = {}
     for tau in boundaries:
-        cur = _state_at(candidates, tau)
+        cur = state_at(tau)
         if cur is prev:
             continue
         prev_vals = dict(prev.values) if prev is not None else None
         cur_vals = dict(cur.values) if cur is not None else None
         if prev_vals != cur_vals:
             last_value = (tau, prev, cur)
+        cur_refs = _out_refs(cur)
         if cur is not None:
             # A creation (prev absent) adds every reference of the new
             # state; between two existing states, set difference.  A
             # deletion adds nothing — see the module docstring.
-            before_refs = _out_refs(prev)
-            after_refs = _out_refs(cur)
-            for key in after_refs.keys() - before_refs.keys():
+            for key in cur_refs.keys() - prev_refs.keys():
                 link_transitions.setdefault(key, []).append(
-                    ("link_added", tau, after_refs[key]))
+                    ("link_added", tau, cur_refs[key]))
             if prev is not None:
-                for key in before_refs.keys() - after_refs.keys():
+                for key in prev_refs.keys() - cur_refs.keys():
                     link_transitions.setdefault(key, []).append(
                         ("link_removed", tau, cur))
-        prev = cur
+        prev, prev_refs = cur, cur_refs
     final = prev
     if final is None:
         # The atom does not exist at the window end: its links are

@@ -41,6 +41,11 @@ class VersionCodec:
         self._formats: Dict[str, List[FieldSpec]] = {}
         for atom_type in schema.atom_types:
             self._formats[atom_type.name] = self._build_format(atom_type)
+        # Reference-set keys per type, in row-format order.
+        self._ref_keys: Dict[str, Tuple[str, ...]] = {
+            name: tuple(spec.name for spec in fields
+                        if spec.type is FieldType.INT_LIST)
+            for name, fields in self._formats.items()}
         # Null-bitmap length per type: where the transaction-time pair
         # starts in a payload (see peek_tt).
         self._bitmap_lens = {name: (len(fields) + 7) // 8
@@ -67,8 +72,7 @@ class VersionCodec:
 
     def ref_keys(self, type_name: str) -> List[str]:
         """The reference-set keys an atom of *type_name* can carry."""
-        return [spec.name for spec in self._formats[type_name]
-                if spec.type is FieldType.INT_LIST]
+        return list(self._ref_keys[type_name])
 
     # -- encoding -------------------------------------------------------------
 
@@ -82,7 +86,7 @@ class VersionCodec:
         row: Dict[str, object] = {_TT_START: version.tt.start,
                                   _TT_END: version.tt.end}
         row.update(version.values)
-        for key in self.ref_keys(type_name):
+        for key in self._ref_keys[type_name]:
             targets = version.refs.get(key)
             if targets:
                 row[key] = sorted(targets)
@@ -100,7 +104,7 @@ class VersionCodec:
         row = decode_row_exact(fields, stored.payload)
         tt = Interval(row.pop(_TT_START), row.pop(_TT_END))
         refs = {}
-        for key in self.ref_keys(type_name):
+        for key in self._ref_keys[type_name]:
             targets = row.pop(key, None)
             if targets:
                 refs[key] = frozenset(targets)
@@ -184,7 +188,7 @@ class VersionCodec:
         tt = Interval(row.pop(_TT_START), row.pop(_TT_END))
         refs = {}
         if need_refs:
-            for key in self.ref_keys(type_name):
+            for key in self._ref_keys[type_name]:
                 targets = row.pop(key, None)
                 if targets:
                     refs[key] = frozenset(targets)

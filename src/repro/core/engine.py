@@ -22,11 +22,15 @@ through one dispatch, :meth:`StorageEngine.apply`.
 The engine's only per-atom state is its cache entry
 (:class:`DecodedVersionCache`): the stored history, decoded versions,
 live set and type name.  A warm atom is answered without touching the
-store — current slices pick the live version from the cached envelopes,
-``AS OF`` reads select theirs from the envelopes and peeked transaction
-times, and each decodes only the version it picks — and a warm mutation
-plans from the entry and learns its new sequence numbers from
-``append_version``, so it reads nothing from the store before it writes.
+store.  A current slice (no ``AS OF``, no pushdown) takes the live
+version valid at its instant from the entry's valid-time index — one
+bisect over the full decodes with open transaction time and the live
+set's versions — and otherwise picks it from the cached envelopes;
+``AS OF`` reads and interval sweeps select theirs from the envelopes
+(and, for ``AS OF``, peeked transaction times), and each decodes only
+what it picks.  A warm mutation plans from the entry and learns its new
+sequence numbers from ``append_version``, so it reads nothing from the
+store before it writes.
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
 ``lifespan``, their ``_many`` forms, ``atoms_of_type``, the candidate
@@ -46,7 +50,7 @@ from __future__ import annotations
 import operator
 import struct
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
     Any,
@@ -148,7 +152,8 @@ LiveSet = Dict[int, Tuple[Version, int]]
 class _AtomEntry:
     """Everything the engine knows about one atom."""
 
-    __slots__ = ("history", "decoded", "live", "type_name", "cost")
+    __slots__ = ("history", "decoded", "live", "type_name", "cost",
+                 "live_starts", "live_versions")
 
     def __init__(self) -> None:
         #: Filled only by full-history reads.
@@ -160,6 +165,30 @@ class _AtomEntry:
         self.live: Optional[LiveSet] = None
         self.type_name: Optional[str] = None
         self.cost = 0
+        #: Valid-time index of the live versions the entry holds (full
+        #: decodes with open transaction time and the live set's
+        #: versions): their starts, sorted, and the versions in the
+        #: same order.  Live versions are valid-time disjoint, so a
+        #: start names one version.
+        self.live_starts: List[Timestamp] = []
+        self.live_versions: List[Version] = []
+
+    def index_live(self, version: Version) -> None:
+        """Add *version*, a live version, to the valid-time index."""
+        start = version.vt.start
+        index = bisect_left(self.live_starts, start)
+        if index < len(self.live_starts) and self.live_starts[index] == start:
+            return  # already known
+        self.live_starts.insert(index, start)
+        self.live_versions.insert(index, version)
+
+    def live_at(self, at: Timestamp) -> Optional[Version]:
+        """The indexed live version whose valid time contains *at*."""
+        index = bisect_right(self.live_starts, at) - 1
+        if index < 0:
+            return None
+        version = self.live_versions[index]
+        return version if at < version.vt.end else None
 
 
 def _live_cost(live: LiveSet) -> int:
@@ -186,6 +215,19 @@ class DecodedVersionCache:
     * the **live set** — the decoded live versions by seq, which every
       mutation plans against;
     * the **type name**, which every filler that decodes a payload sets.
+
+    Each entry also keeps a valid-time index of the *live* versions it
+    holds — the full decodes whose transaction time is open and the
+    live set's versions — filled where they are installed (:meth:`put`,
+    :meth:`remember`, :meth:`mutated`) and leaving with the entry.  It
+    answers current slices (:meth:`live_at_many`): an indexed version
+    whose valid time contains the instant is exactly what the store
+    would return.  That is safe by the invalidation rule below: any
+    mutation drops the atom's decodes (and re-installs the live set it
+    repaired), and undo, vacuum and eviction drop the whole entry, so a
+    cached decode with open transaction time is live *now*; and live
+    versions are valid-time disjoint, so at most one contains the
+    instant.  Projected decodes are never indexed.
 
     Each stored, decoded or live version is charged its *encoded
     payload size* plus a fixed overhead — the encoded size is a
@@ -251,6 +293,8 @@ class DecodedVersionCache:
 
     def put(self, atom_id: int, seq: int, type_name: str,
             version: Version, nbytes: int = 0, cols: Any = None) -> None:
+        """Cache a decode; a full one of a live version (open
+        transaction time) also joins the entry's valid-time index."""
         cost = nbytes + DECODE_CACHE_ENTRY_OVERHEAD
         if cost > self._capacity_bytes:
             return  # an oversized entry would thrash the whole cache
@@ -261,8 +305,30 @@ class DecodedVersionCache:
                 self._charge(entry, -existing[2])
             entry.decoded[(seq, cols)] = (type_name, version, cost)
             entry.type_name = type_name
+            if cols is None and version.live:
+                entry.index_live(version)
             self._charge(entry, cost)
             self._evict()
+
+    def live_at_many(self, atom_ids: List[int],
+                     at: Timestamp) -> Dict[int, Version]:
+        """The live version valid at *at* of each atom among *atom_ids*
+        whose entry holds it, as a full decode or in the live set; each
+        counts a decode hit.  One bisect per atom."""
+        found: Dict[int, Version] = {}
+        with self._lock:
+            atoms = self._atoms
+            for atom_id in atom_ids:
+                entry = atoms.get(atom_id)
+                if entry is None:
+                    continue
+                version = entry.live_at(at)
+                if version is not None:
+                    atoms.move_to_end(atom_id)
+                    found[atom_id] = version
+            if found:
+                self._c_hits.inc(len(found))
+        return found
 
     def histories(self, atom_ids: List[int]) -> Dict[int, StoredHistory]:
         """The cached stored histories among *atom_ids*; an atom without
@@ -365,6 +431,8 @@ class DecodedVersionCache:
                     self._charge(entry, -_live_cost(entry.live))
                 entry.live = live
                 self._charge(entry, _live_cost(live))
+                for version, _ in live.values():
+                    entry.index_live(version)
             elif created:
                 self._charge(entry, DECODE_CACHE_ENTRY_OVERHEAD)
         self._evict()
@@ -550,10 +618,13 @@ class StorageEngine:
         Unknown atoms map to ``None``, exactly as ``version_at`` returns
         ``None`` for them.  With *tt* the answer is
         :meth:`versions_as_of_many`'s (the atoms' stored histories, one
-        version decoded per atom).  Without it, an atom whose history
-        is cached is answered from the cached envelopes; the rest go
-        through the store's set-oriented ``read_at_many`` in one batch,
-        so directory and record pages shared by several atoms are
+        version decoded per atom).  Without it, an atom whose cache
+        entry holds the live version valid at *at* (a full decode with
+        open transaction time, or a member of the live set) is answered
+        by one bisect of the entry's valid-time index, nothing decoded;
+        an atom whose history is cached, from the cached envelopes; the
+        rest go through the store's set-oriented ``read_at_many`` in one
+        batch, so directory and record pages shared by several atoms are
         pinned once for the whole call.  A point slice never fills the
         history cache.
 
@@ -563,7 +634,8 @@ class StorageEngine:
         as ``None`` without ever being decoded; the projection makes the
         survivors decode only the attributes the query reads.  Both
         apply only on the current-knowledge path — the planner never
-        pushes below an ``AS OF`` query.
+        pushes below an ``AS OF`` query, and a call carrying either
+        takes the envelope and store paths alone.
         """
         ids = list(dict.fromkeys(atom_ids))
         if tt is not None:
@@ -574,10 +646,17 @@ class StorageEngine:
         if not ids:
             return result
         self._c_version_reads.inc(len(ids))
-        cached = self._decode_cache.histories(ids)
+        known: Dict[int, Version] = {}
+        rest = ids
+        if pred is None and projection is None:
+            known = self._decode_cache.live_at_many(ids, at)
+            if known:
+                self._c_versions_scanned.inc(len(known))
+                rest = [atom_id for atom_id in ids if atom_id not in known]
+        cached = self._decode_cache.histories(rest)
         hits_by_atom: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        if len(cached) < len(ids):
-            misses = [atom_id for atom_id in ids if atom_id not in cached]
+        if len(cached) < len(rest):
+            misses = [atom_id for atom_id in rest if atom_id not in cached]
             hits_by_atom = self.store.read_at_many(misses, at, pred)
         for atom_id, history in cached.items():
             seq = history.live_at(at)
@@ -589,6 +668,10 @@ class StorageEngine:
                 continue
             hits_by_atom[atom_id] = [(seq, stored_version)]
         for atom_id in ids:
+            version = known.get(atom_id)
+            if version is not None:
+                result[atom_id] = version
+                continue
             hits = hits_by_atom.get(atom_id)
             if not hits:
                 result[atom_id] = None
@@ -743,6 +826,60 @@ class StorageEngine:
             result[atom_id] = list(versions)
             self._c_versions_scanned.inc(len(versions))
         return result
+
+    def versions_during_many(self, atom_ids: Iterable[int],
+                             window: Interval,
+                             tt: Optional[Timestamp] = None
+                             ) -> Dict[int, List[Version]]:
+        """The versions of each known atom believed at *tt* (None = now)
+        whose valid time overlaps *window*, in valid-time order; unknown
+        atoms are omitted.
+
+        The interval read of ``VALID HISTORY`` / ``VALID DURING``: the
+        stored histories come from the history cache or one batched
+        ``read_all_many`` (which fills it), the versions are *selected*
+        on their envelopes — the live flag, or with *tt* the peeked
+        transaction-time pair — and only those are decoded (through the
+        decode cache).  A cached full decode is filtered instead of the
+        envelopes.
+        """
+        result: Dict[int, List[Version]] = {}
+        histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
+        for atom_id, history in histories.items():
+            picked = self._during(atom_id, history, window, tt)
+            result[atom_id] = picked
+            self._c_versions_scanned.inc(len(picked))
+        return result
+
+    def _during(self, atom_id: int, history: StoredHistory,
+                window: Interval, tt: Optional[Timestamp]) -> List[Version]:
+        """One atom's :meth:`versions_during_many` answer."""
+        versions = history.versions
+        if versions is not None:
+            picked = [version for version in versions
+                      if version.vt.overlaps(window)
+                      and (version.live if tt is None
+                           else version.tt.contains(tt))]
+            self._decode_cache.note_decoded_hits(len(picked))
+        else:
+            picked = []
+            for seq, stored in enumerate(history.stored):
+                if not (stored.vt_start < window.end
+                        and window.start < stored.vt_end):
+                    continue
+                if tt is None:
+                    if not stored.live:
+                        continue
+                else:
+                    payload = stored.payload
+                    tt_start, tt_end = self.codec.peek_tt(
+                        self._stored_type_name(payload), payload,
+                        _TYPE_PREFIX.size)
+                    if not tt_start <= tt < tt_end:
+                        continue
+                picked.append(self._decode_cached(atom_id, seq, stored)[1])
+        picked.sort(key=lambda version: version.vt.start)
+        return picked
 
     def atom_exists(self, atom_id: int) -> bool:
         return self.store.exists(atom_id)

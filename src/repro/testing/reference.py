@@ -88,6 +88,15 @@ class ReferenceDatabase:
                 for atom_id in dict.fromkeys(atom_ids)
                 if atom_id in self._histories}
 
+    def versions_during_many(self, atom_ids, window: Interval,
+                             tt: Optional[Timestamp] = None
+                             ) -> Dict[int, List[Version]]:
+        """Believed versions overlapping *window*, per known atom."""
+        return {atom_id: hist.versions_during(self._histories[atom_id],
+                                              window, tt)
+                for atom_id in dict.fromkeys(atom_ids)
+                if atom_id in self._histories}
+
     def atom_exists(self, atom_id: int) -> bool:
         return atom_id in self._histories
 
@@ -264,6 +273,12 @@ class _ConsultedReader:
         ids = list(atom_ids)
         self.consulted.update(ids)
         return self._reader.version_at_many(ids, at, tt)
+
+    def versions_during_many(self, atom_ids: Iterable[int],
+                             window: Interval,
+                             tt: Optional[Timestamp] = None
+                             ) -> Dict[int, List[Version]]:
+        return self._reader.versions_during_many(atom_ids, window, tt)
 
     def all_versions_many(self, atom_ids: Iterable[int]
                           ) -> Dict[int, List[Version]]:

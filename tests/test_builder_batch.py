@@ -127,10 +127,10 @@ class _HistoryCountingReader:
         self.point_reads += 1
         return self._engine.version_at_many(atom_ids, at, tt)
 
-    def all_versions_many(self, atom_ids):
+    def versions_during_many(self, atom_ids, window, tt=None):
         ids = list(dict.fromkeys(atom_ids))
         self.history_reads.update(ids)
-        return self._engine.all_versions_many(ids)
+        return self._engine.versions_during_many(ids, window, tt)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -497,3 +497,76 @@ class TestSweepMatchesDefinition:
         with pytest.raises(UnknownAtomError):
             rescanning_history(db.engine, 999, mtype, Interval(0, 10))
         db.close()
+
+
+class TestSweepDecodesOnlyWhatItKeeps:
+    """A cold sweep decodes just the versions believed at its
+    transaction time that overlap its window, not every stored one: the
+    chains below hold 79 stored versions per atom, 40 of them live."""
+
+    CHAIN = 40
+
+    @pytest.fixture
+    def deep_db(self, tmp_path, strategy):
+        db = TemporalDatabase.create(str(tmp_path / "deep"), cad_schema(),
+                                     DatabaseConfig(strategy=strategy))
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 0.0},
+                              valid_from=0)
+            comps = [txn.insert("Component", {"cname": f"c{i}"},
+                                valid_from=0) for i in range(3)]
+            for comp in comps:
+                txn.link("contains", part, comp, valid_from=0)
+        for at in range(1, self.CHAIN):
+            with db.transaction() as txn:
+                txn.update(part, {"cost": float(at)}, valid_from=at)
+                for comp in comps:
+                    txn.update(comp, {"weight": float(at)}, valid_from=at)
+        yield db, [part] + comps
+        db.close()
+
+    def _decodes(self, db, text, monkeypatch):
+        engine = db.engine
+        decoded = Counter()
+        real = engine._decode_cached
+
+        def counting(atom_id, seq, stored, projection=None):
+            decoded[atom_id] += 1
+            return real(atom_id, seq, stored, projection)
+
+        monkeypatch.setattr(engine, "_decode_cached", counting)
+        engine.drop_caches()
+        result = db.query(text)
+        monkeypatch.undo()
+        return result, decoded
+
+    def test_valid_history(self, deep_db, monkeypatch):
+        db, atoms = deep_db
+        assert len(db.engine.all_versions(atoms[1])) == 2 * self.CHAIN - 1
+        text = "SELECT ALL FROM Part.contains.Component VALID HISTORY"
+        result, decoded = self._decodes(db, text, monkeypatch)
+        assert set(decoded) == set(atoms)
+        assert max(decoded.values()) <= self.CHAIN
+        assert len(result.entries) == self.CHAIN
+
+    def test_valid_during(self, deep_db, monkeypatch):
+        db, atoms = deep_db
+        text = ("SELECT ALL FROM Part.contains.Component "
+                "VALID DURING [20, 28)")
+        result, decoded = self._decodes(db, text, monkeypatch)
+        assert set(decoded) == set(atoms)
+        assert max(decoded.values()) <= 10
+        assert len(result.entries) == 8
+
+    def test_as_of(self, deep_db, monkeypatch):
+        # AS OF a past transaction time selects on peeked tt pairs.
+        db, atoms = deep_db
+        tt = db.engine.all_versions(atoms[0])[10].tt.start
+        text = ("SELECT ALL FROM Part.contains.Component "
+                f"VALID DURING [0, 8) AS OF {tt}")
+        result, decoded = self._decodes(db, text, monkeypatch)
+        assert max(decoded.values()) <= 10
+        expected = db.builder.build_history(
+            atoms[0], MoleculeType.parse("Part.contains.Component",
+                                         db.schema), Interval(0, 8), tt)
+        assert len(result.entries) == len(expected)

@@ -251,6 +251,40 @@ class TestEvaluation:
         result = db.query(f"DIFF Part BETWEEN {t1} AND {t2}")
         assert result.entries == []
 
+    def test_superseded_in_one_transaction(self, db):
+        """An update, a delete and a re-insert in one transaction leave
+        two records believed from the same transaction time: the
+        update's, superseded at once, and the re-insert's.  The newer
+        one governs, as in an ``AS OF`` slice and in the fold."""
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 1.0},
+                              valid_from=0)
+        t0 = tick(db)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=0)
+            txn.delete(part, valid_from=0)
+            txn.insert("Part", {"name": "q", "cost": 3.0}, valid_from=0,
+                       atom_id=part)
+        t1 = tick(db)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 4.0}, valid_from=0)
+        t2 = tick(db)
+        believed = {tt: db.version_at(part, NOW, tt).values
+                    for tt in (t0, t1, t2)}
+        assert believed[t1]["cost"] == 3.0
+        events = ChangeStreamSource(db).handle(
+            {"subscriber": "stillborn", "from_lsn": 1,
+             "max_records": 4096})["events"]
+        for start, end in ((t0, t1), (t1, t2), (t0, t2)):
+            result = db.query(f"DIFF Part BETWEEN {start} AND {end}")
+            [row] = [entry.row for entry in result.entries]
+            assert row["kind"] == "attribute_changed"
+            assert row["tt"] == end
+            assert row["before"] == believed[start]
+            assert row["after"] == believed[end]
+            assert json.dumps([row], sort_keys=True) == json.dumps(
+                fold_events(events, start, end), sort_keys=True)
+
     def test_explain_profiles_the_two_slice_plan(self, db):
         with db.transaction() as txn:
             txn.insert("Part", {"name": "p"}, valid_from=0)

@@ -17,15 +17,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import DatabaseConfig, TemporalDatabase
 from repro.core.engine import (
     DECODE_CACHE_ENTRY_OVERHEAD,
     DecodedVersionCache,
 )
+from repro.core.version import Version
 from repro.errors import ReproError, UnknownAtomError
-from repro.temporal import FOREVER
+from repro.temporal import FOREVER, Interval
 from repro.tools.vacuum import vacuum_superseded
+
+
+def _closed_version():
+    """A superseded version, as the cache-accounting tests store it."""
+    return Version(Interval(0, FOREVER), Interval(0, 1))
 
 
 def _insert_part(db, name="wheel", cost=1.0, valid_from=0):
@@ -223,7 +231,7 @@ class TestEviction:
         per_entry = DECODE_CACHE_ENTRY_OVERHEAD + 100
         cache = DecodedVersionCache(3 * per_entry, MetricsRegistry())
         for atom_id in range(5):
-            cache.put(atom_id, 0, "Part", object(), nbytes=100)
+            cache.put(atom_id, 0, "Part", _closed_version(), nbytes=100)
         assert len(cache) == 3
         assert cache.bytes_used == 3 * per_entry
         assert cache.get(0, 0) is None      # evicted
@@ -232,7 +240,7 @@ class TestEviction:
     def test_oversized_entry_is_not_cached(self):
         from repro.obs import MetricsRegistry
         cache = DecodedVersionCache(1024, MetricsRegistry())
-        cache.put(1, 0, "Part", object(), nbytes=4096)
+        cache.put(1, 0, "Part", _closed_version(), nbytes=4096)
         assert len(cache) == 0
         assert cache.bytes_used == 0
 
@@ -605,8 +613,8 @@ class TestHistoryBudget:
         stored = [StoredVersion(0, 10, True, b"x" * 100),
                   StoredVersion(10, 20, True, b"y" * 100)]
         cache.put_history(1, StoredHistory(stored))
-        cache.put(1, 0, "Part", object(), nbytes=100)
-        cache.put(1, 1, "Part", object(), nbytes=100)
+        cache.put(1, 0, "Part", _closed_version(), nbytes=100)
+        cache.put(1, 1, "Part", _closed_version(), nbytes=100)
         assert cache.bytes_used == 4 * per_version
         cache.put_history(2, StoredHistory(stored))  # evicts atom 1 whole
         assert cache.histories([1]) == {}
@@ -799,3 +807,269 @@ def test_concurrent_readers_keep_entries_and_budget_consistent(db):
     assert cache.bytes_used == sum(entry.cost
                                    for entry in cache._atoms.values())
     assert cache.bytes_used <= cache.capacity_bytes
+
+
+# -- warm current slices from the entry's live versions -------------------
+
+_NOW = FOREVER - 1
+
+
+@st.composite
+def _slice_programs(draw):
+    """Random mutations (one transaction each), rolled-back transactions,
+    vacuums, cache drops and warm reads of every kind, with their
+    valid-time windows and operands."""
+    steps = []
+    for _ in range(draw(st.integers(1, 14))):
+        start = draw(st.integers(0, 30))
+        steps.append((
+            draw(st.sampled_from(["insert", "update", "update", "delete",
+                                  "correct", "link", "unlink", "abort",
+                                  "vacuum", "drop", "slice", "during",
+                                  "history", "as_of"])),
+            draw(st.integers(0, 99)), draw(st.integers(0, 99)),
+            float(draw(st.integers(0, 3))), start,
+            draw(st.one_of(st.just(FOREVER), st.integers(start + 1, 40)))))
+    return steps
+
+
+def _slice_db(path, cad_schema, strategy):
+    db = TemporalDatabase.create(
+        str(path), cad_schema,
+        DatabaseConfig(strategy=strategy, buffer_pages=32))
+    return (db,) + _seed_slice_db(db)
+
+
+def _seed_slice_db(db):
+    with db.transaction() as txn:
+        parts = [txn.insert("Part", {"name": f"p{i}", "cost": float(i)},
+                            valid_from=0) for i in range(3)]
+        comps = [txn.insert("Component", {"cname": f"c{i}"}, valid_from=0)
+                 for i in range(3)]
+        for part, comp in zip(parts, comps):
+            txn.link("contains", part, comp, valid_from=0)
+    return parts, comps
+
+
+def _mutate_once(txn, parts, comps, kind, a, b, value, start, end):
+    part, comp = parts[a % len(parts)], comps[b % len(comps)]
+    if kind == "insert":
+        parts.append(txn.insert("Part", {"name": f"n{len(parts)}"},
+                                valid_from=start, valid_to=end))
+    elif kind == "update":
+        txn.update(part, {"cost": value}, valid_from=start, valid_to=end)
+    elif kind == "delete":
+        txn.delete(comp if a % 2 else part, valid_from=start, valid_to=end)
+    elif kind == "correct":
+        txn.correct(part, start, end, {"cost": value})
+    else:
+        getattr(txn, kind)("contains", part, comp, valid_from=start,
+                           valid_to=end)
+
+
+def _warm_reads(db, ids, kind, start):
+    """Fill cache entries the way each kind of query does."""
+    if kind == "slice":
+        db.engine.version_at_many(ids, start)
+        db.engine.version_at_many(ids, _NOW)
+    elif kind == "during":
+        db.engine.versions_during_many(ids, Interval(start, start + 3))
+    elif kind == "history":
+        db.engine.all_versions_many(ids)
+    else:
+        db.engine.version_at_many(ids, start, tt=db._clock.now())
+
+
+def _run_slice_program(db, parts, comps, steps):
+    for kind, a, b, value, start, end in steps:
+        ids = parts + comps
+        if kind in ("slice", "during", "history", "as_of"):
+            with db._read_view():
+                _warm_reads(db, ids, kind, start)
+        elif kind == "vacuum":
+            vacuum_superseded(db, db._clock.now())
+        elif kind == "drop":
+            db.engine.drop_caches()  # later reads fill entries from cold
+        elif kind == "abort":
+            txn = db.begin()
+            try:
+                _mutate_once(txn, parts, comps, "update", a, b,
+                             value + 10, start, end)
+                _mutate_once(txn, parts, comps, "link", b, a, value,
+                             start, end)
+            except ReproError:
+                pass  # an invalid random step: abort what there is
+            txn.version_at(parts[a % len(parts)], start)
+            txn.abort()
+        else:
+            try:
+                with db.transaction() as txn:
+                    _mutate_once(txn, parts, comps, kind, a, b, value,
+                                 start, end)
+            except ReproError:
+                continue  # an invalid random step (nothing to unlink, ...)
+
+
+def _assert_warm_slices_equal_cold(db, ids, instants):
+    """``version_at_many`` answers, and ``versions_during_many`` answers
+    over windows starting at the same instants, twice warm (whatever the
+    entries hold, then after that pass's own fills), equal the cold
+    answers."""
+    engine = db.engine
+    windows = [Interval(0, FOREVER)] + [Interval(at, min(at + 5, FOREVER))
+                                        for at in instants]
+
+    def read(warm):
+        answers = {}
+        for key in instants + windows:
+            if not warm:
+                engine.drop_caches()
+            answers[key] = (engine.versions_during_many(ids, key)
+                            if isinstance(key, Interval)
+                            else engine.version_at_many(ids, key))
+        return answers
+
+    with db._read_view():
+        first = read(warm=True)
+        second = read(warm=True)
+        cold = read(warm=False)
+    assert first == cold
+    assert second == cold
+
+
+_SLICE_INSTANTS = st.lists(st.integers(0, 45), min_size=1, max_size=5)
+
+
+class TestWarmSlicesEqualCold:
+    """A current slice served from a cache entry's live versions (full
+    decodes with open transaction time, the live set) equals the store's
+    answer after every invalidation route, on every strategy."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=_slice_programs(), instants=_SLICE_INSTANTS)
+    def test_random_programs(self, tmp_path_factory, cad_schema, strategy,
+                             steps, instants):
+        db, parts, comps = _slice_db(
+            tmp_path_factory.mktemp("warm") / "db", cad_schema, strategy)
+        try:
+            _run_slice_program(db, parts, comps, steps)
+            _assert_warm_slices_equal_cold(db, parts + comps,
+                                           instants + [_NOW])
+        finally:
+            db.close()
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=_slice_programs(), instants=_SLICE_INSTANTS)
+    def test_replica_after_wal_apply(self, tmp_path_factory, cad_schema,
+                                     strategy, steps, instants):
+        import shutil
+
+        from repro.replication.replica import ReplicaApplier
+
+        root = tmp_path_factory.mktemp("warm-replica")
+        TemporalDatabase.create(
+            str(root / "primary"), cad_schema,
+            DatabaseConfig(strategy=strategy, buffer_pages=32)).close()
+        shutil.copytree(root / "primary", root / "replica")
+        primary = TemporalDatabase.open(str(root / "primary"))
+        replica = TemporalDatabase.open(str(root / "replica"))
+        applier = ReplicaApplier(replica, "127.0.0.1", 1,
+                                 replica_id="r0", apply_interval=0)
+        shipped = 0
+
+        def ship():
+            nonlocal shipped
+            records = [[r.lsn, r.type.value, r.txn_id, r.payload]
+                       for r in primary._wal.read_all(shipped)]
+            if records:
+                shipped = records[-1][0]
+                applier._ingest({"records": records, "head": shipped})
+                assert applier.applied_lsn == shipped
+
+        try:
+            parts, comps = _seed_slice_db(primary)
+            ship()
+            for step in steps:
+                if step[0] == "vacuum":
+                    continue  # not logged: replicas never see it
+                _run_slice_program(primary, parts, comps, [step])
+                ship()
+                with replica._read_view():
+                    _warm_reads(replica, parts + comps, "slice", step[4])
+            ids = parts + comps
+            with primary._read_view():
+                expected = {at: primary.engine.version_at_many(ids, at)
+                            for at in instants + [_NOW]}
+            with replica._read_view():
+                warm = {at: replica.engine.version_at_many(ids, at)
+                        for at in instants + [_NOW]}
+            assert warm == expected
+            _assert_warm_slices_equal_cold(replica, ids, instants + [_NOW])
+        finally:
+            replica.close()
+            primary.close()
+
+
+class TestWarmSliceCounts:
+    def _store_reads(self, db, monkeypatch):
+        calls = []
+        store = db.engine.store
+        real = store.read_at_many
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store, "read_at_many", counting)
+        return calls
+
+    def test_decoded_version_answers_without_the_store(self, db,
+                                                       monkeypatch):
+        part = _insert_part(db, cost=1.0)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=10)
+        db.engine.drop_caches()
+        calls = self._store_reads(db, monkeypatch)
+        assert db.version_at(part, 5).values["cost"] == 1.0
+        assert db.version_at(part, 15).values["cost"] == 2.0
+        assert len(calls) == 2
+        hits = db.metrics.value("engine.decode_cache.hits")
+        pins = db.buffer.stats.hits + db.buffer.stats.misses
+        assert db.version_at(part, 7).values["cost"] == 1.0
+        assert db.version_at(part, _NOW).values["cost"] == 2.0
+        assert len(calls) == 2
+        assert db.buffer.stats.hits + db.buffer.stats.misses == pins
+        assert db.metrics.value("engine.decode_cache.hits") == hits + 2
+
+    def test_live_set_answers_read_your_writes(self, db, monkeypatch):
+        part = _insert_part(db, cost=1.0)
+        calls = self._store_reads(db, monkeypatch)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=10)
+            assert txn.version_at(part, 12).values["cost"] == 2.0
+        assert db.version_at(part, 3).values["cost"] == 1.0
+        assert calls == []
+
+    def test_uncovered_instant_and_pushdown_use_the_store(self, db,
+                                                          monkeypatch):
+        part = _insert_part(db, cost=1.0, valid_from=10)
+        db.version_at(part, 12)
+        calls = self._store_reads(db, monkeypatch)
+        assert db.version_at(part, 5) is None  # no live version holds 5
+        pred, _ = db.engine.compile_pushdown(_spec("Part", "cost", "GT",
+                                                   0.5))
+        with db._read_view():
+            found = db.engine.version_at_many([part], 12, pred=pred)
+        assert found[part].values["cost"] == 1.0
+        assert len(calls) == 2
+
+    def test_closed_decodes_are_not_indexed(self, db):
+        part = _insert_part(db, cost=1.0)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=0)
+        db.history(part)  # decodes the closed version too
+        entry = db.engine._decode_cache._atoms[part]
+        assert [v.values["cost"] for v in entry.live_versions] == [2.0]
+        assert all(version.live for version in entry.live_versions)
