@@ -1,9 +1,10 @@
 """R-A2 (ablation) — Page size vs. storage and slice cost.
 
 The same workload stored on 1 KiB, 4 KiB, and 16 KiB pages (SEPARATED
-strategy).  Bigger pages amortize per-page headers and shorten
-directory chains but waste space on small segments; the rows show the
-space/time trade the kernel's page-size constant embodies.
+strategy).  Bigger pages amortize per-page headers and hold more
+directory entries and records per touch but waste space on small
+segments; the rows show the space/time trade the kernel's page-size
+constant embodies.
 """
 
 import pytest

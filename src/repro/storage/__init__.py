@@ -15,6 +15,8 @@ cached by a buffer manager.  Layering, bottom to top:
 * :mod:`~repro.storage.serialization` — binary row codec for typed values.
 * :class:`~repro.storage.catalog.Catalog` — persistent database metadata
   (schema, segment directory, index roots, clock), written atomically.
+* :class:`~repro.storage.directory.AtomDirectory` — address translation:
+  a direct-mapped array of fixed-width entries indexed by atom id.
 * :mod:`~repro.storage.strategies` — the paper's version-storage mapping
   alternatives (CLUSTERED / CHAINED / SEPARATED), built on the layers above.
 """

@@ -22,7 +22,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import CatalogError
 
-_FORMAT_VERSION = 1
+#: Bumped whenever a page format changes (2: the direct-mapped atom
+#: directory).  An older database is refused; migrate it with
+#: ``repro dump`` under the code that wrote it, then ``repro load``.
+_FORMAT_VERSION = 2
 
 
 class Catalog:
@@ -89,7 +92,8 @@ class Catalog:
         if version != _FORMAT_VERSION:
             raise CatalogError(
                 f"catalog format {version!r} unsupported "
-                f"(expected {_FORMAT_VERSION})")
+                f"(expected {_FORMAT_VERSION}); migrate with 'repro dump' "
+                f"under the release that wrote it, then 'repro load'")
         self.schema = document.get("schema")
         self.strategy = document.get("strategy")
         self.segments = {name: list(pages) for name, pages

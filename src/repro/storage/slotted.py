@@ -24,16 +24,14 @@ Every question about the slot directory as a whole (live slots, live
 bytes, the first dead slot, free space, compaction) is answered from one
 tuple read by a single C-level ``struct`` unpack of the whole directory
 and filtered with ``itertools`` and tuple methods, never by a Python
-loop per slot.  :meth:`SlottedPage.find` compares a key against each
-record's leading bytes in place, without copying records.
+loop per slot.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import compress, repeat
-from operator import add
-from typing import Dict, Iterator, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import PageError, PageFullError
 
@@ -126,18 +124,6 @@ class SlottedPage:
         """
         num_slots, _, offsets, _ = self._scan()
         return compress(range(num_slots), offsets)
-
-    def find(self, prefix: bytes) -> Optional[int]:
-        """Slot of the first live record starting with *prefix*, or ``None``.
-
-        Compares in place: no record is copied.  *prefix* must be
-        non-empty (an empty prefix would match the dead slots too).
-        """
-        num_slots, _, offsets, lengths = self._scan()
-        # A dead slot is (0, 0): the empty range [0, 0) matches nothing.
-        matches = map(self._data.startswith, repeat(prefix), offsets,
-                      map(add, offsets, lengths))
-        return next(compress(range(num_slots), matches), None)
 
     @staticmethod
     def _directory_end(num_slots: int) -> int:

@@ -136,8 +136,10 @@ class VersionStore:
     # The write path reads one atom at a time (``read_live``,
     # ``read_versions``, and ``read_current`` for a cold type-name
     # lookup); every other read is set-oriented: one call answers many
-    # atoms, so a strategy sorts its directory probes and pins every
-    # touched page once per batch rather than once per atom.
+    # atoms, so a strategy translates all their ids in one
+    # ``AtomDirectory.get_many`` (which pins each direct-mapped
+    # directory page once) and pins every touched record page once per
+    # batch rather than once per atom.
     #
     # The optional *pred* of ``read_at_many`` is a pushed-down payload
     # predicate (from :meth:`StorageEngine.compile_pushdown`): hits
@@ -234,6 +236,9 @@ def iter_histories(store: VersionStore, atom_ids: Iterable[int]
 class _BaseStore(VersionStore):
     """Shared plumbing: directory handling and stats assembly."""
 
+    #: The strategy's fixed-width directory value.
+    _DIR_VALUE: struct.Struct
+
     def __init__(self, buffer: BufferManager,
                  state: Optional[Dict[str, List[int]]]) -> None:
         self._buffer = buffer
@@ -241,8 +246,8 @@ class _BaseStore(VersionStore):
             "engine.pushdown.skipped")
         state = state or {}
         self._directory = AtomDirectory(
-            buffer, f"{self.strategy.value}.dir",
-            bucket_pages=state.get("directory") or None)
+            buffer, f"{self.strategy.value}.dir", self._DIR_VALUE.size,
+            page_table=state.get("directory"))
 
     def _entry(self, atom_id: int) -> bytes:
         payload = self._directory.get(atom_id)
@@ -275,7 +280,7 @@ class _BaseStore(VersionStore):
     def persist_state(self) -> Dict[str, List[int]]:
         state = {name: segment.pages
                  for name, segment in self._segments().items()}
-        state["directory"] = self._directory.bucket_pages
+        state["directory"] = self._directory.page_table
         return state
 
 

@@ -5,7 +5,9 @@ bitemporal version record (including superseded versions), the atom-id
 and clock high-water marks, and the set of secondary indexes.  Loading
 reconstructs the database under any version-storage strategy, which
 makes dump/load the migration path between physical layouts (and an
-offline backup format that is independent of page layout details).
+offline backup format that is independent of page layout details).  The
+same pair migrates a database across a page-format change: dump it with
+the release that wrote it, load the dump with the new one.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ def load_database(path: str, document: Dict[str, Any],
     if document.get("format") != _FORMAT:
         raise ReproError(
             f"unsupported dump format {document.get('format')!r}")
+    atom_ids = [_atom_id(atom) for atom in document["atoms"]]
     schema = Schema.from_dict(document["schema"])
     db = TemporalDatabase.create(path, schema, config)
     engine = db.engine
-    for atom in document["atoms"]:
-        atom_id = int(atom["id"])
+    for atom_id, atom in zip(atom_ids, document["atoms"]):
         type_name = atom["type"]
         type_id = schema.atom_type(type_name).type_id
         for raw in atom["versions"]:
@@ -83,13 +85,28 @@ def load_database(path: str, document: Dict[str, Any],
                                         engine._encode(type_name, version))
         engine.indexes.register_atom(type_id, atom_id)
     with db._id_mutex:
-        db._next_atom_id = max(db._next_atom_id,
+        # Never below a loaded id: a stale high-water mark would hand a
+        # loaded atom's id to the next insert.
+        db._next_atom_id = max(db._next_atom_id, max(atom_ids, default=0) + 1,
                                int(document.get("next_atom_id", 1)))
     db._clock.advance_to(int(document.get("clock", 0)))
     for index_name in document.get("indexes", ()):
         _recreate_index(db, index_name)
     db.checkpoint()
     return db
+
+
+def _atom_id(atom: Dict[str, Any]) -> int:
+    """The dumped atom's id; ids below 1 are never allocated."""
+    try:
+        atom_id = int(atom["id"])
+    except (KeyError, TypeError, ValueError):
+        atom_id = 0
+    if atom_id < 1:
+        raise ReproError(
+            f"dumped atom {atom.get('id')!r} of type {atom.get('type')!r} "
+            f"has no valid id (ids start at 1)")
+    return atom_id
 
 
 def _recreate_index(db: TemporalDatabase, index_name: str) -> None:

@@ -12,8 +12,12 @@ Checks, per atom and across atoms:
    reference may validly point at an atom outside its lifespan — the
    builder drops such partners — but while both exist, symmetry must
    hold exactly).
-4. **Index structure** — B+-tree ordering/fence/balance checks and the
-   atom directory's bucket hashing.
+4. **Index structure** — B+-tree ordering/fence/balance checks of the
+   type index and every secondary index.
+
+The atom directory has no invariant of its own to check (an entry sits
+at the slot its id names); it is exercised by walking it: every atom it
+lists must have a readable type and history (check 1).
 
 The verifier is read-only and runs over a quiescent database.
 """

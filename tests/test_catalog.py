@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.errors import CatalogError
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import _FORMAT_VERSION, Catalog
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ class TestPersistence:
 
     def test_defaults_when_fields_absent(self, tmp_path):
         (tmp_path / "catalog.json").write_text(
-            json.dumps({"format_version": 1}))
+            json.dumps({"format_version": _FORMAT_VERSION}))
         catalog = Catalog(tmp_path / "catalog.json")
         catalog.load()
         assert catalog.next_atom_id == 1

@@ -99,6 +99,29 @@ class TestLoadAndMigrate:
         with pytest.raises(ReproError):
             load_database(str(tmp_path / "bad"), {"format": 99})
 
+    @pytest.mark.parametrize("bad_id", [0, -3, "x"])
+    def test_invalid_atom_id_rejected_before_writing(self, populated,
+                                                     tmp_path, bad_id):
+        source, ids, groups = populated
+        document = dump_database(source)
+        victim = document["atoms"][-1]
+        victim["id"] = bad_id
+        target = tmp_path / "target"
+        with pytest.raises(ReproError, match=repr(bad_id)):
+            load_database(str(target), document)
+        assert not target.exists()
+
+    def test_stale_next_atom_id_never_reuses_a_loaded_id(self, populated,
+                                                         tmp_path):
+        source, ids, groups = populated
+        document = dump_database(source)
+        document["next_atom_id"] = 1
+        loaded = load_database(str(tmp_path / "target"), document)
+        with loaded.transaction() as txn:
+            new = txn.insert("Part", {"name": "fresh"}, valid_from=0)
+        assert new > max(atom["id"] for atom in document["atoms"])
+        loaded.close()
+
 
 class TestCli:
     def test_dump_then_load_via_cli(self, populated, tmp_path, capsys):

@@ -161,30 +161,6 @@ class TestFreeSpace:
         assert page.live_records() == 1
 
 
-class TestFind:
-    def test_finds_record_by_leading_bytes(self, page):
-        page.insert(b"alpha-1")
-        beta = page.insert(b"beta-2")
-        assert page.find(b"beta") == beta
-        assert page.find(b"gamma") is None
-
-    def test_prefix_longer_than_record_does_not_match(self, page):
-        page.insert(b"ab")
-        page.insert(b"cdef")  # stored right below "ab" in the page
-        assert page.find(b"abcd") is None
-
-    def test_dead_slots_never_match(self, page):
-        doomed = page.insert(b"key-1")
-        page.delete(doomed)
-        assert page.find(b"key-1") is None
-        assert page.find(b"\x00") is None
-
-    def test_first_live_match_wins(self, page):
-        first = page.insert(b"dup-a")
-        page.insert(b"dup-b")
-        assert page.find(b"dup") == first
-
-
 # Model of the layout's space accounting: the directory never shrinks
 # (slot numbers are stable), each slot costs 4 bytes, live records cost
 # their length, and a dead slot is reused before the directory grows.
