@@ -38,10 +38,10 @@ decode exact before-images.)
 Images are ``AS OF`` point reads, read a run of operations at a time
 (:class:`ImageReader`; a ``SUBSCRIBE`` batch reads its committed
 operations in chunks of at most its ``max_records``): one engine call
-fetches each touched atom's stored history once, selects every image
-from the stored envelopes and peeked transaction times, and decodes
-only the versions selected — at most two per event, however long the
-atoms' histories are.
+selects every image newest-first from the stored envelopes and peeked
+transaction times, reads only the records it walks past on the way to
+each image, and decodes only the versions selected — at most two per
+event, however long the atoms' histories are.
 
 :func:`fold_events` is the consumer-side replay: net the events of a
 window ``(t1, t2]`` at one valid instant into the same records
@@ -152,9 +152,8 @@ class ImageReader:
     :func:`decode_operation` for each of them in that order.  When the
     chunk read last cannot answer an operation, the next ``limit()``
     operations of the run are read together with one
-    :meth:`~repro.core.engine.StorageEngine.versions_as_of_many`: every
-    touched atom's stored history is fetched once for the chunk and
-    only the versions the images select are decoded.
+    :meth:`~repro.core.engine.StorageEngine.versions_as_of_many`, which
+    reads and decodes only the versions the images select.
     """
 
     def __init__(self, engine, payloads: Iterable[Dict[str, Any]],

@@ -31,8 +31,8 @@ Three invariants distinguish a change stream from a raw WAL stream:
 
 Committed operations are decoded a run at a time — at most the batch's
 ``max_records`` per engine call (:class:`~repro.cdc.events.ImageReader`)
-— so a poll reads each touched atom's history once and decodes only
-the versions its events select.
+— so a poll reads and decodes only the versions its events select,
+however long the touched atoms' histories are.
 
 Filters (``types``, ``kinds``, ``roots``) drop events server-side;
 filtered events still advance the cursor, so a narrow subscription

@@ -26,11 +26,14 @@ store.  A current slice (no ``AS OF``, no pushdown) takes the live
 version valid at its instant from the entry's valid-time index — one
 bisect over the full decodes with open transaction time and the live
 set's versions — and otherwise picks it from the cached envelopes;
-``AS OF`` reads and interval sweeps select theirs from the envelopes
-(and, for ``AS OF``, peeked transaction times), and each decodes only
-what it picks.  A warm mutation plans from the entry and learns its new
-sequence numbers from ``append_version``, so it reads nothing from the
-store before it writes.
+interval sweeps select theirs from the envelopes, and ``AS OF`` reads
+from the envelopes and peeked transaction times, and each decodes only
+what it picks.  An ``AS OF`` read of an atom whose history is not
+cached asks the store for just the records it selects
+(``read_as_of_many``) and caches no history.  A warm mutation plans
+from the entry and learns its new sequence numbers from
+``append_version``, so it reads nothing from the store before it
+writes.
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
 ``lifespan``, their ``_many`` forms, ``atoms_of_type``, the candidate
@@ -205,8 +208,8 @@ class DecodedVersionCache:
 
     * the **stored history** — every :class:`StoredVersion` (envelope
       plus payload bytes) in seq order, filled only by full-history
-      reads (``AS OF`` point reads among them), so a current-knowledge
-      point slice never pays for a whole history;
+      reads, so neither a current-knowledge point slice nor an ``AS OF``
+      point read ever pays for a whole history;
     * the **decoded versions**, keyed by ``(seq, cols)`` where ``cols``
       is ``None`` for a full decode and a projection descriptor (the
       attribute tuple plus a refs flag) for a partial one, so a
@@ -617,8 +620,8 @@ class StorageEngine:
 
         Unknown atoms map to ``None``, exactly as ``version_at`` returns
         ``None`` for them.  With *tt* the answer is
-        :meth:`versions_as_of_many`'s (the atoms' stored histories, one
-        version decoded per atom).  Without it, an atom whose cache
+        :meth:`versions_as_of_many`'s (one version selected and decoded
+        per atom).  Without it, an atom whose cache
         entry holds the live version valid at *at* (a full decode with
         open transaction time, or a member of the live set) is answered
         by one bisect of the entry's valid-time index, nothing decoded;
@@ -689,15 +692,18 @@ class StorageEngine:
         version valid at *at* as believed at *tt* — one result per
         distinct request, ``None`` for unknown atoms and for no state.
 
-        Every requested atom's stored history comes from the history
-        cache or from one batched ``read_all_many`` (which fills it).
-        The answer is then *selected* before anything is decoded: the
-        stored envelopes are scanned newest-first and, for each one
-        whose valid time contains *at*, only the transaction-time pair
-        is peeked (:meth:`VersionCodec.peek_tt`); the first version
-        believed at *tt* is the one decoded (through the decode cache).
-        When the history's full decode is already cached, it is scanned
-        instead and nothing is decoded at all.
+        Each answer is *selected* before anything is decoded: versions
+        are taken newest-first and, for each one whose valid time
+        contains *at*, only the transaction-time pair is peeked
+        (:meth:`VersionCodec.peek_tt`); the first version believed at
+        *tt* is the one decoded (through the decode cache).  An atom
+        whose stored history is cached is answered from it, or from its
+        full decode when that is cached too, with nothing decoded.  Every
+        other atom goes to the store in one batched ``read_as_of_many``,
+        which walks the same newest-first order over the records and
+        reads only as far back as each answer, so a read near the
+        present costs a few records however long the history is; it
+        fills no history.
 
         The first hit is the only one: versions believed at one
         transaction time are valid-time disjoint (the invariant
@@ -713,11 +719,19 @@ class StorageEngine:
             return result
         ids = list(dict.fromkeys(atom_id for atom_id, _, _ in wanted))
         self._c_version_reads.inc(len(ids))
-        histories = self._stored_histories(ids)
+        cached = self._decode_cache.histories(ids)
+        rest = []
         for request in wanted:
-            history = histories.get(request[0])
-            result[request] = (None if history is None
-                               else self._as_of(history, *request))
+            history = cached.get(request[0])
+            if history is None:
+                rest.append(request)
+            else:
+                result[request] = self._as_of(history, *request)
+        if rest:
+            for request, hit in self.store.read_as_of_many(
+                    rest, self._peek_tt).items():
+                result[request] = (None if hit is None else
+                                   self._decode_cached(request[0], *hit)[1])
         self._c_versions_scanned.inc(
             sum(1 for version in result.values() if version is not None))
         return result
@@ -736,17 +750,20 @@ class StorageEngine:
                     return version
             return None
         stored = history.stored
-        peek_tt = self.codec.peek_tt
         for seq in range(len(stored) - 1, -1, -1):
             stored_version = stored[seq]
             if not stored_version.contains(at):
                 continue
-            payload = stored_version.payload
-            tt_start, tt_end = peek_tt(self._stored_type_name(payload),
-                                       payload, _TYPE_PREFIX.size)
+            tt_start, tt_end = self._peek_tt(stored_version.payload)
             if tt_start <= tt < tt_end:
                 return self._decode_cached(atom_id, seq, stored_version)[1]
         return None
+
+    def _peek_tt(self, payload: bytes) -> Tuple[Timestamp, Timestamp]:
+        """The transaction-time pair of a type-prefixed payload, read
+        without decoding it."""
+        return self.codec.peek_tt(self._stored_type_name(payload), payload,
+                                  _TYPE_PREFIX.size)
 
     def all_versions(self, atom_id: int) -> List[Version]:
         """The atom's full recorded history, in sequence order."""
@@ -871,10 +888,7 @@ class StorageEngine:
                     if not stored.live:
                         continue
                 else:
-                    payload = stored.payload
-                    tt_start, tt_end = self.codec.peek_tt(
-                        self._stored_type_name(payload), payload,
-                        _TYPE_PREFIX.size)
+                    tt_start, tt_end = self._peek_tt(stored.payload)
                     if not tt_start <= tt < tt_end:
                         continue
                 picked.append(self._decode_cached(atom_id, seq, stored)[1])

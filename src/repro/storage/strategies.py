@@ -98,6 +98,54 @@ def _unpack_envelope(data: bytes, at: int) -> Tuple[int, int, bool, int]:
     return vt_start, vt_end, bool(live), at + _ENVELOPE.size
 
 
+#: An ``AS OF`` point read: (atom id, valid instant, transaction time).
+AsOfRequest = Tuple[int, int, int]
+#: Its answer: the selected version with its sequence number, or None.
+AsOfHit = Optional[Tuple[int, StoredVersion]]
+
+
+def _group_requests(requests: Iterable[AsOfRequest]
+                    ) -> Tuple[Dict[AsOfRequest, AsOfHit],
+                               Dict[int, List[AsOfRequest]]]:
+    """The answer map of a ``read_as_of_many`` call, every distinct
+    request unanswered, and the requests grouped by atom."""
+    result: Dict[AsOfRequest, AsOfHit] = dict.fromkeys(requests)
+    by_atom: Dict[int, List[AsOfRequest]] = {}
+    for request in result:
+        by_atom.setdefault(request[0], []).append(request)
+    return result, by_atom
+
+
+def _wanted(pending: List[AsOfRequest], vt_start: int, vt_end: int) -> bool:
+    """Whether a version valid over ``[vt_start, vt_end)`` may answer one
+    of *pending*: its valid time holds one of their instants."""
+    return any(vt_start <= at < vt_end for _, at, _ in pending)
+
+
+def _settle(pending: List[AsOfRequest], seq: int, sv: StoredVersion,
+            tt_of: Callable[[bytes], Tuple[int, int]],
+            result: Dict[AsOfRequest, AsOfHit]) -> List[AsOfRequest]:
+    """Answer the requests among *pending* that *sv* (the atom's version
+    *seq*, the newest one not yet visited) holds, and return the rest.
+
+    The walk is newest-first, so the first version valid at a request's
+    instant and believed at its transaction time is its answer; the
+    transaction time is peeked once per version, and only when the
+    valid time fits.
+    """
+    believed = None
+    rest: List[AsOfRequest] = []
+    for request in pending:
+        if sv.vt_start <= request[1] < sv.vt_end:
+            if believed is None:
+                believed = tt_of(sv.payload)
+            if believed[0] <= request[2] < believed[1]:
+                result[request] = (seq, sv)
+                continue
+        rest.append(request)
+    return rest
+
+
 class VersionStore:
     """Contract every strategy fulfils.
 
@@ -147,6 +195,11 @@ class VersionStore:
     # ``engine.pushdown.skipped`` counter, so the engine never decodes
     # them.  ``read_all_many`` takes none: whole histories are cached
     # above the store, and the engine filters them there.
+    # ``read_as_of_many`` is the bitemporal point read: it walks each
+    # atom's versions newest-first and reads a record only when its
+    # envelope holds a pending instant, so a read near the present costs
+    # a few records however long the history is.  The store still never
+    # parses a payload: the caller's *tt_of* peeks the transaction time.
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         """The newest (highest-sequence) version."""
@@ -194,6 +247,20 @@ class VersionStore:
                       ) -> Dict[int, List[StoredVersion]]:
         """The full histories, in sequence order, of the known atoms
         among *atom_ids*; atoms not in the store are omitted."""
+        raise NotImplementedError
+
+    def read_as_of_many(self, requests: Iterable[AsOfRequest],
+                        tt_of: Callable[[bytes], Tuple[int, int]]
+                        ) -> Dict[AsOfRequest, AsOfHit]:
+        """For each distinct ``(atom_id, at, tt)`` request, the
+        highest-sequence stored version whose valid time contains *at*
+        and whose transaction time, ``tt_of(payload)``, contains *tt*, as
+        ``(seq, version)``; ``None`` when there is none or the atom is
+        unknown.
+
+        Requests on one atom share one newest-first walk of its versions,
+        and each request leaves the walk at its first hit.
+        """
         raise NotImplementedError
 
     def exists(self, atom_id: int) -> bool:
@@ -335,18 +402,25 @@ class ClusteredStore(_HeadStore):
         return b"".join(parts)
 
     @staticmethod
-    def _decode(record: bytes) -> List[StoredVersion]:
+    def _envelopes(record: bytes) -> List[Tuple[int, int, bool, int, int]]:
+        """``(vt_start, vt_end, live, payload start, payload end)`` of
+        every version in the record, in seq order; no payload is copied."""
         (count,) = _U32.unpack_from(record, 0)
         at = _U32.size
-        versions: List[StoredVersion] = []
+        envelopes = []
         for _ in range(count):
             vt_start, vt_end, live, at = _unpack_envelope(record, at)
             (length,) = _U32.unpack_from(record, at)
             at += _U32.size
-            versions.append(StoredVersion(vt_start, vt_end, live,
-                                          record[at:at + length]))
+            envelopes.append((vt_start, vt_end, live, at, at + length))
             at += length
-        return versions
+        return envelopes
+
+    @classmethod
+    def _decode(cls, record: bytes) -> List[StoredVersion]:
+        return [StoredVersion(vt_start, vt_end, live, record[begin:end])
+                for vt_start, vt_end, live, begin, end
+                in cls._envelopes(record)]
 
     # -- protocol --------------------------------------------------------------
 
@@ -414,9 +488,8 @@ class ClusteredStore(_HeadStore):
 
     # -- batched reads ---------------------------------------------------------
 
-    def _records_many(self, atom_ids: Iterable[int]
-                      ) -> Dict[int, List[StoredVersion]]:
-        """Decode the history record of every known atom in the batch.
+    def _raw_records_many(self, atom_ids: Iterable[int]) -> Dict[int, bytes]:
+        """The history record of every known atom in the batch.
 
         One grouped directory pass, then one grouped record pass —
         history records sharing a page are served under a single pin.
@@ -426,8 +499,13 @@ class ClusteredStore(_HeadStore):
             if payload is not None:
                 rid_for[atom_id] = self._unpack_dir(payload)[0]
         records = self._segment.read_many(rid_for.values())
-        return {atom_id: self._decode(records[rid])
-                for atom_id, rid in rid_for.items()}
+        return {atom_id: records[rid] for atom_id, rid in rid_for.items()}
+
+    def _records_many(self, atom_ids: Iterable[int]
+                      ) -> Dict[int, List[StoredVersion]]:
+        """Decode the history record of every known atom in the batch."""
+        return {atom_id: self._decode(record) for atom_id, record
+                in self._raw_records_many(atom_ids).items()}
 
     def read_at_many(self, atom_ids: Iterable[int], at: int,
                      pred: Optional[Callable[[bytes], bool]] = None
@@ -452,6 +530,26 @@ class ClusteredStore(_HeadStore):
     def read_all_many(self, atom_ids: Iterable[int]
                       ) -> Dict[int, List[StoredVersion]]:
         return self._records_many(atom_ids)
+
+    def read_as_of_many(self, requests: Iterable[AsOfRequest],
+                        tt_of: Callable[[bytes], Tuple[int, int]]
+                        ) -> Dict[AsOfRequest, AsOfHit]:
+        # The one record holds the whole history: scan its envelopes
+        # newest-first and copy out only the payloads worth peeking.
+        result, by_atom = _group_requests(requests)
+        for atom_id, record in self._raw_records_many(by_atom).items():
+            pending = by_atom[atom_id]
+            envelopes = self._envelopes(record)
+            for seq in range(len(envelopes) - 1, -1, -1):
+                vt_start, vt_end, live, begin, end = envelopes[seq]
+                if not _wanted(pending, vt_start, vt_end):
+                    continue
+                pending = _settle(pending, seq, StoredVersion(
+                    vt_start, vt_end, live, record[begin:end]), tt_of,
+                    result)
+                if not pending:
+                    break
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +747,26 @@ class ChainedStore(_HeadStore):
             versions.reverse()
         return collected
 
+    def read_as_of_many(self, requests: Iterable[AsOfRequest],
+                        tt_of: Callable[[bytes], Tuple[int, int]]
+                        ) -> Dict[AsOfRequest, AsOfHit]:
+        # An atom's walk leaves the batch once all its requests are
+        # answered, so it reads only as far back as its oldest answer.
+        result, by_atom = _group_requests(requests)
+        frontier, _missing = self._frontier(by_atom)
+        while frontier:
+            records = self._segment.read_many(
+                rid for rid, _ in frontier.values())
+            advanced: Dict[int, Tuple[RecordId, int]] = {}
+            for atom_id, (rid, seq) in frontier.items():
+                prev, sv = self._decode(records[rid])
+                pending = by_atom[atom_id] = _settle(
+                    by_atom[atom_id], seq, sv, tt_of, result)
+                if pending and prev != _NO_RECORD:
+                    advanced[atom_id] = (prev, seq - 1)
+            frontier = advanced
+        return result
+
 
 # ---------------------------------------------------------------------------
 # SEPARATED: dense current segment + append-only history + version directory
@@ -707,15 +825,20 @@ class SeparatedStore(_BaseStore):
             count, vt_start, vt_end, 1 if live else 0))
 
     @classmethod
+    def _vdir_entry(cls, vdir: bytes,
+                    seq: int) -> Tuple[int, int, int, int, int]:
+        """History version *seq*'s raw vdir entry, ``(vt_start, vt_end,
+        live, page, slot)``: the vdir is a flat array of fixed-size
+        entries, so this is one unpack at ``seq * size``."""
+        return cls._VDIR_ENTRY.unpack_from(vdir, seq * cls._VDIR_ENTRY.size)
+
+    @classmethod
     def _parse_vdir(cls, record: bytes) -> List[Tuple[int, int, bool,
                                                       RecordId]]:
-        entries = []
-        for at in range(0, len(record), cls._VDIR_ENTRY.size):
-            vt_start, vt_end, live, page, slot = cls._VDIR_ENTRY.unpack_from(
-                record, at)
-            entries.append((vt_start, vt_end, bool(live),
-                            RecordId(page, slot)))
-        return entries
+        """Every entry, for the readers that want a whole history."""
+        return [(vt_start, vt_end, bool(live), RecordId(page, slot))
+                for vt_start, vt_end, live, page, slot
+                in cls._VDIR_ENTRY.iter_unpack(record)]
 
     def _read_vdir(self, vdir_rid: RecordId) -> List[Tuple[int, int, bool,
                                                            RecordId]]:
@@ -772,7 +895,7 @@ class SeparatedStore(_BaseStore):
             return
         vdir = self._vdir.read(vdir_rid)
         at = seq * self._VDIR_ENTRY.size
-        *_, page, slot = self._VDIR_ENTRY.unpack_from(vdir, at)
+        *_, page, slot = self._vdir_entry(vdir, seq)
         new_hist = self._history.update(RecordId(page, slot),
                                         self._encode_version(sv))
         new_vdir = self._vdir.update(
@@ -847,8 +970,9 @@ class SeparatedStore(_BaseStore):
                 self._current.read(current_rid))
             wanted.discard(count - 1)
         if wanted:
-            entries = self._read_vdir(vdir_rid)
-            fetch = {seq: entries[seq][3] for seq in wanted}
+            vdir = self._vdir.read(vdir_rid)
+            fetch = {seq: RecordId(*self._vdir_entry(vdir, seq)[3:])
+                     for seq in wanted}
             records = self._history.read_many(fetch.values())
             for seq, rid in fetch.items():
                 result[seq] = self._decode_version(records[rid])
@@ -893,10 +1017,10 @@ class SeparatedStore(_BaseStore):
             result[atom_id] = []
             if vdir_rid == _NO_RECORD:
                 continue
-            for seq, (e_start, e_end, e_live, rid) in enumerate(
-                    self._parse_vdir(vdir_records[vdir_rid])):
+            for seq, (e_start, e_end, e_live, page, slot) in enumerate(
+                    self._VDIR_ENTRY.iter_unpack(vdir_records[vdir_rid])):
                 if e_live and e_start <= at < e_end:
-                    hist_fetch.append((atom_id, seq, rid))
+                    hist_fetch.append((atom_id, seq, RecordId(page, slot)))
         hist_records = self._history.read_many(
             rid for _, _, rid in hist_fetch)
         for atom_id, seq, rid in hist_fetch:
@@ -936,6 +1060,63 @@ class SeparatedStore(_BaseStore):
             versions.append(
                 self._decode_version(current_records[current_rid]))
             result[atom_id] = versions
+        return result
+
+    def read_as_of_many(self, requests: Iterable[AsOfRequest],
+                        tt_of: Callable[[bytes], Tuple[int, int]]
+                        ) -> Dict[AsOfRequest, AsOfHit]:
+        # Newest-first: the current record when the directory envelope
+        # holds a pending instant, then the vdir entries from the end,
+        # reading a history record only where its envelope holds one.
+        # Waves as above; a history wave reads one record per atom still
+        # walking.
+        result, by_atom = _group_requests(requests)
+        current_fetch: Dict[int, Tuple[RecordId, int]] = {}
+        vdir_fetch: Dict[int, RecordId] = {}
+        for atom_id, payload in self._entries_many(by_atom).items():
+            if payload is None:
+                continue
+            (cpage, cslot, vpage, vslot, count,
+             vt_start, vt_end, _live) = self._DIR_VALUE.unpack(payload)
+            if _wanted(by_atom[atom_id], vt_start, vt_end):
+                current_fetch[atom_id] = (RecordId(cpage, cslot), count - 1)
+            if count > 1:
+                vdir_fetch[atom_id] = RecordId(vpage, vslot)
+        current_records = self._current.read_many(
+            rid for rid, _ in current_fetch.values())
+        for atom_id, (rid, seq) in current_fetch.items():
+            by_atom[atom_id] = _settle(
+                by_atom[atom_id], seq,
+                self._decode_version(current_records[rid]), tt_of, result)
+        vdir_fetch = {atom_id: rid for atom_id, rid in vdir_fetch.items()
+                      if by_atom[atom_id]}
+        vdir_records = self._vdir.read_many(vdir_fetch.values())
+        # atom -> (its vdir, count of entries not yet visited)
+        walks: Dict[int, Tuple[bytes, int]] = {}
+        for atom_id, rid in vdir_fetch.items():
+            vdir = vdir_records[rid]
+            walks[atom_id] = (vdir, len(vdir) // self._VDIR_ENTRY.size)
+        while walks:
+            hist_fetch: Dict[int, Tuple[int, RecordId]] = {}
+            for atom_id, (vdir, seq) in walks.items():
+                pending = by_atom[atom_id]
+                while seq:
+                    seq -= 1
+                    vt_start, vt_end, _live, page, slot = self._vdir_entry(
+                        vdir, seq)
+                    if _wanted(pending, vt_start, vt_end):
+                        hist_fetch[atom_id] = (seq, RecordId(page, slot))
+                        break
+            hist_records = self._history.read_many(
+                rid for _, rid in hist_fetch.values())
+            advanced: Dict[int, Tuple[bytes, int]] = {}
+            for atom_id, (seq, rid) in hist_fetch.items():
+                pending = by_atom[atom_id] = _settle(
+                    by_atom[atom_id], seq,
+                    self._decode_version(hist_records[rid]), tt_of, result)
+                if pending and seq:
+                    advanced[atom_id] = (walks[atom_id][0], seq)
+            walks = advanced
         return result
 
 

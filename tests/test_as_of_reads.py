@@ -9,15 +9,27 @@ deletes and link changes, for unknown and vacuumed atoms, and in each
 cache state the engine can be in: cold, a cached stored history only,
 and a cached full decode.
 
-The decode-cost gate holds the point of it: a ``SUBSCRIBE`` poll of N
-events decodes at most 2N versions whatever the chains' lengths.
+Below the engine, every strategy answers those reads with
+:meth:`VersionStore.read_as_of_many`, a newest-first walk that stops at
+each request's first hit.  Its differential tests hold it equal to the
+same newest-first filter over ``read_all_many``, on random store
+histories and on real ones (corrections, windowed deletes, a
+same-transaction update / delete / re-insert, chains long enough to
+span pages, unknown and vacuumed atoms).
+
+The cost gate holds the point of it: a ``SUBSCRIBE`` poll of N events
+decodes at most 2N versions, and reads the same number of heap records,
+whatever the chains' lengths.
 """
 
 import json
 import os
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AtomType,
@@ -30,7 +42,14 @@ from repro import (
 )
 from repro.cdc.source import ChangeStreamSource
 from repro.core import history as hist
-from repro.temporal import FOREVER
+from repro.storage.buffer import BufferManager
+from repro.storage.disk import DiskManager
+from repro.storage.strategies import (
+    StoredVersion,
+    VersionStrategy,
+    open_version_store,
+)
+from repro.temporal import FOREVER, Interval
 from repro.tools import vacuum_superseded
 
 
@@ -111,11 +130,12 @@ def check_all_cache_states(db, atoms):
     requests = requests_for(db, atoms)
     expected = reference(db, requests)
 
-    engine.drop_caches()  # cold: every history comes from the store
+    engine.drop_caches()  # cold: every answer comes from the store
     assert_same(engine.versions_as_of_many(requests), expected)
+    assert not engine._decode_cache.histories(atoms)  # and caches none
 
     engine.drop_caches()  # a cached stored history, no full decode
-    engine.versions_as_of_many((a, 0, 0) for a in atoms)
+    engine.versions_during_many(atoms, Interval(0, FOREVER))
     histories = engine._decode_cache.histories(atoms)
     assert histories and all(h.versions is None
                              for h in histories.values())
@@ -157,6 +177,129 @@ class TestAsOfDifferential:
         assert db.engine.versions_as_of_many([]) == {}
 
 
+def newest_first(store, requests, tt_of):
+    """The point-read reference: each request's answer is the newest
+    version of the atom's full history valid at its instant and believed
+    at its transaction time."""
+    histories = store.read_all_many({a for a, _, _ in requests})
+    expected = {}
+    for request in requests:
+        atom_id, at, tt = request
+        expected[request] = None
+        for seq in reversed(range(len(histories.get(atom_id, ())))):
+            sv = histories[atom_id][seq]
+            tt_start, tt_end = tt_of(sv.payload)
+            if sv.contains(at) and tt_start <= tt < tt_end:
+                expected[request] = (seq, sv)
+                break
+    return expected
+
+
+#: Store-level payloads lead with their transaction-time pair.
+_TT = struct.Struct("<qq")
+
+
+def _tt_of(payload):
+    return _TT.unpack_from(payload, 0)
+
+
+_version = st.builds(
+    lambda vt_start, vt_len, tt_start, tt_len, live, filler: StoredVersion(
+        vt_start, vt_start + vt_len, live,
+        _TT.pack(tt_start, tt_start + tt_len) + filler),
+    st.integers(0, 20), st.integers(1, 12), st.integers(0, 20),
+    st.integers(0, 12), st.booleans(), st.binary(max_size=40))
+
+
+class TestStorePointRead:
+    """``read_as_of_many`` == the newest-first filter of
+    ``read_all_many``, on all three strategies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["append", "append",
+                                               "append", "replace",
+                                               "pop", "delete"]),
+                              st.integers(1, 4), st.integers(0, 200),
+                              _version),
+                    max_size=60),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(0, 32),
+                              st.integers(0, 32)), max_size=30),
+           st.sampled_from(list(VersionStrategy)),
+           st.booleans())
+    def test_random_histories(self, tmp_path_factory, operations, requests,
+                              strategy, deep):
+        disk = DiskManager(tmp_path_factory.mktemp("asof") / "s.db")
+        store = open_version_store(strategy, BufferManager(disk,
+                                                           capacity=16))
+        if deep:  # past 150 versions: the vdir and clustered record span
+            for step in range(160):
+                store.append_version(1, StoredVersion(
+                    step % 30, step % 30 + 3, step % 3 != 0,
+                    _TT.pack(step % 25, step % 25 + 4) + bytes(24)))
+        counts = {}
+        for kind, atom_id, seq_hint, version in operations:
+            count = counts.get(atom_id, 0)
+            if kind == "append":
+                counts[atom_id] = store.append_version(atom_id, version) + 1
+            elif kind == "replace" and count:
+                store.replace_version(atom_id, seq_hint % count, version)
+            elif kind == "pop" and count:
+                store.pop_version(atom_id)
+                counts[atom_id] = count - 1
+            elif kind == "delete" and count:
+                store.delete_atom(atom_id)
+                counts[atom_id] = 0
+        # Repeats and several requests per atom share one walk; atoms 5
+        # and 6 never exist.
+        requests += requests[:3]
+        assert store.read_as_of_many(requests, _tt_of) == newest_first(
+            store, requests, _tt_of)
+        assert store.read_as_of_many([], _tt_of) == {}
+        disk.close()
+
+
+class TestEnginePointRead:
+    """The same differential over histories the engine wrote, with the
+    engine's own transaction-time peek."""
+
+    def check(self, db, atoms):
+        store, engine = db.engine.store, db.engine
+        requests = requests_for(db, atoms)
+        assert store.read_as_of_many(requests, engine._peek_tt) == (
+            newest_first(store, requests, engine._peek_tt))
+
+    def test_corrections_and_windowed_deletes(self, db):
+        self.check(db, mixed_history(db, seed=3))
+
+    def test_vacuumed_atoms(self, db):
+        atoms = mixed_history(db, seed=8)
+        assert vacuum_superseded(db, db._clock.now() // 2).versions_removed
+        self.check(db, atoms)
+
+    def test_superseded_in_one_transaction(self, db):
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 1.0},
+                              valid_from=0)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=0)
+            txn.delete(part, valid_from=0)
+            txn.insert("Part", {"name": "q", "cost": 3.0}, valid_from=0,
+                       atom_id=part)
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 4.0}, valid_from=5)
+        self.check(db, [part])
+
+    def test_chains_spanning_pages(self, db):
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p" * 40, "cost": 0.0},
+                              valid_from=0)
+        for step in range(160):
+            with db.transaction() as txn:
+                txn.update(part, {"cost": float(step)}, valid_from=step % 7)
+        assert len(db.engine.all_versions(part)) > 150
+        self.check(db, [part])
+
+
 def _chain_db(path, strategy, chain):
     """Four Parts, each a chain of *chain* stored versions (an update
     from instant 0 closes one version and appends one)."""
@@ -182,11 +325,13 @@ POLL_EVENTS = 16
 
 
 class TestCdcDecodeCost:
-    """CI gate: a poll's decodes track its events, not chain length."""
+    """CI gate: a poll's decodes and record reads track its events, not
+    chain length."""
 
     def test_poll_decodes_at_most_two_versions_per_event(self, tmp_path,
                                                          strategy):
         decodes = {}
+        record_reads = {}
         for chain in (10, 100, 400):
             db, parts = _chain_db(str(tmp_path / f"db{chain}"), strategy,
                                   chain)
@@ -201,8 +346,11 @@ class TestCdcDecodeCost:
             db.engine.drop_caches()
             misses = db.metrics.counter("engine.decode_cache.misses")
             before = misses.value
+            reads = db.metrics.total("heap.record_reads")
             body = source.handle({"subscriber": "gate", "from_lsn": start})
             decodes[chain] = misses.value - before
+            record_reads[chain] = (db.metrics.total("heap.record_reads")
+                                   - reads)
             assert len(body["events"]) == POLL_EVENTS
             assert all(event["kind"] == "attribute_changed"
                        for event in body["events"])
@@ -210,6 +358,7 @@ class TestCdcDecodeCost:
         assert all(count <= 2 * POLL_EVENTS for count in decodes.values()), (
             decodes)
         assert len(set(decodes.values())) == 1, decodes  # flat in length
+        assert len(set(record_reads.values())) == 1, record_reads
 
 
 class TestLegacyCatalogKey:

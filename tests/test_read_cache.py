@@ -355,10 +355,10 @@ class TestHistoryEntries:
             db.version_at(part, at)
         assert _cached_history(db, part) is None
 
-    def test_as_of_reads_fill(self, db):
+    def test_as_of_reads_never_fill(self, db):
         part = _insert_part(db)
         db.version_at(part, 5, tt=db._clock.now())
-        assert _cached_history(db, part) is not None
+        assert _cached_history(db, part) is None
 
     def test_warm_current_slice_skips_the_store(self, db):
         part = _insert_part(db, cost=1.0)
