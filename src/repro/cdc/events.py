@@ -152,7 +152,7 @@ class ImageReader:
     :func:`decode_operation` for each of them in that order.  When the
     chunk read last cannot answer an operation, the next ``limit()``
     operations of the run are read together with one
-    :meth:`~repro.core.engine.StorageEngine.versions_as_of_many`, which
+    :meth:`~repro.core.engine.StorageEngine.point_reads`, which
     reads and decodes only the versions the images select.
     """
 
@@ -169,7 +169,7 @@ class ImageReader:
             chunk = [parsed for parsed in map(
                 _parse, islice(self._ahead, self._limit()))
                 if parsed is not None]
-            self._images = self._engine.versions_as_of_many(
+            self._images = self._engine.point_reads(
                 request for parsed in chunk
                 for request in _image_requests(parsed))
         return self._images
@@ -197,7 +197,7 @@ def decode_operation(engine, payload: Dict[str, Any],
     if parsed is None:
         return None
     requests = _image_requests(parsed)
-    images = (engine.versions_as_of_many(requests) if reader is None
+    images = (engine.point_reads(requests) if reader is None
               else reader.images(requests))
     after_v = images[requests[0]]
     before_v = images[requests[1]] if len(requests) > 1 else None

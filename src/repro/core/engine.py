@@ -22,16 +22,19 @@ through one dispatch, :meth:`StorageEngine.apply`.
 The engine's only per-atom state is its cache entry
 (:class:`DecodedVersionCache`): the stored history, decoded versions,
 live set and type name.  A warm atom is answered without touching the
-store.  A current slice (no ``AS OF``, no pushdown) takes the live
-version valid at its instant from the entry's valid-time index — one
-bisect over the full decodes with open transaction time and the live
-set's versions — and otherwise picks it from the cached envelopes;
-interval sweeps select theirs from the envelopes, and ``AS OF`` reads
-from the envelopes and peeked transaction times, and each decodes only
-what it picks.  An ``AS OF`` read of an atom whose history is not
-cached asks the store for just the records it selects
-(``read_as_of_many``) and caches no history.  A warm mutation plans
-from the entry and learns its new sequence numbers from
+store.  Every point read, current or ``AS OF``, is one request
+``(atom, at, tt)`` answered by :meth:`StorageEngine.point_reads`.  A
+current one (``tt`` None, no pushdown) takes the live version valid at
+its instant from the entry's valid-time index — one bisect over the
+full decodes with open transaction time and the live set's versions.
+Every other request is selected newest-first on the envelopes (the live
+flag, or the peeked transaction time for an ``AS OF`` one): on the
+cached ones when the history is cached, otherwise by the store's
+``read_at_many``, which reads just the records it selects and caches no
+history.  Interval sweeps select theirs from the cached envelopes too,
+and each read decodes only what it picks; a pushed-down predicate is
+judged on the selected payloads here, and only here.  A warm mutation
+plans from the entry and learns its new sequence numbers from
 ``append_version``, so it reads nothing from the store before it
 writes.
 
@@ -83,7 +86,14 @@ from repro.errors import (
     UnknownAtomError,
     UnknownTypeError,
 )
-from repro.storage.strategies import StoredVersion, VersionStore, iter_histories
+from repro.storage.strategies import (
+    PointRequest,
+    StoredVersion,
+    VersionStore,
+    group_requests,
+    iter_histories,
+    select_newest_first,
+)
 from repro.temporal import FOREVER, Interval, Timestamp
 
 _TYPE_PREFIX = struct.Struct("<H")
@@ -120,7 +130,7 @@ class StoredHistory:
     """One atom's full stored history, as a full-history read returns
     it and the cache keeps it."""
 
-    __slots__ = ("stored", "versions", "_live_starts", "_live_seqs")
+    __slots__ = ("stored", "versions")
 
     def __init__(self, stored: Iterable[StoredVersion]) -> None:
         #: Every stored version (envelope plus payload), in seq order.
@@ -129,22 +139,6 @@ class StoredHistory:
         #: objects the atom's decoded entries hold, in seq order, so a
         #: warm full-history read is one lookup.
         self.versions: Optional[Tuple[Version, ...]] = None
-        live = sorted((sv.vt_start, seq)
-                      for seq, sv in enumerate(self.stored) if sv.live)
-        self._live_starts = [start for start, _ in live]
-        self._live_seqs = [seq for _, seq in live]
-
-    def live_at(self, at: Timestamp) -> Optional[int]:
-        """The seq of the live version whose valid time contains *at*.
-
-        Live versions are valid-time disjoint (the engine's invariant),
-        so a bisect over their start points finds the only candidate.
-        """
-        index = bisect_right(self._live_starts, at) - 1
-        if index < 0:
-            return None
-        seq = self._live_seqs[index]
-        return seq if at < self.stored[seq].vt_end else None
 
 
 #: An atom's live versions as the write path plans against them:
@@ -313,22 +307,24 @@ class DecodedVersionCache:
             self._charge(entry, cost)
             self._evict()
 
-    def live_at_many(self, atom_ids: List[int],
-                     at: Timestamp) -> Dict[int, Version]:
-        """The live version valid at *at* of each atom among *atom_ids*
-        whose entry holds it, as a full decode or in the live set; each
-        counts a decode hit.  One bisect per atom."""
-        found: Dict[int, Version] = {}
+    def live_at_many(self, requests: List[PointRequest]
+                     ) -> Dict[PointRequest, Version]:
+        """The live version each current-knowledge request among
+        *requests* asks for, where the atom's entry holds it as a full
+        decode or in the live set; each counts a decode hit.  One bisect
+        per request."""
+        found: Dict[PointRequest, Version] = {}
         with self._lock:
             atoms = self._atoms
-            for atom_id in atom_ids:
+            for request in requests:
+                atom_id, at, tt = request
                 entry = atoms.get(atom_id)
-                if entry is None:
+                if entry is None or tt is not None:
                     continue
                 version = entry.live_at(at)
                 if version is not None:
                     atoms.move_to_end(atom_id)
-                    found[atom_id] = version
+                    found[request] = version
             if found:
                 self._c_hits.inc(len(found))
         return found
@@ -616,148 +612,83 @@ class StorageEngine:
                                                              Tuple[str, ...],
                                                              bool]]] = None
                         ) -> Dict[int, Optional[Version]]:
-        """Batched :meth:`version_at`: one result per distinct atom id.
+        """Batched :meth:`version_at`: one result per distinct atom id,
+        ``None`` for unknown atoms; the :meth:`point_reads` of every atom
+        at one instant."""
+        requests = [(atom_id, at, tt) for atom_id in dict.fromkeys(atom_ids)]
+        found = self.point_reads(requests, pred, projection)
+        return {request[0]: found[request] for request in requests}
 
-        Unknown atoms map to ``None``, exactly as ``version_at`` returns
-        ``None`` for them.  With *tt* the answer is
-        :meth:`versions_as_of_many`'s (one version selected and decoded
-        per atom).  Without it, an atom whose cache
+    def point_reads(self, requests: Iterable[PointRequest],
+                    pred: Optional[Callable[[bytes], bool]] = None,
+                    projection: Optional[Dict[str, Tuple[Any,
+                                                         Tuple[str, ...],
+                                                         bool]]] = None
+                    ) -> Dict[PointRequest, Optional[Version]]:
+        """For each distinct ``(atom, at, tt)`` request, the version
+        valid at *at* as believed at *tt* (``None`` = now): one result
+        per request, ``None`` for unknown atoms and for no state.
+
+        Each answer is *selected* before anything is decoded.  A
+        current-knowledge request without pushdown whose atom's cache
         entry holds the live version valid at *at* (a full decode with
         open transaction time, or a member of the live set) is answered
-        by one bisect of the entry's valid-time index, nothing decoded;
-        an atom whose history is cached, from the cached envelopes; the
-        rest go through the store's set-oriented ``read_at_many`` in one
-        batch, so directory and record pages shared by several atoms are
-        pinned once for the whole call.  A point slice never fills the
-        history cache.
+        by one bisect of the entry's valid-time index.  Every other
+        request takes the store's newest-first walk: on the cached
+        envelopes when the atom's history is cached, otherwise through
+        one batched ``store.read_at_many``, which reads only as far back
+        as each answer and fills no history.  A version is believed now
+        when it is live, and at *tt* when its peeked transaction-time
+        pair (:meth:`VersionCodec.peek_tt`) contains *tt*.  The first
+        hit is the only one: versions believed at one transaction time
+        are valid-time disjoint (the invariant
+        :func:`~repro.core.history.check_history` checks), so the answer
+        equals :func:`repro.core.history.version_at` over the full
+        decode.
 
         *pred* / *projection* come from :meth:`compile_pushdown`: the
-        predicate is evaluated on raw payloads (by the store, or here on
-        cached ones), so atoms whose version at *at* fails it come back
-        as ``None`` without ever being decoded; the projection makes the
-        survivors decode only the attributes the query reads.  Both
-        apply only on the current-knowledge path — the planner never
-        pushes below an ``AS OF`` query, and a call carrying either
-        takes the envelope and store paths alone.
+        predicate is evaluated on each selected raw payload, so a
+        request whose version fails it comes back ``None`` without being
+        decoded (counted on ``engine.pushdown.skipped``); the projection
+        makes the survivors decode only the attributes the query reads.
         """
-        ids = list(dict.fromkeys(atom_ids))
-        if tt is not None:
-            found = self.versions_as_of_many(
-                (atom_id, at, tt) for atom_id in ids)
-            return {atom_id: found[(atom_id, at, tt)] for atom_id in ids}
-        result: Dict[int, Optional[Version]] = {}
-        if not ids:
-            return result
-        self._c_version_reads.inc(len(ids))
-        known: Dict[int, Version] = {}
-        rest = ids
+        pending = list(dict.fromkeys(requests))
+        if not pending:
+            return {}
+        self._c_version_reads.inc(len({request[0] for request in pending}))
+        result: Dict[PointRequest, Optional[Version]] = {}
         if pred is None and projection is None:
-            known = self._decode_cache.live_at_many(ids, at)
-            if known:
-                self._c_versions_scanned.inc(len(known))
-                rest = [atom_id for atom_id in ids if atom_id not in known]
-        cached = self._decode_cache.histories(rest)
-        hits_by_atom: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        if len(cached) < len(rest):
-            misses = [atom_id for atom_id in rest if atom_id not in cached]
-            hits_by_atom = self.store.read_at_many(misses, at, pred)
-        for atom_id, history in cached.items():
-            seq = history.live_at(at)
-            if seq is None:
-                continue
-            stored_version = history.stored[seq]
-            if pred is not None and not pred(stored_version.payload):
-                self._c_pushdown_skipped.inc()
-                continue
-            hits_by_atom[atom_id] = [(seq, stored_version)]
-        for atom_id in ids:
-            version = known.get(atom_id)
-            if version is not None:
-                result[atom_id] = version
-                continue
-            hits = hits_by_atom.get(atom_id)
-            if not hits:
-                result[atom_id] = None
-                continue
-            self._c_versions_scanned.inc(len(hits))
-            seq, stored_version = hits[0]
-            result[atom_id] = self._decode_cached(
-                atom_id, seq, stored_version, projection)[1]
+            result.update(self._decode_cache.live_at_many(pending))
+            if result:
+                pending = [request for request in pending
+                           if request not in result]
+        scanned = len(result)
+        if pending:
+            hits, by_atom = group_requests(pending)
+            cached = self._decode_cache.histories(list(by_atom))
+            for atom_id, history in cached.items():
+                select_newest_first(by_atom[atom_id], history.stored,
+                                    self._peek_tt, hits)
+            if len(cached) < len(by_atom):
+                hits.update(self.store.read_at_many(
+                    [request for request in pending
+                     if request[0] not in cached], self._peek_tt))
+            skipped = 0
+            for request, hit in hits.items():
+                if hit is not None and pred is not None and not pred(
+                        hit[1].payload):
+                    skipped += 1
+                    hit = None
+                if hit is None:
+                    result[request] = None
+                else:
+                    result[request] = self._decode_cached(
+                        request[0], *hit, projection)[1]
+                    scanned += 1
+            if skipped:
+                self._c_pushdown_skipped.inc(skipped)
+        self._c_versions_scanned.inc(scanned)
         return result
-
-    def versions_as_of_many(
-            self, requests: Iterable[Tuple[int, Timestamp, Timestamp]]
-    ) -> Dict[Tuple[int, Timestamp, Timestamp], Optional[Version]]:
-        """``AS OF`` point reads: for each ``(atom, at, tt)`` request, the
-        version valid at *at* as believed at *tt* — one result per
-        distinct request, ``None`` for unknown atoms and for no state.
-
-        Each answer is *selected* before anything is decoded: versions
-        are taken newest-first and, for each one whose valid time
-        contains *at*, only the transaction-time pair is peeked
-        (:meth:`VersionCodec.peek_tt`); the first version believed at
-        *tt* is the one decoded (through the decode cache).  An atom
-        whose stored history is cached is answered from it, or from its
-        full decode when that is cached too, with nothing decoded.  Every
-        other atom goes to the store in one batched ``read_as_of_many``,
-        which walks the same newest-first order over the records and
-        reads only as far back as each answer, so a read near the
-        present costs a few records however long the history is; it
-        fills no history.
-
-        The first hit is the only one: versions believed at one
-        transaction time are valid-time disjoint (the invariant
-        :func:`~repro.core.history.check_history` checks and
-        :meth:`StoredHistory.live_at` relies on), so the newest-first
-        answer equals :func:`repro.core.history.version_at` over the
-        full decode.
-        """
-        wanted = list(dict.fromkeys(requests))
-        result: Dict[Tuple[int, Timestamp, Timestamp],
-                     Optional[Version]] = {}
-        if not wanted:
-            return result
-        ids = list(dict.fromkeys(atom_id for atom_id, _, _ in wanted))
-        self._c_version_reads.inc(len(ids))
-        cached = self._decode_cache.histories(ids)
-        rest = []
-        for request in wanted:
-            history = cached.get(request[0])
-            if history is None:
-                rest.append(request)
-            else:
-                result[request] = self._as_of(history, *request)
-        if rest:
-            for request, hit in self.store.read_as_of_many(
-                    rest, self._peek_tt).items():
-                result[request] = (None if hit is None else
-                                   self._decode_cached(request[0], *hit)[1])
-        self._c_versions_scanned.inc(
-            sum(1 for version in result.values() if version is not None))
-        return result
-
-    def _as_of(self, history: StoredHistory, atom_id: int, at: Timestamp,
-               tt: Timestamp) -> Optional[Version]:
-        """The version of *history* valid at *at* as believed at *tt*,
-        picked newest-first: from the cached full decode when there is
-        one, otherwise from the envelopes and peeked transaction-time
-        pairs alone, decoding only the version picked."""
-        versions = history.versions
-        if versions is not None:
-            for version in reversed(versions):
-                if version.vt.contains(at) and version.tt.contains(tt):
-                    self._decode_cache.note_decoded_hits(1)
-                    return version
-            return None
-        stored = history.stored
-        for seq in range(len(stored) - 1, -1, -1):
-            stored_version = stored[seq]
-            if not stored_version.contains(at):
-                continue
-            tt_start, tt_end = self._peek_tt(stored_version.payload)
-            if tt_start <= tt < tt_end:
-                return self._decode_cached(atom_id, seq, stored_version)[1]
-        return None
 
     def _peek_tt(self, payload: bytes) -> Tuple[Timestamp, Timestamp]:
         """The transaction-time pair of a type-prefixed payload, read

@@ -69,7 +69,7 @@ class PushdownSpec:
     ``(attribute, operator name, literal)`` triples — deliberately not
     AST nodes, so the storage engine can compile them without importing
     the MQL layer.  Each is a *necessary* condition on the root atom:
-    the store may drop a version failing one before decode, and the
+    the engine may drop a version failing one before decode, and the
     evaluator still re-checks survivors, so results are byte-identical
     to the post-filter path.
 

@@ -98,52 +98,89 @@ def _unpack_envelope(data: bytes, at: int) -> Tuple[int, int, bool, int]:
     return vt_start, vt_end, bool(live), at + _ENVELOPE.size
 
 
-#: An ``AS OF`` point read: (atom id, valid instant, transaction time).
-AsOfRequest = Tuple[int, int, int]
+#: A point read: (atom id, valid instant, transaction time); a
+#: transaction time of ``None`` asks for current knowledge.
+PointRequest = Tuple[int, int, Optional[int]]
 #: Its answer: the selected version with its sequence number, or None.
-AsOfHit = Optional[Tuple[int, StoredVersion]]
+PointHit = Optional[Tuple[int, StoredVersion]]
 
 
-def _group_requests(requests: Iterable[AsOfRequest]
-                    ) -> Tuple[Dict[AsOfRequest, AsOfHit],
-                               Dict[int, List[AsOfRequest]]]:
-    """The answer map of a ``read_as_of_many`` call, every distinct
-    request unanswered, and the requests grouped by atom."""
-    result: Dict[AsOfRequest, AsOfHit] = dict.fromkeys(requests)
-    by_atom: Dict[int, List[AsOfRequest]] = {}
+def group_requests(requests: Iterable[PointRequest]
+                   ) -> Tuple[Dict[PointRequest, PointHit],
+                              Dict[int, List[PointRequest]]]:
+    """The answer map of a point-read call, every distinct request
+    unanswered, and the requests grouped by atom."""
+    result: Dict[PointRequest, PointHit] = dict.fromkeys(requests)
+    by_atom: Dict[int, List[PointRequest]] = {}
     for request in result:
         by_atom.setdefault(request[0], []).append(request)
     return result, by_atom
 
 
-def _wanted(pending: List[AsOfRequest], vt_start: int, vt_end: int) -> bool:
+def _wanted(pending: List[PointRequest], vt_start: int, vt_end: int,
+            live: bool) -> bool:
     """Whether a version valid over ``[vt_start, vt_end)`` may answer one
-    of *pending*: its valid time holds one of their instants."""
-    return any(vt_start <= at < vt_end for _, at, _ in pending)
+    of *pending*: its valid time holds one of their instants, and it is
+    live or that request names a transaction time."""
+    for _, at, tt in pending:
+        if vt_start <= at < vt_end and (live or tt is not None):
+            return True
+    return False
 
 
-def _settle(pending: List[AsOfRequest], seq: int, sv: StoredVersion,
+def _settle(pending: List[PointRequest], seq: int, sv: StoredVersion,
             tt_of: Callable[[bytes], Tuple[int, int]],
-            result: Dict[AsOfRequest, AsOfHit]) -> List[AsOfRequest]:
+            result: Dict[PointRequest, PointHit]) -> List[PointRequest]:
     """Answer the requests among *pending* that *sv* (the atom's version
     *seq*, the newest one not yet visited) holds, and return the rest.
 
     The walk is newest-first, so the first version valid at a request's
-    instant and believed at its transaction time is its answer; the
+    instant and believed at its transaction time is its answer.  A
+    current-knowledge request takes the live flag as its belief; the
     transaction time is peeked once per version, and only when the
-    valid time fits.
+    valid time fits a request that names one.
     """
     believed = None
-    rest: List[AsOfRequest] = []
+    rest: List[PointRequest] = []
     for request in pending:
-        if sv.vt_start <= request[1] < sv.vt_end:
-            if believed is None:
-                believed = tt_of(sv.payload)
-            if believed[0] <= request[2] < believed[1]:
+        _, at, tt = request
+        if sv.vt_start <= at < sv.vt_end:
+            if tt is None:
+                hit = sv.live
+            else:
+                if believed is None:
+                    believed = tt_of(sv.payload)
+                hit = believed[0] <= tt < believed[1]
+            if hit:
                 result[request] = (seq, sv)
                 continue
         rest.append(request)
     return rest
+
+
+def select_newest_first(pending: List[PointRequest],
+                        versions: Tuple[StoredVersion, ...],
+                        tt_of: Callable[[bytes], Tuple[int, int]],
+                        result: Dict[PointRequest, PointHit]) -> None:
+    """Answer *pending*, requests on one atom, from *versions*, its
+    whole history in seq order: the selection every store makes, over
+    versions already in memory.  With no record to share, each request
+    walks on its own."""
+    for request in pending:
+        _, at, tt = request
+        for seq in range(len(versions) - 1, -1, -1):
+            sv = versions[seq]
+            if not sv.vt_start <= at < sv.vt_end:
+                continue
+            if tt is None:
+                if not sv.live:
+                    continue
+            else:
+                tt_start, tt_end = tt_of(sv.payload)
+                if not tt_start <= tt < tt_end:
+                    continue
+            result[request] = (seq, sv)
+            break
 
 
 class VersionStore:
@@ -189,17 +226,16 @@ class VersionStore:
     # directory page once) and pins every touched record page once per
     # batch rather than once per atom.
     #
-    # The optional *pred* of ``read_at_many`` is a pushed-down payload
-    # predicate (from :meth:`StorageEngine.compile_pushdown`): hits
-    # failing it are dropped and counted on the
-    # ``engine.pushdown.skipped`` counter, so the engine never decodes
-    # them.  ``read_all_many`` takes none: whole histories are cached
-    # above the store, and the engine filters them there.
-    # ``read_as_of_many`` is the bitemporal point read: it walks each
-    # atom's versions newest-first and reads a record only when its
-    # envelope holds a pending instant, so a read near the present costs
-    # a few records however long the history is.  The store still never
-    # parses a payload: the caller's *tt_of* peeks the transaction time.
+    # ``read_at_many`` is the point read, current or bitemporal: it
+    # walks each atom's versions newest-first and reads a record only
+    # when its envelope may answer a pending request (its valid time
+    # holds the instant, and it is live or the request names a
+    # transaction time), so a read near the present costs a few records
+    # however long the history is.  The store never parses a payload:
+    # the caller's *tt_of* peeks the transaction time, and the engine
+    # applies any pushed-down predicate to the payloads it gets back.
+    # ``read_all_many`` returns whole histories, which are cached above
+    # the store.
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         """The newest (highest-sequence) version."""
@@ -222,24 +258,18 @@ class VersionStore:
         """
         raise NotImplementedError
 
-    #: Bound to the real ``engine.pushdown.skipped`` counter by stores
-    #: wired to a metrics registry; ``None`` keeps the accounting a
-    #: no-op for bare test stores.
-    _c_pushdown_skipped = None
+    def read_at_many(self, requests: Iterable[PointRequest],
+                     tt_of: Callable[[bytes], Tuple[int, int]]
+                     ) -> Dict[PointRequest, PointHit]:
+        """For each distinct ``(atom_id, at, tt)`` request, the
+        highest-sequence stored version whose valid time contains *at*
+        and which is believed at *tt* — live when *tt* is ``None``,
+        otherwise with a transaction time, ``tt_of(payload)``, that
+        contains *tt* — as ``(seq, version)``; ``None`` when there is
+        none or the atom is unknown.
 
-    def _note_skips(self, count: int = 1) -> None:
-        if count and self._c_pushdown_skipped is not None:
-            self._c_pushdown_skipped.inc(count)
-
-    def read_at_many(self, atom_ids: Iterable[int], at: int,
-                     pred: Optional[Callable[[bytes], bool]] = None
-                     ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        """Live versions whose valid time contains *at* (at most one per
-        atom when the engine's disjointness invariant holds), as
-        ``{atom_id: [(seq, version)]}``.
-
-        Every distinct requested id is present; atoms not in the store
-        map to an empty hit list instead of raising.
+        Requests on one atom share one newest-first walk of its versions,
+        and each request leaves the walk at its first hit.
         """
         raise NotImplementedError
 
@@ -247,20 +277,6 @@ class VersionStore:
                       ) -> Dict[int, List[StoredVersion]]:
         """The full histories, in sequence order, of the known atoms
         among *atom_ids*; atoms not in the store are omitted."""
-        raise NotImplementedError
-
-    def read_as_of_many(self, requests: Iterable[AsOfRequest],
-                        tt_of: Callable[[bytes], Tuple[int, int]]
-                        ) -> Dict[AsOfRequest, AsOfHit]:
-        """For each distinct ``(atom_id, at, tt)`` request, the
-        highest-sequence stored version whose valid time contains *at*
-        and whose transaction time, ``tt_of(payload)``, contains *tt*, as
-        ``(seq, version)``; ``None`` when there is none or the atom is
-        unknown.
-
-        Requests on one atom share one newest-first walk of its versions,
-        and each request leaves the walk at its first hit.
-        """
         raise NotImplementedError
 
     def exists(self, atom_id: int) -> bool:
@@ -309,8 +325,6 @@ class _BaseStore(VersionStore):
     def __init__(self, buffer: BufferManager,
                  state: Optional[Dict[str, List[int]]]) -> None:
         self._buffer = buffer
-        self._c_pushdown_skipped = buffer.metrics.counter(
-            "engine.pushdown.skipped")
         state = state or {}
         self._directory = AtomDirectory(
             buffer, f"{self.strategy.value}.dir", self._DIR_VALUE.size,
@@ -501,48 +515,23 @@ class ClusteredStore(_HeadStore):
         records = self._segment.read_many(rid_for.values())
         return {atom_id: records[rid] for atom_id, rid in rid_for.items()}
 
-    def _records_many(self, atom_ids: Iterable[int]
+    def read_all_many(self, atom_ids: Iterable[int]
                       ) -> Dict[int, List[StoredVersion]]:
-        """Decode the history record of every known atom in the batch."""
         return {atom_id: self._decode(record) for atom_id, record
                 in self._raw_records_many(atom_ids).items()}
 
-    def read_at_many(self, atom_ids: Iterable[int], at: int,
-                     pred: Optional[Callable[[bytes], bool]] = None
-                     ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        ids = list(dict.fromkeys(atom_ids))
-        histories = self._records_many(ids)
-        result: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        for atom_id in ids:
-            versions = histories.get(atom_id)
-            if versions is None:
-                result[atom_id] = []
-                continue
-            hits = [(seq, sv) for seq, sv in enumerate(versions)
-                    if sv.live and sv.contains(at)]
-            if pred is not None:
-                kept = [(seq, sv) for seq, sv in hits if pred(sv.payload)]
-                self._note_skips(len(hits) - len(kept))
-                hits = kept
-            result[atom_id] = hits
-        return result
-
-    def read_all_many(self, atom_ids: Iterable[int]
-                      ) -> Dict[int, List[StoredVersion]]:
-        return self._records_many(atom_ids)
-
-    def read_as_of_many(self, requests: Iterable[AsOfRequest],
-                        tt_of: Callable[[bytes], Tuple[int, int]]
-                        ) -> Dict[AsOfRequest, AsOfHit]:
+    def read_at_many(self, requests: Iterable[PointRequest],
+                     tt_of: Callable[[bytes], Tuple[int, int]]
+                     ) -> Dict[PointRequest, PointHit]:
         # The one record holds the whole history: scan its envelopes
-        # newest-first and copy out only the payloads worth peeking.
-        result, by_atom = _group_requests(requests)
+        # newest-first and copy out only the payloads worth judging.
+        result, by_atom = group_requests(requests)
         for atom_id, record in self._raw_records_many(by_atom).items():
             pending = by_atom[atom_id]
             envelopes = self._envelopes(record)
             for seq in range(len(envelopes) - 1, -1, -1):
                 vt_start, vt_end, live, begin, end = envelopes[seq]
-                if not _wanted(pending, vt_start, vt_end):
+                if not _wanted(pending, vt_start, vt_end, live):
                     continue
                 pending = _settle(pending, seq, StoredVersion(
                     vt_start, vt_end, live, record[begin:end]), tt_of,
@@ -686,51 +675,18 @@ class ChainedStore(_HeadStore):
     # one pin for the whole batch rather than one per atom.
 
     def _frontier(self, atom_ids: Iterable[int]
-                  ) -> Tuple[Dict[int, Tuple[RecordId, int]], List[int]]:
+                  ) -> Dict[int, Tuple[RecordId, int]]:
+        """The newest record and its seq of every known atom."""
         frontier: Dict[int, Tuple[RecordId, int]] = {}
-        missing: List[int] = []
         for atom_id, payload in self._entries_many(atom_ids).items():
-            if payload is None:
-                missing.append(atom_id)
-                continue
-            rid, count = self._unpack_dir(payload)
-            frontier[atom_id] = (rid, count - 1)
-        return frontier, missing
-
-    def read_at_many(self, atom_ids: Iterable[int], at: int,
-                     pred: Optional[Callable[[bytes], bool]] = None
-                     ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        ids = list(dict.fromkeys(atom_ids))
-        frontier, missing = self._frontier(ids)
-        result: Dict[int, List[Tuple[int, StoredVersion]]] = {
-            atom_id: [] for atom_id in missing}
-        while frontier:
-            records = self._segment.read_many(
-                rid for rid, _ in frontier.values())
-            advanced: Dict[int, Tuple[RecordId, int]] = {}
-            for atom_id, (rid, seq) in frontier.items():
-                prev, sv = self._decode(records[rid])
-                if sv.live and sv.contains(at):
-                    if pred is not None and not pred(sv.payload):
-                        # Live versions are valid-time disjoint, so no
-                        # older version can also contain *at*: the walk
-                        # stops here with an empty answer.
-                        self._note_skips()
-                        result[atom_id] = []
-                    else:
-                        result[atom_id] = [(seq, sv)]
-                elif prev != _NO_RECORD:
-                    advanced[atom_id] = (prev, seq - 1)
-                else:
-                    result[atom_id] = []
-            frontier = advanced
-        for atom_id in ids:
-            result.setdefault(atom_id, [])
-        return result
+            if payload is not None:
+                rid, count = self._unpack_dir(payload)
+                frontier[atom_id] = (rid, count - 1)
+        return frontier
 
     def read_all_many(self, atom_ids: Iterable[int]
                       ) -> Dict[int, List[StoredVersion]]:
-        frontier, _missing = self._frontier(atom_ids)
+        frontier = self._frontier(atom_ids)
         collected: Dict[int, List[StoredVersion]] = {
             atom_id: [] for atom_id in frontier}
         while frontier:
@@ -747,13 +703,13 @@ class ChainedStore(_HeadStore):
             versions.reverse()
         return collected
 
-    def read_as_of_many(self, requests: Iterable[AsOfRequest],
-                        tt_of: Callable[[bytes], Tuple[int, int]]
-                        ) -> Dict[AsOfRequest, AsOfHit]:
+    def read_at_many(self, requests: Iterable[PointRequest],
+                     tt_of: Callable[[bytes], Tuple[int, int]]
+                     ) -> Dict[PointRequest, PointHit]:
         # An atom's walk leaves the batch once all its requests are
         # answered, so it reads only as far back as its oldest answer.
-        result, by_atom = _group_requests(requests)
-        frontier, _missing = self._frontier(by_atom)
+        result, by_atom = group_requests(requests)
+        frontier = self._frontier(by_atom)
         while frontier:
             records = self._segment.read_many(
                 rid for rid, _ in frontier.values())
@@ -985,52 +941,6 @@ class SeparatedStore(_BaseStore):
     # page-grouped read, so the dense current segment in particular is
     # pinned once per page per batch (the strategy's best case).
 
-    def read_at_many(self, atom_ids: Iterable[int], at: int,
-                     pred: Optional[Callable[[bytes], bool]] = None
-                     ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        result: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        current_fetch: Dict[int, Tuple[RecordId, int]] = {}
-        vdir_fetch: Dict[int, RecordId] = {}
-        for atom_id, payload in self._entries_many(atom_ids).items():
-            if payload is None:
-                result[atom_id] = []
-                continue
-            (cpage, cslot, vpage, vslot, count,
-             vt_start, vt_end, live) = self._DIR_VALUE.unpack(payload)
-            if live and vt_start <= at < vt_end:
-                current_fetch[atom_id] = (RecordId(cpage, cslot), count - 1)
-            else:
-                vdir_fetch[atom_id] = RecordId(vpage, vslot)
-        current_records = self._current.read_many(
-            rid for rid, _ in current_fetch.values())
-        for atom_id, (rid, seq) in current_fetch.items():
-            sv = self._decode_version(current_records[rid])
-            if pred is not None and not pred(sv.payload):
-                self._note_skips()
-                result[atom_id] = []
-            else:
-                result[atom_id] = [(seq, sv)]
-        vdir_records = self._vdir.read_many(
-            rid for rid in vdir_fetch.values() if rid != _NO_RECORD)
-        hist_fetch: List[Tuple[int, int, RecordId]] = []
-        for atom_id, vdir_rid in vdir_fetch.items():
-            result[atom_id] = []
-            if vdir_rid == _NO_RECORD:
-                continue
-            for seq, (e_start, e_end, e_live, page, slot) in enumerate(
-                    self._VDIR_ENTRY.iter_unpack(vdir_records[vdir_rid])):
-                if e_live and e_start <= at < e_end:
-                    hist_fetch.append((atom_id, seq, RecordId(page, slot)))
-        hist_records = self._history.read_many(
-            rid for _, _, rid in hist_fetch)
-        for atom_id, seq, rid in hist_fetch:
-            sv = self._decode_version(hist_records[rid])
-            if pred is not None and not pred(sv.payload):
-                self._note_skips()
-                continue
-            result[atom_id].append((seq, sv))
-        return result
-
     def read_all_many(self, atom_ids: Iterable[int]
                       ) -> Dict[int, List[StoredVersion]]:
         current_fetch: Dict[int, RecordId] = {}
@@ -1062,23 +972,23 @@ class SeparatedStore(_BaseStore):
             result[atom_id] = versions
         return result
 
-    def read_as_of_many(self, requests: Iterable[AsOfRequest],
-                        tt_of: Callable[[bytes], Tuple[int, int]]
-                        ) -> Dict[AsOfRequest, AsOfHit]:
+    def read_at_many(self, requests: Iterable[PointRequest],
+                     tt_of: Callable[[bytes], Tuple[int, int]]
+                     ) -> Dict[PointRequest, PointHit]:
         # Newest-first: the current record when the directory envelope
-        # holds a pending instant, then the vdir entries from the end,
-        # reading a history record only where its envelope holds one.
+        # may answer a pending request, then the vdir entries from the
+        # end, reading a history record only where its envelope may.
         # Waves as above; a history wave reads one record per atom still
         # walking.
-        result, by_atom = _group_requests(requests)
+        result, by_atom = group_requests(requests)
         current_fetch: Dict[int, Tuple[RecordId, int]] = {}
         vdir_fetch: Dict[int, RecordId] = {}
         for atom_id, payload in self._entries_many(by_atom).items():
             if payload is None:
                 continue
             (cpage, cslot, vpage, vslot, count,
-             vt_start, vt_end, _live) = self._DIR_VALUE.unpack(payload)
-            if _wanted(by_atom[atom_id], vt_start, vt_end):
+             vt_start, vt_end, live) = self._DIR_VALUE.unpack(payload)
+            if _wanted(by_atom[atom_id], vt_start, vt_end, live):
                 current_fetch[atom_id] = (RecordId(cpage, cslot), count - 1)
             if count > 1:
                 vdir_fetch[atom_id] = RecordId(vpage, vslot)
@@ -1102,9 +1012,9 @@ class SeparatedStore(_BaseStore):
                 pending = by_atom[atom_id]
                 while seq:
                     seq -= 1
-                    vt_start, vt_end, _live, page, slot = self._vdir_entry(
+                    vt_start, vt_end, live, page, slot = self._vdir_entry(
                         vdir, seq)
-                    if _wanted(pending, vt_start, vt_end):
+                    if _wanted(pending, vt_start, vt_end, live):
                         hist_fetch[atom_id] = (seq, RecordId(page, slot))
                         break
             hist_records = self._history.read_many(

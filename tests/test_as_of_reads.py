@@ -1,21 +1,25 @@
-"""``AS OF`` point reads that decode only the version they select.
+"""Point reads, current and ``AS OF``, that decode only the version
+they select.
 
-:meth:`StorageEngine.versions_as_of_many` picks each answer newest-first
-from the stored envelopes and peeked transaction times, and decodes
-just that version.  The differential tests hold it equal to the
-full-history reference, :func:`repro.core.history.version_at` over
-``all_versions``, on every strategy, over histories with corrections,
-deletes and link changes, for unknown and vacuumed atoms, and in each
-cache state the engine can be in: cold, a cached stored history only,
-and a cached full decode.
+:meth:`StorageEngine.point_reads` picks each answer newest-first from
+the stored envelopes — the live flag for a current-knowledge request,
+the peeked transaction time for an ``AS OF`` one — and decodes just
+that version.  The differential tests hold it equal to the full-history
+reference, :func:`repro.core.history.version_at` over ``all_versions``,
+on every strategy, over histories with corrections, deletes and link
+changes, for unknown and vacuumed atoms, and in each cache state the
+engine can be in: cold, a cached stored history only, and a cached full
+decode.  A pushed-down predicate applies to every request, ``AS OF``
+ones included.
 
 Below the engine, every strategy answers those reads with
-:meth:`VersionStore.read_as_of_many`, a newest-first walk that stops at
+:meth:`VersionStore.read_at_many`, a newest-first walk that stops at
 each request's first hit.  Its differential tests hold it equal to the
-same newest-first filter over ``read_all_many``, on random store
-histories and on real ones (corrections, windowed deletes, a
-same-transaction update / delete / re-insert, chains long enough to
-span pages, unknown and vacuumed atoms).
+same newest-first filter over ``read_all_many``, with current and
+``AS OF`` requests mixed in one call, on random store histories and on
+real ones (corrections, windowed deletes, a same-transaction update /
+delete / re-insert, chains long enough to span pages, unknown and
+vacuumed atoms).
 
 The cost gate holds the point of it: a ``SUBSCRIBE`` poll of N events
 decodes at most 2N versions, and reads the same number of heap records,
@@ -98,14 +102,15 @@ def mixed_history(db, seed=11):
 
 def requests_for(db, atoms):
     """Every atom (plus one never created) at instants on and around
-    each stored boundary, as believed at every transaction time."""
+    each stored boundary, as believed now and at every transaction
+    time."""
     unknown = max(atoms) + 1000
     instants = {0, 7, 23, FOREVER - 1}
     for atom_id in atoms:
         if db.engine.atom_exists(atom_id):
             for version in db.engine.all_versions(atom_id):
                 instants.update((version.vt.start, version.vt.end - 1))
-    believed = range(0, db._clock.now() + 2)
+    believed = [None, *range(0, db._clock.now() + 2)]
     return [(atom_id, at, tt) for atom_id in atoms + [unknown]
             for at in sorted(instants) for tt in believed]
 
@@ -131,7 +136,7 @@ def check_all_cache_states(db, atoms):
     expected = reference(db, requests)
 
     engine.drop_caches()  # cold: every answer comes from the store
-    assert_same(engine.versions_as_of_many(requests), expected)
+    assert_same(engine.point_reads(requests), expected)
     assert not engine._decode_cache.histories(atoms)  # and caches none
 
     engine.drop_caches()  # a cached stored history, no full decode
@@ -139,17 +144,17 @@ def check_all_cache_states(db, atoms):
     histories = engine._decode_cache.histories(atoms)
     assert histories and all(h.versions is None
                              for h in histories.values())
-    assert_same(engine.versions_as_of_many(requests), expected)
+    assert_same(engine.point_reads(requests), expected)
 
     engine.drop_caches()  # the full decode cached beside the history
     engine.all_versions_many(atoms)
     assert all(h.versions is not None
                for h in engine._decode_cache.histories(atoms).values())
-    assert_same(engine.versions_as_of_many(requests), expected)
+    assert_same(engine.point_reads(requests), expected)
 
     # The single-instant wrapper answers the same, cold and warm.
     ids = atoms + [max(atoms) + 1000]
-    for at, tt in ((7, 5), (FOREVER - 1, db._clock.now())):
+    for at, tt in ((7, 5), (FOREVER - 1, db._clock.now()), (7, None)):
         for _ in range(2):
             assert engine.version_at_many(ids, at, tt) == {
                 a: expected[(a, at, tt)] for a in ids}
@@ -170,17 +175,18 @@ class TestAsOfDifferential:
         doomed = atoms[-1]
         assert not db.engine.atom_exists(doomed)
         check_all_cache_states(db, atoms)
-        assert db.engine.versions_as_of_many(
-            [(doomed, 0, 1)]) == {(doomed, 0, 1): None}
+        assert db.engine.point_reads(
+            [(doomed, 0, 1), (doomed, 0, None)]) == {
+                (doomed, 0, 1): None, (doomed, 0, None): None}
 
     def test_empty_request_list(self, db):
-        assert db.engine.versions_as_of_many([]) == {}
+        assert db.engine.point_reads([]) == {}
 
 
 def newest_first(store, requests, tt_of):
     """The point-read reference: each request's answer is the newest
     version of the atom's full history valid at its instant and believed
-    at its transaction time."""
+    at its transaction time — live, for a ``None`` one."""
     histories = store.read_all_many({a for a, _, _ in requests})
     expected = {}
     for request in requests:
@@ -188,8 +194,12 @@ def newest_first(store, requests, tt_of):
         expected[request] = None
         for seq in reversed(range(len(histories.get(atom_id, ())))):
             sv = histories[atom_id][seq]
-            tt_start, tt_end = tt_of(sv.payload)
-            if sv.contains(at) and tt_start <= tt < tt_end:
+            if tt is None:
+                believed = sv.live
+            else:
+                tt_start, tt_end = tt_of(sv.payload)
+                believed = tt_start <= tt < tt_end
+            if sv.contains(at) and believed:
                 expected[request] = (seq, sv)
                 break
     return expected
@@ -212,8 +222,9 @@ _version = st.builds(
 
 
 class TestStorePointRead:
-    """``read_as_of_many`` == the newest-first filter of
-    ``read_all_many``, on all three strategies."""
+    """``read_at_many`` == the newest-first filter of ``read_all_many``,
+    on all three strategies, with current and ``AS OF`` requests mixed
+    in one call."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["append", "append",
@@ -223,7 +234,8 @@ class TestStorePointRead:
                               _version),
                     max_size=60),
            st.lists(st.tuples(st.integers(1, 6), st.integers(0, 32),
-                              st.integers(0, 32)), max_size=30),
+                              st.none() | st.integers(0, 32)),
+                    max_size=30),
            st.sampled_from(list(VersionStrategy)),
            st.booleans())
     def test_random_histories(self, tmp_path_factory, operations, requests,
@@ -252,9 +264,9 @@ class TestStorePointRead:
         # Repeats and several requests per atom share one walk; atoms 5
         # and 6 never exist.
         requests += requests[:3]
-        assert store.read_as_of_many(requests, _tt_of) == newest_first(
+        assert store.read_at_many(requests, _tt_of) == newest_first(
             store, requests, _tt_of)
-        assert store.read_as_of_many([], _tt_of) == {}
+        assert store.read_at_many([], _tt_of) == {}
         disk.close()
 
 
@@ -265,7 +277,7 @@ class TestEnginePointRead:
     def check(self, db, atoms):
         store, engine = db.engine.store, db.engine
         requests = requests_for(db, atoms)
-        assert store.read_as_of_many(requests, engine._peek_tt) == (
+        assert store.read_at_many(requests, engine._peek_tt) == (
             newest_first(store, requests, engine._peek_tt))
 
     def test_corrections_and_windowed_deletes(self, db):
@@ -298,6 +310,39 @@ class TestEnginePointRead:
                 txn.update(part, {"cost": float(step)}, valid_from=step % 7)
         assert len(db.engine.all_versions(part)) > 150
         self.check(db, [part])
+
+
+class TestPointReadPushdown:
+    """A pushed-down predicate and projection apply to every point
+    read: an ``AS OF`` request whose selected version fails the
+    predicate comes back ``None``, undecoded and counted."""
+
+    def test_as_of_request_honours_pushdown(self, db):
+        from repro.mql.planner import PushdownSpec
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 1.0},
+                              valid_from=0)
+        first_tt = db.version_at(part, 2).tt.start
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 5.0}, valid_from=0)
+        pred, projection = db.engine.compile_pushdown(PushdownSpec(
+            "Part", (("cost", "GT", 3.0),),
+            (("Part", ("cost",), False),)))
+        skipped = db.metrics.counter("engine.pushdown.skipped")
+        for warm in (False, True):
+            db.engine.drop_caches()
+            if warm:  # the cached-envelope path
+                db.engine.versions_during_many([part], Interval(0, FOREVER))
+            before = skipped.value
+            with db._read_view():
+                failing = db.engine.version_at_many(
+                    [part], 2, tt=first_tt, pred=pred, projection=projection)
+                passing = db.engine.version_at_many(
+                    [part], 2, tt=db._clock.now(), pred=pred,
+                    projection=projection)
+            assert failing == {part: None}
+            assert skipped.value == before + 1
+            assert dict(passing[part].values) == {"cost": 5.0}  # projected
 
 
 def _chain_db(path, strategy, chain):

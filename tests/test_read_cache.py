@@ -625,8 +625,8 @@ class TestHistoryBudget:
 
 
 class TestPushdownCountsMatch:
-    """The predicate skips the same versions on cached histories as the
-    store-side filter does on a cold read."""
+    """The predicate skips the same versions on cached histories as on
+    a cold read."""
 
     def _stocked(self, db):
         parts = []
@@ -1014,13 +1014,15 @@ class TestWarmSlicesEqualCold:
 
 class TestWarmSliceCounts:
     def _store_reads(self, db, monkeypatch):
+        """The requests of every ``read_at_many`` call, one list each."""
         calls = []
         store = db.engine.store
         real = store.read_at_many
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def counting(requests, tt_of):
+            requests = list(requests)
+            calls.append(requests)
+            return real(requests, tt_of)
 
         monkeypatch.setattr(store, "read_at_many", counting)
         return calls
@@ -1063,7 +1065,10 @@ class TestWarmSliceCounts:
         with db._read_view():
             found = db.engine.version_at_many([part], 12, pred=pred)
         assert found[part].values["cost"] == 1.0
-        assert len(calls) == 2
+        tt = db._clock.now()
+        assert db.version_at(part, 12, tt=tt).values["cost"] == 1.0
+        assert calls == [[(part, 5, None)], [(part, 12, None)],
+                         [(part, 12, tt)]]
 
     def test_closed_decodes_are_not_indexed(self, db):
         part = _insert_part(db, cost=1.0)

@@ -33,15 +33,27 @@ def history(store, atom_id):
     return store.read_all_many([atom_id])[atom_id]
 
 
-def hits_at(store, atom_id, at):
-    return store.read_at_many([atom_id], at)[atom_id]
+def no_peek(payload):
+    raise AssertionError("a current-knowledge read peeked a transaction time")
+
+
+def current(atom_ids, at):
+    """Current-knowledge point reads of *atom_ids* at *at*."""
+    return [(atom_id, at, None) for atom_id in atom_ids]
+
+
+def hit_at(store, atom_id, at):
+    """The ``(seq, version)`` a current read at *at* selects, or None."""
+    return store.read_at_many(current([atom_id], at), no_peek)[
+        (atom_id, at, None)]
 
 
 class TestContract:
     def test_missing_atom(self, store):
         assert not store.exists(9)
         assert store.read_all_many([9]) == {}
-        assert store.read_at_many([9], 0) == {9: []}
+        assert store.read_at_many(current([9], 0), no_peek) == {
+            (9, 0, None): None}
         with pytest.raises(UnknownAtomError):
             store.read_current(9)
 
@@ -60,19 +72,19 @@ class TestContract:
     def test_read_at_hits_the_right_version(self, store):
         for i in range(10):
             store.append_version(1, sv(i * 10, (i + 1) * 10))
-        assert hits_at(store, 1, 55) == [(5, sv(50, 60))]
-        assert hits_at(store, 1, 0) == [(0, sv(0, 10))]
-        assert hits_at(store, 1, 99) == [(9, sv(90, 100))]
+        assert hit_at(store, 1, 55) == (5, sv(50, 60))
+        assert hit_at(store, 1, 0) == (0, sv(0, 10))
+        assert hit_at(store, 1, 99) == (9, sv(90, 100))
 
     def test_read_at_miss(self, store):
         store.append_version(1, sv(0, 10))
-        assert hits_at(store, 1, 50) == []
+        assert hit_at(store, 1, 50) is None
 
     def test_read_at_skips_dead_versions(self, store):
         store.append_version(1, sv(0, 100, live=False))
         store.append_version(1, sv(0, 100, live=True, payload=b"alive"))
-        assert hits_at(store, 1, 5) == [(1, StoredVersion(0, 100, True,
-                                                         b"alive"))]
+        assert hit_at(store, 1, 5) == (1, StoredVersion(0, 100, True,
+                                                        b"alive"))
 
     def test_replace_version(self, store):
         store.append_version(1, sv(0, 10))
@@ -144,8 +156,10 @@ class TestContract:
     def test_batched_reads_accept_an_iterator(self, store):
         store.append_version(1, sv(0, 10))
         store.append_version(2, sv(5, 15))
-        assert store.read_at_many(iter([1, 2, 9, 1]), 7) == {
-            1: [(0, sv(0, 10))], 2: [(0, sv(5, 15))], 9: []}
+        assert store.read_at_many(iter(current([1, 2, 9, 1], 7)),
+                                  no_peek) == {
+            (1, 7, None): (0, sv(0, 10)), (2, 7, None): (0, sv(5, 15)),
+            (9, 7, None): None}
         assert store.read_all_many(iter([2, 9])) == {2: [sv(5, 15)]}
 
     def test_large_payloads_span_pages(self, store):
@@ -160,7 +174,7 @@ class TestContract:
         for i in range(200):
             store.append_version(1, sv(i, i + 1))
         assert store.append_version(1, sv(200, 201)) == 200
-        assert hits_at(store, 1, 137) == [(137, sv(137, 138))]
+        assert hit_at(store, 1, 137) == (137, sv(137, 138))
 
     def test_stats_reflect_growth(self, store):
         empty_pages = store.stats().total_pages
@@ -183,7 +197,7 @@ class TestContract:
         reopened = open_version_store(strategy, pool, state)
         for atom_id in (1, 2, 3):
             assert len(history(reopened, atom_id)) == 4
-            assert hits_at(reopened, atom_id, 7) == [(1, sv(5, 10))]
+            assert hit_at(reopened, atom_id, 7) == (1, sv(5, 10))
         disk.close()
 
 
@@ -197,10 +211,10 @@ class TestChainedSignature:
         for i in range(64):
             store.append_version(1, sv(i, i + 1, payload=b"p" * 200))
         pool.stats.reset()
-        store.read_at_many([1], 63)  # newest: directory + 1 record
+        hit_at(store, 1, 63)  # newest: directory + 1 record
         near = pool.stats.hits + pool.stats.misses
         pool.stats.reset()
-        store.read_at_many([1], 0)  # oldest: walks the whole chain
+        hit_at(store, 1, 0)  # oldest: walks the whole chain
         far = pool.stats.hits + pool.stats.misses
         assert far > near * 4
         disk.close()
@@ -216,14 +230,90 @@ class TestSeparatedSignature:
         for i in range(64):
             store.append_version(1, sv(i, i + 1, payload=b"p" * 200))
         pool.stats.reset()
-        store.read_at_many([1], 63)
+        hit_at(store, 1, 63)
         current_cost = pool.stats.hits + pool.stats.misses
         pool.stats.reset()
-        store.read_at_many([1], 0)
+        hit_at(store, 1, 0)
         past_cost = pool.stats.hits + pool.stats.misses
         # Past access adds the version directory probe but does not walk.
         assert past_cost <= current_cost + 4
         disk.close()
+
+
+class TestPointReadSegments:
+    """CI gate: a current-knowledge point read reads, per heap segment,
+    only the records its newest-first walk must pass: the live flag
+    keeps it off every closed record whose valid time holds the
+    instant."""
+
+    SEGMENTS = {VersionStrategy.CLUSTERED: ("clustered",),
+                VersionStrategy.CHAINED: ("chained",),
+                VersionStrategy.SEPARATED: ("current", "vdir", "history")}
+
+    def read(self, db, at):
+        """One cold current read of the part at *at*: its hit and the
+        heap records it read per segment."""
+        store = db.engine.store
+        segments = self.SEGMENTS[store.strategy]
+        before = {name: db.metrics.value("heap.record_reads", segment=name)
+                  for name in segments}
+        request = (self.part, at, None)
+        hit = store.read_at_many([request], no_peek)[request]
+        reads = {name: db.metrics.value("heap.record_reads", segment=name)
+                 - before[name] for name in segments}
+        return hit, reads
+
+    def test_current_reads_skip_closed_records(self, db):
+        with db.transaction() as txn:
+            self.part = txn.insert("Part", {"name": "p", "cost": 0.0},
+                                   valid_from=0)
+        for step in range(1, 9):  # live [0,10) ... [70,80), [80,inf)
+            with db.transaction() as txn:
+                txn.update(self.part, {"cost": float(step)},
+                           valid_from=10 * step)
+        strategy = db.engine.store.strategy
+        count = len(history(db.engine.store, self.part))
+
+        # The newest version holds the instant: one record.
+        hit, reads = self.read(db, 85)
+        assert hit[0] == count - 1 and hit[1].live
+        assert reads == {VersionStrategy.CLUSTERED: {"clustered": 1},
+                         VersionStrategy.CHAINED: {"chained": 1},
+                         VersionStrategy.SEPARATED: {
+                             "current": 1, "vdir": 0, "history": 0},
+                         }[strategy]
+
+        # A correction closes [30,40) and appends its fragments.
+        with db.transaction() as txn:
+            txn.correct(self.part, 32, 36, {"cost": -1.0})
+        count = len(history(db.engine.store, self.part))
+        hit, reads = self.read(db, 34)
+        assert hit[1].live and hit[1].contains(34)
+        if strategy is VersionStrategy.CHAINED:
+            assert reads == {"chained": count - hit[0]}  # stops at the hit
+        elif strategy is VersionStrategy.SEPARATED:
+            # The newest record holding 34 is the hit: one version
+            # record, the vdir only if the hit is a history version.
+            assert reads["current"] + reads["history"] == 1
+            assert reads["vdir"] == reads["history"]
+        else:
+            assert reads == {"clustered": 1}
+
+        # A windowed delete leaves 55 to closed versions alone: a
+        # current read reads none of them.
+        with db.transaction() as txn:
+            txn.delete(self.part, valid_from=52, valid_to=58)
+        count = len(history(db.engine.store, self.part))
+        closed = [sv for sv in history(db.engine.store, self.part)
+                  if sv.contains(55)]
+        assert len(closed) >= 2 and not any(sv.live for sv in closed)
+        hit, reads = self.read(db, 55)
+        assert hit is None
+        assert reads == {VersionStrategy.CLUSTERED: {"clustered": 1},
+                         VersionStrategy.CHAINED: {"chained": count},
+                         VersionStrategy.SEPARATED: {
+                             "current": 0, "vdir": 1, "history": 0},
+                         }[strategy]
 
 
 class TestSeparatedSplices:
@@ -248,9 +338,10 @@ class TestSeparatedSplices:
             seqs = range(len(history(separated, atom_id)))
             assert (separated.read_versions(atom_id, seqs)
                     == clustered.read_versions(atom_id, seqs))
-        for at in (0, 5, 805, 1595, 10_000):
-            assert (separated.read_at_many(atom_ids, at)
-                    == clustered.read_at_many(atom_ids, at))
+        requests = [request for at in (0, 5, 805, 1595, 10_000)
+                    for request in current(atom_ids, at)]
+        assert (separated.read_at_many(requests, no_peek)
+                == clustered.read_at_many(requests, no_peek))
 
     def test_spanned_vdir_splices_match_clustered(self, tmp_path):
         disk = DiskManager(tmp_path / "splice.db")
