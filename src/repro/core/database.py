@@ -83,10 +83,6 @@ _WAL_FILE = "wal.log"
 #: subscribers): ``{name: [wal_epoch, kind, acked_lsn]}``.
 WAL_CURSORS_KEY = "wal_cursors"
 
-#: The CDC-only acks registry older databases kept beside the replica
-#: cursors; the WAL cursor registry replaced it and opening drops it.
-_LEGACY_CDC_KEY = "cdc_subscribers"
-
 
 #: Valid values of :attr:`DatabaseConfig.durability`.
 DURABILITY_MODES = ("sync", "none")
@@ -324,7 +320,6 @@ class TemporalDatabase:
                 catalog.extras.get(WAL_CURSORS_KEY) or {}).items():
             if int(epoch) == self.wal_epoch:
                 self._wal.subscribe(name, kind, int(acked))
-        catalog.extras.pop(_LEGACY_CDC_KEY, None)
         self._store_cursors()
         if _fresh:
             self.checkpoint()

@@ -27,15 +27,15 @@ store.  Every point read, current or ``AS OF``, is one request
 current one (``tt`` None, no pushdown) takes the live version valid at
 its instant from the entry's valid-time index — one bisect over the
 full decodes with open transaction time and the live set's versions.
-Every other request is selected newest-first on the envelopes (the live
-flag, or the peeked transaction time for an ``AS OF`` one): on the
-cached ones when the history is cached, otherwise by the store's
-``read_at_many``, which reads just the records it selects and caches no
-history.  Interval sweeps select theirs from the cached envelopes too,
-and each read decodes only what it picks; a pushed-down predicate is
-judged on the selected payloads here, and only here.  A warm mutation
-plans from the entry and learns its new sequence numbers from
-``append_version``, so it reads nothing from the store before it
+Every other request is selected newest-first on the envelopes, which
+carry both valid and transaction time, so no payload is opened to
+choose: on the cached ones when the history is cached, otherwise by the
+store's ``read_at_many``, which reads just the records it selects and
+caches no history.  Interval sweeps select theirs from the cached
+envelopes too, and each read decodes only what it picks; a pushed-down
+predicate is judged on the selected payloads here, and only here.  A
+warm mutation plans from the entry and learns its new sequence numbers
+from ``append_version``, so it reads nothing from the store before it
 writes.
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
@@ -58,6 +58,7 @@ import struct
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -90,6 +91,7 @@ from repro.storage.strategies import (
     PointRequest,
     StoredVersion,
     VersionStore,
+    believed,
     group_requests,
     iter_histories,
     select_newest_first,
@@ -239,7 +241,7 @@ class DecodedVersionCache:
 
     Invalidation has one rule.  A sequence number is stable for the
     lifetime of an atom but its *content* changes under
-    ``replace_version``/``pop_version``, so:
+    ``replace_version``/``restamp``/``pop_version``, so:
 
     * a forward mutation (:meth:`mutated`) drops the history and the
       decodes and keeps the type name — atoms never change type while
@@ -519,8 +521,8 @@ class StorageEngine:
     def _encode(self, type_name: str, version: Version) -> StoredVersion:
         stored = self.codec.encode(type_name, version)
         prefix = _TYPE_PREFIX.pack(self.schema.atom_type(type_name).type_id)
-        return StoredVersion(stored.vt_start, stored.vt_end, stored.live,
-                             prefix + stored.payload)
+        return StoredVersion(stored.vt_start, stored.vt_end, stored.tt_start,
+                             stored.tt_end, prefix + stored.payload)
 
     def _stored_type_name(self, payload: bytes) -> str:
         """The atom type a type-prefixed payload was stored as."""
@@ -533,8 +535,8 @@ class StorageEngine:
 
     def _decode(self, stored: StoredVersion) -> Tuple[str, Version]:
         type_name = self._stored_type_name(stored.payload)
-        body = StoredVersion(stored.vt_start, stored.vt_end, stored.live,
-                             stored.payload[_TYPE_PREFIX.size:])
+        body = StoredVersion(stored.vt_start, stored.vt_end, stored.tt_start,
+                             stored.tt_end, stored.payload[_TYPE_PREFIX.size:])
         return type_name, self.codec.decode(type_name, body)
 
     # ------------------------------------------------------------------
@@ -572,7 +574,7 @@ class StorageEngine:
             type_name, version = self._decode(stored)
         else:
             body = StoredVersion(stored.vt_start, stored.vt_end,
-                                 stored.live,
+                                 stored.tt_start, stored.tt_end,
                                  stored.payload[_TYPE_PREFIX.size:])
             version = self.codec.decode_partial(type_name, body,
                                                 entry[1], entry[2])
@@ -638,13 +640,12 @@ class StorageEngine:
         envelopes when the atom's history is cached, otherwise through
         one batched ``store.read_at_many``, which reads only as far back
         as each answer and fills no history.  A version is believed now
-        when it is live, and at *tt* when its peeked transaction-time
-        pair (:meth:`VersionCodec.peek_tt`) contains *tt*.  The first
-        hit is the only one: versions believed at one transaction time
-        are valid-time disjoint (the invariant
-        :func:`~repro.core.history.check_history` checks), so the answer
-        equals :func:`repro.core.history.version_at` over the full
-        decode.
+        when it is live, and at *tt* when its envelope's transaction
+        time contains *tt*.  The first hit is the only one: versions
+        believed at one transaction time are valid-time disjoint (the
+        invariant :func:`~repro.core.history.check_history` checks), so
+        the answer equals :func:`repro.core.history.version_at` over the
+        full decode.
 
         *pred* / *projection* come from :meth:`compile_pushdown`: the
         predicate is evaluated on each selected raw payload, so a
@@ -667,12 +668,11 @@ class StorageEngine:
             hits, by_atom = group_requests(pending)
             cached = self._decode_cache.histories(list(by_atom))
             for atom_id, history in cached.items():
-                select_newest_first(by_atom[atom_id], history.stored,
-                                    self._peek_tt, hits)
+                select_newest_first(by_atom[atom_id], history.stored, hits)
             if len(cached) < len(by_atom):
                 hits.update(self.store.read_at_many(
                     [request for request in pending
-                     if request[0] not in cached], self._peek_tt))
+                     if request[0] not in cached]))
             skipped = 0
             for request, hit in hits.items():
                 if hit is not None and pred is not None and not pred(
@@ -689,12 +689,6 @@ class StorageEngine:
                 self._c_pushdown_skipped.inc(skipped)
         self._c_versions_scanned.inc(scanned)
         return result
-
-    def _peek_tt(self, payload: bytes) -> Tuple[Timestamp, Timestamp]:
-        """The transaction-time pair of a type-prefixed payload, read
-        without decoding it."""
-        return self.codec.peek_tt(self._stored_type_name(payload), payload,
-                                  _TYPE_PREFIX.size)
 
     def all_versions(self, atom_id: int) -> List[Version]:
         """The atom's full recorded history, in sequence order."""
@@ -786,10 +780,9 @@ class StorageEngine:
         The interval read of ``VALID HISTORY`` / ``VALID DURING``: the
         stored histories come from the history cache or one batched
         ``read_all_many`` (which fills it), the versions are *selected*
-        on their envelopes — the live flag, or with *tt* the peeked
-        transaction-time pair — and only those are decoded (through the
-        decode cache).  A cached full decode is filtered instead of the
-        envelopes.
+        on their envelopes and only those are decoded (through the
+        decode cache), or taken from the history's full decode when it
+        is cached.
         """
         result: Dict[int, List[Version]] = {}
         histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
@@ -802,27 +795,18 @@ class StorageEngine:
     def _during(self, atom_id: int, history: StoredHistory,
                 window: Interval, tt: Optional[Timestamp]) -> List[Version]:
         """One atom's :meth:`versions_during_many` answer."""
+        seqs = [seq for seq, stored in enumerate(history.stored)
+                if stored.vt_start < window.end
+                and window.start < stored.vt_end
+                and believed(stored.tt_start, stored.tt_end, tt)]
         versions = history.versions
         if versions is not None:
-            picked = [version for version in versions
-                      if version.vt.overlaps(window)
-                      and (version.live if tt is None
-                           else version.tt.contains(tt))]
+            picked = [versions[seq] for seq in seqs]
             self._decode_cache.note_decoded_hits(len(picked))
         else:
-            picked = []
-            for seq, stored in enumerate(history.stored):
-                if not (stored.vt_start < window.end
-                        and window.start < stored.vt_end):
-                    continue
-                if tt is None:
-                    if not stored.live:
-                        continue
-                else:
-                    tt_start, tt_end = self._peek_tt(stored.payload)
-                    if not tt_start <= tt < tt_end:
-                        continue
-                picked.append(self._decode_cached(atom_id, seq, stored)[1])
+            picked = [self._decode_cached(atom_id, seq,
+                                          history.stored[seq])[1]
+                      for seq in seqs]
         picked.sort(key=lambda version: version.vt.start)
         return picked
 
@@ -1010,11 +994,20 @@ class StorageEngine:
             else:
                 live.pop(seq, None)
 
-        replacements = plan.closures + plan.rewrites
-        if replacements:
+        # A closure only ends a live version's transaction time: an
+        # envelope edit, undone by reopening it.
+        for seq, closed in plan.closures:
+            vt, tt = closed.vt, closed.tt
+            store.restamp(atom_id, seq, (vt.start, vt.end, tt.start, tt.end))
+            undos.append(self._undo_invalidating(atom_id, partial(
+                store.restamp, atom_id, seq,
+                (vt.start, vt.end, tt.start, FOREVER))))
+            if live is not None:
+                live.pop(seq, None)
+        if plan.rewrites:
             originals = store.read_versions(
-                atom_id, [seq for seq, _ in replacements])
-        for seq, replacement in replacements:
+                atom_id, [seq for seq, _ in plan.rewrites])
+        for seq, replacement in plan.rewrites:
             old = originals[seq]
             stored = self._encode(type_name, replacement)
             store.replace_version(atom_id, seq, stored)

@@ -23,9 +23,10 @@ from typing import Any, Dict, List, Optional
 from repro.errors import CatalogError
 
 #: Bumped whenever a page format changes (2: the direct-mapped atom
-#: directory).  An older database is refused; migrate it with
-#: ``repro dump`` under the code that wrote it, then ``repro load``.
-_FORMAT_VERSION = 2
+#: directory; 3: transaction time in the version envelope).  An older
+#: database is refused; migrate it with ``repro dump`` under the code
+#: that wrote it, then ``repro load``.
+_FORMAT_VERSION = 3
 
 
 class Catalog:

@@ -25,10 +25,16 @@ benchmarks measure:
     history version.  Updates are O(1), current access is one probe, and
     past access is two probes regardless of temporal distance.
 
-A version is stored as an *envelope* (valid-time interval plus the
-"still current knowledge" flag, which the store needs to answer
-time-slice reads) plus an opaque payload (the engine's serialized state
-— the store never interprets it).
+A version is stored as an *envelope*, its bitemporal stamp ``(vt_start,
+vt_end, tt_start, tt_end)``, plus an opaque payload: the engine's
+serialized state, which the store never interprets.  Every selection a
+store makes — current or ``AS OF``, point or whole-history — is decided
+on envelopes alone, so it opens only the records it selects.
+
+Nearly every chronon fits 32 bits (the transaction clock counts
+commits), so a CLUSTERED or CHAINED record or a SEPARATED vdir whose
+chronons all fit writes its stamps as 32-bit fields, the sentinels
+mapped to the 32-bit extremes, and says so in a leading width byte.
 """
 
 from __future__ import annotations
@@ -37,16 +43,16 @@ import enum
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import StorageError, UnknownAtomError
 from repro.storage.buffer import BufferManager
 from repro.storage.constants import INVALID_PAGE_ID
 from repro.storage.directory import AtomDirectory
 from repro.storage.heap import HeapSegment, RecordId
+from repro.temporal import FOREVER, TMIN
 
-_ENVELOPE = struct.Struct("<qqB")   # vt_start, vt_end, live flag
-_U32 = struct.Struct("<I")
 _NO_RECORD = RecordId(INVALID_PAGE_ID, 0)
 
 
@@ -60,12 +66,19 @@ class VersionStrategy(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class StoredVersion:
-    """One version as the storage layer sees it: envelope plus payload."""
+    """One version as the storage layer sees it: its envelope (the
+    bitemporal stamp) plus payload."""
 
     vt_start: int
     vt_end: int
-    live: bool
+    tt_start: int
+    tt_end: int
     payload: bytes
+
+    @property
+    def live(self) -> bool:
+        """Still current knowledge: its transaction time is open."""
+        return believed(self.tt_start, self.tt_end, None)
 
     def contains(self, at: int) -> bool:
         return self.vt_start <= at < self.vt_end
@@ -89,13 +102,41 @@ class StorageStats:
         return self.total_pages * self.page_size
 
 
-def _pack_envelope(sv: StoredVersion) -> bytes:
-    return _ENVELOPE.pack(sv.vt_start, sv.vt_end, 1 if sv.live else 0)
+#: An envelope: ``(vt_start, vt_end, tt_start, tt_end)``.
+Stamp = Tuple[int, int, int, int]
 
 
-def _unpack_envelope(data: bytes, at: int) -> Tuple[int, int, bool, int]:
-    vt_start, vt_end, live = _ENVELOPE.unpack_from(data, at)
-    return vt_start, vt_end, bool(live), at + _ENVELOPE.size
+def _stamp(sv: StoredVersion) -> Stamp:
+    return sv.vt_start, sv.vt_end, sv.tt_start, sv.tt_end
+
+
+def believed(tt_start: int, tt_end: int, tt: Optional[int]) -> bool:
+    """Whether a version whose transaction time is ``[tt_start,
+    tt_end)`` is believed at *tt*: now (``None``) while that interval is
+    open, otherwise when it holds *tt*."""
+    return tt_end == FOREVER if tt is None else tt_start <= tt < tt_end
+
+
+#: Stored stamp widths, the values of a width byte, and per width the
+#: values a field maps to when written (``_STORED``) or read
+#: (``_LOADED``): the sentinels and the 32-bit extremes.
+_NARROW, _WIDE = 0, 1
+_STORED = ({TMIN: -2**31, FOREVER: 2**31 - 1}, {})
+_LOADED = ({-2**31: TMIN, 2**31 - 1: FOREVER}, {})
+
+
+def _width(stamps: Iterable[Stamp]) -> int:
+    """The narrowest width that holds every stamp in *stamps*."""
+    return _WIDE if any(
+        not -2**31 < value < 2**31 - 1 and value not in _STORED[_NARROW]
+        for stamp in stamps for value in stamp) else _NARROW
+
+
+def _mapped(fields: Sequence[int], mapping: Dict[int, int]) -> Stamp:
+    """The first four of *fields*, each one *mapping* names mapped."""
+    get = mapping.get
+    a, b, c, d = fields[0], fields[1], fields[2], fields[3]
+    return get(a, a), get(b, b), get(c, c), get(d, d)
 
 
 #: A point read: (atom id, valid instant, transaction time); a
@@ -117,70 +158,45 @@ def group_requests(requests: Iterable[PointRequest]
     return result, by_atom
 
 
-def _wanted(pending: List[PointRequest], vt_start: int, vt_end: int,
-            live: bool) -> bool:
-    """Whether a version valid over ``[vt_start, vt_end)`` may answer one
-    of *pending*: its valid time holds one of their instants, and it is
-    live or that request names a transaction time."""
-    for _, at, tt in pending:
-        if vt_start <= at < vt_end and (live or tt is not None):
-            return True
-    return False
+def _settle(pending: List[PointRequest], stamp: Stamp
+            ) -> Tuple[Sequence[PointRequest], List[PointRequest]]:
+    """Split *pending* into the requests a version stamped *stamp*
+    answers and the rest.
 
-
-def _settle(pending: List[PointRequest], seq: int, sv: StoredVersion,
-            tt_of: Callable[[bytes], Tuple[int, int]],
-            result: Dict[PointRequest, PointHit]) -> List[PointRequest]:
-    """Answer the requests among *pending* that *sv* (the atom's version
-    *seq*, the newest one not yet visited) holds, and return the rest.
-
-    The walk is newest-first, so the first version valid at a request's
-    instant and believed at its transaction time is its answer.  A
-    current-knowledge request takes the live flag as its belief; the
-    transaction time is peeked once per version, and only when the
-    valid time fits a request that names one.
+    Walks are newest-first, so a request's answer is the first version
+    whose valid time holds its instant and which is :func:`believed` at
+    its transaction time.  Most versions a walk passes answer nothing,
+    so that case allocates nothing.
     """
-    believed = None
-    rest: List[PointRequest] = []
+    vt_start, vt_end, tt_start, tt_end = stamp
+    answered: Optional[List[PointRequest]] = None
     for request in pending:
         _, at, tt = request
-        if sv.vt_start <= at < sv.vt_end:
-            if tt is None:
-                hit = sv.live
-            else:
-                if believed is None:
-                    believed = tt_of(sv.payload)
-                hit = believed[0] <= tt < believed[1]
-            if hit:
-                result[request] = (seq, sv)
-                continue
-        rest.append(request)
-    return rest
+        if vt_start <= at < vt_end and believed(tt_start, tt_end, tt):
+            if answered is None:
+                answered = []
+            answered.append(request)
+    if answered is None:
+        return (), pending
+    return answered, [request for request in pending
+                      if request not in answered]
 
 
 def select_newest_first(pending: List[PointRequest],
                         versions: Tuple[StoredVersion, ...],
-                        tt_of: Callable[[bytes], Tuple[int, int]],
                         result: Dict[PointRequest, PointHit]) -> None:
     """Answer *pending*, requests on one atom, from *versions*, its
-    whole history in seq order: the selection every store makes, over
+    whole history in seq order: :func:`_settle`'s selection, over
     versions already in memory.  With no record to share, each request
     walks on its own."""
     for request in pending:
         _, at, tt = request
         for seq in range(len(versions) - 1, -1, -1):
             sv = versions[seq]
-            if not sv.vt_start <= at < sv.vt_end:
-                continue
-            if tt is None:
-                if not sv.live:
-                    continue
-            else:
-                tt_start, tt_end = tt_of(sv.payload)
-                if not tt_start <= tt < tt_end:
-                    continue
-            result[request] = (seq, sv)
-            break
+            if sv.vt_start <= at < sv.vt_end and believed(
+                    sv.tt_start, sv.tt_end, tt):
+                result[request] = (seq, sv)
+                break
 
 
 class VersionStore:
@@ -188,8 +204,8 @@ class VersionStore:
 
     Sequence numbers are assigned in append order (0 = oldest) and are
     stable for the lifetime of the atom; ``replace_version`` rewrites the
-    record of an existing sequence number (the engine uses it to close
-    transaction-time intervals).
+    version of an existing sequence number, and ``restamp`` only its
+    envelope (the engine uses it to close transaction-time intervals).
     """
 
     strategy: VersionStrategy
@@ -205,6 +221,12 @@ class VersionStore:
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
         raise NotImplementedError
+
+    def restamp(self, atom_id: int, seq: int, stamp: Stamp) -> None:
+        """Give version *seq* the envelope *stamp*; its payload stays.
+        Where envelope and payload share a record, that is a rewrite."""
+        old = self.read_versions(atom_id, [seq])[seq]
+        self.replace_version(atom_id, seq, StoredVersion(*stamp, old.payload))
 
     def pop_version(self, atom_id: int) -> None:
         """Remove the newest version (transaction rollback only).
@@ -227,13 +249,13 @@ class VersionStore:
     # batch rather than once per atom.
     #
     # ``read_at_many`` is the point read, current or bitemporal: it
-    # walks each atom's versions newest-first and reads a record only
-    # when its envelope may answer a pending request (its valid time
-    # holds the instant, and it is live or the request names a
-    # transaction time), so a read near the present costs a few records
-    # however long the history is.  The store never parses a payload:
-    # the caller's *tt_of* peeks the transaction time, and the engine
-    # applies any pushed-down predicate to the payloads it gets back.
+    # walks each atom's envelopes newest-first and reads a payload only
+    # for a version its envelope selects (valid at the instant, believed
+    # at the transaction time), so a read costs the records it answers
+    # with plus whatever holds the envelopes it passes: nothing more for
+    # CLUSTERED, the vdir for SEPARATED, the chain down to the answer
+    # for CHAINED.  The store never parses a payload; the engine applies
+    # any pushed-down predicate to the payloads it gets back.
     # ``read_all_many`` returns whole histories, which are cached above
     # the store.
 
@@ -258,15 +280,14 @@ class VersionStore:
         """
         raise NotImplementedError
 
-    def read_at_many(self, requests: Iterable[PointRequest],
-                     tt_of: Callable[[bytes], Tuple[int, int]]
+    def read_at_many(self, requests: Iterable[PointRequest]
                      ) -> Dict[PointRequest, PointHit]:
         """For each distinct ``(atom_id, at, tt)`` request, the
         highest-sequence stored version whose valid time contains *at*
         and which is believed at *tt* — live when *tt* is ``None``,
-        otherwise with a transaction time, ``tt_of(payload)``, that
-        contains *tt* — as ``(seq, version)``; ``None`` when there is
-        none or the atom is unknown.
+        otherwise with a transaction time that contains *tt* — as
+        ``(seq, version)``; ``None`` when there is none or the atom is
+        unknown.
 
         Requests on one atom share one newest-first walk of its versions,
         and each request leaves the walk at its first hit.
@@ -405,36 +426,43 @@ class ClusteredStore(_HeadStore):
         return {"clustered": self._segment}
 
     # -- record codec -------------------------------------------------------
+    #
+    # width byte, count, then per version: stamp, payload length, payload
 
-    @staticmethod
-    def _encode(versions: List[StoredVersion]) -> bytes:
-        parts = [_U32.pack(len(versions))]
+    _HEAD = struct.Struct("<BI")
+    _ENTRIES = (struct.Struct("<iiiiI"), struct.Struct("<qqqqI"))
+
+    @classmethod
+    def _encode(cls, versions: List[StoredVersion]) -> bytes:
+        width = _width(map(_stamp, versions))
+        entry = cls._ENTRIES[width]
+        parts = [cls._HEAD.pack(width, len(versions))]
         for sv in versions:
-            parts.append(_pack_envelope(sv))
-            parts.append(_U32.pack(len(sv.payload)))
+            parts.append(entry.pack(*_mapped(_stamp(sv), _STORED[width]),
+                                    len(sv.payload)))
             parts.append(sv.payload)
         return b"".join(parts)
 
-    @staticmethod
-    def _envelopes(record: bytes) -> List[Tuple[int, int, bool, int, int]]:
-        """``(vt_start, vt_end, live, payload start, payload end)`` of
-        every version in the record, in seq order; no payload is copied."""
-        (count,) = _U32.unpack_from(record, 0)
-        at = _U32.size
+    @classmethod
+    def _envelopes(cls, record: bytes) -> List[Tuple[Stamp, int, int]]:
+        """``(stamp, payload start, payload end)`` of every version in
+        the record, in seq order; no payload is copied."""
+        width, count = cls._HEAD.unpack_from(record, 0)
+        entry = cls._ENTRIES[width]
+        at = cls._HEAD.size
         envelopes = []
         for _ in range(count):
-            vt_start, vt_end, live, at = _unpack_envelope(record, at)
-            (length,) = _U32.unpack_from(record, at)
-            at += _U32.size
-            envelopes.append((vt_start, vt_end, live, at, at + length))
-            at += length
+            fields = entry.unpack_from(record, at)
+            at += entry.size
+            envelopes.append((_mapped(fields, _LOADED[width]), at,
+                              at + fields[4]))
+            at += fields[4]
         return envelopes
 
     @classmethod
     def _decode(cls, record: bytes) -> List[StoredVersion]:
-        return [StoredVersion(vt_start, vt_end, live, record[begin:end])
-                for vt_start, vt_end, live, begin, end
-                in cls._envelopes(record)]
+        return [StoredVersion(*stamp, record[begin:end])
+                for stamp, begin, end in cls._envelopes(record)]
 
     # -- protocol --------------------------------------------------------------
 
@@ -453,11 +481,20 @@ class ClusteredStore(_HeadStore):
 
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
+        self._rewrite(atom_id, seq, lambda _old: sv)
+
+    def restamp(self, atom_id: int, seq: int, stamp: Stamp) -> None:
+        self._rewrite(atom_id, seq,
+                      lambda old: StoredVersion(*stamp, old.payload))
+
+    def _rewrite(self, atom_id: int, seq: int,
+                 revise: Callable[[StoredVersion], StoredVersion]) -> None:
+        """Store ``revise(old)`` in place of version *seq*, *old*."""
         rid, count = self._dir_entry(atom_id)
         if not (0 <= seq < count):
             raise StorageError(f"atom {atom_id} has no version {seq}")
         versions = self._decode(self._segment.read(rid))
-        versions[seq] = sv
+        versions[seq] = revise(versions[seq])
         new_rid = self._segment.update(rid, self._encode(versions))
         if new_rid != rid:
             self._put_dir(atom_id, new_rid, count)
@@ -520,24 +557,22 @@ class ClusteredStore(_HeadStore):
         return {atom_id: self._decode(record) for atom_id, record
                 in self._raw_records_many(atom_ids).items()}
 
-    def read_at_many(self, requests: Iterable[PointRequest],
-                     tt_of: Callable[[bytes], Tuple[int, int]]
+    def read_at_many(self, requests: Iterable[PointRequest]
                      ) -> Dict[PointRequest, PointHit]:
         # The one record holds the whole history: scan its envelopes
-        # newest-first and copy out only the payloads worth judging.
+        # newest-first and copy out only the payloads they select.
         result, by_atom = group_requests(requests)
         for atom_id, record in self._raw_records_many(by_atom).items():
             pending = by_atom[atom_id]
             envelopes = self._envelopes(record)
             for seq in range(len(envelopes) - 1, -1, -1):
-                vt_start, vt_end, live, begin, end = envelopes[seq]
-                if not _wanted(pending, vt_start, vt_end, live):
-                    continue
-                pending = _settle(pending, seq, StoredVersion(
-                    vt_start, vt_end, live, record[begin:end]), tt_of,
-                    result)
-                if not pending:
-                    break
+                stamp, begin, end = envelopes[seq]
+                answered, pending = _settle(pending, stamp)
+                if answered:
+                    result.update(dict.fromkeys(answered, (seq, StoredVersion(
+                        *stamp, record[begin:end]))))
+                    if not pending:
+                        break
         return result
 
 
@@ -561,17 +596,26 @@ class ChainedStore(_HeadStore):
         return {"chained": self._segment}
 
     # -- record codec -------------------------------------------------------
+    #
+    # predecessor record id, width byte, stamp, payload.
 
-    @staticmethod
-    def _encode(prev: RecordId, sv: StoredVersion) -> bytes:
-        return prev.pack() + _pack_envelope(sv) + sv.payload
+    _HEADS = (struct.Struct("<QHBiiii"), struct.Struct("<QHBqqqq"))
 
-    @staticmethod
-    def _decode(record: bytes) -> Tuple[RecordId, StoredVersion]:
-        prev = RecordId.unpack(record, 0)
-        at = RecordId.PACKED_SIZE
-        vt_start, vt_end, live, at = _unpack_envelope(record, at)
-        return prev, StoredVersion(vt_start, vt_end, live, record[at:])
+    @classmethod
+    def _encode(cls, prev: RecordId, sv: StoredVersion) -> bytes:
+        stamp = _stamp(sv)
+        width = _width([stamp])
+        return cls._HEADS[width].pack(
+            prev.page_id, prev.slot, width,
+            *_mapped(stamp, _STORED[width])) + sv.payload
+
+    @classmethod
+    def _decode(cls, record: bytes) -> Tuple[RecordId, StoredVersion]:
+        width = record[RecordId.PACKED_SIZE]
+        head = cls._HEADS[width]
+        fields = head.unpack_from(record)
+        return RecordId(fields[0], fields[1]), StoredVersion(
+            *_mapped(fields[3:], _LOADED[width]), record[head.size:])
 
     def _walk(self, atom_id: int) -> Iterator[Tuple[int, RecordId,
                                                     RecordId, StoredVersion]]:
@@ -703,8 +747,7 @@ class ChainedStore(_HeadStore):
             versions.reverse()
         return collected
 
-    def read_at_many(self, requests: Iterable[PointRequest],
-                     tt_of: Callable[[bytes], Tuple[int, int]]
+    def read_at_many(self, requests: Iterable[PointRequest]
                      ) -> Dict[PointRequest, PointHit]:
         # An atom's walk leaves the batch once all its requests are
         # answered, so it reads only as far back as its oldest answer.
@@ -716,9 +759,11 @@ class ChainedStore(_HeadStore):
             advanced: Dict[int, Tuple[RecordId, int]] = {}
             for atom_id, (rid, seq) in frontier.items():
                 prev, sv = self._decode(records[rid])
-                pending = by_atom[atom_id] = _settle(
-                    by_atom[atom_id], seq, sv, tt_of, result)
+                answered, pending = _settle(by_atom[atom_id], _stamp(sv))
+                if answered:
+                    result.update(dict.fromkeys(answered, (seq, sv)))
                 if pending and prev != _NO_RECORD:
+                    by_atom[atom_id] = pending
                     advanced[atom_id] = (prev, seq - 1)
             frontier = advanced
         return result
@@ -730,13 +775,18 @@ class ChainedStore(_HeadStore):
 
 
 class SeparatedStore(_BaseStore):
-    """Current/history separation with a per-atom version directory."""
+    """Current/history separation with a per-atom version directory.
+
+    The directory entry holds the current version's envelope and the
+    vdir every history version's, so current and history records are
+    bare payloads."""
 
     strategy = VersionStrategy.SEPARATED
 
     # current RID, vdir RID, count, current envelope
-    _DIR_VALUE = struct.Struct("<QHQHIqqB")
-    _VDIR_ENTRY = struct.Struct("<qqBQH")  # envelope + history RID
+    _DIR_VALUE = struct.Struct("<QHQHIqqqq")
+    # a vdir: width byte, then per history version its stamp and RID
+    _VDIR_ENTRIES = (struct.Struct("<iiiiQH"), struct.Struct("<qqqqQH"))
 
     def __init__(self, buffer: BufferManager,
                  state: Optional[Dict[str, List[int]]] = None) -> None:
@@ -752,62 +802,63 @@ class SeparatedStore(_BaseStore):
 
     # -- codecs ---------------------------------------------------------------
 
-    @staticmethod
-    def _encode_version(sv: StoredVersion) -> bytes:
-        return _pack_envelope(sv) + sv.payload
-
-    @staticmethod
-    def _decode_version(record: bytes) -> StoredVersion:
-        vt_start, vt_end, live, at = _unpack_envelope(record, 0)
-        return StoredVersion(vt_start, vt_end, live, record[at:])
-
     @classmethod
-    def _decode_dir(cls, payload: bytes) -> Tuple[RecordId, RecordId, int,
-                                                  Tuple[int, int, bool]]:
-        (cpage, cslot, vpage, vslot, count,
-         vt_start, vt_end, live) = cls._DIR_VALUE.unpack(payload)
-        return (RecordId(cpage, cslot), RecordId(vpage, vslot), count,
-                (vt_start, vt_end, bool(live)))
+    def _decode_dir(cls, payload: bytes) -> _DirEntry:
+        fields = cls._DIR_VALUE.unpack(payload)
+        return (RecordId(fields[0], fields[1]), RecordId(fields[2], fields[3]),
+                fields[4], fields[5:])
 
-    def _dir_entry(self, atom_id: int) -> Tuple[RecordId, RecordId, int,
-                                                Tuple[int, int, bool]]:
+    def _dir_entry(self, atom_id: int) -> _DirEntry:
         return self._decode_dir(self._entry(atom_id))
 
     def _put_dir(self, atom_id: int, current: RecordId, vdir: RecordId,
-                 count: int, envelope: Tuple[int, int, bool]) -> None:
-        vt_start, vt_end, live = envelope
+                 count: int, stamp: Stamp) -> None:
         self._directory.put(atom_id, self._DIR_VALUE.pack(
             current.page_id, current.slot, vdir.page_id, vdir.slot,
-            count, vt_start, vt_end, 1 if live else 0))
+            count, *stamp))
 
     @classmethod
-    def _vdir_entry(cls, vdir: bytes,
-                    seq: int) -> Tuple[int, int, int, int, int]:
-        """History version *seq*'s raw vdir entry, ``(vt_start, vt_end,
-        live, page, slot)``: the vdir is a flat array of fixed-size
-        entries, so this is one unpack at ``seq * size``."""
-        return cls._VDIR_ENTRY.unpack_from(vdir, seq * cls._VDIR_ENTRY.size)
+    def _vdir_entry(cls, vdir: bytes, seq: int) -> Tuple[Stamp, RecordId]:
+        """History version *seq*'s vdir entry, ``(stamp, record id)``:
+        one unpack, the vdir being a flat array of fixed-size entries."""
+        width = vdir[0]
+        entry = cls._VDIR_ENTRIES[width]
+        fields = entry.unpack_from(vdir, 1 + seq * entry.size)
+        return (_mapped(fields, _LOADED[width]),
+                RecordId(fields[4], fields[5]))
 
     @classmethod
-    def _parse_vdir(cls, record: bytes) -> List[Tuple[int, int, bool,
-                                                      RecordId]]:
+    def _parse_vdir(cls, record: bytes) -> List[Tuple[Stamp, RecordId]]:
         """Every entry, for the readers that want a whole history."""
-        return [(vt_start, vt_end, bool(live), RecordId(page, slot))
-                for vt_start, vt_end, live, page, slot
-                in cls._VDIR_ENTRY.iter_unpack(record)]
+        width = record[0]
+        return [(_mapped(fields, _LOADED[width]),
+                 RecordId(fields[4], fields[5]))
+                for fields in cls._VDIR_ENTRIES[width].iter_unpack(
+                    record[1:])]
 
-    def _read_vdir(self, vdir_rid: RecordId) -> List[Tuple[int, int, bool,
-                                                           RecordId]]:
+    def _read_vdir(self, vdir_rid: RecordId) -> List[Tuple[Stamp, RecordId]]:
         if vdir_rid == _NO_RECORD:
             return []
         return self._parse_vdir(self._vdir.read(vdir_rid))
 
     @classmethod
-    def _pack_vdir_entry(cls, envelope: Tuple[int, int, bool],
-                         rid: RecordId) -> bytes:
-        vt_start, vt_end, live = envelope
-        return cls._VDIR_ENTRY.pack(vt_start, vt_end, 1 if live else 0,
-                                    rid.page_id, rid.slot)
+    def _spliced(cls, vdir: bytes, seq: int, stamp: Stamp,
+                 rid: RecordId) -> bytes:
+        """*vdir* with entry *seq* (its length, to append) set to
+        ``(stamp, rid)``.  A stamp too wide for the vdir first re-encodes
+        it wide, the one edit that is not a splice."""
+        width = vdir[0]
+        if _width([stamp]) > width:
+            width, wide = _WIDE, cls._VDIR_ENTRIES[_WIDE]
+            vdir = bytes([_WIDE]) + b"".join(
+                wide.pack(*entry_stamp, entry_rid.page_id, entry_rid.slot)
+                for entry_stamp, entry_rid in cls._parse_vdir(vdir))
+        entry = cls._VDIR_ENTRIES[width]
+        at = 1 + seq * entry.size
+        return (vdir[:at]
+                + entry.pack(*_mapped(stamp, _STORED[width]), rid.page_id,
+                             rid.slot)
+                + vdir[at + entry.size:])
 
     # -- protocol --------------------------------------------------------------
     #
@@ -818,73 +869,75 @@ class SeparatedStore(_BaseStore):
     # no longer fits its page.
 
     def append_version(self, atom_id: int, sv: StoredVersion) -> int:
-        envelope = (sv.vt_start, sv.vt_end, sv.live)
-        record = self._encode_version(sv)
         payload = self._directory.get(atom_id)
         if payload is None:
-            rid = self._current.insert(record)
-            self._put_dir(atom_id, rid, _NO_RECORD, 1, envelope)
+            rid = self._current.insert(sv.payload)
+            self._put_dir(atom_id, rid, _NO_RECORD, 1, _stamp(sv))
             return 0
-        current_rid, vdir_rid, count, old_env = self._decode_dir(payload)
+        current_rid, vdir_rid, count, old_stamp = self._decode_dir(payload)
         # Migrate the superseded current version into the history segment.
         hist_rid = self._history.insert(self._current.read(current_rid))
-        current_rid = self._current.update(current_rid, record)
-        entry = self._pack_vdir_entry(old_env, hist_rid)
+        current_rid = self._current.update(current_rid, sv.payload)
         if vdir_rid == _NO_RECORD:
-            vdir_rid = self._vdir.insert(entry)
+            vdir_rid = self._vdir.insert(
+                self._spliced(bytes([_NARROW]), 0, old_stamp, hist_rid))
         else:
-            vdir_rid = self._vdir.update(
-                vdir_rid, self._vdir.read(vdir_rid) + entry)
-        self._put_dir(atom_id, current_rid, vdir_rid, count + 1, envelope)
+            vdir_rid = self._vdir.update(vdir_rid, self._spliced(
+                self._vdir.read(vdir_rid), count - 1, old_stamp, hist_rid))
+        self._put_dir(atom_id, current_rid, vdir_rid, count + 1, _stamp(sv))
         return count
 
     def replace_version(self, atom_id: int, seq: int,
                         sv: StoredVersion) -> None:
-        current_rid, vdir_rid, count, env = self._dir_entry(atom_id)
+        self._set(atom_id, seq, _stamp(sv), sv.payload)
+
+    def restamp(self, atom_id: int, seq: int, stamp: Stamp) -> None:
+        # An envelope edit: the directory entry or one vdir entry.
+        self._set(atom_id, seq, stamp, None)
+
+    def _set(self, atom_id: int, seq: int, stamp: Stamp,
+             payload: Optional[bytes]) -> None:
+        """Give version *seq* the envelope *stamp* and any *payload*."""
+        current_rid, vdir_rid, count, current_stamp = self._dir_entry(atom_id)
         if not (0 <= seq < count):
             raise StorageError(f"atom {atom_id} has no version {seq}")
-        envelope = (sv.vt_start, sv.vt_end, sv.live)
         if seq == count - 1:
-            new_rid = self._current.update(current_rid,
-                                           self._encode_version(sv))
-            self._put_dir(atom_id, new_rid, vdir_rid, count, envelope)
+            if payload is not None:
+                current_rid = self._current.update(current_rid, payload)
+            self._put_dir(atom_id, current_rid, vdir_rid, count, stamp)
             return
         vdir = self._vdir.read(vdir_rid)
-        at = seq * self._VDIR_ENTRY.size
-        *_, page, slot = self._vdir_entry(vdir, seq)
-        new_hist = self._history.update(RecordId(page, slot),
-                                        self._encode_version(sv))
+        _, hist_rid = self._vdir_entry(vdir, seq)
+        if payload is not None:
+            hist_rid = self._history.update(hist_rid, payload)
         new_vdir = self._vdir.update(
-            vdir_rid, vdir[:at] + self._pack_vdir_entry(envelope, new_hist)
-            + vdir[at + self._VDIR_ENTRY.size:])
+            vdir_rid, self._spliced(vdir, seq, stamp, hist_rid))
         if new_vdir != vdir_rid:
-            self._put_dir(atom_id, current_rid, new_vdir, count, env)
+            self._put_dir(atom_id, current_rid, new_vdir, count,
+                          current_stamp)
 
     def pop_version(self, atom_id: int) -> None:
-        current_rid, vdir_rid, count, _env = self._dir_entry(atom_id)
+        current_rid, vdir_rid, count, _ = self._dir_entry(atom_id)
         if count <= 1:
             self.delete_atom(atom_id)
             return
         # The previous version migrates back from history to current.
         vdir = self._vdir.read(vdir_rid)
-        last = len(vdir) - self._VDIR_ENTRY.size
-        vt_start, vt_end, live, page, slot = self._VDIR_ENTRY.unpack_from(
-            vdir, last)
-        hist_rid = RecordId(page, slot)
+        stamp, hist_rid = self._vdir_entry(vdir, count - 2)
         record = self._history.read(hist_rid)
         self._history.delete(hist_rid)
         restored = self._current.update(current_rid, record)
-        if last:
-            vdir_rid = self._vdir.update(vdir_rid, vdir[:last])
+        if count > 2:
+            vdir_rid = self._vdir.update(vdir_rid, vdir[
+                :1 + (count - 2) * self._VDIR_ENTRIES[vdir[0]].size])
         else:
             self._vdir.delete(vdir_rid)
             vdir_rid = _NO_RECORD
-        self._put_dir(atom_id, restored, vdir_rid, count - 1,
-                      (vt_start, vt_end, bool(live)))
+        self._put_dir(atom_id, restored, vdir_rid, count - 1, stamp)
 
     def delete_atom(self, atom_id: int) -> None:
-        current_rid, vdir_rid, _count, _env = self._dir_entry(atom_id)
-        for _, _, _, hist_rid in self._read_vdir(vdir_rid):
+        current_rid, vdir_rid, _, _ = self._dir_entry(atom_id)
+        for _, hist_rid in self._read_vdir(vdir_rid):
             self._history.delete(hist_rid)
         if vdir_rid != _NO_RECORD:
             self._vdir.delete(vdir_rid)
@@ -892,29 +945,29 @@ class SeparatedStore(_BaseStore):
         self._directory.delete(atom_id)
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
-        current_rid, _vdir, count, _env = self._dir_entry(atom_id)
-        return count - 1, self._decode_version(self._current.read(current_rid))
+        current_rid, _vdir, count, stamp = self._dir_entry(atom_id)
+        return count - 1, StoredVersion(*stamp,
+                                        self._current.read(current_rid))
 
     def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
         # Envelope-only vdir scan selects the live history seqs, then
         # one grouped read fetches exactly those payloads — the closed
         # majority of a long history is never materialised.
-        current_rid, vdir_rid, count, env = self._dir_entry(atom_id)
-        hits: List[Tuple[int, StoredVersion]] = []
-        if vdir_rid != _NO_RECORD:
-            fetch = [(seq, rid) for seq, (_s, _e, live, rid)
-                     in enumerate(self._read_vdir(vdir_rid)) if live]
-            records = self._history.read_many(rid for _, rid in fetch)
-            hits = [(seq, self._decode_version(records[rid]))
-                    for seq, rid in fetch]
-        if env[2]:
-            hits.append((count - 1,
-                         self._decode_version(self._current.read(current_rid))))
+        current_rid, vdir_rid, count, stamp = self._dir_entry(atom_id)
+        fetch = [(seq, entry_stamp, rid) for seq, (entry_stamp, rid)
+                 in enumerate(self._read_vdir(vdir_rid))
+                 if believed(entry_stamp[2], entry_stamp[3], None)]
+        records = self._history.read_many(rid for _, _, rid in fetch)
+        hits = [(seq, StoredVersion(*entry_stamp, records[rid]))
+                for seq, entry_stamp, rid in fetch]
+        if believed(stamp[2], stamp[3], None):
+            hits.append((count - 1, StoredVersion(
+                *stamp, self._current.read(current_rid))))
         return hits
 
     def read_versions(self, atom_id: int,
                       seqs: Iterable[int]) -> Dict[int, StoredVersion]:
-        current_rid, vdir_rid, count, _env = self._dir_entry(atom_id)
+        current_rid, vdir_rid, count, stamp = self._dir_entry(atom_id)
         wanted = set(seqs)
         out_of_range = [seq for seq in wanted if not (0 <= seq < count)]
         if out_of_range:
@@ -922,16 +975,16 @@ class SeparatedStore(_BaseStore):
                 f"atom {atom_id} has no version {out_of_range[0]}")
         result: Dict[int, StoredVersion] = {}
         if count - 1 in wanted:
-            result[count - 1] = self._decode_version(
-                self._current.read(current_rid))
+            result[count - 1] = StoredVersion(
+                *stamp, self._current.read(current_rid))
             wanted.discard(count - 1)
         if wanted:
             vdir = self._vdir.read(vdir_rid)
-            fetch = {seq: RecordId(*self._vdir_entry(vdir, seq)[3:])
-                     for seq in wanted}
-            records = self._history.read_many(fetch.values())
-            for seq, rid in fetch.items():
-                result[seq] = self._decode_version(records[rid])
+            fetch = {seq: self._vdir_entry(vdir, seq) for seq in wanted}
+            records = self._history.read_many(
+                rid for _, rid in fetch.values())
+            for seq, (entry_stamp, rid) in fetch.items():
+                result[seq] = StoredVersion(*entry_stamp, records[rid])
         return result
 
     # -- batched reads ---------------------------------------------------------
@@ -943,91 +996,89 @@ class SeparatedStore(_BaseStore):
 
     def read_all_many(self, atom_ids: Iterable[int]
                       ) -> Dict[int, List[StoredVersion]]:
-        current_fetch: Dict[int, RecordId] = {}
-        vdir_fetch: Dict[int, RecordId] = {}
+        heads: Dict[int, Tuple[RecordId, RecordId, Stamp]] = {}
         for atom_id, payload in self._entries_many(atom_ids).items():
-            if payload is None:
-                continue
-            (cpage, cslot, vpage, vslot, _count,
-             _vs, _ve, _live) = self._DIR_VALUE.unpack(payload)
-            current_fetch[atom_id] = RecordId(cpage, cslot)
-            vdir_fetch[atom_id] = RecordId(vpage, vslot)
+            if payload is not None:
+                current_rid, vdir_rid, _count, stamp = self._decode_dir(
+                    payload)
+                heads[atom_id] = (current_rid, vdir_rid, stamp)
+        current_records = self._current.read_many(
+            rid for rid, _, _ in heads.values())
         vdir_records = self._vdir.read_many(
-            rid for rid in vdir_fetch.values() if rid != _NO_RECORD)
-        hist_order: Dict[int, List[RecordId]] = {}
-        for atom_id, vdir_rid in vdir_fetch.items():
-            hist_order[atom_id] = (
-                [] if vdir_rid == _NO_RECORD else
-                [rid for _, _, _, rid
-                 in self._parse_vdir(vdir_records[vdir_rid])])
+            rid for _, rid, _ in heads.values() if rid != _NO_RECORD)
+        entries: Dict[int, List[Tuple[Stamp, RecordId]]] = {
+            atom_id: ([] if vdir_rid == _NO_RECORD
+                      else self._parse_vdir(vdir_records[vdir_rid]))
+            for atom_id, (_, vdir_rid, _) in heads.items()}
         hist_records = self._history.read_many(
-            rid for rids in hist_order.values() for rid in rids)
-        current_records = self._current.read_many(current_fetch.values())
+            rid for atom_entries in entries.values()
+            for _, rid in atom_entries)
         result: Dict[int, List[StoredVersion]] = {}
-        for atom_id, current_rid in current_fetch.items():
-            versions = [self._decode_version(hist_records[rid])
-                        for rid in hist_order[atom_id]]
+        for atom_id, (current_rid, _, stamp) in heads.items():
+            versions = [StoredVersion(*entry_stamp, hist_records[rid])
+                        for entry_stamp, rid in entries[atom_id]]
             versions.append(
-                self._decode_version(current_records[current_rid]))
+                StoredVersion(*stamp, current_records[current_rid]))
             result[atom_id] = versions
         return result
 
-    def read_at_many(self, requests: Iterable[PointRequest],
-                     tt_of: Callable[[bytes], Tuple[int, int]]
+    def read_at_many(self, requests: Iterable[PointRequest]
                      ) -> Dict[PointRequest, PointHit]:
-        # Newest-first: the current record when the directory envelope
-        # may answer a pending request, then the vdir entries from the
-        # end, reading a history record only where its envelope may.
-        # Waves as above; a history wave reads one record per atom still
-        # walking.
+        # The directory entry and the vdir hold every envelope, so the
+        # newest-first walk runs on them alone, and a wave per segment
+        # (directory, current, vdirs, history) reads just the records it
+        # selected.
         result, by_atom = group_requests(requests)
-        current_fetch: Dict[int, Tuple[RecordId, int]] = {}
-        vdir_fetch: Dict[int, RecordId] = {}
+        current_picks: List[_Pick] = []
+        vdir_walks: Dict[int, RecordId] = {}
         for atom_id, payload in self._entries_many(by_atom).items():
             if payload is None:
                 continue
-            (cpage, cslot, vpage, vslot, count,
-             vt_start, vt_end, live) = self._DIR_VALUE.unpack(payload)
-            if _wanted(by_atom[atom_id], vt_start, vt_end, live):
-                current_fetch[atom_id] = (RecordId(cpage, cslot), count - 1)
-            if count > 1:
-                vdir_fetch[atom_id] = RecordId(vpage, vslot)
-        current_records = self._current.read_many(
-            rid for rid, _ in current_fetch.values())
-        for atom_id, (rid, seq) in current_fetch.items():
-            by_atom[atom_id] = _settle(
-                by_atom[atom_id], seq,
-                self._decode_version(current_records[rid]), tt_of, result)
-        vdir_fetch = {atom_id: rid for atom_id, rid in vdir_fetch.items()
-                      if by_atom[atom_id]}
-        vdir_records = self._vdir.read_many(vdir_fetch.values())
-        # atom -> (its vdir, count of entries not yet visited)
-        walks: Dict[int, Tuple[bytes, int]] = {}
-        for atom_id, rid in vdir_fetch.items():
-            vdir = vdir_records[rid]
-            walks[atom_id] = (vdir, len(vdir) // self._VDIR_ENTRY.size)
-        while walks:
-            hist_fetch: Dict[int, Tuple[int, RecordId]] = {}
-            for atom_id, (vdir, seq) in walks.items():
-                pending = by_atom[atom_id]
-                while seq:
-                    seq -= 1
-                    vt_start, vt_end, live, page, slot = self._vdir_entry(
-                        vdir, seq)
-                    if _wanted(pending, vt_start, vt_end, live):
-                        hist_fetch[atom_id] = (seq, RecordId(page, slot))
-                        break
-            hist_records = self._history.read_many(
-                rid for _, rid in hist_fetch.values())
-            advanced: Dict[int, Tuple[bytes, int]] = {}
-            for atom_id, (seq, rid) in hist_fetch.items():
-                pending = by_atom[atom_id] = _settle(
-                    by_atom[atom_id], seq,
-                    self._decode_version(hist_records[rid]), tt_of, result)
-                if pending and seq:
-                    advanced[atom_id] = (walks[atom_id][0], seq)
-            walks = advanced
+            current_rid, vdir_rid, count, stamp = self._decode_dir(payload)
+            answered, pending = _settle(by_atom[atom_id], stamp)
+            if answered:
+                current_picks.append((current_rid, count - 1, stamp,
+                                      answered))
+            if pending and count > 1:
+                by_atom[atom_id] = pending
+                vdir_walks[atom_id] = vdir_rid
+        _answer(result, current_picks, self._current)
+        vdir_records = self._vdir.read_many(vdir_walks.values())
+        history_picks: List[_Pick] = []
+        for atom_id, vdir_rid in vdir_walks.items():
+            vdir = vdir_records[vdir_rid]
+            width = vdir[0]
+            unpack = self._VDIR_ENTRIES[width].unpack_from
+            size = self._VDIR_ENTRIES[width].size
+            pending = by_atom[atom_id]
+            seq = (len(vdir) - 1) // size
+            while pending and seq:
+                seq -= 1
+                fields = unpack(vdir, 1 + seq * size)
+                stamp = _mapped(fields, _LOADED[width])
+                answered, pending = _settle(pending, stamp)
+                if answered:
+                    history_picks.append((RecordId(fields[4], fields[5]),
+                                          seq, stamp, answered))
+        _answer(result, history_picks, self._history)
         return result
+
+
+#: A SEPARATED directory entry: current, vdir, count, current stamp.
+_DirEntry = Tuple[RecordId, RecordId, int, Stamp]
+#: A SEPARATED point-read selection: the record to read, its seq and
+#: envelope, and the requests it answers.
+_Pick = Tuple[RecordId, int, Stamp, Sequence[PointRequest]]
+
+
+def _answer(result: Dict[PointRequest, PointHit], picks: List[_Pick],
+            segment: HeapSegment) -> None:
+    """Read the records of *picks* from *segment* in one grouped read
+    and answer their requests."""
+    records = segment.read_many(rid for rid, _, _, _ in picks)
+    for rid, seq, stamp, answered in picks:
+        result.update(dict.fromkeys(answered, (seq, StoredVersion(
+            *stamp, records[rid]))))
 
 
 _STORE_CLASSES = {

@@ -2,9 +2,8 @@
 they select.
 
 :meth:`StorageEngine.point_reads` picks each answer newest-first from
-the stored envelopes — the live flag for a current-knowledge request,
-the peeked transaction time for an ``AS OF`` one — and decodes just
-that version.  The differential tests hold it equal to the full-history
+the stored envelopes, which carry valid and transaction time, and
+decodes just that version.  The differential tests hold it equal to the full-history
 reference, :func:`repro.core.history.version_at` over ``all_versions``,
 on every strategy, over histories with corrections, deletes and link
 changes, for unknown and vacuumed atoms, and in each cache state the
@@ -26,10 +25,7 @@ decodes at most 2N versions, and reads the same number of heap records,
 whatever the chains' lengths.
 """
 
-import json
-import os
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -183,7 +179,7 @@ class TestAsOfDifferential:
         assert db.engine.point_reads([]) == {}
 
 
-def newest_first(store, requests, tt_of):
+def newest_first(store, requests):
     """The point-read reference: each request's answer is the newest
     version of the atom's full history valid at its instant and believed
     at its transaction time — live, for a ``None`` one."""
@@ -194,31 +190,21 @@ def newest_first(store, requests, tt_of):
         expected[request] = None
         for seq in reversed(range(len(histories.get(atom_id, ())))):
             sv = histories[atom_id][seq]
-            if tt is None:
-                believed = sv.live
-            else:
-                tt_start, tt_end = tt_of(sv.payload)
-                believed = tt_start <= tt < tt_end
+            believed = (sv.live if tt is None
+                        else sv.tt_start <= tt < sv.tt_end)
             if sv.contains(at) and believed:
                 expected[request] = (seq, sv)
                 break
     return expected
 
 
-#: Store-level payloads lead with their transaction-time pair.
-_TT = struct.Struct("<qq")
-
-
-def _tt_of(payload):
-    return _TT.unpack_from(payload, 0)
-
-
+#: A stored version; a transaction time without length is still open.
 _version = st.builds(
-    lambda vt_start, vt_len, tt_start, tt_len, live, filler: StoredVersion(
-        vt_start, vt_start + vt_len, live,
-        _TT.pack(tt_start, tt_start + tt_len) + filler),
+    lambda vt_start, vt_len, tt_start, tt_len, payload: StoredVersion(
+        vt_start, vt_start + vt_len, tt_start,
+        FOREVER if tt_len is None else tt_start + tt_len, payload),
     st.integers(0, 20), st.integers(1, 12), st.integers(0, 20),
-    st.integers(0, 12), st.booleans(), st.binary(max_size=40))
+    st.none() | st.integers(0, 12), st.binary(max_size=40))
 
 
 class TestStorePointRead:
@@ -243,11 +229,11 @@ class TestStorePointRead:
         disk = DiskManager(tmp_path_factory.mktemp("asof") / "s.db")
         store = open_version_store(strategy, BufferManager(disk,
                                                            capacity=16))
-        if deep:  # past 150 versions: the vdir and clustered record span
+        if deep:  # 160 versions: the vdir and clustered record span
             for step in range(160):
                 store.append_version(1, StoredVersion(
-                    step % 30, step % 30 + 3, step % 3 != 0,
-                    _TT.pack(step % 25, step % 25 + 4) + bytes(24)))
+                    step % 30, step % 30 + 3, step % 25,
+                    step % 25 + 4 if step % 3 == 0 else FOREVER, bytes(24)))
         counts = {}
         for kind, atom_id, seq_hint, version in operations:
             count = counts.get(atom_id, 0)
@@ -264,21 +250,18 @@ class TestStorePointRead:
         # Repeats and several requests per atom share one walk; atoms 5
         # and 6 never exist.
         requests += requests[:3]
-        assert store.read_at_many(requests, _tt_of) == newest_first(
-            store, requests, _tt_of)
-        assert store.read_at_many([], _tt_of) == {}
+        assert store.read_at_many(requests) == newest_first(store, requests)
+        assert store.read_at_many([]) == {}
         disk.close()
 
 
 class TestEnginePointRead:
-    """The same differential over histories the engine wrote, with the
-    engine's own transaction-time peek."""
+    """The same differential over histories the engine wrote."""
 
     def check(self, db, atoms):
-        store, engine = db.engine.store, db.engine
+        store = db.engine.store
         requests = requests_for(db, atoms)
-        assert store.read_at_many(requests, engine._peek_tt) == (
-            newest_first(store, requests, engine._peek_tt))
+        assert store.read_at_many(requests) == newest_first(store, requests)
 
     def test_corrections_and_windowed_deletes(self, db):
         self.check(db, mixed_history(db, seed=3))
@@ -405,22 +388,3 @@ class TestCdcDecodeCost:
         assert len(set(decodes.values())) == 1, decodes  # flat in length
         assert len(set(record_reads.values())) == 1, record_reads
 
-
-class TestLegacyCatalogKey:
-    def test_open_drops_stale_cdc_subscribers_key(self, tmp_path,
-                                                  cad_schema):
-        path = str(tmp_path / "db")
-        TemporalDatabase.create(path, cad_schema).close()
-        catalog_file = os.path.join(path, "catalog.json")
-        with open(catalog_file, encoding="utf-8") as handle:
-            document = json.load(handle)
-        document["extras"]["cdc_subscribers"] = {"old": [0, 7]}
-        with open(catalog_file, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-
-        db = TemporalDatabase.open(path)
-        assert "cdc_subscribers" not in db._catalog.extras
-        assert db._wal.subscribers() == {}
-        db.close()
-        with open(catalog_file, encoding="utf-8") as handle:
-            assert "cdc_subscribers" not in json.load(handle)["extras"]

@@ -610,8 +610,8 @@ class TestHistoryBudget:
 
         per_version = DECODE_CACHE_ENTRY_OVERHEAD + 100
         cache = DecodedVersionCache(5 * per_version, MetricsRegistry())
-        stored = [StoredVersion(0, 10, True, b"x" * 100),
-                  StoredVersion(10, 20, True, b"y" * 100)]
+        stored = [StoredVersion(0, 10, 0, FOREVER, b"x" * 100),
+                  StoredVersion(10, 20, 0, FOREVER, b"y" * 100)]
         cache.put_history(1, StoredHistory(stored))
         cache.put(1, 0, "Part", _closed_version(), nbytes=100)
         cache.put(1, 1, "Part", _closed_version(), nbytes=100)
@@ -1019,10 +1019,10 @@ class TestWarmSliceCounts:
         store = db.engine.store
         real = store.read_at_many
 
-        def counting(requests, tt_of):
+        def counting(requests):
             requests = list(requests)
             calls.append(requests)
-            return real(requests, tt_of)
+            return real(requests)
 
         monkeypatch.setattr(store, "read_at_many", counting)
         return calls

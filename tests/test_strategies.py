@@ -15,8 +15,10 @@ from repro.storage.disk import DiskManager
 from repro.storage.strategies import (
     StoredVersion,
     VersionStrategy,
+    believed,
     open_version_store,
 )
+from repro.temporal import FOREVER, TMIN
 
 
 @pytest.fixture
@@ -25,16 +27,14 @@ def store(buffer, strategy):
 
 
 def sv(start, end, live=True, payload=b""):
-    return StoredVersion(start, end, live, payload or
-                         f"v[{start},{end})".encode())
+    """A version valid over ``[start, end)``, believed from 0 on when
+    *live*, else over ``[0, 1)``."""
+    return StoredVersion(start, end, 0, FOREVER if live else 1,
+                         payload or f"v[{start},{end})".encode())
 
 
 def history(store, atom_id):
     return store.read_all_many([atom_id])[atom_id]
-
-
-def no_peek(payload):
-    raise AssertionError("a current-knowledge read peeked a transaction time")
 
 
 def current(atom_ids, at):
@@ -44,16 +44,14 @@ def current(atom_ids, at):
 
 def hit_at(store, atom_id, at):
     """The ``(seq, version)`` a current read at *at* selects, or None."""
-    return store.read_at_many(current([atom_id], at), no_peek)[
-        (atom_id, at, None)]
+    return store.read_at_many(current([atom_id], at))[(atom_id, at, None)]
 
 
 class TestContract:
     def test_missing_atom(self, store):
         assert not store.exists(9)
         assert store.read_all_many([9]) == {}
-        assert store.read_at_many(current([9], 0), no_peek) == {
-            (9, 0, None): None}
+        assert store.read_at_many(current([9], 0)) == {(9, 0, None): None}
         with pytest.raises(UnknownAtomError):
             store.read_current(9)
 
@@ -83,30 +81,28 @@ class TestContract:
     def test_read_at_skips_dead_versions(self, store):
         store.append_version(1, sv(0, 100, live=False))
         store.append_version(1, sv(0, 100, live=True, payload=b"alive"))
-        assert hit_at(store, 1, 5) == (1, StoredVersion(0, 100, True,
-                                                        b"alive"))
+        assert hit_at(store, 1, 5) == (1, sv(0, 100, payload=b"alive"))
 
     def test_replace_version(self, store):
         store.append_version(1, sv(0, 10))
         store.append_version(1, sv(10, 20))
         store.replace_version(1, 0, sv(0, 10, live=False, payload=b"closed"))
         versions = history(store, 1)
-        assert versions[0] == StoredVersion(0, 10, False, b"closed")
+        assert versions[0] == sv(0, 10, live=False, payload=b"closed")
         assert versions[1] == sv(10, 20)
 
     def test_replace_with_larger_payload(self, store):
         store.append_version(1, sv(0, 10))
         store.append_version(1, sv(10, 20))
         big = b"B" * 3000
-        store.replace_version(1, 0, StoredVersion(0, 10, True, big))
+        store.replace_version(1, 0, sv(0, 10, payload=big))
         assert history(store, 1)[0].payload == big
 
     def test_replace_newest(self, store):
         store.append_version(1, sv(0, 10))
         store.append_version(1, sv(10, 20))
-        store.replace_version(1, 1, StoredVersion(10, 20, True, b"new"))
-        assert store.read_current(1) == (1, StoredVersion(10, 20, True,
-                                                          b"new"))
+        store.replace_version(1, 1, sv(10, 20, payload=b"new"))
+        assert store.read_current(1) == (1, sv(10, 20, payload=b"new"))
 
     def test_replace_bad_seq(self, store):
         store.append_version(1, sv(0, 10))
@@ -156,16 +152,15 @@ class TestContract:
     def test_batched_reads_accept_an_iterator(self, store):
         store.append_version(1, sv(0, 10))
         store.append_version(2, sv(5, 15))
-        assert store.read_at_many(iter(current([1, 2, 9, 1], 7)),
-                                  no_peek) == {
+        assert store.read_at_many(iter(current([1, 2, 9, 1], 7))) == {
             (1, 7, None): (0, sv(0, 10)), (2, 7, None): (0, sv(5, 15)),
             (9, 7, None): None}
         assert store.read_all_many(iter([2, 9])) == {2: [sv(5, 15)]}
 
     def test_large_payloads_span_pages(self, store):
         big = bytes(range(256)) * 64  # 16 KiB
-        store.append_version(1, StoredVersion(0, 10, True, big))
-        store.append_version(1, StoredVersion(10, 20, True, big * 2))
+        store.append_version(1, sv(0, 10, payload=big))
+        store.append_version(1, sv(10, 20, payload=big * 2))
         versions = history(store, 1)
         assert versions[0].payload == big
         assert versions[1].payload == big * 2
@@ -179,8 +174,7 @@ class TestContract:
     def test_stats_reflect_growth(self, store):
         empty_pages = store.stats().total_pages
         for atom_id in range(1, 40):
-            store.append_version(atom_id,
-                                 StoredVersion(0, 10, True, b"x" * 500))
+            store.append_version(atom_id, sv(0, 10, payload=b"x" * 500))
         grown = store.stats()
         assert grown.total_pages > empty_pages
         assert grown.total_bytes == grown.total_pages * grown.page_size
@@ -241,24 +235,25 @@ class TestSeparatedSignature:
 
 
 class TestPointReadSegments:
-    """CI gate: a current-knowledge point read reads, per heap segment,
-    only the records its newest-first walk must pass: the live flag
-    keeps it off every closed record whose valid time holds the
-    instant."""
+    """CI gate: a point read, current or ``AS OF``, reads per heap
+    segment only the records its newest-first walk must pass: the
+    envelope's transaction time keeps it off every record whose valid
+    time holds the instant but which is not believed at the request's
+    transaction time."""
 
     SEGMENTS = {VersionStrategy.CLUSTERED: ("clustered",),
                 VersionStrategy.CHAINED: ("chained",),
                 VersionStrategy.SEPARATED: ("current", "vdir", "history")}
 
-    def read(self, db, at):
-        """One cold current read of the part at *at*: its hit and the
-        heap records it read per segment."""
+    def read(self, db, at, tt=None):
+        """One cold read of the part at *at* as believed at *tt*: its
+        hit and the heap records it read per segment."""
         store = db.engine.store
         segments = self.SEGMENTS[store.strategy]
         before = {name: db.metrics.value("heap.record_reads", segment=name)
                   for name in segments}
-        request = (self.part, at, None)
-        hit = store.read_at_many([request], no_peek)[request]
+        request = (self.part, at, tt)
+        hit = store.read_at_many([request])[request]
         reads = {name: db.metrics.value("heap.record_reads", segment=name)
                  - before[name] for name in segments}
         return hit, reads
@@ -316,18 +311,41 @@ class TestPointReadSegments:
                          }[strategy]
 
 
+    def test_as_of_reads_open_only_the_selected_record(self, db):
+        # 41 versions, every one valid at 5: each update from 0 closes
+        # the live version's transaction time and appends its successor.
+        with db.transaction() as txn:
+            self.part = txn.insert("Part", {"name": "p", "cost": 0.0},
+                                   valid_from=0)
+        for step in range(1, 41):
+            with db.transaction() as txn:
+                txn.update(self.part, {"cost": float(step)}, valid_from=0)
+        strategy = db.engine.store.strategy
+        versions = db.engine.all_versions(self.part)
+        assert len(versions) == 41
+        assert all(version.vt.contains(5) for version in versions)
+        hit, reads = self.read(db, 5, versions[2].tt.start)
+        assert hit[0] == 2
+        assert reads == {VersionStrategy.CLUSTERED: {"clustered": 1},
+                         VersionStrategy.CHAINED: {"chained": 39},
+                         VersionStrategy.SEPARATED: {
+                             "current": 0, "vdir": 1, "history": 1},
+                         }[strategy]
+
+
 class TestSeparatedSplices:
     """SEPARATED edits its version directory by splicing fixed-size
     entries; every read must agree with CLUSTERED (which re-encodes the
     whole history) across the boundary where the vdir starts to span."""
 
-    # 4 KiB pages hold 150 vdir entries unspanned; 160 versions give 159.
+    # 4 KiB pages hold 156 narrow vdir entries unspanned; 160 versions
+    # give 159.
     VERSIONS = 160
 
     @staticmethod
     def version(index, live=True, size=40):
-        return StoredVersion(index * 10, index * 10 + 10, live,
-                             bytes([index % 251]) * size)
+        return sv(index * 10, index * 10 + 10, live,
+                  bytes([index % 251]) * size)
 
     @staticmethod
     def assert_same(separated, clustered, atom_ids):
@@ -340,8 +358,8 @@ class TestSeparatedSplices:
                     == clustered.read_versions(atom_id, seqs))
         requests = [request for at in (0, 5, 805, 1595, 10_000)
                     for request in current(atom_ids, at)]
-        assert (separated.read_at_many(requests, no_peek)
-                == clustered.read_at_many(requests, no_peek))
+        assert (separated.read_at_many(requests)
+                == clustered.read_at_many(requests))
 
     def test_spanned_vdir_splices_match_clustered(self, tmp_path):
         disk = DiskManager(tmp_path / "splice.db")
@@ -355,7 +373,7 @@ class TestSeparatedSplices:
                 version = self.version(index, live=index % 7 != 3)
                 separated.append_version(atom_id, version)
                 clustered.append_version(atom_id, version)
-            if index in (0, 1, 149, 150, 151, self.VERSIONS - 1):
+            if index in (0, 1, 155, 156, 157, self.VERSIONS - 1):
                 self.assert_same(separated, clustered, atoms)
         # The history entries no longer fit one page: the vdir spans.
         _cur, vdir_rid, _count, _env = separated._dir_entry(1)
@@ -365,7 +383,7 @@ class TestSeparatedSplices:
             separated.replace_version(1, seq, edited)
             clustered.replace_version(1, seq, edited)
             self.assert_same(separated, clustered, atoms)
-        # Roll back across the span boundary (159 -> 140 history entries).
+        # Roll back across the span boundary (159 -> 139 history entries).
         for _ in range(20):
             separated.pop_version(1)
             clustered.pop_version(1)
@@ -373,6 +391,15 @@ class TestSeparatedSplices:
         _cur, vdir_rid, count, _env = separated._dir_entry(1)
         assert count == self.VERSIONS - 20
         assert len(separated._vdir.read(vdir_rid)) <= separated._vdir.max_unspanned()
+        # A chronon past 32 bits re-encodes the vdir wide, and it spans
+        # again.
+        wide = StoredVersion(2**40, 2**41, 0, FOREVER, b"w" * 70)
+        separated.replace_version(1, 40, wide)
+        clustered.replace_version(1, 40, wide)
+        self.assert_same(separated, clustered, atoms)
+        _cur, vdir_rid, _count, _env = separated._dir_entry(1)
+        vdir = separated._vdir.read(vdir_rid)
+        assert vdir[0] == 1 and len(vdir) > separated._vdir.max_unspanned()
         disk.close()
 
     def test_current_record_keeps_its_rid_across_appends(self, tmp_path):
@@ -403,50 +430,94 @@ class TestClusteredSignature:
         store = open_version_store(VersionStrategy.CLUSTERED, pool)
         payload = b"p" * 400
         for i in range(40):
-            store.append_version(1, StoredVersion(i, i + 1, True, payload))
+            store.append_version(1, sv(i, i + 1, payload=payload))
         pool.disk.stats.reset()
-        store.append_version(1, StoredVersion(41, 42, True, payload))
+        store.append_version(1, sv(41, 42, payload=payload))
         writes_long = pool.disk.stats.writes + pool.stats.hits
         store2 = open_version_store(VersionStrategy.CLUSTERED, pool)
-        store2.append_version(2, StoredVersion(0, 1, True, payload))
+        store2.append_version(2, sv(0, 1, payload=payload))
         pool.disk.stats.reset()
         pool.stats.reset()
-        store2.append_version(2, StoredVersion(1, 2, True, payload))
+        store2.append_version(2, sv(1, 2, payload=payload))
         writes_short = pool.disk.stats.writes + pool.stats.hits
         assert writes_long > writes_short
         disk.close()
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["append", "replace", "pop"]),
+#: Chronons around both stored widths: the sentinels, the 32-bit
+#: extremes (finite values there must not read back as sentinels), and
+#: values only 64 bits hold.
+_CHRONONS = [TMIN, -2**31, -2**31 + 1, -3, 0, 5, 9, 2**31 - 2, 2**31 - 1,
+             2**31, 2**40, FOREVER]
+
+
+def _interval(pair):
+    start, end = sorted(pair)
+    return start, end
+
+
+_stamp_pairs = st.lists(st.sampled_from(_CHRONONS), min_size=2, max_size=2,
+                        unique=True).map(_interval).filter(
+    lambda pair: pair[0] != FOREVER and pair[1] != TMIN)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["append", "append", "replace",
+                                           "restamp", "pop"]),
                           st.integers(1, 4),
                           st.integers(0, 30),
+                          _stamp_pairs, _stamp_pairs,
                           st.binary(max_size=50)),
                 max_size=40),
        st.sampled_from(list(VersionStrategy)))
 def test_random_operations_match_model(tmp_path_factory, operations,
                                        strategy):
-    """Every strategy behaves like a dict of version lists."""
+    """Every strategy behaves like a dict of version lists, whatever
+    width its stamps are stored at, and reads the same after reopening
+    from its persisted state."""
     directory = tmp_path_factory.mktemp("storeprop")
     disk = DiskManager(directory / "s.db")
     pool = BufferManager(disk, capacity=16)
     store = open_version_store(strategy, pool)
     model = {}
-    counter = 0
-    for kind, atom_id, seq_hint, payload in operations:
-        counter += 1
-        version = StoredVersion(counter, counter + 1, True, payload)
+    for kind, atom_id, seq_hint, vt, tt, payload in operations:
+        version = StoredVersion(*vt, *tt, payload)
         if kind == "append":
             store.append_version(atom_id, version)
             model.setdefault(atom_id, []).append(version)
-        elif kind == "replace" and model.get(atom_id):
+        elif kind in ("replace", "restamp") and model.get(atom_id):
             seq = seq_hint % len(model[atom_id])
-            store.replace_version(atom_id, seq, version)
+            if kind == "restamp":
+                version = StoredVersion(*vt, *tt, model[atom_id][seq].payload)
+                store.restamp(atom_id, seq, (*vt, *tt))
+            else:
+                store.replace_version(atom_id, seq, version)
             model[atom_id][seq] = version
         elif kind == "pop" and model.get(atom_id):
             store.pop_version(atom_id)
             model[atom_id].pop()
             if not model[atom_id]:
                 del model[atom_id]
-    assert store.read_all_many(store.atom_ids()) == model
+    reopened = open_version_store(strategy, pool, store.persist_state())
+    requests = [(atom_id, at, tt) for atom_id in range(1, 6)
+                for at in _CHRONONS[1:-1] for tt in (None, 0, 2**31 - 1)]
+    expected = dict.fromkeys(requests)
+    for atom_id, at, tt in requests:
+        for seq in range(len(model.get(atom_id, ())) - 1, -1, -1):
+            version = model[atom_id][seq]
+            if version.contains(at) and believed(version.tt_start,
+                                                 version.tt_end, tt):
+                expected[(atom_id, at, tt)] = (seq, version)
+                break
+    for each in (store, reopened):
+        assert each.read_all_many(each.atom_ids()) == model
+        assert each.read_at_many(requests) == expected
+        for atom_id, versions in model.items():
+            assert each.read_current(atom_id) == (len(versions) - 1,
+                                                  versions[-1])
+            assert each.read_live(atom_id) == [
+                (seq, version) for seq, version in enumerate(versions)
+                if version.live]
+            assert each.read_versions(atom_id, range(len(versions))) == dict(
+                enumerate(versions))
     disk.close()
