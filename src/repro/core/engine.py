@@ -20,22 +20,24 @@ recovery/replica replay both turn a logged operation into a mutation
 through one dispatch, :meth:`StorageEngine.apply`.
 
 The engine's only per-atom state is its cache entry
-(:class:`DecodedVersionCache`): the stored history, decoded versions,
-live set and type name.  A warm atom is answered without touching the
-store.  Every point read, current or ``AS OF``, is one request
-``(atom, at, tt)`` answered by :meth:`StorageEngine.point_reads`.  A
-current one (``tt`` None, no pushdown) takes the live version valid at
-its instant from the entry's valid-time index — one bisect over the
-full decodes with open transaction time and the live set's versions.
-Every other request is selected newest-first on the envelopes, which
+(:class:`DecodedVersionCache`): the type name and a slot table, one
+slot per cached stored version holding its envelope, payload and the
+decodes made of it, with two flags — every stored version has a slot
+(``whole``), every live one has (``live_known``).  Every reader that
+sees a stored version leaves its slot, and each slot is charged once.
+A warm atom is answered without touching the store.  Every point read,
+current or ``AS OF``, pushed down or projected, is one request ``(atom,
+at, tt)`` answered by :meth:`StorageEngine.point_reads`, which selects
+in one place: a current request bisects the entry's valid-time index
+of its live slots, another request on a whole entry is selected
+newest-first on the slots' envelopes, and the rest go to the store's
+``read_at_many``, which reads just the records it selects.  Envelopes
 carry both valid and transaction time, so no payload is opened to
-choose: on the cached ones when the history is cached, otherwise by the
-store's ``read_at_many``, which reads just the records it selects and
-caches no history.  Interval sweeps select theirs from the cached
-envelopes too, and each read decodes only what it picks; a pushed-down
-predicate is judged on the selected payloads here, and only here.  A
-warm mutation plans from the entry and learns its new sequence numbers
-from ``append_version``, so it reads nothing from the store before it
+choose.  Interval sweeps select theirs from the slots too, and each
+read decodes only what it picks; a pushed-down predicate is judged on
+the selected payloads here, and only here.  A warm mutation plans from
+the entry's live slots and learns its new sequence numbers from
+``append_version``, so it reads nothing from the store before it
 writes.
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
@@ -43,12 +45,12 @@ Concurrency contract: the read methods (``version_at``, ``all_versions``,
 selectors) change nothing but the cache, so any number of threads may
 call them concurrently *provided no mutation runs at the same time* —
 the facade enforces this with its shared-read / exclusive-write latch,
-which is also what keeps a history read from the store consistent until
-it is cached.  The buffer pool and disk manager below are internally
-locked; everything between them and this class is read-pure on the read
-paths.  The cache carries its own lock; a cached :class:`StoredHistory`
-never changes except its ``versions`` slot, which racing readers may
-each set to an equal tuple (one attribute store, atomic under the GIL).
+which is also what keeps a version read from the store consistent until
+its slot is cached.  The buffer pool and disk manager below are
+internally locked; everything between them and this class is read-pure
+on the read paths.  The cache carries its own lock; a cached slot never
+changes except its decodes, which racing readers may each set to an
+equal version (one attribute or dict store, atomic under the GIL).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 import operator
 import struct
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import OrderedDict
 from functools import partial
 from typing import (
@@ -88,13 +90,12 @@ from repro.errors import (
     UnknownTypeError,
 )
 from repro.storage.strategies import (
+    PointHit,
     PointRequest,
     StoredVersion,
     VersionStore,
     believed,
-    group_requests,
     iter_histories,
-    select_newest_first,
 )
 from repro.temporal import FOREVER, Interval, Timestamp
 
@@ -123,133 +124,145 @@ UndoAction = Callable[[], None]
 #: can share one memory budget with the buffer pool.
 DEFAULT_DECODE_CACHE_BYTES = 8 * 1024 * 1024
 
-#: Fixed per-entry accounting overhead (key tuple, OrderedDict slot,
-#: Version object headers) added to each entry's payload size.
+#: Fixed accounting overhead (slot object, dict slots, Version object
+#: headers) added to each cached version's payload size, and charged
+#: once more for each atom's entry itself.
 DECODE_CACHE_ENTRY_OVERHEAD = 160
 
-
-class StoredHistory:
-    """One atom's full stored history, as a full-history read returns
-    it and the cache keeps it."""
-
-    __slots__ = ("stored", "versions")
-
-    def __init__(self, stored: Iterable[StoredVersion]) -> None:
-        #: Every stored version (envelope plus payload), in seq order.
-        self.stored: Tuple[StoredVersion, ...] = tuple(stored)
-        #: The full decode, once a reader has made it: the same Version
-        #: objects the atom's decoded entries hold, in seq order, so a
-        #: warm full-history read is one lookup.
-        self.versions: Optional[Tuple[Version, ...]] = None
+_start = operator.itemgetter(0)
 
 
-#: An atom's live versions as the write path plans against them:
-#: seq -> (decoded live version, charged cost in bytes).
-LiveSet = Dict[int, Tuple[Version, int]]
+class _Slot:
+    """One cached stored version and the decodes made of it."""
+
+    __slots__ = ("stored", "version", "projected")
+
+    def __init__(self, stored: StoredVersion,
+                 version: Optional[Version] = None) -> None:
+        #: The envelope plus type-prefixed payload, as the store holds it.
+        self.stored = stored
+        #: The full decode, once a reader has made it.
+        self.version = version
+        #: Projected decodes by projection key, once made.
+        self.projected: Optional[Dict[Any, Version]] = None
+
+
+def _slot_cost(stored: StoredVersion) -> int:
+    return len(stored.payload) + DECODE_CACHE_ENTRY_OVERHEAD
 
 
 class _AtomEntry:
-    """Everything the engine knows about one atom."""
+    """Everything the engine knows about one atom: its type name and a
+    slot per cached stored version."""
 
-    __slots__ = ("history", "decoded", "live", "type_name", "cost",
-                 "live_starts", "live_versions")
+    __slots__ = ("type_name", "slots", "whole", "live_known", "cost",
+                 "_live_index")
 
     def __init__(self) -> None:
-        #: Filled only by full-history reads.
-        self.history: Optional[StoredHistory] = None
-        #: (seq, cols) -> (type_name, version, charged cost in bytes)
-        self.decoded: Dict[Tuple[int, Any], Tuple[str, Version, int]] = {}
-        #: Filled by the write path's planning read, repaired by each
-        #: forward mutation.
-        self.live: Optional[LiveSet] = None
         self.type_name: Optional[str] = None
-        self.cost = 0
-        #: Valid-time index of the live versions the entry holds (full
-        #: decodes with open transaction time and the live set's
-        #: versions): their starts, sorted, and the versions in the
-        #: same order.  Live versions are valid-time disjoint, so a
-        #: start names one version.
-        self.live_starts: List[Timestamp] = []
-        self.live_versions: List[Version] = []
+        #: seq -> slot; in seq order once the entry is whole.
+        self.slots: Dict[int, _Slot] = {}
+        #: Every stored version has a slot.
+        self.whole = False
+        #: Every live version has a slot.
+        self.live_known = False
+        self.cost = DECODE_CACHE_ENTRY_OVERHEAD
+        #: ``(vt_start, seq)`` of the live slots, sorted; derived from
+        #: the slots on first use after one joins.  Live versions are
+        #: valid-time disjoint, so a start names one version.
+        self._live_index: Optional[List[Tuple[Timestamp, int]]] = []
 
-    def index_live(self, version: Version) -> None:
-        """Add *version*, a live version, to the valid-time index."""
-        start = version.vt.start
-        index = bisect_left(self.live_starts, start)
-        if index < len(self.live_starts) and self.live_starts[index] == start:
-            return  # already known
-        self.live_starts.insert(index, start)
-        self.live_versions.insert(index, version)
+    def add(self, seq: int, slot: _Slot) -> _Slot:
+        """Give *slot* seq *seq* and charge it to the entry."""
+        self.slots[seq] = slot
+        self.cost += _slot_cost(slot.stored)
+        if slot.stored.tt_end == FOREVER:
+            self._live_index = None  # derived again on next use
+        return slot
 
-    def live_at(self, at: Timestamp) -> Optional[Version]:
-        """The indexed live version whose valid time contains *at*."""
-        index = bisect_right(self.live_starts, at) - 1
-        if index < 0:
+    def live_at(self, at: Timestamp) -> Optional[int]:
+        """The seq of the live slot whose valid time contains *at*."""
+        index = self._live_index
+        if index is None:
+            index = self._live_index = sorted(
+                (slot.stored.vt_start, seq)
+                for seq, slot in self.slots.items()
+                if slot.stored.tt_end == FOREVER)
+        position = bisect_right(index, at, key=_start) - 1
+        if position < 0:
             return None
-        version = self.live_versions[index]
-        return version if at < version.vt.end else None
+        seq = index[position][1]
+        return seq if at < self.slots[seq].stored.vt_end else None
 
-
-def _live_cost(live: LiveSet) -> int:
-    """A live set's charge: its versions' plus one overhead for itself."""
-    return DECODE_CACHE_ENTRY_OVERHEAD + sum(cost for _, cost
-                                             in live.values())
+    def select_newest_first(self, at: Timestamp,
+                            tt: Timestamp) -> Optional[int]:
+        """The seq of the newest slot valid at *at* and believed at
+        *tt*, on a whole entry: the store's own newest-first walk."""
+        slots = self.slots
+        for seq in range(len(slots) - 1, -1, -1):
+            stored = slots[seq].stored
+            if stored.vt_start <= at < stored.vt_end and believed(
+                    stored.tt_start, stored.tt_end, tt):
+                return seq
+        return None
 
 
 class DecodedVersionCache:
     """Byte-bounded LRU of what the engine knows about each atom.
 
     Entries are per atom, so one lock, one LRU order, one byte budget
-    and one ``pop`` cover all four parts:
+    and one ``pop`` cover everything.  An entry is a **slot table**:
+    ``seq -> slot``, where a slot holds one :class:`StoredVersion`
+    (envelope plus type-prefixed payload) and the decodes a reader made
+    of it — the full decode, and partial ones keyed by their projection
+    (the attribute tuple plus a refs flag), so a projected version can
+    never be returned to a caller expecting the full version or vice
+    versa.  The entry also holds the atom's type name and two flags:
 
-    * the **stored history** — every :class:`StoredVersion` (envelope
-      plus payload bytes) in seq order, filled only by full-history
-      reads, so neither a current-knowledge point slice nor an ``AS OF``
-      point read ever pays for a whole history;
-    * the **decoded versions**, keyed by ``(seq, cols)`` where ``cols``
-      is ``None`` for a full decode and a projection descriptor (the
-      attribute tuple plus a refs flag) for a partial one, so a
-      projected version can never be returned to a caller expecting the
-      full version or vice versa;
-    * the **live set** — the decoded live versions by seq, which every
-      mutation plans against;
-    * the **type name**, which every filler that decodes a payload sets.
+    * ``whole`` — every stored version has a slot.  Full-history reads
+      set it (:meth:`fill` with ``whole``), so a warm one selects and
+      decodes without the store;
+    * ``live_known`` — every live version has a slot.  The write path's
+      planning read sets it, each forward mutation keeps it, and
+      ``whole`` implies it.
 
-    Each entry also keeps a valid-time index of the *live* versions it
-    holds — the full decodes whose transaction time is open and the
-    live set's versions — filled where they are installed (:meth:`put`,
-    :meth:`remember`, :meth:`mutated`) and leaving with the entry.  It
-    answers current slices (:meth:`live_at_many`): an indexed version
-    whose valid time contains the instant is exactly what the store
-    would return.  That is safe by the invalidation rule below: any
-    mutation drops the atom's decodes (and re-installs the live set it
-    repaired), and undo, vacuum and eviction drop the whole entry, so a
-    cached decode with open transaction time is live *now*; and live
-    versions are valid-time disjoint, so at most one contains the
-    instant.  Projected decodes are never indexed.
+    Every reader that sees a stored version leaves its slot: a store hit
+    of a point read leaves the one slot it selected, so neither a
+    current slice nor an ``AS OF`` point read ever pays for a whole
+    history.  Point reads select in one place (:meth:`select`): a
+    current request bisects the entry's valid-time index of its live
+    slots — derived from the slots, not filled separately — and a miss
+    is final when the entry is ``live_known``; any other request is
+    selected newest-first on the slots of a ``whole`` entry; the rest go
+    to the store.  That is safe by the invalidation rule below: a
+    forward mutation keeps only live slots it repaired, and undo,
+    vacuum and eviction drop the whole entry, so a cached slot with open
+    transaction time is live *now*; and live versions are valid-time
+    disjoint, so at most one contains the instant.
 
-    Each stored, decoded or live version is charged its *encoded
-    payload size* plus a fixed overhead — the encoded size is a
-    faithful, already-known proxy for the decoded footprint (a partial
-    decode is charged the full-payload size, a deliberate
-    overestimate).  A live set is charged one more overhead for itself,
-    and an entry created to hold a type name alone one overhead.
-    A decoded version or live set larger than the whole budget, and a
-    history that cannot fit together with its decodes, are never
-    cached; such a history is served straight from the store every
-    time.  Occupancy is the ``engine.decode_cache.bytes`` gauge.
+    Each slot is charged once, its *encoded payload size* plus a fixed
+    overhead, whatever decodes it holds — the encoded size is a
+    faithful, already-known proxy for the decoded footprint — and each
+    entry one overhead for itself.  An entry never grows past the whole
+    budget: a fill that would take it there is served uncached (a
+    history too large for the budget is read from the store every
+    time).  Occupancy is the ``engine.decode_cache.bytes`` gauge.
 
     Invalidation has one rule.  A sequence number is stable for the
     lifetime of an atom but its *content* changes under
     ``replace_version``/``restamp``/``pop_version``, so:
 
-    * a forward mutation (:meth:`mutated`) drops the history and the
-      decodes and keeps the type name — atoms never change type while
-      they exist — and installs the live set repaired from its plan,
-      claimed (:meth:`take_live`) before the store is touched, so an
-      exception leaves none behind;
+    * a forward mutation claims the entry (:meth:`invalidate_atom`)
+      before the store is touched, so an exception leaves none behind,
+      and installs (:meth:`fill`) the type name and the live slots it
+      repaired from its plan — atoms never change type while they
+      exist;
     * undo, vacuum, eviction and ``clear`` drop the whole entry.  Only
       an undone insert removes an atom, and undo drops its entry.
+
+    A slot never changes except its decodes, which racing readers may
+    each set to an equal version (one attribute or dict store, atomic
+    under the GIL), so readers decode outside the lock.
 
     Thread-safe: concurrent queries hit it under the shared-read latch.
     """
@@ -259,8 +272,6 @@ class DecodedVersionCache:
         self._lock = threading.Lock()
         self._atoms: "OrderedDict[int, _AtomEntry]" = OrderedDict()
         self._bytes = 0
-        self._c_hits = metrics.counter("engine.decode_cache.hits")
-        self._c_misses = metrics.counter("engine.decode_cache.misses")
         self._c_history_hits = metrics.counter("engine.history_cache.hits")
         self._c_history_misses = metrics.counter(
             "engine.history_cache.misses")
@@ -278,172 +289,101 @@ class DecodedVersionCache:
         with self._lock:
             return self._bytes
 
-    def get(self, atom_id: int, seq: int,
-            cols: Any = None) -> Optional[Tuple[str, Version]]:
-        with self._lock:
-            entry = self._atoms.get(atom_id)
-            found = None if entry is None else entry.decoded.get((seq, cols))
-            if found is None:
-                self._c_misses.inc()
-                return None
-            self._atoms.move_to_end(atom_id)
-            self._c_hits.inc()
-            return found[0], found[1]
-
-    def put(self, atom_id: int, seq: int, type_name: str,
-            version: Version, nbytes: int = 0, cols: Any = None) -> None:
-        """Cache a decode; a full one of a live version (open
-        transaction time) also joins the entry's valid-time index."""
-        cost = nbytes + DECODE_CACHE_ENTRY_OVERHEAD
-        if cost > self._capacity_bytes:
-            return  # an oversized entry would thrash the whole cache
-        with self._lock:
-            entry = self._entry(atom_id)
-            existing = entry.decoded.get((seq, cols))
-            if existing is not None:
-                self._charge(entry, -existing[2])
-            entry.decoded[(seq, cols)] = (type_name, version, cost)
-            entry.type_name = type_name
-            if cols is None and version.live:
-                entry.index_live(version)
-            self._charge(entry, cost)
-            self._evict()
-
-    def live_at_many(self, requests: List[PointRequest]
-                     ) -> Dict[PointRequest, Version]:
-        """The live version each current-knowledge request among
-        *requests* asks for, where the atom's entry holds it as a full
-        decode or in the live set; each counts a decode hit.  One bisect
-        per request."""
-        found: Dict[PointRequest, Version] = {}
+    def select(self, requests: List[PointRequest]
+               ) -> Tuple[Dict[PointRequest, Optional[Tuple[int, _Slot]]],
+                          List[PointRequest]]:
+        """The point requests the entries answer, each with its selected
+        ``(seq, slot)`` or ``None`` for no state, and the rest."""
+        answered: Dict[PointRequest, Optional[Tuple[int, _Slot]]] = {}
+        rest: List[PointRequest] = []
         with self._lock:
             atoms = self._atoms
             for request in requests:
                 atom_id, at, tt = request
                 entry = atoms.get(atom_id)
-                if entry is None or tt is not None:
+                if entry is None:
+                    rest.append(request)
                     continue
-                version = entry.live_at(at)
-                if version is not None:
-                    atoms.move_to_end(atom_id)
-                    found[request] = version
-            if found:
-                self._c_hits.inc(len(found))
-        return found
+                if tt is None:
+                    seq = entry.live_at(at)
+                    if seq is None and not entry.live_known:
+                        rest.append(request)
+                        continue
+                elif entry.whole:
+                    seq = entry.select_newest_first(at, tt)
+                else:
+                    rest.append(request)
+                    continue
+                atoms.move_to_end(atom_id)
+                answered[request] = (None if seq is None
+                                     else (seq, entry.slots[seq]))
+        return answered, rest
 
-    def histories(self, atom_ids: List[int]) -> Dict[int, StoredHistory]:
-        """The cached stored histories among *atom_ids*; an atom without
-        one counts a history miss."""
-        found: Dict[int, StoredHistory] = {}
+    def histories(self, atom_ids: List[int]) -> Dict[int, List[_Slot]]:
+        """The slots, in seq order, of the whole entries among
+        *atom_ids*; an atom without one counts a history miss."""
+        found: Dict[int, List[_Slot]] = {}
         with self._lock:
             atoms = self._atoms
             for atom_id in atom_ids:
                 entry = atoms.get(atom_id)
-                if entry is not None and entry.history is not None:
+                if entry is not None and entry.whole:
                     atoms.move_to_end(atom_id)
-                    found[atom_id] = entry.history
+                    found[atom_id] = list(entry.slots.values())
             if found:
                 self._c_history_hits.inc(len(found))
             if len(found) < len(atom_ids):
                 self._c_history_misses.inc(len(atom_ids) - len(found))
         return found
 
-    def put_history(self, atom_id: int, history: StoredHistory,
-                    type_name: Optional[str] = None) -> None:
-        """Cache *history* (of an atom of *type_name*), unless it is
-        oversized: a history that cannot fit in the budget together with
-        its decodes (charged the same again) is left uncached and served
-        from the store every time, rather than evicting itself while it
-        is decoded.
-
-        Its full decode (``history.versions``) is charged nothing extra:
-        those are the atom's decoded entries, already charged, and they
-        leave the cache together with the history.
-        """
-        cost = (sum(len(sv.payload) for sv in history.stored)
-                + DECODE_CACHE_ENTRY_OVERHEAD * len(history.stored))
-        if 2 * cost > self._capacity_bytes:
-            return
+    def live_slots(self, atom_id: int) -> Optional[Dict[int, _Slot]]:
+        """The live slots of a ``live_known`` entry by seq, else None."""
         with self._lock:
-            entry = self._entry(atom_id)
-            if entry.history is not None:
-                return  # a concurrent reader filled it first
-            entry.history = history
-            entry.type_name = type_name or entry.type_name
-            self._charge(entry, cost)
-            self._evict()
+            entry = self._atoms.get(atom_id)
+            if entry is None or not entry.live_known:
+                return None
+            self._atoms.move_to_end(atom_id)
+            return {seq: slot for seq, slot in entry.slots.items()
+                    if slot.stored.tt_end == FOREVER}
 
-    def note_decoded_hits(self, count: int) -> None:
-        """Count versions served from a history's full decode."""
-        self._c_hits.inc(count)
-
-    def known(self, atom_id: int
-              ) -> Tuple[Optional[str], Optional[LiveSet]]:
-        """The atom's type name and live set, each ``None`` when the
-        entry does not hold it."""
+    def type_name(self, atom_id: int) -> Optional[str]:
         with self._lock:
             entry = self._atoms.get(atom_id)
             if entry is None:
-                return None, None
+                return None
             self._atoms.move_to_end(atom_id)
-            return entry.type_name, entry.live
+            return entry.type_name
 
-    def remember(self, atom_id: int, type_name: Optional[str],
-                 live: Optional[LiveSet] = None) -> None:
-        """Record the atom's type name and, from a planning read, its
-        live set."""
-        with self._lock:
-            self._remember(atom_id, type_name, live)
-
-    def take_live(self, atom_id: int) -> Optional[LiveSet]:
-        """Claim the atom's live set for a mutation: it leaves the entry
-        (and the budget) until :meth:`mutated` installs the repair."""
+    def fill(self, atom_id: int, type_name: Optional[str],
+             slots: Iterable[Tuple[int, _Slot]],
+             whole: bool = False, live: bool = False) -> Dict[int, _Slot]:
+        """Give the atom's entry (created if absent) its type name and
+        each ``(seq, slot)`` whose seq it lacks, keeping the slots it
+        has, and mark it ``whole`` (every stored version given) or
+        ``live_known`` (every live one).  Returns the entry's slots for
+        the given seqs, in the order given.  When the entry would
+        outgrow the budget, nothing changes: the given slots come back
+        uncached."""
+        pairs = list(slots)
         with self._lock:
             entry = self._atoms.get(atom_id)
-            if entry is None or entry.live is None:
-                return None
-            live, entry.live = entry.live, None
-            self._charge(entry, -_live_cost(live))
-            self._g_bytes.set(self._bytes)
-            return live
-
-    def mutated(self, atom_id: int, live: Optional[LiveSet]) -> None:
-        """A forward mutation rewrote the atom: its entry keeps only the
-        type name and *live*, the claimed live set repaired from the
-        plan (``None`` when there was none)."""
-        with self._lock:
-            self._c_invalidations.inc()
-            old = self._pop(atom_id)
-            self._remember(atom_id, None if old is None else old.type_name,
-                           live)
-
-    def _remember(self, atom_id: int, type_name: Optional[str],
-                  live: Optional[LiveSet]) -> None:
-        """Caller holds ``_lock``.  An entry created to hold a type name
-        alone is charged one overhead."""
-        if live is not None and _live_cost(live) > self._capacity_bytes:
-            live = None
-        if type_name is not None or live is not None:
-            created = atom_id not in self._atoms
+            held = {} if entry is None else entry.slots
+            cost = sum(_slot_cost(slot.stored) for seq, slot in pairs
+                       if seq not in held)
+            if (DECODE_CACHE_ENTRY_OVERHEAD if entry is None
+                    else entry.cost) + cost > self._capacity_bytes:
+                return {seq: held.get(seq) or slot for seq, slot in pairs}
             entry = self._entry(atom_id)
             entry.type_name = type_name or entry.type_name
-            if live is not None:
-                if entry.live is not None:
-                    self._charge(entry, -_live_cost(entry.live))
-                entry.live = live
-                self._charge(entry, _live_cost(live))
-                for version, _ in live.values():
-                    entry.index_live(version)
-            elif created:
-                self._charge(entry, DECODE_CACHE_ENTRY_OVERHEAD)
-        self._evict()
-
-    def _pop(self, atom_id: int) -> Optional[_AtomEntry]:
-        """Drop the atom's entry and its bytes.  Caller holds ``_lock``."""
-        entry = self._atoms.pop(atom_id, None)
-        if entry is not None:
-            self._bytes -= entry.cost
-        return entry
+            found = {seq: held.get(seq) or entry.add(seq, slot)
+                     for seq, slot in pairs}
+            self._bytes += cost
+            if whole:
+                entry.slots = found  # in seq order from now on
+                entry.whole = True
+            entry.live_known = entry.live_known or live or whole
+            self._evict()
+        return found
 
     def _entry(self, atom_id: int) -> _AtomEntry:
         """The atom's entry, created if absent, as most recently used.
@@ -451,13 +391,10 @@ class DecodedVersionCache:
         entry = self._atoms.get(atom_id)
         if entry is None:
             entry = self._atoms[atom_id] = _AtomEntry()
+            self._bytes += entry.cost
         else:
             self._atoms.move_to_end(atom_id)
         return entry
-
-    def _charge(self, entry: _AtomEntry, cost: int) -> None:
-        entry.cost += cost
-        self._bytes += cost
 
     def _evict(self) -> None:
         """Drop least recently used atoms until the budget holds.
@@ -468,11 +405,17 @@ class DecodedVersionCache:
             self._c_evictions.inc()
         self._g_bytes.set(self._bytes)
 
-    def invalidate_atom(self, atom_id: int) -> None:
+    def invalidate_atom(self, atom_id: int) -> Optional[_AtomEntry]:
+        """Drop the atom's entry and return it: a mutation claims it so,
+        before the store is touched, and :meth:`fill` installs the
+        repair."""
         with self._lock:
             self._c_invalidations.inc()
-            self._pop(atom_id)
+            entry = self._atoms.pop(atom_id, None)
+            if entry is not None:
+                self._bytes -= entry.cost
             self._g_bytes.set(self._bytes)
+            return entry
 
     def clear(self) -> None:
         with self._lock:
@@ -481,9 +424,9 @@ class DecodedVersionCache:
             self._g_bytes.set(0)
 
     def __len__(self) -> int:
-        """Number of decoded versions held (histories not counted)."""
+        """Number of slots held."""
         with self._lock:
-            return sum(len(entry.decoded) for entry in self._atoms.values())
+            return sum(len(entry.slots) for entry in self._atoms.values())
 
 
 class StorageEngine:
@@ -507,6 +450,9 @@ class StorageEngine:
             "engine.pushdown.skipped")
         self._decode_cache = DecodedVersionCache(decode_cache_bytes,
                                                  self.metrics)
+        self._c_decode_hits = self.metrics.counter("engine.decode_cache.hits")
+        self._c_decode_misses = self.metrics.counter(
+            "engine.decode_cache.misses")
         self._c_live_hits = self.metrics.counter("engine.live_set.hits")
         self._c_live_misses = self.metrics.counter("engine.live_set.misses")
         # Monotone replay watermark: recovery/replication skip logged
@@ -533,73 +479,83 @@ class StorageEngine:
             raise UnknownTypeError(
                 f"stored record carries unknown type id {type_id}") from None
 
+    @staticmethod
+    def _body(stored: StoredVersion) -> StoredVersion:
+        """*stored* without its type prefix, as the codec reads it."""
+        return StoredVersion(stored.vt_start, stored.vt_end, stored.tt_start,
+                             stored.tt_end, stored.payload[_TYPE_PREFIX.size:])
+
     def _decode(self, stored: StoredVersion) -> Tuple[str, Version]:
         type_name = self._stored_type_name(stored.payload)
-        body = StoredVersion(stored.vt_start, stored.vt_end, stored.tt_start,
-                             stored.tt_end, stored.payload[_TYPE_PREFIX.size:])
-        return type_name, self.codec.decode(type_name, body)
+        return type_name, self.codec.decode(type_name, self._body(stored))
 
     # ------------------------------------------------------------------
     # VersionReader protocol (used by the molecule builder)
     # ------------------------------------------------------------------
 
-    def _decode_cached(self, atom_id: int, seq: int,
-                       stored: StoredVersion,
-                       projection: Optional[Dict[str, Tuple[Any,
-                                                            Tuple[str, ...],
-                                                            bool]]] = None
-                       ) -> Tuple[str, Version]:
-        """Decode *stored* through the decoded-version cache.
+    def _decodes(self, slots: List[_Slot],
+                 projection: Optional[Dict[str, Tuple[Any,
+                                                      Tuple[str, ...],
+                                                      bool]]] = None
+                 ) -> List[Version]:
+        """The decode of each of *slots*, made once and kept on the slot.
 
-        With a *projection* (type name -> (cache cols key, attribute
-        tuple, need-refs flag), from :meth:`compile_pushdown`), types
-        named in the map are decoded partially and cached under their
-        projection key; types absent from it decode fully, under the
-        full key, exactly as without a projection.
+        With a *projection* (type name -> (cols key, attribute tuple,
+        need-refs flag), from :meth:`compile_pushdown`), types named in
+        the map are decoded partially and kept under their cols key;
+        types absent from it decode fully, exactly as without one.
         """
-        entry = None
-        cols: Any = None
-        type_name: Optional[str] = None
-        if projection is not None:
-            (type_id,) = _TYPE_PREFIX.unpack_from(stored.payload, 0)
-            type_name = self._type_by_id.get(type_id)
-            if type_name is not None:
-                entry = projection.get(type_name)
-                if entry is not None:
-                    cols = entry[0]
-        cached = self._decode_cache.get(atom_id, seq, cols)
-        if cached is not None:
-            return cached
-        if entry is None:
-            type_name, version = self._decode(stored)
-        else:
-            body = StoredVersion(stored.vt_start, stored.vt_end,
-                                 stored.tt_start, stored.tt_end,
-                                 stored.payload[_TYPE_PREFIX.size:])
-            version = self.codec.decode_partial(type_name, body,
-                                                entry[1], entry[2])
-        self._decode_cache.put(atom_id, seq, type_name, version,
-                               nbytes=len(stored.payload), cols=cols)
-        return type_name, version
+        versions: List[Version] = []
+        append = versions.append
+        misses = 0
+        for slot in slots:
+            version = slot.version
+            if projection is not None:
+                (type_id,) = _TYPE_PREFIX.unpack_from(slot.stored.payload, 0)
+                type_name = self._type_by_id.get(type_id)
+                wanted = None if type_name is None else projection.get(
+                    type_name)
+                if wanted is not None:
+                    projected = slot.projected
+                    if projected is None:
+                        projected = slot.projected = {}
+                    version = projected.get(wanted[0])
+                    if version is None:
+                        version = projected[wanted[0]] = (
+                            self.codec.decode_partial(
+                                type_name, self._body(slot.stored),
+                                wanted[1], wanted[2]))
+                        misses += 1
+                    append(version)
+                    continue
+            if version is None:
+                version = slot.version = self._decode(slot.stored)[1]
+                misses += 1
+            append(version)
+        if misses:
+            self._c_decode_misses.inc(misses)
+        if misses < len(versions):
+            self._c_decode_hits.inc(len(versions) - misses)
+        return versions
 
     def invalidate_atom_caches(self, atom_id: int) -> None:
-        """Forget everything cached about *atom_id*: its history,
-        decodes, live set and type name.
+        """Forget everything cached about *atom_id*: its slots, decodes
+        and type name.
 
         Called by undo and by maintenance tools that rewrite the store
         directly (vacuum); a forward mutation keeps the type name and
-        repairs the live set instead (:meth:`DecodedVersionCache.mutated`).
+        repairs the live slots instead (:meth:`_apply_plan`).
         """
         self._decode_cache.invalidate_atom(atom_id)
 
     def atom_type_name(self, atom_id: int) -> str:
-        type_name, _ = self._decode_cache.known(atom_id)
+        type_name = self._decode_cache.type_name(atom_id)
         if type_name is None:
             # Unknown atoms raise here: only atoms the store holds ever
             # get an entry with a type name.
             _, stored = self.store.read_current(atom_id)
             type_name = self._stored_type_name(stored.payload)
-            self._decode_cache.remember(atom_id, type_name)
+            self._decode_cache.fill(atom_id, type_name, ())
         return type_name
 
     def version_at(self, atom_id: int, at: Timestamp,
@@ -631,64 +587,70 @@ class StorageEngine:
         valid at *at* as believed at *tt* (``None`` = now): one result
         per request, ``None`` for unknown atoms and for no state.
 
-        Each answer is *selected* before anything is decoded.  A
-        current-knowledge request without pushdown whose atom's cache
-        entry holds the live version valid at *at* (a full decode with
-        open transaction time, or a member of the live set) is answered
-        by one bisect of the entry's valid-time index.  Every other
-        request takes the store's newest-first walk: on the cached
-        envelopes when the atom's history is cached, otherwise through
-        one batched ``store.read_at_many``, which reads only as far back
-        as each answer and fills no history.  A version is believed now
-        when it is live, and at *tt* when its envelope's transaction
-        time contains *tt*.  The first hit is the only one: versions
-        believed at one transaction time are valid-time disjoint (the
-        invariant :func:`~repro.core.history.check_history` checks), so
-        the answer equals :func:`repro.core.history.version_at` over the
-        full decode.
+        Each answer is *selected* before anything is decoded, in one
+        place: the atom's cache entry answers what it can
+        (:meth:`DecodedVersionCache.select` — a current request from its
+        live slots, any request from its slots when it holds the whole
+        history), and the rest take one batched ``store.read_at_many``,
+        which reads only as far back as each answer and leaves the one
+        slot it selected.  A version is believed now when it is live,
+        and at *tt* when its envelope's transaction time contains *tt*.
+        The first hit newest-first is the only one: versions believed at
+        one transaction time are valid-time disjoint (the invariant
+        :func:`~repro.core.history.check_history` checks), so the answer
+        equals :func:`repro.core.history.version_at` over the full
+        decode.
 
         *pred* / *projection* come from :meth:`compile_pushdown`: the
-        predicate is evaluated on each selected raw payload, so a
-        request whose version fails it comes back ``None`` without being
-        decoded (counted on ``engine.pushdown.skipped``); the projection
-        makes the survivors decode only the attributes the query reads.
+        predicate is evaluated on each selected payload, cached or read,
+        so a request whose version fails it comes back ``None`` without
+        being decoded (counted on ``engine.pushdown.skipped``); the
+        projection makes the survivors decode only the attributes the
+        query reads.
         """
         pending = list(dict.fromkeys(requests))
         if not pending:
             return {}
         self._c_version_reads.inc(len({request[0] for request in pending}))
+        selected, rest = self._decode_cache.select(pending)
+        if rest:
+            selected.update(self._leave_slots(self.store.read_at_many(rest)))
         result: Dict[PointRequest, Optional[Version]] = {}
-        if pred is None and projection is None:
-            result.update(self._decode_cache.live_at_many(pending))
-            if result:
-                pending = [request for request in pending
-                           if request not in result]
-        scanned = len(result)
-        if pending:
-            hits, by_atom = group_requests(pending)
-            cached = self._decode_cache.histories(list(by_atom))
-            for atom_id, history in cached.items():
-                select_newest_first(by_atom[atom_id], history.stored, hits)
-            if len(cached) < len(by_atom):
-                hits.update(self.store.read_at_many(
-                    [request for request in pending
-                     if request[0] not in cached]))
-            skipped = 0
-            for request, hit in hits.items():
-                if hit is not None and pred is not None and not pred(
-                        hit[1].payload):
-                    skipped += 1
-                    hit = None
-                if hit is None:
-                    result[request] = None
-                else:
-                    result[request] = self._decode_cached(
-                        request[0], *hit, projection)[1]
-                    scanned += 1
-            if skipped:
-                self._c_pushdown_skipped.inc(skipped)
-        self._c_versions_scanned.inc(scanned)
+        survivors: List[PointRequest] = []
+        slots: List[_Slot] = []
+        skipped = 0
+        for request, hit in selected.items():
+            if hit is not None and pred is not None and not pred(
+                    hit[1].stored.payload):
+                skipped += 1
+                hit = None
+            if hit is None:
+                result[request] = None
+            else:
+                survivors.append(request)
+                slots.append(hit[1])
+        result.update(zip(survivors, self._decodes(slots, projection)))
+        if skipped:
+            self._c_pushdown_skipped.inc(skipped)
+        self._c_versions_scanned.inc(len(slots))
         return result
+
+    def _leave_slots(self, hits: Dict[PointRequest, PointHit]
+                     ) -> Dict[PointRequest, Optional[Tuple[int, _Slot]]]:
+        """Store point-read *hits* with their slots: each selected
+        version leaves one in its atom's entry."""
+        by_atom: Dict[int, Dict[int, StoredVersion]] = {}
+        for request, hit in hits.items():
+            if hit is not None:
+                by_atom.setdefault(request[0], {})[hit[0]] = hit[1]
+        slots = {atom_id: self._decode_cache.fill(
+                     atom_id, self._stored_type_name(
+                         next(iter(stored.values())).payload),
+                     [(seq, _Slot(sv)) for seq, sv in stored.items()])
+                 for atom_id, stored in by_atom.items()}
+        return {request: None if hit is None
+                else (hit[0], slots[request[0]][hit[0]])
+                for request, hit in hits.items()}
 
     def all_versions(self, atom_id: int) -> List[Version]:
         """The atom's full recorded history, in sequence order."""
@@ -700,49 +662,46 @@ class StorageEngine:
     def live_pairs(self, atom_id: int) -> List[Tuple[int, Version]]:
         """The atom's live versions as (seq, version), in seq order.
 
-        Served from the atom's cache entry when warm; one store
-        ``read_live`` otherwise (raising :class:`UnknownAtomError` for
-        an unknown atom).  This is the planning read for every mutation
-        — closed versions are immutable, so revision never needs them —
-        and each mutation repairs the cached set from its plan, so update
-        cost stays O(live) however long the closed history grows.  Its
-        decodes also name the atom's type, so mutations call it before
-        :meth:`atom_type_name` and a cold atom's type costs no extra read.
-        A cold read takes decodes the cache already holds but does not
-        put its own: the mutation that follows would drop them at once.
+        Served from the atom's live slots when its entry knows them all;
+        one store ``read_live`` otherwise (raising
+        :class:`UnknownAtomError` for an unknown atom), whose versions
+        join the entry as its live slots.  This is the planning read for
+        every mutation — closed versions are immutable, so revision never
+        needs them — and each mutation repairs the live slots from its
+        plan, so update cost stays O(live) however long the closed
+        history grows.  Its decodes also name the atom's type, so
+        mutations call it before :meth:`atom_type_name` and a cold atom's
+        type costs no extra read.
         """
-        _, live = self._decode_cache.known(atom_id)
+        live = self._decode_cache.live_slots(atom_id)
         if live is not None:
             self._c_live_hits.inc()
         else:
             stored = self.store.read_live(atom_id)
             self._c_live_misses.inc()
-            live = {}
-            type_name: Optional[str] = None
-            for seq, sv in stored:
-                cached = self._decode_cache.get(atom_id, seq)
-                type_name, version = (self._decode(sv) if cached is None
-                                      else cached)
-                live[seq] = (version,
-                             len(sv.payload) + DECODE_CACHE_ENTRY_OVERHEAD)
-            self._c_versions_scanned.inc(len(live))
-            self._decode_cache.remember(atom_id, type_name, live)
-        return sorted((seq, version) for seq, (version, _) in live.items())
+            self._c_versions_scanned.inc(len(stored))
+            live = self._decode_cache.fill(
+                atom_id,
+                self._stored_type_name(stored[0][1].payload) if stored
+                else None,
+                [(seq, _Slot(sv)) for seq, sv in stored], live=True)
+        seqs = sorted(live)
+        return list(zip(seqs, self._decodes([live[seq] for seq in seqs])))
 
-    def _stored_histories(self, ids: List[int]) -> Dict[int, StoredHistory]:
-        """The full stored histories of the known atoms among *ids*, in
-        input order: cached entries as they are, the rest through one
-        batched store read whose results fill their entries.  Unknown
-        atoms are omitted."""
+    def _stored_histories(self, ids: List[int]) -> Dict[int, List[_Slot]]:
+        """The slots of the full stored histories of the known atoms
+        among *ids*, in input order: whole entries as they are, the rest
+        through one batched store read whose results fill their entries.
+        Unknown atoms are omitted."""
         found = self._decode_cache.histories(ids)
         if len(found) == len(ids):
             return found
         misses = [atom_id for atom_id in ids if atom_id not in found]
         for atom_id, stored in self.store.read_all_many(misses).items():
-            history = StoredHistory(stored)
-            self._decode_cache.put_history(
-                atom_id, history, self._stored_type_name(stored[0].payload))
-            found[atom_id] = history
+            found[atom_id] = list(self._decode_cache.fill(
+                atom_id, self._stored_type_name(stored[0].payload),
+                [(seq, _Slot(sv)) for seq, sv in enumerate(stored)],
+                whole=True).values())
         return {atom_id: found[atom_id] for atom_id in ids
                 if atom_id in found}
 
@@ -751,22 +710,14 @@ class StorageEngine:
         """Batched :meth:`all_versions`; unknown atoms are *omitted*
         rather than raising, so callers can detect and handle them.
 
-        Cached histories are served without touching the store; the
+        Whole cache entries are served without touching the store; the
         rest are read in one batch and cached for the next caller.
         """
         result: Dict[int, List[Version]] = {}
         histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
-        for atom_id, history in histories.items():
-            versions = history.versions
-            if versions is None:
-                # Racing readers may both decode; either tuple is right.
-                versions = history.versions = tuple(
-                    self._decode_cached(atom_id, seq, sv)[1]
-                    for seq, sv in enumerate(history.stored))
-            else:
-                self._decode_cache.note_decoded_hits(len(versions))
-            result[atom_id] = list(versions)
-            self._c_versions_scanned.inc(len(versions))
+        for atom_id, slots in histories.items():
+            result[atom_id] = self._decodes(slots)
+            self._c_versions_scanned.inc(len(slots))
         return result
 
     def versions_during_many(self, atom_ids: Iterable[int],
@@ -778,37 +729,22 @@ class StorageEngine:
         atoms are omitted.
 
         The interval read of ``VALID HISTORY`` / ``VALID DURING``: the
-        stored histories come from the history cache or one batched
-        ``read_all_many`` (which fills it), the versions are *selected*
-        on their envelopes and only those are decoded (through the
-        decode cache), or taken from the history's full decode when it
-        is cached.
+        slots come from whole cache entries or one batched
+        ``read_all_many`` (which fills them), the versions are *selected*
+        on their envelopes, and only those are decoded.
         """
         result: Dict[int, List[Version]] = {}
         histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
-        for atom_id, history in histories.items():
-            picked = self._during(atom_id, history, window, tt)
+        for atom_id, slots in histories.items():
+            picked = self._decodes([
+                slot for slot in slots
+                if slot.stored.vt_start < window.end
+                and window.start < slot.stored.vt_end
+                and believed(slot.stored.tt_start, slot.stored.tt_end, tt)])
+            picked.sort(key=lambda version: version.vt.start)
             result[atom_id] = picked
             self._c_versions_scanned.inc(len(picked))
         return result
-
-    def _during(self, atom_id: int, history: StoredHistory,
-                window: Interval, tt: Optional[Timestamp]) -> List[Version]:
-        """One atom's :meth:`versions_during_many` answer."""
-        seqs = [seq for seq, stored in enumerate(history.stored)
-                if stored.vt_start < window.end
-                and window.start < stored.vt_end
-                and believed(stored.tt_start, stored.tt_end, tt)]
-        versions = history.versions
-        if versions is not None:
-            picked = [versions[seq] for seq in seqs]
-            self._decode_cache.note_decoded_hits(len(picked))
-        else:
-            picked = [self._decode_cached(atom_id, seq,
-                                          history.stored[seq])[1]
-                      for seq in seqs]
-        picked.sort(key=lambda version: version.vt.start)
-        return picked
 
     def atom_exists(self, atom_id: int) -> bool:
         return self.store.exists(atom_id)
@@ -822,8 +758,8 @@ class StorageEngine:
         return hist.lifespan(self.all_versions(atom_id), tt)
 
     def drop_caches(self) -> None:
-        """Forget every cached history, decoded version, live set and
-        type name, so the next read of anything goes to the store.
+        """Forget every cached slot, decode and type name, so the next
+        read of anything goes to the store.
 
         The cold state the paper experiments measure; caches refill on
         use.  Call it with no reader or mutation in flight.
@@ -936,9 +872,9 @@ class StorageEngine:
         the unpruned path surfaces them as :class:`UnknownAtomError`
         during the history sweep, and pruning must not mask that.
 
-        The histories are read through the history cache (and fill it),
-        so the sweep that follows for the surviving roots reads none of
-        them again.  Each history is judged newest-first and only until
+        The histories are read through the cache (and fill it), so the
+        sweep that follows for the surviving roots reads none of them
+        again.  Each history is judged newest-first and only until
         a version passes, so ``engine.pushdown.skipped`` counts the
         failures actually evaluated: all of a pruned root's versions,
         and for a kept root those newer than its newest passing one.
@@ -948,12 +884,12 @@ class StorageEngine:
         kept: List[int] = []
         skipped = 0
         for atom_id in ids:
-            history = histories.get(atom_id)
-            if history is None:
+            slots = histories.get(atom_id)
+            if slots is None:
                 kept.append(atom_id)
                 continue
-            for stored_version in reversed(history.stored):
-                if pred(stored_version.payload):
+            for slot in reversed(slots):
+                if pred(slot.stored.payload):
                     kept.append(atom_id)
                     break
                 skipped += 1
@@ -978,19 +914,20 @@ class StorageEngine:
                     undos: List[UndoAction]) -> None:
         self._c_mutations.inc()
         store = self.store
-        # Claimed (not read) until the plan lands: any exception leaves
-        # the entry without a live set and the next touch rebuilds it
-        # from the store.  The plan says exactly how the live set
-        # changes: a closed version (closures, stillborn rewrites)
-        # leaves it, a live rewrite or append joins it at its seq.
-        live = self._decode_cache.take_live(atom_id)
+        # The entry is claimed until the plan lands: any exception leaves
+        # none and the next touch rebuilds it from the store.  The plan
+        # says exactly how the live slots change: a closed version
+        # (closures, stillborn rewrites) leaves them, a live rewrite or
+        # append joins them at its seq with the record just encoded, and
+        # the untouched ones stay as they are.
+        claimed = self._decode_cache.invalidate_atom(atom_id)
+        live = {} if claimed is None else {
+            seq: slot for seq, slot in claimed.slots.items()
+            if slot.stored.tt_end == FOREVER}
 
         def repair(seq: int, version: Version, stored: StoredVersion) -> None:
-            if live is None:
-                return
             if version.live:
-                live[seq] = (version, len(stored.payload)
-                             + DECODE_CACHE_ENTRY_OVERHEAD)
+                live[seq] = _Slot(stored, version)
             else:
                 live.pop(seq, None)
 
@@ -1002,8 +939,7 @@ class StorageEngine:
             undos.append(self._undo_invalidating(atom_id, partial(
                 store.restamp, atom_id, seq,
                 (vt.start, vt.end, tt.start, FOREVER))))
-            if live is not None:
-                live.pop(seq, None)
+            live.pop(seq, None)
         if plan.rewrites:
             originals = store.read_versions(
                 atom_id, [seq for seq, _ in plan.rewrites])
@@ -1033,7 +969,9 @@ class StorageEngine:
             self.indexes.register_atom(type_id, atom_id)
             undos.append(lambda: self.indexes.unregister_atom(type_id,
                                                               atom_id))
-        self._decode_cache.mutated(atom_id, live)
+        if claimed is not None:
+            self._decode_cache.fill(atom_id, type_name, sorted(live.items()),
+                                    live=claimed.live_known)
 
     def _index_version(self, type_name: str, atom_id: int,
                        version: Version) -> None:
@@ -1311,6 +1249,13 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Index-assisted candidate selection (used by the planner)
     # ------------------------------------------------------------------
+
+    def has_attribute_index(self, type_name: str,
+                            attribute_name: str) -> bool:
+        """Whether the catalog holds an index on ``type.attr``: what the
+        planner asks, without probing it."""
+        return self.indexes.has_index(attribute_index_name(type_name,
+                                                           attribute_name))
 
     def candidates_for_equality(self, type_name: str, attribute_name: str,
                                 value: Any) -> Optional[List[int]]:

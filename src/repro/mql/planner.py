@@ -6,7 +6,8 @@ itself is fixed by the molecule type) is *root selection*:
 * ``IndexLookup`` — a top-level conjunctive equality predicate on a root
   attribute with an existing attribute index supplies candidate atoms
   (which the evaluator still rechecks, since the index covers values of
-  every version ever written).
+  every version ever written).  The planner asks the catalog whether
+  the index exists; the evaluator probes it once, when it runs.
 * ``TypeScan`` — otherwise, enumerate all atoms of the root type.
 
 This is exactly the choice experiment R-T4 measures.
@@ -157,7 +158,7 @@ class CompiledQuery:
     the re-analyze walk.  A binding with a new signature takes the full
     path once and caches its outcome.
 
-    Root-access planning always reruns (it consults live index state),
+    Root-access planning always reruns (it consults the index catalog),
     so a cached entry can never go stale across DDL — the cache is still
     cleared on DDL as a matter of hygiene.
     """
@@ -387,9 +388,7 @@ def plan(analyzed: AnalyzedQuery, engine: StorageEngine) -> QueryPlan:
             continue
         if comparison.literal.value is None:
             continue
-        candidates = engine.candidates_for_equality(
-            root, comparison.path.attribute, comparison.literal.value)
-        if candidates is not None:
+        if engine.has_attribute_index(root, comparison.path.attribute):
             return QueryPlan(analyzed, IndexLookup(
                 root, comparison.path.attribute, comparison.literal.value),
                 pushdown)

@@ -182,23 +182,6 @@ def _settle(pending: List[PointRequest], stamp: Stamp
                       if request not in answered]
 
 
-def select_newest_first(pending: List[PointRequest],
-                        versions: Tuple[StoredVersion, ...],
-                        result: Dict[PointRequest, PointHit]) -> None:
-    """Answer *pending*, requests on one atom, from *versions*, its
-    whole history in seq order: :func:`_settle`'s selection, over
-    versions already in memory.  With no record to share, each request
-    walks on its own."""
-    for request in pending:
-        _, at, tt = request
-        for seq in range(len(versions) - 1, -1, -1):
-            sv = versions[seq]
-            if sv.vt_start <= at < sv.vt_end and believed(
-                    sv.tt_start, sv.tt_end, tt):
-                result[request] = (seq, sv)
-                break
-
-
 class VersionStore:
     """Contract every strategy fulfils.
 

@@ -19,7 +19,9 @@ The atom directory has no invariant of its own to check (an entry sits
 at the slot its id names); it is exercised by walking it: every atom it
 lists must have a readable type and history (check 1).
 
-The verifier is read-only and runs over a quiescent database.
+The verifier is read-only and runs over a quiescent database.  It
+drops the engine's caches first, so it checks what is stored, not what
+an earlier read cached.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def verify_database(db: TemporalDatabase) -> VerificationReport:
     data problems — structural corruption in an index still raises)."""
     report = VerificationReport()
     engine = db.engine
+    engine.drop_caches()
     atoms_by_type: Dict[str, Set[int]] = {
         atom_type.name: set() for atom_type in db.schema.atom_types}
 

@@ -134,18 +134,22 @@ def check_all_cache_states(db, atoms):
     engine.drop_caches()  # cold: every answer comes from the store
     assert_same(engine.point_reads(requests), expected)
     assert not engine._decode_cache.histories(atoms)  # and caches none
-
-    engine.drop_caches()  # a cached stored history, no full decode
-    engine.versions_during_many(atoms, Interval(0, FOREVER))
-    histories = engine._decode_cache.histories(atoms)
-    assert histories and all(h.versions is None
-                             for h in histories.values())
+    # Warm on the slots the cold reads selected, never a whole history.
     assert_same(engine.point_reads(requests), expected)
 
-    engine.drop_caches()  # the full decode cached beside the history
+    engine.drop_caches()  # whole slot tables, not every slot decoded
+    engine.versions_during_many(atoms, Interval(0, FOREVER))
+    histories = engine._decode_cache.histories(atoms)
+    assert histories and any(slot.version is None
+                             for slots in histories.values()
+                             for slot in slots)
+    assert_same(engine.point_reads(requests), expected)
+
+    engine.drop_caches()  # every slot decoded
     engine.all_versions_many(atoms)
-    assert all(h.versions is not None
-               for h in engine._decode_cache.histories(atoms).values())
+    assert all(slot.version is not None
+               for slots in engine._decode_cache.histories(atoms).values()
+               for slot in slots)
     assert_same(engine.point_reads(requests), expected)
 
     # The single-instant wrapper answers the same, cold and warm.

@@ -525,46 +525,47 @@ class TestSweepDecodesOnlyWhatItKeeps:
         yield db, [part] + comps
         db.close()
 
-    def _decodes(self, db, text, monkeypatch):
+    def _decodes(self, db, text):
+        """The cold query's result and the versions it decoded per atom:
+        every decode stays on its cached slot, so the slots count them."""
         engine = db.engine
-        decoded = Counter()
-        real = engine._decode_cached
-
-        def counting(atom_id, seq, stored, projection=None):
-            decoded[atom_id] += 1
-            return real(atom_id, seq, stored, projection)
-
-        monkeypatch.setattr(engine, "_decode_cached", counting)
         engine.drop_caches()
+        misses = db.metrics.value("engine.decode_cache.misses")
         result = db.query(text)
-        monkeypatch.undo()
+        decoded = Counter()
+        for atom_id, entry in engine._decode_cache._atoms.items():
+            for slot in entry.slots.values():
+                decoded[atom_id] += slot.version is not None
+        decoded += Counter()  # drop atoms with no decode
+        assert sum(decoded.values()) == (
+            db.metrics.value("engine.decode_cache.misses") - misses)
         return result, decoded
 
-    def test_valid_history(self, deep_db, monkeypatch):
+    def test_valid_history(self, deep_db):
         db, atoms = deep_db
         assert len(db.engine.all_versions(atoms[1])) == 2 * self.CHAIN - 1
         text = "SELECT ALL FROM Part.contains.Component VALID HISTORY"
-        result, decoded = self._decodes(db, text, monkeypatch)
+        result, decoded = self._decodes(db, text)
         assert set(decoded) == set(atoms)
         assert max(decoded.values()) <= self.CHAIN
         assert len(result.entries) == self.CHAIN
 
-    def test_valid_during(self, deep_db, monkeypatch):
+    def test_valid_during(self, deep_db):
         db, atoms = deep_db
         text = ("SELECT ALL FROM Part.contains.Component "
                 "VALID DURING [20, 28)")
-        result, decoded = self._decodes(db, text, monkeypatch)
+        result, decoded = self._decodes(db, text)
         assert set(decoded) == set(atoms)
         assert max(decoded.values()) <= 10
         assert len(result.entries) == 8
 
-    def test_as_of(self, deep_db, monkeypatch):
+    def test_as_of(self, deep_db):
         # AS OF a past transaction time selects on peeked tt pairs.
         db, atoms = deep_db
         tt = db.engine.all_versions(atoms[0])[10].tt.start
         text = ("SELECT ALL FROM Part.contains.Component "
                 f"VALID DURING [0, 8) AS OF {tt}")
-        result, decoded = self._decodes(db, text, monkeypatch)
+        result, decoded = self._decodes(db, text)
         assert max(decoded.values()) <= 10
         expected = db.builder.build_history(
             atoms[0], MoleculeType.parse("Part.contains.Component",

@@ -2,7 +2,8 @@
 
 Mutation planning only ever reads transaction-time-open versions, so the
 stores expose ``read_live``/``read_versions`` and the engine's per-atom
-cache entry holds the live set, which ``_apply_plan`` repairs in place.
+cache entry holds a slot for every live version, which ``_apply_plan``
+repairs from its plan.
 These tests pin the store contracts, prove the cache never drifts from
 store truth under mixed operations (including undo and eviction), and
 guard the headline properties: update cost no longer scans the closed
@@ -106,9 +107,10 @@ class TestLiveSetCache:
         _mixed_ops_match_store(engine)
 
     def test_live_pairs_matches_store_under_eviction(self, engine):
-        # Room for about one small live set: touching a second atom
-        # between operations evicts atom 1, so planning must rebuild its
-        # live set from read_live again and again.
+        # Room for about one small entry (its overhead plus a slot per
+        # live version): touching a second atom between operations evicts
+        # atom 1, so planning must rebuild its live slots from read_live
+        # again and again.
         engine._decode_cache = DecodedVersionCache(
             4 * DECODE_CACHE_ENTRY_OVERHEAD, engine.metrics)
         engine.insert("Component", {"cname": "other"}, 0, FOREVER, 0, 2)
@@ -193,21 +195,26 @@ class TestLiveSetCache:
         assert engine.live_pairs(1) == store_live(engine, 1)
         assert engine.live_pairs(2) == store_live(engine, 2)
 
-    def test_cold_updates_put_no_decodes(self, engine, monkeypatch):
-        # The mutation drops the atom's decodes at once, so the cold
-        # planning read must not put any.
+    def test_cold_updates_keep_their_planning_slots(self, engine,
+                                                    monkeypatch):
+        # The cold planning read leaves a slot per live version and the
+        # mutation keeps them, repaired: the entry then holds exactly the
+        # live versions, and the next update plans without the store.
         for atom_id in range(1, 51):
             insert(engine, atom_id, tt=0)
         engine.drop_caches()
-        cache = engine._decode_cache
-        puts = []
-        monkeypatch.setattr(cache, "put",
-                            lambda *args, _put=cache.put, **kwargs: (
-                                puts.append(args[:2]),
-                                _put(*args, **kwargs)))
         for atom_id in range(1, 51):
             engine.update(atom_id, {"cost": 1.0}, 10, tt=1)
-        assert puts == []
+        cache = engine._decode_cache
+        for atom_id in (1, 50):
+            entry = cache._atoms[atom_id]
+            assert entry.live_known
+            assert {seq: slot.version for seq, slot in entry.slots.items()
+                    } == dict(store_live(engine, atom_id))
+        calls = self._count_probes(engine, monkeypatch)
+        for atom_id in range(1, 51):
+            engine.update(atom_id, {"cost": 2.0}, 20, tt=2)
+        assert calls == []
         monkeypatch.undo()
         for atom_id in (1, 50):
             assert engine.live_pairs(atom_id) == store_live(engine, atom_id)

@@ -289,3 +289,41 @@ class TestNormalization:
                           "WHERE Part.name = 'a b' VALID AT 5")
         assert [r["Part.cost"] for r in spaced.rows()] == [1.0]
         assert [r["Part.cost"] for r in single.rows()] == [2.0]
+
+
+class TestIndexPlanning:
+    """``plan()`` chooses ``IndexLookup`` from the catalog; only the
+    evaluator probes the index."""
+
+    TEXT = "SELECT ALL FROM Part WHERE Part.name = 'wheel' VALID AT 5"
+
+    def test_indexed_slice_probes_the_index_once(self, stocked):
+        db = stocked
+        db.create_attribute_index("Part", "name")
+        probes = db.metrics.counter("index.probes")
+        for _ in range(2):  # cold, then with the plan and entries warm
+            before = probes.value
+            result = db.query(self.TEXT)
+            assert "via index(Part.name = 'wheel')" in result.plan
+            assert len(result.entries) == 1
+            assert probes.value == before + 1
+
+    def test_unencodable_literal_fails_before_evaluation(self, db,
+                                                         monkeypatch):
+        from repro.errors import KeyEncodingError
+
+        with db.transaction() as txn:
+            txn.insert("Supplier", {"sname": "s", "rating": 1},
+                       valid_from=0)
+        db.create_attribute_index("Supplier", "rating")
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluation ran")
+
+        monkeypatch.setattr(db.builder, "build_many", evaluated)
+        text = (f"SELECT ALL FROM Supplier WHERE Supplier.rating = {2**64} "
+                "VALID AT 5")
+        with pytest.raises(KeyEncodingError):
+            db.query(text)
+        with pytest.raises(KeyEncodingError):
+            db.query_stream(text)

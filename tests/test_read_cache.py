@@ -1,15 +1,17 @@
 """The engine's per-atom read cache: correctness across every
 invalidation path.
 
-The engine caches, per atom, the stored history (filled by full-history
-reads), decoded versions keyed by ``(seq, cols)``, the live set the
-write path plans against and the atom's type name.  A stale entry would
-silently serve old state, so every route that rewrites stored bytes —
-update/correct/delete, link/unlink, transaction rollback (undo),
-recovery replay, replica apply and vacuum — must drop the atom's
-history and decodes.  These tests drive each route and check warm reads
-against ground truth and against a cold engine (``drop_caches``),
-alongside the cache's own metrics.
+The engine caches, per atom, a slot table — one slot per cached stored
+version, holding its envelope, payload and the decodes made of it,
+filled by every reader that sees the version — with the atom's type
+name and two flags: the whole history is cached, every live version is.
+A stale entry would silently serve old state, so every route that
+rewrites stored bytes — update/correct/delete, link/unlink, transaction
+rollback (undo), recovery replay, replica apply and vacuum — must drop
+the atom's slots, except the live ones a forward mutation repairs.
+These tests drive each route and check warm reads against ground truth
+and against a cold engine (``drop_caches``), alongside the cache's own
+metrics.
 """
 
 from __future__ import annotations
@@ -24,16 +26,24 @@ from repro import DatabaseConfig, TemporalDatabase
 from repro.core.engine import (
     DECODE_CACHE_ENTRY_OVERHEAD,
     DecodedVersionCache,
+    _Slot,
 )
 from repro.core.version import Version
 from repro.errors import ReproError, UnknownAtomError
+from repro.mql.planner import PushdownSpec
+from repro.storage.strategies import StoredVersion
 from repro.temporal import FOREVER, Interval
 from repro.tools.vacuum import vacuum_superseded
 
 
 def _closed_version():
-    """A superseded version, as the cache-accounting tests store it."""
+    """A superseded version, as the cache-accounting tests decode it."""
     return Version(Interval(0, FOREVER), Interval(0, 1))
+
+
+def _closed_stored(size=100):
+    """A superseded stored version with a *size*-byte payload."""
+    return StoredVersion(0, FOREVER, 0, 1, b"x" * size)
 
 
 def _insert_part(db, name="wheel", cost=1.0, valid_from=0):
@@ -228,19 +238,22 @@ class TestEviction:
 
     def test_lru_byte_budget_is_enforced(self):
         from repro.obs import MetricsRegistry
-        per_entry = DECODE_CACHE_ENTRY_OVERHEAD + 100
+        # One entry overhead plus one slot's payload and overhead.
+        per_entry = 2 * DECODE_CACHE_ENTRY_OVERHEAD + 100
         cache = DecodedVersionCache(3 * per_entry, MetricsRegistry())
         for atom_id in range(5):
-            cache.put(atom_id, 0, "Part", _closed_version(), nbytes=100)
+            cache.fill(atom_id, "Part", [(0, _Slot(_closed_stored()))])
         assert len(cache) == 3
         assert cache.bytes_used == 3 * per_entry
-        assert cache.get(0, 0) is None      # evicted
-        assert cache.get(4, 0) is not None  # newest survives
+        assert cache.type_name(0) is None      # evicted
+        assert cache.type_name(4) == "Part"    # newest survives
 
     def test_oversized_entry_is_not_cached(self):
         from repro.obs import MetricsRegistry
         cache = DecodedVersionCache(1024, MetricsRegistry())
-        cache.put(1, 0, "Part", _closed_version(), nbytes=4096)
+        stored = _closed_stored(4096)
+        slots = cache.fill(1, "Part", [(0, _Slot(stored))])
+        assert slots[0].stored == stored  # served, but not kept
         assert len(cache) == 0
         assert cache.bytes_used == 0
 
@@ -327,6 +340,7 @@ def _assert_warm_equals_cold(db, atom_ids):
 
 
 def _cached_history(db, atom_id):
+    """The atom's slots when its entry holds the whole history."""
     return db.engine._decode_cache.histories([atom_id]).get(atom_id)
 
 
@@ -406,17 +420,16 @@ class TestHistoryEntries:
         engine = db.engine
         cache = engine._decode_cache
         assert cache.bytes_used > 0
-        type_name, live = cache.known(part)
-        assert type_name == "Part" and live is not None
+        assert cache.type_name(part) == "Part"
+        assert cache.live_slots(part) is not None
         engine.drop_caches()
         assert cache.bytes_used == 0
         assert len(cache) == 0
         assert _cached_history(db, part) is None
-        assert not cache._atoms  # no entry: no live set, no type name
+        assert not cache._atoms  # no entry: no slot, no type name
 
 
 def _spec(type_name, attr, op, literal):
-    from repro.mql.planner import PushdownSpec
     return PushdownSpec(type_name, ((attr, op, literal),), None)
 
 
@@ -591,9 +604,9 @@ class TestHistoryBudget:
         stored = db.engine.store.read_all_many([part])[part]
         history_cost = (sum(len(sv.payload) for sv in stored)
                         + DECODE_CACHE_ENTRY_OVERHEAD * len(stored))
-        # Every single version and the stored history alone fit, but not
-        # the history together with its decodes.
-        budget = 2 * history_cost - 1
+        # Every single version fits, but not the whole history together
+        # with its entry's own overhead.
+        budget = history_cost + DECODE_CACHE_ENTRY_OVERHEAD - 1
         db.engine._decode_cache = DecodedVersionCache(budget, db.metrics)
         first = db.history(part)
         assert _cached_history(db, part) is None
@@ -604,24 +617,54 @@ class TestHistoryBudget:
         assert db.metrics.total("heap.record_reads") > reads
 
     def test_history_and_decodes_share_one_budget(self):
+        # A slot is charged once, whatever decodes it holds.
         from repro.obs import MetricsRegistry
-        from repro.core.engine import StoredHistory
-        from repro.storage.strategies import StoredVersion
 
         per_version = DECODE_CACHE_ENTRY_OVERHEAD + 100
-        cache = DecodedVersionCache(5 * per_version, MetricsRegistry())
+        history_cost = DECODE_CACHE_ENTRY_OVERHEAD + 2 * per_version
+        cache = DecodedVersionCache(history_cost + per_version,
+                                    MetricsRegistry())
         stored = [StoredVersion(0, 10, 0, FOREVER, b"x" * 100),
                   StoredVersion(10, 20, 0, FOREVER, b"y" * 100)]
-        cache.put_history(1, StoredHistory(stored))
-        cache.put(1, 0, "Part", _closed_version(), nbytes=100)
-        cache.put(1, 1, "Part", _closed_version(), nbytes=100)
-        assert cache.bytes_used == 4 * per_version
-        cache.put_history(2, StoredHistory(stored))  # evicts atom 1 whole
+        slots = cache.fill(1, "Part", [(seq, _Slot(sv, _closed_version()))
+                                       for seq, sv in enumerate(stored)],
+                           whole=True)
+        assert all(slot.version is not None for slot in slots.values())
+        assert cache.bytes_used == history_cost
+        cache.fill(2, "Part", [(seq, _Slot(sv))  # evicts atom 1
+                               for seq, sv in enumerate(stored)], whole=True)
         assert cache.histories([1]) == {}
-        assert cache.get(1, 0) is None
-        assert cache.histories([2])[2].stored == tuple(stored)
+        assert cache.type_name(1) is None
+        assert [slot.stored for slot in cache.histories([2])[2]] == stored
+        assert cache.bytes_used == history_cost
         cache.invalidate_atom(2)
         assert cache.bytes_used == 0
+
+
+class TestOneCharge:
+    """Each cached version is charged once — its payload plus one
+    overhead — however many readers decode it, plus one overhead for
+    the atom's entry."""
+
+    def test_history_then_diff_charge_each_version_once(self, db):
+        with db.transaction() as txn:
+            comp = txn.insert("Component", {"cname": "c", "weight": 0.0},
+                              valid_from=0)
+        for at in range(1, 20):
+            with db.transaction() as txn:
+                txn.update(comp, {"weight": float(at)}, valid_from=at)
+        stored = db.engine.store.read_all_many([comp])[comp]
+        expected = DECODE_CACHE_ENTRY_OVERHEAD + sum(
+            len(sv.payload) + DECODE_CACHE_ENTRY_OVERHEAD for sv in stored)
+        db.engine.drop_caches()
+        cache = db.engine._decode_cache
+        db.query("SELECT ALL FROM Component VALID HISTORY")
+        assert cache.bytes_used == expected
+        db.query(f"DIFF Component BETWEEN 1 AND {db._clock.now()}")
+        assert cache.bytes_used == expected
+        db.engine.all_versions_many([comp])
+        db.version_at(comp, 5, tt=3)
+        assert cache.bytes_used == expected
 
 
 class TestPushdownCountsMatch:
@@ -809,7 +852,7 @@ def test_concurrent_readers_keep_entries_and_budget_consistent(db):
     assert cache.bytes_used <= cache.capacity_bytes
 
 
-# -- warm current slices from the entry's live versions -------------------
+# -- warm slices from the entry's slots ------------------------------------
 
 _NOW = FOREVER - 1
 
@@ -826,7 +869,7 @@ def _slice_programs(draw):
             draw(st.sampled_from(["insert", "update", "update", "delete",
                                   "correct", "link", "unlink", "abort",
                                   "vacuum", "drop", "slice", "during",
-                                  "history", "as_of"])),
+                                  "history", "as_of", "pushdown"])),
             draw(st.integers(0, 99)), draw(st.integers(0, 99)),
             float(draw(st.integers(0, 3))), start,
             draw(st.one_of(st.just(FOREVER), st.integers(start + 1, 40)))))
@@ -867,11 +910,22 @@ def _mutate_once(txn, parts, comps, kind, a, b, value, start, end):
                            valid_to=end)
 
 
+#: A root comparison and a projection the slices below push down: the
+#: predicate judges Parts only and passes every Component.
+_PUSHDOWN = PushdownSpec("Part", (("cost", "GT", 1.5),),
+                         (("Part", ("cost",), False),
+                          ("Component", ("cname",), True)))
+
+
 def _warm_reads(db, ids, kind, start):
     """Fill cache entries the way each kind of query does."""
     if kind == "slice":
         db.engine.version_at_many(ids, start)
         db.engine.version_at_many(ids, _NOW)
+    elif kind == "pushdown":
+        pred, projection = db.engine.compile_pushdown(_PUSHDOWN)
+        db.engine.version_at_many(ids, start, pred=pred)
+        db.engine.version_at_many(ids, _NOW, projection=projection)
     elif kind == "during":
         db.engine.versions_during_many(ids, Interval(start, start + 3))
     elif kind == "history":
@@ -883,7 +937,7 @@ def _warm_reads(db, ids, kind, start):
 def _run_slice_program(db, parts, comps, steps):
     for kind, a, b, value, start, end in steps:
         ids = parts + comps
-        if kind in ("slice", "during", "history", "as_of"):
+        if kind in ("slice", "during", "history", "as_of", "pushdown"):
             with db._read_view():
                 _warm_reads(db, ids, kind, start)
         elif kind == "vacuum":
@@ -911,22 +965,36 @@ def _run_slice_program(db, parts, comps, steps):
 
 
 def _assert_warm_slices_equal_cold(db, ids, instants):
-    """``version_at_many`` answers, and ``versions_during_many`` answers
-    over windows starting at the same instants, twice warm (whatever the
-    entries hold, then after that pass's own fills), equal the cold
-    answers."""
+    """``version_at_many`` answers — plain, with a pushed-down predicate
+    (and the versions it skipped) and projected — and
+    ``versions_during_many`` answers over windows starting at the same
+    instants, twice warm (whatever the entries hold, then after that
+    pass's own fills), equal the cold answers."""
     engine = db.engine
     windows = [Interval(0, FOREVER)] + [Interval(at, min(at + 5, FOREVER))
                                         for at in instants]
+    pred, projection = engine.compile_pushdown(_PUSHDOWN)
+    skipped = db.metrics.counter("engine.pushdown.skipped")
+
+    def pushed(at, kwargs):
+        before = skipped.value
+        return engine.version_at_many(ids, at, **kwargs), skipped.value - before
 
     def read(warm):
         answers = {}
-        for key in instants + windows:
+        keys = instants + windows + [
+            (at, name) for at in instants for name in ("pred", "projection")]
+        for key in keys:
             if not warm:
                 engine.drop_caches()
-            answers[key] = (engine.versions_during_many(ids, key)
-                            if isinstance(key, Interval)
-                            else engine.version_at_many(ids, key))
+            if isinstance(key, Interval):
+                answers[key] = engine.versions_during_many(ids, key)
+            elif isinstance(key, tuple):
+                at, name = key
+                answers[key] = pushed(at, {"pred": pred} if name == "pred"
+                                      else {"projection": projection})
+            else:
+                answers[key] = engine.version_at_many(ids, key)
         return answers
 
     with db._read_view():
@@ -941,9 +1009,9 @@ _SLICE_INSTANTS = st.lists(st.integers(0, 45), min_size=1, max_size=5)
 
 
 class TestWarmSlicesEqualCold:
-    """A current slice served from a cache entry's live versions (full
-    decodes with open transaction time, the live set) equals the store's
-    answer after every invalidation route, on every strategy."""
+    """A slice served from a cache entry's slots — plain, pushed down or
+    projected — equals the store's answer after every invalidation
+    route, on every strategy."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -998,6 +1066,7 @@ class TestWarmSlicesEqualCold:
                 ship()
                 with replica._read_view():
                     _warm_reads(replica, parts + comps, "slice", step[4])
+                    _warm_reads(replica, parts + comps, "pushdown", step[4])
             ids = parts + comps
             with primary._read_view():
                 expected = {at: primary.engine.version_at_many(ids, at)
@@ -1054,21 +1123,40 @@ class TestWarmSliceCounts:
         assert db.version_at(part, 3).values["cost"] == 1.0
         assert calls == []
 
-    def test_uncovered_instant_and_pushdown_use_the_store(self, db,
-                                                          monkeypatch):
+    def test_uncovered_instant_and_as_of_use_the_store(self, db,
+                                                       monkeypatch):
+        # The entry holds the one slot a point read left: neither every
+        # live version nor the whole history.
         part = _insert_part(db, cost=1.0, valid_from=10)
         db.version_at(part, 12)
         calls = self._store_reads(db, monkeypatch)
-        assert db.version_at(part, 5) is None  # no live version holds 5
-        pred, _ = db.engine.compile_pushdown(_spec("Part", "cost", "GT",
-                                                   0.5))
-        with db._read_view():
-            found = db.engine.version_at_many([part], 12, pred=pred)
-        assert found[part].values["cost"] == 1.0
+        assert db.version_at(part, 5) is None  # no cached slot holds 5
         tt = db._clock.now()
         assert db.version_at(part, 12, tt=tt).values["cost"] == 1.0
-        assert calls == [[(part, 5, None)], [(part, 12, None)],
-                         [(part, 12, tt)]]
+        assert calls == [[(part, 5, None)], [(part, 12, tt)]]
+
+    def test_pushdown_and_projection_answer_from_the_slots(self, db,
+                                                           monkeypatch):
+        part = _insert_part(db, cost=1.0, valid_from=10)
+        db.version_at(part, 12)
+        calls = self._store_reads(db, monkeypatch)
+        engine = db.engine
+        skipped = db.metrics.counter("engine.pushdown.skipped")
+        passes, _ = engine.compile_pushdown(_spec("Part", "cost", "GT", 0.5))
+        fails, _ = engine.compile_pushdown(_spec("Part", "cost", "GT", 5.0))
+        _, projection = engine.compile_pushdown(PushdownSpec(
+            "Part", (), (("Part", ("cost",), False),)))
+        with db._read_view():
+            assert engine.version_at_many(
+                [part], 12, pred=passes)[part].values["cost"] == 1.0
+            before = skipped.value
+            assert engine.version_at_many([part], 12, pred=fails) == {
+                part: None}
+            assert skipped.value == before + 1
+            projected = engine.version_at_many([part], 12,
+                                               projection=projection)[part]
+        assert projected.values == {"cost": 1.0}
+        assert calls == []
 
     def test_closed_decodes_are_not_indexed(self, db):
         part = _insert_part(db, cost=1.0)
@@ -1076,5 +1164,10 @@ class TestWarmSliceCounts:
             txn.update(part, {"cost": 2.0}, valid_from=0)
         db.history(part)  # decodes the closed version too
         entry = db.engine._decode_cache._atoms[part]
-        assert [v.values["cost"] for v in entry.live_versions] == [2.0]
-        assert all(version.live for version in entry.live_versions)
+        assert entry.whole
+        assert all(slot.version is not None
+                   for slot in entry.slots.values())
+        live = {entry.live_at(at) for at in (0, 5, _NOW)}
+        assert [entry.slots[seq].version.values["cost"]
+                for seq in live] == [2.0]
+        assert all(entry.slots[seq].version.live for seq in live)
