@@ -12,12 +12,19 @@ benefits from append-order locality).
 Every count is taken on a cold engine (``reset_counters`` drops the
 engine's caches), and ``test_f3_cold_history_cost_grows`` gates on it:
 a cached history would cost the same few page touches at every length.
+
+The warm-encode row serves one part's ``VALID HISTORY`` response twice
+through the server's response writer and counts the version fragments
+it makes (``engine.fragment_cache.misses``):
+``test_f3_warm_response_encode`` gates on the cold pass making exactly
+one per distinct version in the response and the warm pass none.
 """
 
 import pytest
 
 from benchmarks._util import ALL_STRATEGIES, build_db, emit, header, pins, reset_counters
 from repro import VersionStrategy
+from repro.server.protocol import encode_result
 from repro.workloads import history_depth_spec
 
 HISTORIES = [4, 16, 64, 128]
@@ -80,3 +87,35 @@ def test_f3_cold_history_cost_grows(databases, strategy):
     assert touches == sorted(set(touches)), (
         f"{strategy.value}: full-history page touches {touches} do not "
         f"grow with history length {HISTORIES}")
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES,
+                         ids=[s.value for s in ALL_STRATEGIES])
+def test_f3_warm_response_encode(capsys, databases, strategy):
+    """The CI gate: a served ``VALID HISTORY`` makes each distinct
+    version's fragment once, cold, and serving it again makes none."""
+    history = HISTORIES[-1]
+    db, _, _ = databases[(strategy, history)]
+    text = ("SELECT ALL FROM Part.contains.Component "
+            "WHERE Part.name = 'part-0' VALID HISTORY")
+    made = db.metrics.counter("engine.fragment_cache.misses")
+    hits = db.metrics.counter("engine.fragment_cache.hits")
+    reset_counters(db)
+    passes = []
+    for _ in range(2):
+        result = db.query(text)
+        before = (made.value, hits.value)
+        encode_result(result, db.engine.keep_fragments)
+        passes.append((made.value - before[0], hits.value - before[1]))
+    distinct = len({id(atom.version) for entry in result
+                    for atom in entry.molecule.atoms()})
+    (cold, cold_hits), (warm, warm_hits) = passes
+    emit(capsys,
+         f"R-F3 warm-encode | strategy={strategy.value:>9} "
+         f"history={history:>3} | entries={len(result):>4} "
+         f"distinct_versions={distinct:>4} cold_fragments={cold:>4} "
+         f"cold_hits={cold_hits:>4} warm_fragments={warm:>4} "
+         f"warm_hits={warm_hits:>4}")
+    assert cold == distinct
+    assert warm == 0
+    assert warm_hits == cold + cold_hits

@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.cdc.events import EVENT_KINDS, ImageReader, decode_operation
 from repro.errors import ReplicationError
 from repro.replication.source import (
+    StreamAnswer,
     await_head,
     cursor_status,
     fill_batch,
@@ -72,6 +73,10 @@ class ChangeStreamSource:
         self._refresh_gauges()
 
     def handle(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one SUBSCRIBE request as a dictionary."""
+        return self.answer(payload).to_dict()
+
+    def answer(self, payload: Dict[str, Any]) -> StreamAnswer:
         """Answer one SUBSCRIBE request; see ``docs/cdc.md`` for the
         payload shape."""
         self._c_requests.inc()
@@ -81,7 +86,8 @@ class ChangeStreamSource:
         if request.unsubscribe:
             self._db.release_cursor(subscriber)
             self._refresh_gauges()
-            return {"released": True, "subscriber": subscriber}
+            return StreamAnswer({"released": True,
+                                 "subscriber": subscriber})
         types, kinds, roots = self._parse_filters(payload)
 
         if request.ack_lsn is not None:
@@ -109,6 +115,7 @@ class ChangeStreamSource:
         head = await_head(self._wal, from_lsn, request.wait_ms,
                           self._c_waits)
         events: List[Dict[str, Any]] = []
+        encoded: List[bytes] = []
         next_from = from_lsn
         bound = from_lsn - 1
         if head >= from_lsn:
@@ -148,13 +155,15 @@ class ChangeStreamSource:
                 return event
 
             with self._db._read_view():
-                events, cursor = fill_batch(batch, from_lsn,
-                                            request.max_records, step)
+                events, encoded, cursor = fill_batch(
+                    batch, from_lsn, request.max_records, step)
             next_from = cursor + 1
         self._refresh_gauges()
-        return {"events": events, "head": head, "bound": bound,
-                "next_from": next_from, "caught_up": next_from > bound,
-                "epoch": self._db.wal_epoch}
+        return StreamAnswer({"head": head, "bound": bound,
+                             "next_from": next_from,
+                             "caught_up": next_from > bound,
+                             "epoch": self._db.wal_epoch},
+                            "events", events, encoded)
 
     @staticmethod
     def _parse_filters(payload: Dict[str, Any]

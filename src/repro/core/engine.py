@@ -22,9 +22,11 @@ through one dispatch, :meth:`StorageEngine.apply`.
 The engine's only per-atom state is its cache entry
 (:class:`DecodedVersionCache`): the type name and a slot table, one
 slot per cached stored version holding its envelope, payload and the
-decodes made of it, with two flags — every stored version has a slot
-(``whole``), every live one has (``live_known``).  Every reader that
-sees a stored version leaves its slot, and each slot is charged once.
+decodes made of it — the full decode with the canonical JSON fragment
+a response kept on it (:meth:`StorageEngine.keep_fragments`) — with
+two flags — every stored version has a slot (``whole``), every live
+one has (``live_known``).  Every reader that sees a stored version
+leaves its slot, and each slot is charged once.
 A warm atom is answered without touching the store.  Every point read,
 current or ``AS OF``, pushed down or projected, is one request ``(atom,
 at, tt)`` answered by :meth:`StorageEngine.point_reads`, which selects
@@ -135,20 +137,36 @@ _start = operator.itemgetter(0)
 class _Slot:
     """One cached stored version and the decodes made of it."""
 
-    __slots__ = ("stored", "version", "projected")
+    __slots__ = ("stored", "version", "projected", "seq")
 
     def __init__(self, stored: StoredVersion,
                  version: Optional[Version] = None) -> None:
         #: The envelope plus type-prefixed payload, as the store holds it.
         self.stored = stored
-        #: The full decode, once a reader has made it.
+        #: The full decode, once a reader has made it; it carries its
+        #: canonical JSON fragment once a response has kept one.
         self.version = version
         #: Projected decodes by projection key, once made.
         self.projected: Optional[Dict[Any, Version]] = None
+        #: The slot's seq once an entry holds it (:meth:`_AtomEntry.add`).
+        self.seq: Optional[int] = None
+
+    def set_version(self, version: Version) -> Version:
+        """Make *version* the full decode, marked with the slot's seq
+        (when an entry holds the slot) so a response can keep its
+        fragment here."""
+        if self.seq is not None:
+            object.__setattr__(version, "slot_seq", self.seq)
+        self.version = version
+        return version
 
 
-def _slot_cost(stored: StoredVersion) -> int:
-    return len(stored.payload) + DECODE_CACHE_ENTRY_OVERHEAD
+def _slot_cost(slot: _Slot) -> int:
+    """The payload, one overhead and the kept fragment, if any."""
+    version = slot.version
+    fragment = None if version is None else version.fragment
+    return (len(slot.stored.payload) + DECODE_CACHE_ENTRY_OVERHEAD
+            + (0 if fragment is None else len(fragment)))
 
 
 class _AtomEntry:
@@ -175,7 +193,10 @@ class _AtomEntry:
     def add(self, seq: int, slot: _Slot) -> _Slot:
         """Give *slot* seq *seq* and charge it to the entry."""
         self.slots[seq] = slot
-        self.cost += _slot_cost(slot.stored)
+        slot.seq = seq
+        if slot.version is not None:
+            slot.set_version(slot.version)
+        self.cost += _slot_cost(slot)
         if slot.stored.tt_end == FOREVER:
             self._live_index = None  # derived again on next use
         return slot
@@ -242,7 +263,8 @@ class DecodedVersionCache:
 
     Each slot is charged once, its *encoded payload size* plus a fixed
     overhead, whatever decodes it holds — the encoded size is a
-    faithful, already-known proxy for the decoded footprint — and each
+    faithful, already-known proxy for the decoded footprint — plus the
+    length of the fragment kept on its full decode, if any, and each
     entry one overhead for itself.  An entry never grows past the whole
     budget: a fill that would take it there is served uncached (a
     history too large for the budget is read from the store every
@@ -263,6 +285,14 @@ class DecodedVersionCache:
     A slot never changes except its decodes, which racing readers may
     each set to an equal version (one attribute or dict store, atomic
     under the GIL), so readers decode outside the lock.
+
+    A response's version fragments are kept (:meth:`keep_fragments`)
+    only on the full decode of a slot the atom's entry holds, checked
+    under the lock by the slot's seq, which the decode carries, and by
+    identity; each is charged to the entry once, on top of the slot's
+    cost, and leaves with the decode — so every rule above that drops
+    a slot drops its fragment, and a fragment never outlives the
+    content it encodes.
 
     Thread-safe: concurrent queries hit it under the shared-read latch.
     """
@@ -368,7 +398,7 @@ class DecodedVersionCache:
         with self._lock:
             entry = self._atoms.get(atom_id)
             held = {} if entry is None else entry.slots
-            cost = sum(_slot_cost(slot.stored) for seq, slot in pairs
+            cost = sum(_slot_cost(slot) for seq, slot in pairs
                        if seq not in held)
             if (DECODE_CACHE_ENTRY_OVERHEAD if entry is None
                     else entry.cost) + cost > self._capacity_bytes:
@@ -384,6 +414,32 @@ class DecodedVersionCache:
             entry.live_known = entry.live_known or live or whole
             self._evict()
         return found
+
+    def keep_fragments(self, made: List[Tuple[int, Version, bytes]]
+                       ) -> None:
+        """Keep each ``(atom, version, fragment)`` on its version when
+        that version is the full decode of a slot the atom's entry holds
+        and has none yet, charging the fragment's length to the entry;
+        any other version's fragment is left to its response."""
+        charged = 0
+        with self._lock:
+            atoms = self._atoms
+            for atom_id, version, fragment in made:
+                entry = atoms.get(atom_id)
+                seq = version.slot_seq
+                if (entry is None or seq is None
+                        or version.fragment is not None):
+                    continue
+                slot = entry.slots.get(seq)
+                if (slot is None or slot.version is not version
+                        or entry.cost + len(fragment) > self._capacity_bytes):
+                    continue
+                object.__setattr__(version, "fragment", fragment)
+                entry.cost += len(fragment)
+                charged += len(fragment)
+            if charged:
+                self._bytes += charged
+                self._evict()
 
     def _entry(self, atom_id: int) -> _AtomEntry:
         """The atom's entry, created if absent, as most recently used.
@@ -453,6 +509,10 @@ class StorageEngine:
         self._c_decode_hits = self.metrics.counter("engine.decode_cache.hits")
         self._c_decode_misses = self.metrics.counter(
             "engine.decode_cache.misses")
+        self._c_fragment_hits = self.metrics.counter(
+            "engine.fragment_cache.hits")
+        self._c_fragment_misses = self.metrics.counter(
+            "engine.fragment_cache.misses")
         self._c_live_hits = self.metrics.counter("engine.live_set.hits")
         self._c_live_misses = self.metrics.counter("engine.live_set.misses")
         # Monotone replay watermark: recovery/replication skip logged
@@ -529,7 +589,7 @@ class StorageEngine:
                     append(version)
                     continue
             if version is None:
-                version = slot.version = self._decode(slot.stored)[1]
+                version = slot.set_version(self._decode(slot.stored)[1])
                 misses += 1
             append(version)
         if misses:
@@ -537,6 +597,24 @@ class StorageEngine:
         if misses < len(versions):
             self._c_decode_hits.inc(len(versions) - misses)
         return versions
+
+    def keep_fragments(self, made: List[Tuple[int, Version, bytes]],
+                       hits: int) -> None:
+        """Account one response's atom fragments: *made* lists the
+        ``(atom, version, fragment)`` it encoded, *hits* the atom
+        occurrences it spliced from a fragment already made.
+
+        A made fragment stays on its version when that version is the
+        full decode of a cached slot (:meth:`DecodedVersionCache.
+        keep_fragments`), so the next response splices it; it is
+        charged to the slot's entry and leaves with the decode.
+        Projected and uncached versions' fragments are not kept.
+        """
+        if hits:
+            self._c_fragment_hits.inc(hits)
+        if made:
+            self._c_fragment_misses.inc(len(made))
+            self._decode_cache.keep_fragments(made)
 
     def invalidate_atom_caches(self, atom_id: int) -> None:
         """Forget everything cached about *atom_id*: its slots, decodes

@@ -14,7 +14,7 @@ symmetric back-reference explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, FrozenSet, Mapping
+from typing import Any, FrozenSet, Mapping, Optional
 
 from repro.temporal import FOREVER, Interval
 
@@ -38,12 +38,26 @@ def split_ref_key(key: str) -> tuple[str, str]:
 
 @dataclass(frozen=True, slots=True)
 class Version:
-    """One immutable bitemporal state of an atom."""
+    """One immutable bitemporal state of an atom.
+
+    The last two fields are the engine's cache bookkeeping, not state:
+    ``slot_seq`` marks the full decode a cache slot holds (the slot's
+    sequence number), and ``fragment`` is that decode's canonical JSON
+    fragment once a response has kept it there (see
+    :meth:`repro.core.engine.StorageEngine.keep_fragments`).  Neither
+    is compared, nor copied by ``replace`` — so no derived version
+    (:meth:`with_vt`, :meth:`with_state`, :meth:`closed_at`) inherits a
+    fragment of other content.
+    """
 
     vt: Interval
     tt: Interval
     values: Mapping[str, Any] = field(default_factory=dict)
     refs: Mapping[str, FrozenSet[int]] = field(default_factory=dict)
+    slot_seq: Optional[int] = field(default=None, init=False, repr=False,
+                                    compare=False)
+    fragment: Optional[bytes] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def live(self) -> bool:

@@ -147,23 +147,22 @@ def execute_plan(db, query_plan: QueryPlan,
     if profile and tracer is not NULL_TRACER:
         with tracer.capture() as capture:
             result = _execute(db, query_plan, tracer)
-        result.profile = QueryProfile(capture.spans,
-                                      query_plan.describe())
+        result.profile = QueryProfile(capture.spans, result.plan)
         return result
     return _execute(db, query_plan, tracer)
 
 
 def _execute(db, query_plan: QueryPlan, tracer) -> QueryResult:
     """The eager caller of :func:`_batches`: every root in one batch."""
-    with tracer.span("mql.execute", plan=query_plan.describe()) as top:
+    plan = query_plan.describe()
+    with tracer.span("mql.execute", plan=plan) as top:
         with tracer.span("access",
                          path=type(query_plan.root_access).__name__) as span:
             roots = _root_candidates(db, query_plan)
             span.set("roots", len(roots))
         (entries,) = _batches(db, query_plan, roots, tracer)
         top.set("entries", len(entries))
-    return QueryResult(entries, query_plan.describe(),
-                       _projected(query_plan.analyzed))
+    return QueryResult(entries, plan, _projected(query_plan.analyzed))
 
 
 def _projected(analyzed: AnalyzedQuery) -> bool:

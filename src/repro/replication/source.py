@@ -25,10 +25,10 @@ instead of ship).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.canonical import encode_payload, splice_payload
 from repro.errors import ReplicationError
 
 #: Long-poll ceiling per WAL_STREAM request (milliseconds).  Kept well
@@ -36,11 +36,37 @@ from repro.errors import ReplicationError
 #: long — a caught-up replica simply re-polls.
 MAX_STREAM_WAIT_MS = 500
 
-#: Batch ceilings: records per response and approximate payload bytes
-#: (well under the 8 MiB frame cap, leaving room for JSON framing).
+#: Batch ceilings: records per response, and the canonical bytes of a
+#: batch's items (well under the 8 MiB frame cap, leaving room for the
+#: response's other members).
 MAX_BATCH_RECORDS = 4096
 DEFAULT_BATCH_RECORDS = 512
 MAX_BATCH_BYTES = 2 * 1024 * 1024
+
+
+@dataclass(frozen=True)
+class StreamAnswer:
+    """One ``WAL_STREAM`` / ``SUBSCRIBE`` response: its scalar members,
+    and the batch under *key* — each item with the canonical bytes
+    :func:`fill_batch` encoded it to once."""
+
+    fields: Dict[str, Any]
+    key: Optional[str] = None
+    items: List[Any] = field(default_factory=list)
+    encoded: List[bytes] = field(default_factory=list)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The response as a dictionary, for in-process callers."""
+        if self.key is None:
+            return dict(self.fields)
+        return {**self.fields, self.key: self.items}
+
+    def encode(self) -> bytes:
+        """The response payload: ``encode_payload(self.to_dict())``,
+        with the batch's bytes spliced rather than encoded again."""
+        if self.key is None:
+            return encode_payload(self.fields)
+        return splice_payload(self.fields, self.key, self.encoded)
 
 
 @dataclass(frozen=True)
@@ -100,23 +126,30 @@ def await_head(wal: Any, from_lsn: int, wait_ms: int, waits: Any) -> int:
 
 def fill_batch(records: Iterable[Any], from_lsn: int, max_records: int,
                step: Callable[[Any], Optional[Any]]
-               ) -> Tuple[List[Any], int]:
-    """Keep what *step* returns for each record (``None`` skips it) until
-    *max_records* items or the byte budget are spent; returns the items
-    and the last LSN consumed (``from_lsn - 1`` when none was)."""
+               ) -> Tuple[List[Any], List[bytes], int]:
+    """Keep what *step* returns for each record (``None`` skips it),
+    encoded canonically once, until *max_records* items — or until the
+    next item would take the batch's comma-joined bytes past
+    ``MAX_BATCH_BYTES``; that record is left for the next batch unless
+    it is the first.  Returns the items, their bytes, and the last LSN
+    consumed (``from_lsn - 1`` when none was)."""
     items: List[Any] = []
-    budget = MAX_BATCH_BYTES
+    encoded: List[bytes] = []
+    spent = -1  # the joined length: one comma fewer than items
     cursor = from_lsn - 1
     for record in records:
-        cursor = record.lsn
         item = step(record)
-        if item is None:
-            continue
-        items.append(item)
-        budget -= len(json.dumps(item, separators=(",", ":"))) + 32
-        if len(items) >= max_records or budget <= 0:
+        if item is not None:
+            data = encode_payload(item)
+            spent += len(data) + 1
+            if encoded and spent > MAX_BATCH_BYTES:
+                break
+            items.append(item)
+            encoded.append(data)
+        cursor = record.lsn
+        if len(items) >= max_records:
             break
-    return items, cursor
+    return items, encoded, cursor
 
 
 def cursor_status(wal: Any, kind: str, head: int) -> Dict[str, Any]:
@@ -143,6 +176,10 @@ class ReplicationSource:
         self._c_waits = metrics.counter("replication.stream_waits")
 
     def handle(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one WAL_STREAM request as a dictionary."""
+        return self.answer(payload).to_dict()
+
+    def answer(self, payload: Dict[str, Any]) -> StreamAnswer:
         """Answer one WAL_STREAM request; see ``docs/replication.md``
         for the payload shape."""
         self._c_requests.inc()
@@ -150,7 +187,7 @@ class ReplicationSource:
                                        default_from=1)
         if request.unsubscribe:
             self._db.release_cursor(request.name)
-            return {"released": True, "replica": request.name}
+            return StreamAnswer({"released": True, "replica": request.name})
         from_lsn = request.from_lsn
         if request.name is not None:
             acked = (from_lsn - 1 if request.ack_lsn is None
@@ -160,17 +197,19 @@ class ReplicationSource:
         head = await_head(self._wal, from_lsn, request.wait_ms,
                           self._c_waits)
         records: List[Any] = []
+        encoded: List[bytes] = []
         last = from_lsn - 1
         if head >= from_lsn:
-            records, last = fill_batch(
+            records, encoded, last = fill_batch(
                 self._wal.read_records_from(from_lsn, upto_lsn=head),
                 from_lsn, request.max_records,
                 lambda record: [record.lsn, record.type.value,
                                 record.txn_id, record.payload])
             self._c_shipped.inc(len(records))
-        return {"records": records, "head": head,
-                "caught_up": last >= head, "next_from": last + 1,
-                "epoch": self._db.wal_epoch}
+        return StreamAnswer({"head": head, "caught_up": last >= head,
+                             "next_from": last + 1,
+                             "epoch": self._db.wal_epoch},
+                            "records", records, encoded)
 
     def status(self) -> Dict[str, Any]:
         """Primary-side replication block for STATS/state_snapshot."""

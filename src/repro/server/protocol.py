@@ -50,6 +50,21 @@ WAL_STREAM sees byte-identical behaviour, so no version bump.
 long-polls decoded, committed change events from the primary's WAL
 (see ``docs/cdc.md``), with a named server-side cursor that survives
 reconnects.  Clients that never send it are unaffected.
+
+Response encoding.  :func:`result_to_payload` is the dictionary form of
+a query result and the oracle of the serving path: QUERY/EXECUTE
+responses (:func:`encode_result`) and cursor FETCH chunks
+(:func:`encode_fetch`) must equal ``encode_payload`` of it byte for
+byte.  They are written by splicing, for each atom occurrence, the
+version's canonical ``"valid":...,"values":{...}`` fragment — the last
+two members of an atom node in key order — into a shell formatted per
+occurrence (``atom_id``, ``children``, ``type``) and per entry.  A
+fragment made for a version the engine caches stays on it
+(``StorageEngine.keep_fragments``), so a version is encoded once however
+many responses carry it.  WAL_STREAM and SUBSCRIBE items are likewise
+encoded once, and those bytes both charge the batch budget and are
+spliced into the response (:func:`~repro.canonical.splice_payload`).
+EXPLAIN responses are encoded from the dictionary form.
 """
 
 from __future__ import annotations
@@ -59,8 +74,9 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.canonical import encode_payload
 from repro.errors import ConnectionClosedError, ProtocolError
 
 #: Protocol magic, sent in the HELLO payload.
@@ -122,12 +138,6 @@ class Frame:
 
 
 # -- payload encoding ----------------------------------------------------------
-
-
-def encode_payload(obj: Any) -> bytes:
-    """Canonical JSON bytes: sorted keys, minimal separators, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
 
 
 def decode_payload(data: bytes) -> Any:
@@ -290,12 +300,10 @@ def _interval_to_list(interval) -> list:
 
 
 def entries_to_payload(entries, projected: bool) -> "list[Dict[str, Any]]":
-    """Canonical list form of result entries.
-
-    Shared by the one-frame :func:`result_to_payload` and the server's
-    chunked cursor responses, so a streamed result serializes each entry
-    to exactly the bytes the eager path would have produced.
-    """
+    """Canonical list form of result entries, as :func:`result_to_payload`
+    builds them: the dictionary form the response writer
+    (:func:`encode_result`, :func:`encode_fetch`) must match byte for
+    byte once encoded."""
     items = []
     for entry in entries:
         item: Dict[str, Any] = {
@@ -315,9 +323,11 @@ def result_to_payload(result, profile: Optional[Any] = None
                       ) -> Dict[str, Any]:
     """Canonical dictionary form of a :class:`~repro.mql.result.QueryResult`.
 
-    This is the single serializer both the server and the tests'
-    in-process oracle use, so "byte-identical to local execution" is a
-    meaningful check: same entries in, same canonical JSON out.
+    The oracle of the server's response writer: QUERY/EXECUTE responses
+    are :func:`encode_result`, which must equal ``encode_payload`` of
+    this byte for byte, so "byte-identical to local execution" is a
+    meaningful check.  EXPLAIN responses (which carry a profile) are
+    encoded from it directly.
     """
     payload: Dict[str, Any] = {
         "plan": result.plan,
@@ -328,3 +338,159 @@ def result_to_payload(result, profile: Optional[Any] = None
     if chosen is not None:
         payload["profile"] = chosen.to_dict()
     return payload
+
+
+# -- response writing ----------------------------------------------------------
+
+#: Receives one response's made ``(atom id, version, fragment)`` triples
+#: and its count of fragment hits (``StorageEngine.keep_fragments``).
+FragmentKeeper = Callable[[List[Tuple[int, Any, bytes]], int], None]
+
+
+def version_fragment(version) -> bytes:
+    """The ``"valid":...,"values":{...}`` members of *version*'s atom
+    node: the last two in canonical key order, so a node ends with
+    them."""
+    return encode_payload({"valid": str(version.vt),
+                           "values": dict(version.values)})[1:-1]
+
+
+class _ResponseWriter:
+    """Writes result entries as canonical JSON, byte-identical to
+    :func:`encode_payload` of :func:`entries_to_payload`, by splicing
+    each atom version's fragment into a per-occurrence shell
+    (``atom_id``, ``children``, ``type``).
+
+    A version's fragment is taken from the version when a response kept
+    it there, else made once per response; :meth:`finish` hands what
+    was made to the keeper.
+    """
+
+    __slots__ = ("parts", "out", "made", "hits", "_memo", "_types",
+                 "_edges", "_molecule_types")
+
+    def __init__(self) -> None:
+        self.parts: List[bytes] = []
+        self.out = self.parts.append
+        self.made: List[Tuple[int, Any, bytes]] = []
+        self.hits = 0
+        self._memo: Dict[int, bytes] = {}
+        self._types: Dict[str, bytes] = {}
+        self._edges: Dict[Any, Tuple[str, bytes]] = {}
+        self._molecule_types: Dict[int, bytes] = {}
+
+    def entries(self, entries, projected: bool) -> None:
+        out = self.out
+        if projected:
+            # Rows hold no versions: nothing to splice.
+            out(encode_payload(entries_to_payload(entries, True)))
+            return
+        out(b"[")
+        lead = b"{"
+        for entry in entries:
+            molecule = entry.molecule
+            if molecule is None:
+                out(lead + b'"molecule":null')
+            else:
+                out(lead + b'"molecule":{"molecule_type":')
+                out(self._molecule_type(molecule.type))
+                out(b',"root":')
+                self.atom(molecule.root)
+                out(b"}")
+            valid = entry.valid
+            out(b',"root_id":%d,"valid":[%d,%d]}'
+                % (entry.root_id, valid.start, valid.end))
+            lead = b",{"
+        out(b"]")
+
+    def atom(self, atom) -> None:
+        out = self.out
+        version = atom.version
+        fragment = version.fragment
+        if fragment is None:
+            fragment = self._memo.get(id(version))
+            if fragment is None:
+                fragment = self._memo[id(version)] = version_fragment(version)
+                self.made.append((atom.atom_id, version, fragment))
+            else:
+                self.hits += 1
+        else:
+            self.hits += 1
+        children = atom.children
+        if children:
+            out(b'{"atom_id":%d,"children":{' % atom.atom_id)
+            edges = self._edges
+            keyed = []
+            for edge, kids in children.items():
+                key = edges.get(edge)
+                if key is None:
+                    text = str(edge)
+                    key = edges[edge] = (text, encode_payload(text))
+                keyed.append((key, kids))
+            if len(keyed) > 1:
+                keyed.sort(key=lambda pair: pair[0][0])
+            lead = b""
+            for (_, name), kids in keyed:
+                out(lead)
+                out(name)
+                out(b":[")
+                comma = b""
+                for kid in kids:
+                    out(comma)
+                    self.atom(kid)
+                    comma = b","
+                out(b"]")
+                lead = b","
+            out(b'},"type":')
+        else:
+            out(b'{"atom_id":%d,"children":{},"type":' % atom.atom_id)
+        typed = self._types.get(atom.type_name)
+        if typed is None:
+            typed = self._types[atom.type_name] = (
+                encode_payload(atom.type_name) + b",")
+        out(typed)
+        out(fragment)
+        out(b"}")
+
+    def _molecule_type(self, molecule_type) -> bytes:
+        encoded = self._molecule_types.get(id(molecule_type))
+        if encoded is None:
+            encoded = self._molecule_types[id(molecule_type)] = (
+                encode_payload(str(molecule_type)))
+        return encoded
+
+    def finish(self, keep: FragmentKeeper) -> bytes:
+        keep(self.made, self.hits)
+        return b"".join(self.parts)
+
+
+def encode_result(result, keep: FragmentKeeper) -> bytes:
+    """``encode_payload(result_to_payload(result))``, written by
+    splicing atom fragments; *keep* accounts the fragments (see
+    :class:`_ResponseWriter`)."""
+    writer = _ResponseWriter()
+    out = writer.out
+    out(b'{"entries":')
+    writer.entries(result, result.projected)
+    out(b',"plan":')
+    out(encode_payload(result.plan))
+    if result.profile is not None:
+        out(b',"profile":')
+        out(encode_payload(result.profile.to_dict()))
+    out(b',"projected":')
+    out(encode_payload(result.projected))
+    out(b"}")
+    return writer.finish(keep)
+
+
+def encode_fetch(cursor_id: int, entries, projected: bool,
+                 keep: FragmentKeeper) -> bytes:
+    """The payload of a FETCH chunk that is not the last:
+    ``{"cursor_id", "done": false, "entries"}``, entries written as
+    :func:`encode_result` writes them."""
+    writer = _ResponseWriter()
+    writer.out(b'{"cursor_id":%d,"done":false,"entries":' % cursor_id)
+    writer.entries(entries, projected)
+    writer.out(b"}")
+    return writer.finish(keep)
+

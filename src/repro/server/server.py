@@ -90,9 +90,10 @@ from repro.server.protocol import (
     Frame,
     FrameAssembler,
     Opcode,
+    encode_fetch,
     encode_frame,
     encode_payload,
-    entries_to_payload,
+    encode_result,
     error_payload,
     extract_trace_context,
     result_to_payload,
@@ -973,19 +974,19 @@ class DatabaseServer:
         if opcode == Opcode.STATS:
             return self._handle_stats(session, request_id, payload)
         if opcode == Opcode.WAL_STREAM:
-            return [self._encode_result(
-                request_id, self.wal_source.handle(payload))], False
+            return [self._result_frame(
+                request_id, self.wal_source.answer(payload).encode())], False
         if opcode == Opcode.SUBSCRIBE:
-            return [self._encode_result(
-                request_id, self.cdc_source.handle(payload))], False
+            return [self._result_frame(
+                request_id, self.cdc_source.answer(payload).encode())], False
         if opcode == Opcode.QUERY or opcode == Opcode.EXECUTE:
             if opcode == Opcode.QUERY and payload.get("stream") is not None:
                 return self._handle_open_cursor(session, request_id,
                                                 payload)
             result = db.query(self._text(payload),
                               params=payload.get("params"))
-            return [self._encode_result(request_id,
-                                        result_to_payload(result))], False
+            return [self._result_frame(request_id, encode_result(
+                result, db.engine.keep_fragments))], False
         if opcode == Opcode.FETCH:
             return self._handle_fetch(session, request_id, payload)
         if opcode == Opcode.CLOSE_CURSOR:
@@ -1212,13 +1213,10 @@ class DatabaseServer:
             return [self._encode_result(request_id, {
                 "cursor_id": cursor.id, "entries": [],
                 "done": True})], False
-        body = {
-            "cursor_id": cursor.id,
-            "entries": entries_to_payload(chunk, cursor.projected),
-            "done": False,
-        }
         try:
-            return [self._encode_result(request_id, body)], False
+            return [self._result_frame(request_id, encode_fetch(
+                cursor.id, chunk, cursor.projected,
+                self.db.engine.keep_fragments))], False
         except ResultTooLargeError:
             self._drop_cursor(session, cursor.id)
             raise ResultTooLargeError(
@@ -1379,7 +1377,10 @@ class DatabaseServer:
 
     def _encode_result(self, request_id: int,
                        payload: Dict[str, Any]) -> bytes:
-        data = encode_payload(payload)
+        return self._result_frame(request_id, encode_payload(payload))
+
+    @staticmethod
+    def _result_frame(request_id: int, data: bytes) -> bytes:
         try:
             return encode_frame(Opcode.RESULT, request_id, data)
         except ProtocolError:

@@ -14,6 +14,7 @@ from repro.cdc.source import ChangeStreamSource
 from repro.core.database import WAL_CURSORS_KEY
 from repro.errors import ReplicationError
 from repro.replication.source import ReplicationSource
+from repro.server.protocol import encode_payload
 from repro.temporal import FOREVER
 
 
@@ -444,3 +445,56 @@ class TestFold:
         rows = fold_events(events, t1, t2)
         # part (and its link) vanished; only comp's creation survives.
         assert [r["atom_id"] for r in rows] == [comp]
+
+
+class TestBatchBytes:
+    """WAL_STREAM and SUBSCRIBE items are encoded once, canonically: the
+    response splices those bytes, and the batch budget is measured in
+    them."""
+
+    def _sources(self, db):
+        return (ReplicationSource(db), {"from_lsn": 1}, "records"), (
+            ChangeStreamSource(db), {"subscriber": "bytes", "from_lsn": 1},
+            "events")
+
+    def test_frame_equals_the_dict_form(self, db):
+        load_history(db)
+        for source, payload, key in self._sources(db):
+            for extra in ({}, {"max_records": 2}, {"from_lsn": 10 ** 6}):
+                answer = source.answer({**payload, **extra})
+                assert answer.encode() == encode_payload(answer.to_dict())
+                assert answer.encoded == [encode_payload(item)
+                                          for item in answer.items]
+            released = source.answer({**payload, "replica": "r",
+                                      "subscriber": "bytes",
+                                      "unsubscribe": True})
+            assert released.encode() == encode_payload(released.to_dict())
+
+    def test_batch_stops_within_the_budget(self, db, monkeypatch):
+        import repro.replication.source as wal_source
+
+        for index in range(12):
+            with db.transaction() as txn:
+                txn.insert("Part", {"name": f"part-{index:03}",
+                                    "cost": float(index)}, valid_from=0)
+        for source, payload, key in self._sources(db):
+            whole = source.answer({**payload, "max_records": 4096})
+            budget = 700
+            monkeypatch.setattr(wal_source, "MAX_BATCH_BYTES", budget)
+            batches, from_lsn = [], 1
+            while True:
+                answer = source.answer({**payload, "from_lsn": from_lsn,
+                                        "max_records": 4096})
+                if not answer.items:
+                    break
+                batches.append(answer.encoded)
+                from_lsn = answer.fields["next_from"]
+            monkeypatch.undo()
+            assert len(batches) > 1
+            for batch, following in zip(batches, batches[1:]):
+                # Within the budget, and stopped by it: the next item
+                # would not have fit.
+                assert len(b",".join(batch)) <= budget
+                assert len(b",".join(batch + following[:1])) > budget
+            assert [item for batch in batches for item in batch] \
+                == whole.encoded

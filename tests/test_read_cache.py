@@ -666,6 +666,31 @@ class TestOneCharge:
         db.version_at(comp, 5, tt=3)
         assert cache.bytes_used == expected
 
+    def test_served_history_charges_each_fragment_once(self, db):
+        """A served ``VALID HISTORY`` keeps one fragment per version it
+        holds, charged once however often it is served."""
+        from repro.server.protocol import encode_result
+
+        with db.transaction() as txn:
+            comp = txn.insert("Component", {"cname": "c", "weight": 0.0},
+                              valid_from=0)
+        for at in range(1, 20):
+            with db.transaction() as txn:
+                txn.update(comp, {"weight": float(at)}, valid_from=at)
+        stored = db.engine.store.read_all_many([comp])[comp]
+        db.engine.drop_caches()
+        cache = db.engine._decode_cache
+        for _ in range(2):
+            result = db.query("SELECT ALL FROM Component VALID HISTORY")
+            encode_result(result, db.engine.keep_fragments)
+        kept = {id(entry.molecule.root.version):
+                len(entry.molecule.root.version.fragment)
+                for entry in result}
+        assert len(kept) == 20
+        assert cache.bytes_used == DECODE_CACHE_ENTRY_OVERHEAD + sum(
+            len(sv.payload) + DECODE_CACHE_ENTRY_OVERHEAD
+            for sv in stored) + sum(kept.values())
+
 
 class TestPushdownCountsMatch:
     """The predicate skips the same versions on cached histories as on
@@ -792,10 +817,33 @@ def test_warm_answers_equal_cold_answers(db, seed):
 
 def test_concurrent_readers_keep_entries_and_budget_consistent(db):
     """More reader threads than cores churn a small cache (fills,
-    evictions, full-decode races) with a short switch interval; every
-    answer must match the cold one and the byte accounting must add up."""
+    evictions, full-decode races) with a short switch interval, and
+    write responses of what they read outside the latch, as the server
+    does, racing to keep fragments; every answer must match the cold
+    one, every response its oracle, and the byte accounting must add
+    up."""
     import sys
     import threading
+
+    from repro.core.engine import _slot_cost
+    from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
+    from repro.mql.result import QueryResult, ResultEntry
+    from repro.server.protocol import (
+        encode_payload,
+        encode_result,
+        result_to_payload,
+    )
+
+    def respond(got):
+        result = QueryResult([
+            ResultEntry(atom_id, version.vt, Molecule(
+                MoleculeType("Part"), MoleculeAtom(atom_id, "Part",
+                                                   version)), None)
+            for atom_id, found in got.items()
+            for version in (found if isinstance(found, list) else [found])
+        ], "p", False)
+        return (encode_result(result, engine.keep_fragments)
+                == encode_payload(result_to_payload(result)))
 
     parts = []
     for index in range(8):
@@ -830,6 +878,8 @@ def test_concurrent_readers_keep_entries_and_budget_consistent(db):
                         want = {i: expected_slices[at][i] for i in ids}
                 if got != want:
                     errors.append((seed, ids))
+                if not respond(got):
+                    errors.append((seed, ids, "response"))
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -850,6 +900,10 @@ def test_concurrent_readers_keep_entries_and_budget_consistent(db):
     assert cache.bytes_used == sum(entry.cost
                                    for entry in cache._atoms.values())
     assert cache.bytes_used <= cache.capacity_bytes
+    for entry in cache._atoms.values():
+        assert entry.cost == DECODE_CACHE_ENTRY_OVERHEAD + sum(
+            _slot_cost(slot) for slot in entry.slots.values())
+    assert db.metrics.value("engine.fragment_cache.hits") > 0
 
 
 # -- warm slices from the entry's slots ------------------------------------

@@ -86,6 +86,38 @@ class TestDifferential:
         assert [_key(e) for e in streamed] == [_key(e) for e in eager.entries]
         assert [e.row for e in streamed] == [e.row for e in eager.entries]
 
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_fetch_chunks_equal_the_eager_frame_warm(self, stocked, text):
+        """FETCH chunks, written with the fragments the eager response
+        kept, splice to exactly the eager frame's entries, and make no
+        fragment of their own."""
+        from repro.server.protocol import (
+            encode_fetch,
+            encode_payload,
+            encode_result,
+            entries_to_payload,
+        )
+
+        params = {"c": 40.0} if "$c" in text else None
+        keep = stocked.engine.keep_fragments
+        eager = execute_query(stocked, text, params)
+        frame = encode_result(eager, keep)
+        made = stocked.metrics.value("engine.fragment_cache.misses")
+        stream = execute_query_stream(stocked, text, params,
+                                      chunk_entries=3)
+        chunks = [encode_fetch(9, chunk, stream.projected, keep)
+                  for chunk in stream.chunks()]
+        assert stocked.metrics.value("engine.fragment_cache.misses") == made
+        prefix = b'{"cursor_id":9,"done":false,"entries":['
+        spliced = b",".join(chunk[len(prefix):-2] for chunk in chunks
+                            if chunk != prefix + b"]}")
+        assert frame.startswith(b'{"entries":[' + spliced + b"]")
+        for chunk, start in zip(chunks, range(0, len(eager), 3)):
+            assert chunk == encode_payload({
+                "cursor_id": 9, "done": False,
+                "entries": entries_to_payload(
+                    eager.entries[start:start + 3], eager.projected)})
+
     def test_chunk_sizes_are_exact(self, stocked):
         stream = execute_query_stream(
             stocked, "SELECT ALL FROM Part VALID AT 5", chunk_entries=5)
