@@ -4,16 +4,15 @@ Three questions, one per section:
 
 1. **Page touches per molecule** — building through the batched
    ``version_at_many`` path must touch fewer buffer pages than the
-   atom-at-a-time baseline (a reader whose batch methods loop over the
-   engine's per-atom ``version_at`` / ``all_versions``), for every
-   storage strategy.  This is the CI gate: batching that stops paying
-   off fails the run.
+   atom-at-a-time baseline (a reader whose batch method loops over the
+   engine's per-atom ``version_at``), for every storage strategy.  This
+   is the CI gate: batching that stops paying off fails the run.
 2. **History reconstruction** — ``build_history``'s sweep must read
    each consulted atom's history at most once per call, however many
    slices it builds (an absolute count gate).
 3. **Reader calls per history** — the sweep resolves every slice from
    in-memory timelines, so its reader calls (``version_at_many`` plus
-   ``versions_during_many``) must be the same for a window of 8 boundaries
+   ``all_versions_many``) must be the same for a window of 8 boundaries
    and one of 40, on every strategy (a count gate).
 
 Decode caches are cleared before each measured run so page touches
@@ -50,10 +49,6 @@ class _UnbatchedReader:
         return {atom_id: self._engine.version_at(atom_id, at, tt)
                 for atom_id in dict.fromkeys(atom_ids)}
 
-    def all_versions_many(self, atom_ids):
-        return {atom_id: self._engine.all_versions(atom_id)
-                for atom_id in dict.fromkeys(atom_ids)}
-
 
 class _HistoryCountingReader:
     """The engine, counting how often each atom's history is requested
@@ -71,11 +66,11 @@ class _HistoryCountingReader:
         self.calls["version_at_many"] += 1
         return self._engine.version_at_many(atom_ids, at, tt)
 
-    def versions_during_many(self, atom_ids, window, tt=None):
-        self.calls["versions_during_many"] += 1
+    def all_versions_many(self, atom_ids, vt, tt):
+        self.calls["all_versions_many"] += 1
         ids = list(dict.fromkeys(atom_ids))
         self.history_reads.update(ids)
-        return self._engine.versions_during_many(ids, window, tt)
+        return self._engine.all_versions_many(ids, vt, tt)
 
 
 def test_f6_report_header(benchmark, capsys):
@@ -232,8 +227,8 @@ def test_f6_history_calls_flat(benchmark, capsys, tmp_path, strategy):
              f"R-F6 | {strategy.value:>9} | history boundaries="
              f"{boundaries:>2} | version_at_many="
              f"{rows[boundaries]['version_at_many']:>2} "
-             f"versions_during_many="
-             f"{rows[boundaries]['versions_during_many']:>2}")
+             f"all_versions_many="
+             f"{rows[boundaries]['all_versions_many']:>2}")
     db.close()
     # The CI gate: a sweep's reader calls do not grow with boundaries.
     assert sum(rows[8].values()) == sum(rows[40].values()), (

@@ -8,15 +8,16 @@ SUBSCRIBE change stream emits (:mod:`repro.cdc.events`), netted — one
 value row per atom whose attributes moved, one link row per reference
 that appeared or disappeared.
 
-The computation is read-side only: for every atom in scope the full
-version history (one batched ``all_versions_many`` fetch) is walked
-over the belief-time boundaries inside ``(t1, t2]``, tracking how the
-record governing the instant changes.  The *last* transition that
-changed values (or a reference) supplies the row's transaction time and
-valid window — by construction the record as originally written by that
-operation, which is exactly what the WAL decoder reports for the same
-operation.  That correspondence is what makes the differential oracle
-(`fold_events` over the subscribed stream == DIFF) hold exactly.
+The computation is read-side only: for every atom in scope the records
+valid at the instant and believed somewhere in ``[t1, t2]`` (one batched
+``all_versions_many`` interval read) are walked over the belief-time
+boundaries inside ``(t1, t2]``, tracking how the record governing the
+instant changes.  The *last* transition that changed values (or a
+reference) supplies the row's transaction time and valid window — by
+construction the record as originally written by that operation, which
+is exactly what the WAL decoder reports for the same operation.  That
+correspondence is what makes the differential oracle (`fold_events` over
+the subscribed stream == DIFF) hold exactly.
 
 Three deliberate semantic choices, shared with the fold:
 
@@ -40,7 +41,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cdc.events import event_record, event_sort_key
 from repro.core.version import OUT, Version, split_ref_key
-from repro.temporal import FOREVER
+from repro.temporal import FOREVER, TMIN, Interval
+from repro.temporal.timestamp import MAX_CHRONON
 
 #: Sentinel meaning "the atom has no state at the instant".
 _ABSENT = None
@@ -60,16 +62,19 @@ def _out_refs(version: Optional[Version]) -> Dict[Tuple[str, int], Version]:
     return refs
 
 
-def _deleted_vt(history: List[Version], tau: int,
-                removed: Version, instant: int) -> Tuple[int, int]:
+def _deleted_vt(engine, atom_id: int, tau: int, removed: Version,
+                instant: int) -> Tuple[int, int]:
     """The valid window a deletion at belief time *tau* removed.
 
     A delete splits the governing record: its in-window remainder (if
     any) reappears truncated, with the same valid start and a new end at
     the deletion's window start.  That twin's end is the deletion window
-    start the original operation logged.
-    """
-    for version in history:
+    start the original operation logged.  Valid at *removed*'s start as
+    believed at *tau*, it is in the one interval read this takes."""
+    twins = engine.all_versions_many(
+        [atom_id], Interval.instant(removed.vt.start),
+        Interval.instant(tau)).get(atom_id, ())
+    for version in twins:
         if (version.tt.start == tau
                 and version.vt.start == removed.vt.start
                 and version.vt.end <= instant):
@@ -77,20 +82,19 @@ def _deleted_vt(history: List[Version], tau: int,
     return (removed.vt.start, FOREVER)
 
 
-def atom_delta(history: List[Version], type_name: Optional[str],
+def atom_delta(engine, records: List[Version], type_name: Optional[str],
                atom_id: int, t1: int, t2: int,
-               at: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Net change events for one atom between belief times t1 and t2."""
-    instant = FOREVER - 1 if at is None else at
-    # The records whose validity holds the instant, sorted by belief
-    # start; the sort is stable, so records with the same start keep
-    # their seq order.  The governing record at a belief time is the
-    # last one starting at or before it: when several start at the same
-    # belief time (a record written and superseded in one transaction
-    # beside its successor), the one with the higher seq — the newer
-    # one — governs, the engine's newest-first ``AS OF`` rule.
-    candidates = sorted((v for v in history if v.vt.contains(instant)),
-                        key=lambda v: v.tt.start)
+               instant: int) -> List[Dict[str, Any]]:
+    """Net change events for one atom between belief times t1 and t2,
+    from its *records* valid at *instant* and believed in ``[t1, t2]``."""
+    # The records sorted by belief start; the sort is stable, so
+    # records with the same start keep their seq order.  The governing
+    # record at a belief time is the last one starting at or before it:
+    # when several start at the same belief time (a record written and
+    # superseded in one transaction beside its successor), the one with
+    # the higher seq — the newer one — governs, the engine's
+    # newest-first ``AS OF`` rule.
+    candidates = sorted(records, key=lambda v: v.tt.start)
     starts = [v.tt.start for v in candidates]
     boundaries = sorted(
         {v.tt.start for v in candidates if t1 < v.tt.start <= t2}
@@ -152,7 +156,7 @@ def atom_delta(history: List[Version], type_name: Optional[str],
         if established is not None:
             vt = (established.vt.start, established.vt.end)
         else:
-            vt = _deleted_vt(history, tau, removed, instant)
+            vt = _deleted_vt(engine, atom_id, tau, removed, instant)
         rows.append(event_record(kind, atom_id, type_name, tau, vt,
                                  before=initial_vals, after=final_vals))
     for (link, dst), transitions in link_transitions.items():
@@ -169,29 +173,25 @@ def atom_delta(history: List[Version], type_name: Optional[str],
 
 def compute_diff(engine, scopes: Dict[int, Dict[int, Optional[str]]],
                  t1: int, t2: int,
-                 at: Optional[int] = None) -> Dict[int, List[Dict[str, Any]]]:
+                 at: int = FOREVER - 1) -> Dict[int, List[Dict[str, Any]]]:
     """Net change events per root between belief times t1 and t2.
 
     *scopes* maps each root id to its atom scope — ``atom_id -> type
     name`` for every atom in the molecule at either endpoint.  All
-    histories are fetched in one batched read; an atom shared by several
+    records are selected in one batched read; an atom shared by several
     molecules is walked once.
     """
     all_ids: Dict[int, Optional[str]] = {}
     for scope in scopes.values():
         all_ids.update(scope)
-    histories = engine.all_versions_many(list(all_ids))
-    deltas: Dict[int, List[Dict[str, Any]]] = {}
-    for atom_id, type_name in all_ids.items():
-        history = histories.get(atom_id)
-        deltas[atom_id] = ([] if history is None else
-                           atom_delta(history, type_name, atom_id,
-                                      t1, t2, at))
-    result: Dict[int, List[Dict[str, Any]]] = {}
-    for root_id, scope in scopes.items():
-        rows: List[Dict[str, Any]] = []
-        for atom_id in scope:
-            rows.extend(deltas.get(atom_id, ()))
-        rows.sort(key=event_sort_key)
-        result[root_id] = rows
-    return result
+    # Bounds clamped to the chronon domain meet the same records.
+    low, high = (min(max(t, TMIN), MAX_CHRONON) for t in (t1, t2))
+    histories = engine.all_versions_many(
+        list(all_ids), Interval.instant(at), Interval(low, high + 1))
+    deltas = {atom_id: atom_delta(engine, histories.get(atom_id, []),
+                                  type_name, atom_id, t1, t2, at)
+              for atom_id, type_name in all_ids.items()}
+    return {root_id: sorted((row for atom_id in scope
+                             for row in deltas[atom_id]),
+                            key=event_sort_key)
+            for root_id, scope in scopes.items()}

@@ -16,11 +16,11 @@ per level, which the storage layer answers with grouped page accesses.
 
 Interval (``VALID DURING`` / ``VALID HISTORY``) queries run one sweep
 over the atoms' histories.  Each atom the expansion reaches is read once,
-through one batched ``versions_during_many`` per level that meets new
-atoms, which returns just its versions believed at the query's
-transaction time that overlap the window; they become an in-memory
-timeline (valid-time sorted versions with their start and end points).
-Every slice of the window is then expanded by the same
+through one batched ``all_versions_many`` per level that meets new
+atoms, which returns just its versions that overlap the window and are
+believed at the query's transaction time; sorted by valid start, they
+become an in-memory timeline (the versions with their start and end
+points).  Every slice of the window is then expanded by the same
 level-at-a-time code, resolving each level by bisecting the timelines
 instead of calling the reader; the same bisects yield the earliest
 valid-time boundary after the instant among the atoms the slice
@@ -38,6 +38,7 @@ from bisect import bisect_right
 from typing import (Callable, Dict, Iterable, List, Optional, Protocol,
                     Tuple)
 
+from repro.core.history import belief
 from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
 from repro.core.version import Version
 from repro.errors import EvaluationError, UnknownAtomError
@@ -62,19 +63,14 @@ class VersionReader(Protocol):
         """The version of each distinct atom valid at *at* as believed
         at *tt* (None = now); unknown atoms map to ``None``."""
 
-    def versions_during_many(self, atom_ids: Iterable[int],
-                             window: Interval,
-                             tt: Optional[Timestamp] = None
-                             ) -> Dict[int, List[Version]]:
-        """The versions of each known atom believed at *tt* (None = now)
-        whose valid time overlaps *window*, in valid-time order; unknown
-        atoms are omitted."""
-
-    def all_versions_many(self, atom_ids: Iterable[int]
+    def all_versions_many(self, atom_ids: Iterable[int],
+                          vt: Interval = Interval.always(),
+                          tt: Interval = Interval.always()
                           ) -> Dict[int, List[Version]]:
-        """The full recorded history of each known atom, in sequence
-        order; unknown atoms are omitted.  Not used by the builder: the
-        definition oracle and DIFF read whole histories through it."""
+        """The versions of each known atom whose valid and transaction
+        times overlap *vt* and *tt* (:func:`~repro.core.history.belief`
+        for one belief), in sequence order; unknown atoms are omitted.
+        The defaults give the whole recorded history."""
 
 
 #: Resolves one expansion level: atom ids -> the version each has in the
@@ -91,7 +87,7 @@ _Request = Tuple[List[MoleculeAtom], "object", int, int, int, dict,
 
 class _Timeline:
     """One atom's versions believed at one transaction time that overlap
-    the sweep's window, in valid-time order.  They are valid-time
+    the sweep's window, sorted by valid start.  They are valid-time
     disjoint (the history invariant), so one bisect over their starts
     finds both the version valid at an instant and the atom's next
     boundary after it; a boundary outside the window ends the sweep
@@ -100,7 +96,8 @@ class _Timeline:
     __slots__ = ("starts", "ends", "versions")
 
     def __init__(self, versions: List[Version]) -> None:
-        self.versions = versions
+        self.versions = versions = sorted(
+            versions, key=lambda version: version.vt.start)
         self.starts = [version.vt.start for version in versions]
         self.ends = [version.vt.end for version in versions]
 
@@ -119,14 +116,14 @@ class _Sweep:
     """The timelines of one ``build_history`` call, resolving the slice
     at :attr:`at` and tracking its next boundary."""
 
-    __slots__ = ("_reader", "_window", "_tt", "_timelines", "at",
+    __slots__ = ("_reader", "_window", "_belief", "_timelines", "at",
                  "boundary")
 
     def __init__(self, reader: VersionReader, window: Interval,
                  tt: Optional[Timestamp]) -> None:
         self._reader = reader
         self._window = window
-        self._tt = tt
+        self._belief = belief(tt)
         self._timelines: Dict[int, _Timeline] = {}
         self.at: Timestamp = 0
         #: Earliest boundary after :attr:`at` among the atoms resolved
@@ -139,14 +136,14 @@ class _Sweep:
 
     def resolve(self, atom_ids: List[int]) -> Dict[int, Optional[Version]]:
         """A :data:`Fetch` over the timelines; atoms met for the first
-        time are read in one ``versions_during_many``, and an atom the
+        time are read in one ``all_versions_many``, and an atom the
         reader does not know raises :class:`UnknownAtomError`."""
         timelines = self._timelines
         missing = [atom_id for atom_id in dict.fromkeys(atom_ids)
                    if atom_id not in timelines]
         if missing:
-            histories = self._reader.versions_during_many(
-                missing, self._window, self._tt)
+            histories = self._reader.all_versions_many(
+                missing, self._window, self._belief)
             for atom_id in missing:
                 versions = histories.get(atom_id)
                 if versions is None:

@@ -35,9 +35,11 @@ of its live slots, another request on a whole entry is selected
 newest-first on the slots' envelopes, and the rest go to the store's
 ``read_at_many``, which reads just the records it selects.  Envelopes
 carry both valid and transaction time, so no payload is opened to
-choose.  Interval sweeps select theirs from the slots too, and each
-read decodes only what it picks; a pushed-down predicate is judged on
-the selected payloads here, and only here.  A warm mutation plans from
+choose.  Every interval read (history sweeps, ``DIFF``, ``lifespan``)
+is one :meth:`StorageEngine.all_versions_many` of a valid x transaction
+time rectangle, selected on a whole entry's slots.  Each read decodes
+only what it picks; a pushed-down predicate is judged on the selected
+payloads here, and only here.  A warm mutation plans from
 the entry's live slots and learns its new sequence numbers from
 ``append_version``, so it reads nothing from the store before it
 writes.
@@ -99,7 +101,7 @@ from repro.storage.strategies import (
     believed,
     iter_histories,
 )
-from repro.temporal import FOREVER, Interval, Timestamp
+from repro.temporal import FOREVER, Interval, TemporalElement, Timestamp
 
 _TYPE_PREFIX = struct.Struct("<H")
 
@@ -730,9 +732,11 @@ class StorageEngine:
                 else (hit[0], slots[request[0]][hit[0]])
                 for request, hit in hits.items()}
 
-    def all_versions(self, atom_id: int) -> List[Version]:
-        """The atom's full recorded history, in sequence order."""
-        versions = self.all_versions_many([atom_id]).get(atom_id)
+    def all_versions(self, atom_id: int, vt: Interval = Interval.always(),
+                     tt: Interval = Interval.always()) -> List[Version]:
+        """The atom's :meth:`all_versions_many`, by default its full
+        recorded history."""
+        versions = self.all_versions_many([atom_id], vt, tt).get(atom_id)
         if versions is None:
             raise UnknownAtomError(f"no atom {atom_id}")
         return versions
@@ -783,44 +787,28 @@ class StorageEngine:
         return {atom_id: found[atom_id] for atom_id in ids
                 if atom_id in found}
 
-    def all_versions_many(self, atom_ids: Iterable[int]
+    def all_versions_many(self, atom_ids: Iterable[int],
+                          vt: Interval = Interval.always(),
+                          tt: Interval = Interval.always()
                           ) -> Dict[int, List[Version]]:
-        """Batched :meth:`all_versions`; unknown atoms are *omitted*
-        rather than raising, so callers can detect and handle them.
+        """The versions of each known atom whose envelope overlaps the
+        rectangle *vt* x *tt*, in seq order (the defaults give the whole
+        history); unknown atoms are *omitted* rather than raising.
 
-        Whole cache entries are served without touching the store; the
-        rest are read in one batch and cached for the next caller.
+        The engine's one interval read.  The slots come from whole cache
+        entries or one batched ``read_all_many`` (which fills them), the
+        versions are *selected* on their envelopes, and only those are
+        decoded.
         """
         result: Dict[int, List[Version]] = {}
         histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
         for atom_id, slots in histories.items():
-            result[atom_id] = self._decodes(slots)
-            self._c_versions_scanned.inc(len(slots))
-        return result
-
-    def versions_during_many(self, atom_ids: Iterable[int],
-                             window: Interval,
-                             tt: Optional[Timestamp] = None
-                             ) -> Dict[int, List[Version]]:
-        """The versions of each known atom believed at *tt* (None = now)
-        whose valid time overlaps *window*, in valid-time order; unknown
-        atoms are omitted.
-
-        The interval read of ``VALID HISTORY`` / ``VALID DURING``: the
-        slots come from whole cache entries or one batched
-        ``read_all_many`` (which fills them), the versions are *selected*
-        on their envelopes, and only those are decoded.
-        """
-        result: Dict[int, List[Version]] = {}
-        histories = self._stored_histories(list(dict.fromkeys(atom_ids)))
-        for atom_id, slots in histories.items():
-            picked = self._decodes([
-                slot for slot in slots
-                if slot.stored.vt_start < window.end
-                and window.start < slot.stored.vt_end
-                and believed(slot.stored.tt_start, slot.stored.tt_end, tt)])
-            picked.sort(key=lambda version: version.vt.start)
-            result[atom_id] = picked
+            picked = [slot for slot in slots
+                      if slot.stored.vt_start < vt.end
+                      and vt.start < slot.stored.vt_end
+                      and slot.stored.tt_start < tt.end
+                      and tt.start < slot.stored.tt_end]
+            result[atom_id] = self._decodes(picked)
             self._c_versions_scanned.inc(len(picked))
         return result
 
@@ -832,8 +820,11 @@ class StorageEngine:
         return self.indexes.atoms_of_type(type_id)
 
     def lifespan(self, atom_id: int,
-                 tt: Optional[Timestamp] = None):
-        return hist.lifespan(self.all_versions(atom_id), tt)
+                 tt: Optional[Timestamp] = None) -> TemporalElement:
+        """Where the atom exists, as believed at *tt* (None = now),
+        decoding only the versions believed then."""
+        return TemporalElement(version.vt for version in self.all_versions(
+            atom_id, tt=hist.belief(tt)))
 
     def drop_caches(self) -> None:
         """Forget every cached slot, decode and type name, so the next

@@ -31,7 +31,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.version import Version
 from repro.errors import SerializationConflictError, TemporalUpdateError
-from repro.temporal import FOREVER, Interval, TemporalElement, Timestamp
+from repro.temporal import FOREVER, TMIN, Interval, TemporalElement, Timestamp
+from repro.temporal.timestamp import MAX_CHRONON
 
 #: A transform receives a version and returns its changed successor state
 #: (values, refs) — or ``None`` to delete validity inside the window.
@@ -64,6 +65,15 @@ class HistoryPlan:
 # ---------------------------------------------------------------------------
 
 
+def belief(tt: Optional[Timestamp] = None) -> Interval:
+    """The instant a version's transaction time meets when believed at
+    *tt*: for now (``None``) the last chronon, which only open ones
+    reach; outside the chronon domain ``TMIN``, which none reach."""
+    if tt is None:
+        tt = MAX_CHRONON
+    return Interval.instant(tt if TMIN <= tt < FOREVER else TMIN)
+
+
 def live_versions(versions: Sequence[Version],
                   tt: Optional[Timestamp] = None
                   ) -> List[Tuple[int, Version]]:
@@ -71,9 +81,9 @@ def live_versions(versions: Sequence[Version],
 
     Returns (sequence number, version) pairs in sequence order.
     """
-    if tt is None:
-        return [(seq, v) for seq, v in enumerate(versions) if v.live]
-    return [(seq, v) for seq, v in enumerate(versions) if v.tt.contains(tt)]
+    window = belief(tt)
+    return [(seq, v) for seq, v in enumerate(versions)
+            if v.tt.overlaps(window)]
 
 
 def version_at(versions: Sequence[Version], at: Timestamp,

@@ -82,18 +82,14 @@ class ReferenceDatabase:
             raise UnknownAtomError(f"no atom {atom_id}")
         return list(self._histories[atom_id])
 
-    def all_versions_many(self, atom_ids) -> Dict[int, List[Version]]:
-        """Batched ``all_versions``; unknown atoms are omitted."""
-        return {atom_id: list(self._histories[atom_id])
-                for atom_id in dict.fromkeys(atom_ids)
-                if atom_id in self._histories}
-
-    def versions_during_many(self, atom_ids, window: Interval,
-                             tt: Optional[Timestamp] = None
-                             ) -> Dict[int, List[Version]]:
-        """Believed versions overlapping *window*, per known atom."""
-        return {atom_id: hist.versions_during(self._histories[atom_id],
-                                              window, tt)
+    def all_versions_many(self, atom_ids, vt: Interval = Interval.always(),
+                          tt: Interval = Interval.always()
+                          ) -> Dict[int, List[Version]]:
+        """Versions overlapping the rectangle *vt* x *tt*, in sequence
+        order, per known atom; unknown atoms are omitted."""
+        return {atom_id: [version for version in self._histories[atom_id]
+                          if version.vt.overlaps(vt)
+                          and version.tt.overlaps(tt)]
                 for atom_id in dict.fromkeys(atom_ids)
                 if atom_id in self._histories}
 
@@ -274,15 +270,11 @@ class _ConsultedReader:
         self.consulted.update(ids)
         return self._reader.version_at_many(ids, at, tt)
 
-    def versions_during_many(self, atom_ids: Iterable[int],
-                             window: Interval,
-                             tt: Optional[Timestamp] = None
-                             ) -> Dict[int, List[Version]]:
-        return self._reader.versions_during_many(atom_ids, window, tt)
-
-    def all_versions_many(self, atom_ids: Iterable[int]
+    def all_versions_many(self, atom_ids: Iterable[int],
+                          vt: Interval = Interval.always(),
+                          tt: Interval = Interval.always()
                           ) -> Dict[int, List[Version]]:
-        return self._reader.all_versions_many(atom_ids)
+        return self._reader.all_versions_many(atom_ids, vt, tt)
 
 
 def rescanning_history(reader: VersionReader, root_id: int,
@@ -307,12 +299,13 @@ def rescanning_history(reader: VersionReader, root_id: int,
     while at < window.end:
         consulting.consulted = set()
         molecule = builder.build_at(root_id, mtype, at, tt)
-        histories = reader.all_versions_many(consulting.consulted)
+        histories = reader.all_versions_many(
+            consulting.consulted, Interval.always(), hist.belief(tt))
         next_at = FOREVER
         for atom_id in consulting.consulted:
             if atom_id not in histories:
                 raise UnknownAtomError(f"no atom {atom_id}")
-            for _, version in hist.live_versions(histories[atom_id], tt):
+            for version in histories[atom_id]:
                 for point in (version.vt.start, version.vt.end):
                     if at < point < next_at:
                         next_at = point

@@ -29,9 +29,10 @@ Record wire format::
 
 The CRC covers the header fields and the payload, so a torn write at the
 tail (the only corruption a crash can produce on an append-only file) is
-detected and the log is cut there.  Payloads are JSON for debuggability;
-the volume overhead is measured, not hidden (experiment R-F5 reports log
-bytes per update).
+detected and the log is cut there.  Payloads are canonical JSON
+(:func:`repro.canonical.encode_payload`; older logs spell non-ASCII text
+as ``\\u`` escapes, which read back equal) for debuggability; the volume
+overhead is measured, not hidden (R-F5 reports log bytes per update).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.canonical import encode_payload
 from repro.errors import WALError
 from repro.obs import MetricsRegistry
 
@@ -217,8 +219,7 @@ class WriteAheadLog:
     def append(self, record_type: LogRecordType, txn_id: int,
                payload: Optional[Dict[str, Any]] = None) -> int:
         """Append one record; returns its LSN.  Does not force."""
-        body = json.dumps(payload or {}, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        body = encode_payload(payload or {})
         with self._lock:
             lsn = self._next_lsn
             self._next_lsn += 1
@@ -252,8 +253,7 @@ class WriteAheadLog:
         raises :class:`~repro.errors.WALError`.
         """
         LogRecordType(type_value)  # validate before writing
-        body = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        body = encode_payload(payload)
         with self._lock:
             if lsn != self._next_lsn:
                 self._file.flush()

@@ -138,7 +138,7 @@ def check_all_cache_states(db, atoms):
     assert_same(engine.point_reads(requests), expected)
 
     engine.drop_caches()  # whole slot tables, not every slot decoded
-    engine.versions_during_many(atoms, Interval(0, FOREVER))
+    engine.all_versions_many(atoms, Interval(0, FOREVER), hist.belief())
     histories = engine._decode_cache.histories(atoms)
     assert histories and any(slot.version is None
                              for slots in histories.values()
@@ -319,7 +319,8 @@ class TestPointReadPushdown:
         for warm in (False, True):
             db.engine.drop_caches()
             if warm:  # the cached-envelope path
-                db.engine.versions_during_many([part], Interval(0, FOREVER))
+                db.engine.all_versions_many([part], Interval(0, FOREVER),
+                                            hist.belief())
             before = skipped.value
             with db._read_view():
                 failing = db.engine.version_at_many(

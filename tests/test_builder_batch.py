@@ -93,8 +93,9 @@ def preorder(molecule: Molecule):
 
 
 class _UnbatchedReader:
-    """A reader whose batch methods loop over the engine's per-atom
-    reads: the atom-at-a-time access pattern behind the same protocol."""
+    """A time-slice reader whose batch method loops over the engine's
+    per-atom reads: the atom-at-a-time access pattern behind the same
+    protocol."""
 
     def __init__(self, engine) -> None:
         self._engine = engine
@@ -104,10 +105,6 @@ class _UnbatchedReader:
 
     def version_at_many(self, atom_ids, at, tt=None):
         return {atom_id: self._engine.version_at(atom_id, at, tt)
-                for atom_id in dict.fromkeys(atom_ids)}
-
-    def all_versions_many(self, atom_ids):
-        return {atom_id: self._engine.all_versions(atom_id)
                 for atom_id in dict.fromkeys(atom_ids)}
 
 
@@ -127,10 +124,10 @@ class _HistoryCountingReader:
         self.point_reads += 1
         return self._engine.version_at_many(atom_ids, at, tt)
 
-    def versions_during_many(self, atom_ids, window, tt=None):
+    def all_versions_many(self, atom_ids, vt, tt):
         ids = list(dict.fromkeys(atom_ids))
         self.history_reads.update(ids)
-        return self._engine.versions_during_many(ids, window, tt)
+        return self._engine.all_versions_many(ids, vt, tt)
 
 
 # -- fixtures ---------------------------------------------------------------

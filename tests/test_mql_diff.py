@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import MoleculeType
 from repro.cdc.events import fold_events
 from repro.cdc.source import ChangeStreamSource
 from repro.errors import AnalysisError, ParseError, ReproError
@@ -299,6 +300,90 @@ class TestEvaluation:
         assert result.profile.find("compare")
 
 
+# -- the envelope-selection gate ----------------------------------------------
+
+
+class TestDiffEnvelopeSelection:
+    """A warm DIFF reads and decodes exactly the records in its
+    rectangle — valid at the instant, believed somewhere in ``[t1,
+    t2]`` — plus, per deletion, the records of one twin read, not the
+    scope's whole histories.  Counted on ``engine.versions_scanned`` and
+    on decodes, net of the two scope slices' point reads."""
+
+    def test_warm_diff_reads_its_rectangle(self, db):
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 0.0},
+                              valid_from=0)
+            comp = txn.insert("Component", {"cname": "c"}, valid_from=0)
+            txn.link("contains", part, comp, valid_from=0)
+        with db.transaction() as txn:
+            txn.update(comp, {"weight": 1.0}, valid_from=10)
+        stamps = {}
+        for i in range(1, 41):  # a 40-update chain, each from a later start
+            with db.transaction() as txn:
+                txn.update(part, {"cost": float(i)}, valid_from=i)
+            if i == 25:
+                with db.transaction() as txn:
+                    txn.delete(comp, valid_from=20)
+            stamps[i] = tick(db)
+        t1, t2 = stamps[15], stamps[30]
+        histories = {atom: db.history(atom) for atom in (part, comp)}
+        assert len(histories[part]) == 81
+        rectangle = sum(1 for versions in histories.values()
+                        for v in versions
+                        if v.vt.contains(NOW) and v.tt.start <= t2
+                        and t1 < v.tt.end)
+
+        query = f"DIFF {MT} BETWEEN {t1} AND {t2}"
+        rows = [entry.row for entry in db.query(query).entries]  # warm
+        [row] = [row for row in rows if row["kind"] == "atom_deleted"]
+        assert (row["atom_id"], row["vt"]) == (comp, [20, FOREVER])
+        # The twin read: the component's records valid at 10 (where the
+        # deleted record starts) as believed when the delete ran; the
+        # twin is that record truncated at the delete's start.
+        twins = [v for v in histories[comp]
+                 if v.vt.contains(10) and v.tt.contains(row["tt"])]
+        assert [(v.vt.start, v.vt.end) for v in twins] == [(10, 20)]
+
+        counters = ("engine.versions_scanned", "engine.decode_cache.hits",
+                    "engine.decode_cache.misses")
+
+        def counts(run):
+            before = [db.metrics.value(name) for name in counters]
+            run()
+            after = [db.metrics.value(name) for name in counters]
+            return after[0] - before[0], (after[1] + after[2]
+                                          - before[1] - before[2])
+
+        engine = db.engine
+        calls = []
+        read = engine.all_versions_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return read(*args, **kwargs)
+
+        engine.all_versions_many = counted
+        try:
+            diff_scans, diff_decodes = counts(lambda: db.query(query))
+        finally:
+            del engine.all_versions_many
+        mtype = MoleculeType.parse(MT, db.schema)
+        roots = db.atoms_of_type("Part")
+
+        def slices():
+            with db._read_view():
+                for tt in (t1, t2):
+                    db.builder.build_many(roots, mtype, NOW, tt)
+
+        slice_scans, slice_decodes = counts(slices)
+        expected = rectangle + len(twins)
+        assert expected < sum(map(len, histories.values()))
+        assert diff_scans - slice_scans == expected
+        assert diff_decodes - slice_decodes == expected
+        assert len(calls) == 2  # the rectangle's, and one twin read
+
+
 # -- the differential oracle ------------------------------------------------
 
 
@@ -308,6 +393,9 @@ def random_history(db, rng):
     Operations are biased toward open-ended validity so they touch the
     current instant DIFF reads, with closed-window corrections and
     carve-out deletes mixed in as temporal noise the fold must ignore.
+    Updates, links, unlinks and deletes take effect from a random valid
+    time, so a delete usually leaves a truncated twin behind: the record
+    DIFF reads to report the window the delete removed.
     """
     parts, comps = [], []
     checkpoints = []
@@ -332,20 +420,21 @@ def random_history(db, rng):
                 elif op < 0.60:
                     txn.update(rng.choice(parts),
                                {"cost": float(rng.randrange(50))},
-                               valid_from=0)
+                               valid_from=rng.randrange(30))
                 elif op < 0.70:
                     txn.link("contains", rng.choice(parts),
-                             rng.choice(comps), valid_from=0)
+                             rng.choice(comps), valid_from=rng.randrange(30))
                 elif op < 0.80:
                     txn.unlink("contains", rng.choice(parts),
-                               rng.choice(comps), valid_from=0)
+                               rng.choice(comps),
+                               valid_from=rng.randrange(30))
                 elif op < 0.90:
                     txn.correct(rng.choice(parts), 0,
                                 rng.randrange(10, 60),
                                 {"cost": float(rng.randrange(50))})
                 else:
                     victim = rng.choice(parts)
-                    txn.delete(victim, valid_from=0)
+                    txn.delete(victim, valid_from=rng.randrange(30))
                     parts.remove(victim)
         except ReproError:
             pass  # double-link, unlink of nothing, …: fine, move on

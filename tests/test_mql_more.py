@@ -58,6 +58,21 @@ class TestClauseCombinations:
         (entry,) = old_view.entries
         assert entry.valid.start == 0
 
+    def test_times_outside_the_chronon_domain(self, loaded):
+        """``AS OF FOREVER`` believes nothing, in an interval query as in
+        a slice, and a DIFF bound at ``FOREVER`` reads to the last
+        chronon."""
+        db, part, tt_initial = loaded
+        for valid in ("VALID AT 5", "VALID HISTORY", "VALID DURING [0, 20)"):
+            assert db.query(
+                f"SELECT ALL FROM Part {valid} AS OF FOREVER").entries == []
+        assert db.lifespan(part, tt=2**70).is_empty
+        now = db._clock.now()
+        assert [e.row for e in db.query(
+            f"DIFF Part BETWEEN {tt_initial} AND FOREVER").entries] == [
+            e.row for e in db.query(
+                f"DIFF Part BETWEEN {tt_initial} AND {now}").entries] != []
+
     def test_query_inside_transaction_sees_own_writes(self, db):
         with db.transaction() as txn:
             txn.insert("Part", {"name": "fresh"}, valid_from=0)

@@ -28,6 +28,7 @@ from repro.core.engine import (
     DecodedVersionCache,
     _Slot,
 )
+from repro.core.history import belief
 from repro.core.version import Version
 from repro.errors import ReproError, UnknownAtomError
 from repro.mql.planner import PushdownSpec
@@ -981,7 +982,8 @@ def _warm_reads(db, ids, kind, start):
         db.engine.version_at_many(ids, start, pred=pred)
         db.engine.version_at_many(ids, _NOW, projection=projection)
     elif kind == "during":
-        db.engine.versions_during_many(ids, Interval(start, start + 3))
+        db.engine.all_versions_many(ids, Interval(start, start + 3),
+                                    belief())
     elif kind == "history":
         db.engine.all_versions_many(ids)
     else:
@@ -1021,9 +1023,9 @@ def _run_slice_program(db, parts, comps, steps):
 def _assert_warm_slices_equal_cold(db, ids, instants):
     """``version_at_many`` answers — plain, with a pushed-down predicate
     (and the versions it skipped) and projected — and
-    ``versions_during_many`` answers over windows starting at the same
-    instants, twice warm (whatever the entries hold, then after that
-    pass's own fills), equal the cold answers."""
+    current-knowledge ``all_versions_many`` answers over windows
+    starting at the same instants, twice warm (whatever the entries
+    hold, then after that pass's own fills), equal the cold answers."""
     engine = db.engine
     windows = [Interval(0, FOREVER)] + [Interval(at, min(at + 5, FOREVER))
                                         for at in instants]
@@ -1042,7 +1044,7 @@ def _assert_warm_slices_equal_cold(db, ids, instants):
             if not warm:
                 engine.drop_caches()
             if isinstance(key, Interval):
-                answers[key] = engine.versions_during_many(ids, key)
+                answers[key] = engine.all_versions_many(ids, key, belief())
             elif isinstance(key, tuple):
                 at, name = key
                 answers[key] = pushed(at, {"pred": pred} if name == "pred"

@@ -1,11 +1,13 @@
 """Tests for the write-ahead log."""
 
 import errno
+import json
 import threading
 
 import pytest
 
 from repro import TemporalDatabase
+from repro.canonical import encode_payload
 from repro.errors import WALError
 from repro.txn import wal as wal_module
 from repro.txn.wal import LogRecordType, WriteAheadLog
@@ -44,6 +46,28 @@ class TestAppendRead:
         wal.append(LogRecordType.OPERATION, 1, {"name": "déjà-vu ★"})
         (record,) = wal.read_all()
         assert record.payload["name"] == "déjà-vu ★"
+
+    def test_escaped_and_utf8_spellings_replay_equal(self, tmp_path):
+        """Record bodies are canonical JSON, non-ASCII text as UTF-8; a
+        log written when bodies spelled it as ``\\u`` escapes replays
+        to equal payloads."""
+        payload = {"op": "update", "values": {"name": "déjà-vu ★"}}
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path, sync_on_commit=False) as log:
+            escaped = json.dumps(payload, sort_keys=True,
+                                 separators=(",", ":")).encode("ascii")
+            with log._lock:
+                log._write_record(1, LogRecordType.OPERATION.value, 1,
+                                  escaped)
+            log.flush(sync=False)
+        with WriteAheadLog(path, sync_on_commit=False) as log:
+            assert log.append(LogRecordType.OPERATION, 1, payload) == 2
+            log.flush(sync=False)
+            old, new = log.read_all()
+        raw = path.read_bytes()
+        assert escaped in raw
+        assert encode_payload(payload) in raw
+        assert old.payload == new.payload == payload
 
     def test_empty_log(self, wal):
         assert list(wal.read_all()) == []
