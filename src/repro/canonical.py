@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from repro.errors import SerializationError
+
 
 #: Built once: ``json.dumps`` with these arguments builds an encoder per
 #: call.  Payloads are trees of decoded data, never cyclic, so the
@@ -20,8 +22,16 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 
 
 def encode_payload(obj: Any) -> bytes:
-    """Canonical JSON bytes: sorted keys, minimal separators, UTF-8."""
-    return _ENCODER.encode(obj).encode("utf-8")
+    """Canonical JSON bytes: sorted keys, minimal separators, UTF-8.
+
+    A string UTF-8 cannot hold (a lone surrogate) raises
+    :class:`SerializationError`.
+    """
+    try:
+        return _ENCODER.encode(obj).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SerializationError(
+            f"payload is not valid UTF-8: {exc.reason}") from None
 
 
 def splice_payload(payload: Dict[str, Any], key: str,

@@ -51,6 +51,12 @@ class DataType(enum.Enum):
                 raise TypeMismatchError(
                     f"attribute {name!r} expects str, "
                     f"got {type(value).__name__}")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                raise TypeMismatchError(
+                    f"attribute {name!r} holds a string that is not "
+                    f"valid UTF-8") from None
             return value
         if self is DataType.BOOL:
             if not isinstance(value, bool):

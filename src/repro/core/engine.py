@@ -742,18 +742,27 @@ class StorageEngine:
         return versions
 
     def live_pairs(self, atom_id: int) -> List[Tuple[int, Version]]:
-        """The atom's live versions as (seq, version), in seq order.
+        """The atom's live versions as (seq, version), in seq order."""
+        return self._pairs(self._live_slots(atom_id))
 
-        Served from the atom's live slots when its entry knows them all;
-        one store ``read_live`` otherwise (raising
-        :class:`UnknownAtomError` for an unknown atom), whose versions
-        join the entry as its live slots.  This is the planning read for
-        every mutation — closed versions are immutable, so revision never
-        needs them — and each mutation repairs the live slots from its
-        plan, so update cost stays O(live) however long the closed
-        history grows.  Its decodes also name the atom's type, so
-        mutations call it before :meth:`atom_type_name` and a cold atom's
-        type costs no extra read.
+    def _pairs(self, live: Dict[int, _Slot]) -> List[Tuple[int, Version]]:
+        """The ``(seq, version)`` decodes of the slots *live*."""
+        return list(zip(live, self._decodes(list(live.values()))))
+
+    def _live_slots(self, atom_id: int) -> Dict[int, _Slot]:
+        """The atom's live slots by seq, in seq order.
+
+        Served from the atom's entry when it knows them all; one store
+        ``read_live`` otherwise (raising :class:`UnknownAtomError` for an
+        unknown atom), whose versions join the entry as its live slots.
+        This is the planning read for every mutation — closed versions
+        are immutable, so revision never needs them — and each mutation
+        repairs the live slots from its plan, so update cost stays
+        O(live) however long the closed history grows.  The slots hold
+        the stored versions a rewrite's undo restores, whether or not
+        the cache kept them.  A cold read also names the atom's type, so
+        mutations call it before :meth:`atom_type_name` and a cold
+        atom's type costs no extra read.
         """
         live = self._decode_cache.live_slots(atom_id)
         if live is not None:
@@ -767,8 +776,7 @@ class StorageEngine:
                 self._stored_type_name(stored[0][1].payload) if stored
                 else None,
                 [(seq, _Slot(sv)) for seq, sv in stored], live=True)
-        seqs = sorted(live)
-        return list(zip(seqs, self._decodes([live[seq] for seq in seqs])))
+        return dict(sorted(live.items()))
 
     def _stored_histories(self, ids: List[int]) -> Dict[int, List[_Slot]]:
         """The slots of the full stored histories of the known atoms
@@ -781,8 +789,8 @@ class StorageEngine:
         misses = [atom_id for atom_id in ids if atom_id not in found]
         for atom_id, stored in self.store.read_all_many(misses).items():
             found[atom_id] = list(self._decode_cache.fill(
-                atom_id, self._stored_type_name(stored[0].payload),
-                [(seq, _Slot(sv)) for seq, sv in enumerate(stored)],
+                atom_id, self._stored_type_name(stored[0][1].payload),
+                [(seq, _Slot(sv)) for seq, sv in stored],
                 whole=True).values())
         return {atom_id: found[atom_id] for atom_id in ids
                 if atom_id in found}
@@ -979,8 +987,11 @@ class StorageEngine:
         return run
 
     def _apply_plan(self, atom_id: int, type_name: str,
-                    plan: hist.HistoryPlan,
+                    plan: hist.HistoryPlan, planned: Dict[int, _Slot],
                     undos: List[UndoAction]) -> None:
+        """Apply *plan*, planned from the live slots *planned*, whose
+        stored versions are the pre-images its rewrites' undos
+        restore."""
         self._c_mutations.inc()
         store = self.store
         # The entry is claimed until the plan lands: any exception leaves
@@ -1009,11 +1020,8 @@ class StorageEngine:
                 store.restamp, atom_id, seq,
                 (vt.start, vt.end, tt.start, FOREVER))))
             live.pop(seq, None)
-        if plan.rewrites:
-            originals = store.read_versions(
-                atom_id, [seq for seq, _ in plan.rewrites])
         for seq, replacement in plan.rewrites:
-            old = originals[seq]
+            old = planned[seq].stored
             stored = self._encode(type_name, replacement)
             store.replace_version(atom_id, seq, stored)
             undos.append(self._undo_invalidating(
@@ -1081,61 +1089,54 @@ class StorageEngine:
         plan = hist.insert_plan(checked, {}, window, tt,
                                 existing_live=existing_live)
         undos: List[UndoAction] = []
-        self._apply_plan(atom_id, type_name, plan, undos)
+        self._apply_plan(atom_id, type_name, plan, {}, undos)
         return undos
 
     def update(self, atom_id: int, changes: Dict[str, Any],
                valid_from: Timestamp, tt: Timestamp,
                valid_to: Timestamp = FOREVER) -> List[UndoAction]:
         """Set *changes* over [valid_from, valid_to) (default: onwards)."""
-        live = self.live_pairs(atom_id)
-        type_name = self.atom_type_name(atom_id)
-        atom_type = self.schema.atom_type(type_name)
-        checked = atom_type.validate_values(changes, partial=True)
-        if not checked:
-            raise TemporalUpdateError("update with no changes")
-        window = Interval(valid_from, valid_to)
-
-        def transform(version: Version) -> Version:
-            merged = dict(version.values)
-            merged.update(checked)
-            return version.with_state(merged, version.refs)
-
-        plan = hist.revise_pairs(live, window, tt, transform)
-        undos: List[UndoAction] = []
-        self._apply_plan(atom_id, type_name, plan, undos)
-        return undos
+        return self._revise(atom_id, valid_from, valid_to, tt, changes,
+                            require_changes=True)
 
     def delete(self, atom_id: int, valid_from: Timestamp,
                tt: Timestamp,
                valid_to: Timestamp = FOREVER) -> List[UndoAction]:
         """Logically delete: truncate validity inside the window."""
-        live = self.live_pairs(atom_id)
-        type_name = self.atom_type_name(atom_id)
-        window = Interval(valid_from, valid_to)
-        plan = hist.revise_pairs(live, window, tt, lambda version: None)
-        undos: List[UndoAction] = []
-        self._apply_plan(atom_id, type_name, plan, undos)
-        return undos
+        return self._revise(atom_id, valid_from, valid_to, tt, None)
 
     def correct(self, atom_id: int, window_start: Timestamp,
                 window_end: Timestamp, changes: Dict[str, Any],
                 tt: Timestamp) -> List[UndoAction]:
-        """Bitemporal correction: rewrite values inside a past window."""
-        live = self.live_pairs(atom_id)
+        """Bitemporal correction: rewrite values inside a past window.
+        Empty *changes* are accepted, so a logged empty correction
+        replays."""
+        return self._revise(atom_id, window_start, window_end, tt, changes)
+
+    def _revise(self, atom_id: int, start: Timestamp, end: Timestamp,
+                tt: Timestamp, changes: Optional[Dict[str, Any]],
+                require_changes: bool = False) -> List[UndoAction]:
+        """Revise the atom's state over [start, end): merge *changes*
+        into it, or delete it when *changes* is None."""
+        live = self._live_slots(atom_id)
         type_name = self.atom_type_name(atom_id)
-        atom_type = self.schema.atom_type(type_name)
-        checked = atom_type.validate_values(changes, partial=True)
-        window = Interval(window_start, window_end)
+        checked: Optional[Dict[str, Any]] = None
+        if changes is not None:
+            checked = self.schema.atom_type(type_name).validate_values(
+                changes, partial=True)
+            if require_changes and not checked:
+                raise TemporalUpdateError("update with no changes")
 
-        def transform(version: Version) -> Version:
-            merged = dict(version.values)
-            merged.update(checked)
-            return version.with_state(merged, version.refs)
+        def transform(version: Version) -> Optional[Version]:
+            if checked is None:
+                return None
+            return version.with_state({**version.values, **checked},
+                                      version.refs)
 
-        plan = hist.revise_pairs(live, window, tt, transform)
+        plan = hist.revise_pairs(self._pairs(live), Interval(start, end), tt,
+                                 transform)
         undos: List[UndoAction] = []
-        self._apply_plan(atom_id, type_name, plan, undos)
+        self._apply_plan(atom_id, type_name, plan, live, undos)
         return undos
 
     def apply(self, payload: Dict[str, Any]) -> List[UndoAction]:
@@ -1214,10 +1215,12 @@ class StorageEngine:
 
     def _ref_plan(self, atom_id: int, key: str, partner: int, add: bool,
                   window: Interval, tt: Timestamp
-                  ) -> Tuple[str, hist.HistoryPlan, bool]:
+                  ) -> Tuple[Tuple[str, hist.HistoryPlan, Dict[int, _Slot]],
+                             bool]:
         """Plan adding/removing *partner* in the atom's reference set.
 
-        Pure: nothing is applied.  Returns (type name, plan, changed).
+        Pure: nothing is applied.  Returns ((type name, plan, the live
+        slots it was planned from), changed).
         """
         changed = False
 
@@ -1236,9 +1239,9 @@ class StorageEngine:
                 {k: frozenset(v) for k, v in refs.items() if v})
 
         type_name = self.atom_type_name(atom_id)
-        plan = hist.revise_pairs(self.live_pairs(atom_id), window, tt,
-                                 transform)
-        return type_name, plan, changed
+        live = self._live_slots(atom_id)
+        plan = hist.revise_pairs(self._pairs(live), window, tt, transform)
+        return (type_name, plan, live), changed
 
     def link(self, link_name: str, source_id: int, target_id: int,
              valid_from: Timestamp, tt: Timestamp,
@@ -1251,13 +1254,13 @@ class StorageEngine:
         link = self._link_type_for(link_name, source_id, target_id)
         window = Interval(valid_from, valid_to)
         self._check_cardinality(link, source_id, target_id, window)
-        src = self._ref_plan(source_id, ref_key(link_name, OUT), target_id,
-                             True, window, tt)
-        dst = self._ref_plan(target_id, ref_key(link_name, IN), source_id,
-                             True, window, tt)
+        src, _ = self._ref_plan(source_id, ref_key(link_name, OUT),
+                                target_id, True, window, tt)
+        dst, _ = self._ref_plan(target_id, ref_key(link_name, IN), source_id,
+                                True, window, tt)
         undos: List[UndoAction] = []
-        self._apply_plan(source_id, src[0], src[1], undos)
-        self._apply_plan(target_id, dst[0], dst[1], undos)
+        self._apply_plan(source_id, *src, undos)
+        self._apply_plan(target_id, *dst, undos)
         return undos
 
     def unlink(self, link_name: str, source_id: int, target_id: int,
@@ -1270,17 +1273,17 @@ class StorageEngine:
         """
         self._link_type_for(link_name, source_id, target_id)
         window = Interval(valid_from, valid_to)
-        src = self._ref_plan(source_id, ref_key(link_name, OUT), target_id,
-                             False, window, tt)
-        dst = self._ref_plan(target_id, ref_key(link_name, IN), source_id,
-                             False, window, tt)
-        if not (src[2] or dst[2]):
+        src, src_changed = self._ref_plan(
+            source_id, ref_key(link_name, OUT), target_id, False, window, tt)
+        dst, dst_changed = self._ref_plan(
+            target_id, ref_key(link_name, IN), source_id, False, window, tt)
+        if not (src_changed or dst_changed):
             raise TemporalUpdateError(
                 f"{link_name}: atoms {source_id} and {target_id} are not "
                 f"linked inside {window}")
         undos: List[UndoAction] = []
-        self._apply_plan(source_id, src[0], src[1], undos)
-        self._apply_plan(target_id, dst[0], dst[1], undos)
+        self._apply_plan(source_id, *src, undos)
+        self._apply_plan(target_id, *dst, undos)
         return undos
 
     # ------------------------------------------------------------------
@@ -1296,7 +1299,7 @@ class StorageEngine:
             type_name, attribute_name, attribute.data_type.key_width)
         for atom_id, history in iter_histories(
                 self.store, self.atoms_of_type(type_name)):
-            for stored in history:
+            for _seq, stored in history:
                 _, version = self._decode(stored)
                 value = version.values.get(attribute_name)
                 if value is None:
@@ -1311,7 +1314,7 @@ class StorageEngine:
         name = self.indexes.create_vt_index(type_name)
         for atom_id, history in iter_histories(
                 self.store, self.atoms_of_type(type_name)):
-            for stored in history:
+            for _seq, stored in history:
                 self.indexes.add_vt_entry(name, stored.vt_start, atom_id)
         return name
 

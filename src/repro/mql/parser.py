@@ -111,6 +111,8 @@ def parse_query(text: str) -> Query:
     if stream.accept_keyword("AS"):
         stream.expect_keyword("OF")
         as_of = _parse_time(stream)
+        if as_of >= FOREVER:  # current knowledge by another name
+            as_of = None
     if stream.current.type is not TokenType.END:
         raise ParseError(f"unexpected trailing {stream.current}",
                          stream.current.position)

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.errors import QueryError
-from repro.temporal import FOREVER
 
 
 @lru_cache(maxsize=512)
@@ -26,9 +25,10 @@ def routing_bound(text: str) -> Optional[int]:
     """The query's transaction-time upper bound, or ``None``.
 
     ``None`` means "not provably time-bounded — route to the primary":
-    no ``AS OF`` clause, an unparseable text (the server will produce
-    the real error), ``AS OF FOREVER`` (current knowledge by another
-    name), or an ``EXPLAIN`` (profiles must describe the primary).
+    no ``AS OF`` clause (the parser reads ``AS OF FOREVER`` as none:
+    current knowledge), an unparseable text (the server will produce
+    the real error), or an ``EXPLAIN`` (profiles must describe the
+    primary).
     """
     from repro.mql.parser import parse_query
     try:
@@ -36,7 +36,5 @@ def routing_bound(text: str) -> Optional[int]:
     except (QueryError, RecursionError):
         return None
     if query.explain or query.as_of is None:
-        return None
-    if query.as_of >= FOREVER:
         return None
     return int(query.as_of)

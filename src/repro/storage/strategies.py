@@ -27,9 +27,12 @@ benchmarks measure:
 
 A version is stored as an *envelope*, its bitemporal stamp ``(vt_start,
 vt_end, tt_start, tt_end)``, plus an opaque payload: the engine's
-serialized state, which the store never interprets.  Every selection a
-store makes — current or ``AS OF``, point or whole-history — is decided
-on envelopes alone, so it opens only the records it selects.
+serialized state, which the store never interprets.  A store answers
+two selecting reads — a point read (the version valid at an instant as
+believed at a transaction time) and a rectangle read (every version
+whose envelope overlaps a valid-time x transaction-time rectangle) —
+and decides each on envelopes alone, so it reads only the payloads it
+selects.  The strategies differ only in how they reach the envelopes.
 
 Nearly every chronon fits 32 bits (the transaction clock counts
 commits), so a CLUSTERED or CHAINED record or a SEPARATED vdir whose
@@ -51,7 +54,8 @@ from repro.storage.buffer import BufferManager
 from repro.storage.constants import INVALID_PAGE_ID
 from repro.storage.directory import AtomDirectory
 from repro.storage.heap import HeapSegment, RecordId
-from repro.temporal import FOREVER, TMIN
+from repro.temporal import FOREVER, TMIN, Interval
+from repro.temporal.timestamp import MAX_CHRONON
 
 _NO_RECORD = RecordId(INVALID_PAGE_ID, 0)
 
@@ -208,8 +212,7 @@ class VersionStore:
     def restamp(self, atom_id: int, seq: int, stamp: Stamp) -> None:
         """Give version *seq* the envelope *stamp*; its payload stays.
         Where envelope and payload share a record, that is a rewrite."""
-        old = self.read_versions(atom_id, [seq])[seq]
-        self.replace_version(atom_id, seq, StoredVersion(*stamp, old.payload))
+        raise NotImplementedError
 
     def pop_version(self, atom_id: int) -> None:
         """Remove the newest version (transaction rollback only).
@@ -223,45 +226,35 @@ class VersionStore:
 
     # -- reads ------------------------------------------------------------------
     #
-    # The write path reads one atom at a time (``read_live``,
-    # ``read_versions``, and ``read_current`` for a cold type-name
-    # lookup); every other read is set-oriented: one call answers many
+    # Two selecting reads, both set-oriented: one call answers many
     # atoms, so a strategy translates all their ids in one
     # ``AtomDirectory.get_many`` (which pins each direct-mapped
     # directory page once) and pins every touched record page once per
-    # batch rather than once per atom.
+    # batch rather than once per atom.  Each selects on envelopes and
+    # reads a payload only for a version it selects, so a read costs the
+    # records it answers with plus whatever holds the envelopes it
+    # passes: nothing more for CLUSTERED, the vdir for SEPARATED, the
+    # chain (down to the answer, for a point read) for CHAINED.  The
+    # store never parses a payload; the engine applies any pushed-down
+    # predicate to the payloads it gets back.
     #
     # ``read_at_many`` is the point read, current or bitemporal: it
-    # walks each atom's envelopes newest-first and reads a payload only
-    # for a version its envelope selects (valid at the instant, believed
-    # at the transaction time), so a read costs the records it answers
-    # with plus whatever holds the envelopes it passes: nothing more for
-    # CLUSTERED, the vdir for SEPARATED, the chain down to the answer
-    # for CHAINED.  The store never parses a payload; the engine applies
-    # any pushed-down predicate to the payloads it gets back.
-    # ``read_all_many`` returns whole histories, which are cached above
-    # the store.
+    # walks each atom's envelopes newest-first.  ``read_all_many`` is
+    # the rectangle read; with its defaults it returns whole histories,
+    # which are cached above the store.  ``read_current`` serves a cold
+    # type-name lookup.
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         """The newest (highest-sequence) version."""
         raise NotImplementedError
 
     def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
-        """All live versions with their sequence numbers, in seq order.
-
-        Revision planning only touches live versions, so this is the
-        write path's read.
-        """
-        raise NotImplementedError
-
-    def read_versions(self, atom_id: int,
-                      seqs: Iterable[int]) -> Dict[int, StoredVersion]:
-        """The stored records of specific sequence numbers.
-
-        Used to capture pre-images for undo without re-reading the whole
-        history; *seqs* outside the atom raise :class:`StorageError`.
-        """
-        raise NotImplementedError
+        """The live versions, the rectangle read believed now: only an
+        open transaction time meets the last chronon."""
+        live = self.read_all_many([atom_id], tt=Interval.instant(MAX_CHRONON))
+        if atom_id not in live:
+            raise UnknownAtomError(f"atom {atom_id} not in store")
+        return live[atom_id]
 
     def read_at_many(self, requests: Iterable[PointRequest]
                      ) -> Dict[PointRequest, PointHit]:
@@ -277,10 +270,14 @@ class VersionStore:
         """
         raise NotImplementedError
 
-    def read_all_many(self, atom_ids: Iterable[int]
-                      ) -> Dict[int, List[StoredVersion]]:
-        """The full histories, in sequence order, of the known atoms
-        among *atom_ids*; atoms not in the store are omitted."""
+    def read_all_many(self, atom_ids: Iterable[int],
+                      vt: Interval = Interval.always(),
+                      tt: Interval = Interval.always()
+                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
+        """For each known atom among *atom_ids*, the ``(seq, version)``
+        pairs, in seq order, whose envelope overlaps the rectangle *vt*
+        x *tt* (the defaults give the whole history); atoms not in the
+        store are omitted."""
         raise NotImplementedError
 
     def exists(self, atom_id: int) -> bool:
@@ -299,6 +296,14 @@ class VersionStore:
         raise NotImplementedError
 
 
+def _selector(vt: Interval, tt: Interval) -> Callable[[Stamp], bool]:
+    """The test of whether an envelope overlaps the rectangle *vt* x
+    *tt*."""
+    vt_start, vt_end, tt_start, tt_end = vt.start, vt.end, tt.start, tt.end
+    return lambda stamp: (stamp[0] < vt_end and vt_start < stamp[1]
+                          and stamp[2] < tt_end and tt_start < stamp[3])
+
+
 #: Atoms per ``read_all_many`` call when a maintenance pass walks many
 #: atoms (index backfills, vacuum), so peak memory stays bounded however
 #: large the store grows.
@@ -306,9 +311,10 @@ HISTORY_CHUNK_ATOMS = 256
 
 
 def iter_histories(store: VersionStore, atom_ids: Iterable[int]
-                   ) -> Iterator[Tuple[int, List[StoredVersion]]]:
+                   ) -> Iterator[Tuple[int, List[Tuple[int, StoredVersion]]]]:
     """``(atom_id, history)`` for the known atoms among *atom_ids*, in
-    input order, read ``HISTORY_CHUNK_ATOMS`` atoms per batch."""
+    input order, each history its ``(seq, version)`` pairs, read
+    ``HISTORY_CHUNK_ATOMS`` atoms per batch."""
     pending = iter(atom_ids)
     while True:
         chunk = list(islice(pending, HISTORY_CHUNK_ATOMS))
@@ -387,6 +393,20 @@ class _HeadStore(_BaseStore):
         self._directory.put(
             atom_id, self._DIR_VALUE.pack(rid.page_id, rid.slot, count))
 
+    def replace_version(self, atom_id: int, seq: int,
+                        sv: StoredVersion) -> None:
+        self._rewrite(atom_id, seq, lambda _old: sv)
+
+    def restamp(self, atom_id: int, seq: int, stamp: Stamp) -> None:
+        self._rewrite(atom_id, seq,
+                      lambda old: StoredVersion(*stamp, old.payload))
+
+    def _rewrite(self, atom_id: int, seq: int,
+                 revise: Callable[[StoredVersion], StoredVersion]) -> None:
+        """Store ``revise(old)`` in place of version *seq*, *old*, in
+        the one pass that reaches it."""
+        raise NotImplementedError
+
 
 # ---------------------------------------------------------------------------
 # CLUSTERED: the whole history in one spanned record ("temporal atom")
@@ -462,17 +482,8 @@ class ClusteredStore(_HeadStore):
         self._put_dir(atom_id, new_rid, count + 1)
         return count
 
-    def replace_version(self, atom_id: int, seq: int,
-                        sv: StoredVersion) -> None:
-        self._rewrite(atom_id, seq, lambda _old: sv)
-
-    def restamp(self, atom_id: int, seq: int, stamp: Stamp) -> None:
-        self._rewrite(atom_id, seq,
-                      lambda old: StoredVersion(*stamp, old.payload))
-
     def _rewrite(self, atom_id: int, seq: int,
                  revise: Callable[[StoredVersion], StoredVersion]) -> None:
-        """Store ``revise(old)`` in place of version *seq*, *old*."""
         rid, count = self._dir_entry(atom_id)
         if not (0 <= seq < count):
             raise StorageError(f"atom {atom_id} has no version {seq}")
@@ -497,28 +508,9 @@ class ClusteredStore(_HeadStore):
         self._segment.delete(rid)
         self._directory.delete(atom_id)
 
-    def _history(self, atom_id: int) -> List[StoredVersion]:
-        rid, _ = self._dir_entry(atom_id)
-        return self._decode(self._segment.read(rid))
-
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
-        versions = self._history(atom_id)
-        return len(versions) - 1, versions[-1]
-
-    def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
-        return [(seq, sv) for seq, sv in enumerate(self._history(atom_id))
-                if sv.live]
-
-    def read_versions(self, atom_id: int,
-                      seqs: Iterable[int]) -> Dict[int, StoredVersion]:
-        wanted = set(seqs)
-        versions = self._history(atom_id)
-        missing = [seq for seq in wanted
-                   if not (0 <= seq < len(versions))]
-        if missing:
-            raise StorageError(
-                f"atom {atom_id} has no version {missing[0]}")
-        return {seq: versions[seq] for seq in wanted}
+        rid, count = self._dir_entry(atom_id)
+        return count - 1, self._decode(self._segment.read(rid))[-1]
 
     # -- batched reads ---------------------------------------------------------
 
@@ -535,9 +527,18 @@ class ClusteredStore(_HeadStore):
         records = self._segment.read_many(rid_for.values())
         return {atom_id: records[rid] for atom_id, rid in rid_for.items()}
 
-    def read_all_many(self, atom_ids: Iterable[int]
-                      ) -> Dict[int, List[StoredVersion]]:
-        return {atom_id: self._decode(record) for atom_id, record
+    def read_all_many(self, atom_ids: Iterable[int],
+                      vt: Interval = Interval.always(),
+                      tt: Interval = Interval.always()
+                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
+        # The one record holds every envelope: copy out only the
+        # payloads they select.
+        meets = _selector(vt, tt)
+        return {atom_id: [(seq, StoredVersion(*stamp, record[begin:end]))
+                          for seq, (stamp, begin, end)
+                          in enumerate(self._envelopes(record))
+                          if meets(stamp)]
+                for atom_id, record
                 in self._raw_records_many(atom_ids).items()}
 
     def read_at_many(self, requests: Iterable[PointRequest]
@@ -593,12 +594,18 @@ class ChainedStore(_HeadStore):
             *_mapped(stamp, _STORED[width])) + sv.payload
 
     @classmethod
-    def _decode(cls, record: bytes) -> Tuple[RecordId, StoredVersion]:
+    def _head(cls, record: bytes) -> Tuple[RecordId, Stamp, int]:
+        """The predecessor, stamp and payload offset of *record*."""
         width = record[RecordId.PACKED_SIZE]
         head = cls._HEADS[width]
         fields = head.unpack_from(record)
-        return RecordId(fields[0], fields[1]), StoredVersion(
-            *_mapped(fields[3:], _LOADED[width]), record[head.size:])
+        return (RecordId(fields[0], fields[1]),
+                _mapped(fields[3:], _LOADED[width]), head.size)
+
+    @classmethod
+    def _decode(cls, record: bytes) -> Tuple[RecordId, StoredVersion]:
+        prev, stamp, begin = cls._head(record)
+        return prev, StoredVersion(*stamp, record[begin:])
 
     def _walk(self, atom_id: int) -> Iterator[Tuple[int, RecordId,
                                                     RecordId, StoredVersion]]:
@@ -623,14 +630,15 @@ class ChainedStore(_HeadStore):
         self._put_dir(atom_id, rid, count + 1)
         return count
 
-    def replace_version(self, atom_id: int, seq: int,
-                        sv: StoredVersion) -> None:
+    def _rewrite(self, atom_id: int, seq: int,
+                 revise: Callable[[StoredVersion], StoredVersion]) -> None:
         successor: Optional[RecordId] = None
-        for cur_seq, rid, prev, _old in self._walk(atom_id):
+        for cur_seq, rid, prev, old in self._walk(atom_id):
             if cur_seq != seq:
                 successor = rid
                 continue
-            new_rid = self._segment.update(rid, self._encode(prev, sv))
+            new_rid = self._segment.update(rid,
+                                           self._encode(prev, revise(old)))
             if new_rid == rid:
                 return
             # The record moved: repair the incoming pointer.
@@ -665,34 +673,10 @@ class ChainedStore(_HeadStore):
             self._segment.delete(rid)
         self._directory.delete(atom_id)
 
-    def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
-        live = [(seq, sv) for seq, _rid, _prev, sv in self._walk(atom_id)
-                if sv.live]
-        live.reverse()
-        return live
-
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         rid, count = self._dir_entry(atom_id)
         _, sv = self._decode(self._segment.read(rid))
         return count - 1, sv
-
-    def read_versions(self, atom_id: int,
-                      seqs: Iterable[int]) -> Dict[int, StoredVersion]:
-        # Walk newest-first and stop as soon as every requested seq is
-        # in hand — the write path asks for recently-closed versions, so
-        # the walk usually ends within a step or two of the head.
-        wanted = set(seqs)
-        result: Dict[int, StoredVersion] = {}
-        for seq, _rid, _prev, sv in self._walk(atom_id):
-            if seq in wanted:
-                result[seq] = sv
-                wanted.discard(seq)
-                if not wanted:
-                    return result
-        if wanted:
-            raise StorageError(
-                f"atom {atom_id} has no version {min(wanted)}")
-        return result
 
     # -- batched reads ---------------------------------------------------------
     #
@@ -711,18 +695,26 @@ class ChainedStore(_HeadStore):
                 frontier[atom_id] = (rid, count - 1)
         return frontier
 
-    def read_all_many(self, atom_ids: Iterable[int]
-                      ) -> Dict[int, List[StoredVersion]]:
+    def read_all_many(self, atom_ids: Iterable[int],
+                      vt: Interval = Interval.always(),
+                      tt: Interval = Interval.always()
+                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
+        # Every chain is walked to its end, keeping the versions whose
+        # envelope the rectangle selects.
+        meets = _selector(vt, tt)
         frontier = self._frontier(atom_ids)
-        collected: Dict[int, List[StoredVersion]] = {
+        collected: Dict[int, List[Tuple[int, StoredVersion]]] = {
             atom_id: [] for atom_id in frontier}
         while frontier:
             records = self._segment.read_many(
                 rid for rid, _ in frontier.values())
             advanced: Dict[int, Tuple[RecordId, int]] = {}
             for atom_id, (rid, seq) in frontier.items():
-                prev, sv = self._decode(records[rid])
-                collected[atom_id].append(sv)  # newest first
+                record = records[rid]
+                prev, stamp, begin = self._head(record)
+                if meets(stamp):  # newest first
+                    collected[atom_id].append(
+                        (seq, StoredVersion(*stamp, record[begin:])))
                 if prev != _NO_RECORD:
                     advanced[atom_id] = (prev, seq - 1)
             frontier = advanced
@@ -812,17 +804,12 @@ class SeparatedStore(_BaseStore):
 
     @classmethod
     def _parse_vdir(cls, record: bytes) -> List[Tuple[Stamp, RecordId]]:
-        """Every entry, for the readers that want a whole history."""
+        """Every entry, in seq order."""
         width = record[0]
         return [(_mapped(fields, _LOADED[width]),
                  RecordId(fields[4], fields[5]))
                 for fields in cls._VDIR_ENTRIES[width].iter_unpack(
                     record[1:])]
-
-    def _read_vdir(self, vdir_rid: RecordId) -> List[Tuple[Stamp, RecordId]]:
-        if vdir_rid == _NO_RECORD:
-            return []
-        return self._parse_vdir(self._vdir.read(vdir_rid))
 
     @classmethod
     def _spliced(cls, vdir: bytes, seq: int, stamp: Stamp,
@@ -920,9 +907,9 @@ class SeparatedStore(_BaseStore):
 
     def delete_atom(self, atom_id: int) -> None:
         current_rid, vdir_rid, _, _ = self._dir_entry(atom_id)
-        for _, hist_rid in self._read_vdir(vdir_rid):
-            self._history.delete(hist_rid)
         if vdir_rid != _NO_RECORD:
+            for _, hist_rid in self._parse_vdir(self._vdir.read(vdir_rid)):
+                self._history.delete(hist_rid)
             self._vdir.delete(vdir_rid)
         self._current.delete(current_rid)
         self._directory.delete(atom_id)
@@ -932,44 +919,6 @@ class SeparatedStore(_BaseStore):
         return count - 1, StoredVersion(*stamp,
                                         self._current.read(current_rid))
 
-    def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
-        # Envelope-only vdir scan selects the live history seqs, then
-        # one grouped read fetches exactly those payloads — the closed
-        # majority of a long history is never materialised.
-        current_rid, vdir_rid, count, stamp = self._dir_entry(atom_id)
-        fetch = [(seq, entry_stamp, rid) for seq, (entry_stamp, rid)
-                 in enumerate(self._read_vdir(vdir_rid))
-                 if believed(entry_stamp[2], entry_stamp[3], None)]
-        records = self._history.read_many(rid for _, _, rid in fetch)
-        hits = [(seq, StoredVersion(*entry_stamp, records[rid]))
-                for seq, entry_stamp, rid in fetch]
-        if believed(stamp[2], stamp[3], None):
-            hits.append((count - 1, StoredVersion(
-                *stamp, self._current.read(current_rid))))
-        return hits
-
-    def read_versions(self, atom_id: int,
-                      seqs: Iterable[int]) -> Dict[int, StoredVersion]:
-        current_rid, vdir_rid, count, stamp = self._dir_entry(atom_id)
-        wanted = set(seqs)
-        out_of_range = [seq for seq in wanted if not (0 <= seq < count)]
-        if out_of_range:
-            raise StorageError(
-                f"atom {atom_id} has no version {out_of_range[0]}")
-        result: Dict[int, StoredVersion] = {}
-        if count - 1 in wanted:
-            result[count - 1] = StoredVersion(
-                *stamp, self._current.read(current_rid))
-            wanted.discard(count - 1)
-        if wanted:
-            vdir = self._vdir.read(vdir_rid)
-            fetch = {seq: self._vdir_entry(vdir, seq) for seq in wanted}
-            records = self._history.read_many(
-                rid for _, rid in fetch.values())
-            for seq, (entry_stamp, rid) in fetch.items():
-                result[seq] = StoredVersion(*entry_stamp, records[rid])
-        return result
-
     # -- batched reads ---------------------------------------------------------
     #
     # A batch runs in waves — directory, then current segment, then
@@ -977,31 +926,36 @@ class SeparatedStore(_BaseStore):
     # page-grouped read, so the dense current segment in particular is
     # pinned once per page per batch (the strategy's best case).
 
-    def read_all_many(self, atom_ids: Iterable[int]
-                      ) -> Dict[int, List[StoredVersion]]:
-        heads: Dict[int, Tuple[RecordId, RecordId, Stamp]] = {}
-        for atom_id, payload in self._entries_many(atom_ids).items():
-            if payload is not None:
-                current_rid, vdir_rid, _count, stamp = self._decode_dir(
-                    payload)
-                heads[atom_id] = (current_rid, vdir_rid, stamp)
+    def read_all_many(self, atom_ids: Iterable[int],
+                      vt: Interval = Interval.always(),
+                      tt: Interval = Interval.always()
+                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
+        # The directory stamp decides the current record and the vdir
+        # entries the history records; each wave reads only those.
+        meets = _selector(vt, tt)
+        heads: Dict[int, _DirEntry] = {
+            atom_id: self._decode_dir(payload) for atom_id, payload
+            in self._entries_many(atom_ids).items() if payload is not None}
         current_records = self._current.read_many(
-            rid for rid, _, _ in heads.values())
+            rid for rid, _, _, stamp in heads.values() if meets(stamp))
         vdir_records = self._vdir.read_many(
-            rid for _, rid, _ in heads.values() if rid != _NO_RECORD)
-        entries: Dict[int, List[Tuple[Stamp, RecordId]]] = {
-            atom_id: ([] if vdir_rid == _NO_RECORD
-                      else self._parse_vdir(vdir_records[vdir_rid]))
-            for atom_id, (_, vdir_rid, _) in heads.items()}
+            rid for _, rid, _, _ in heads.values() if rid != _NO_RECORD)
+        picked: Dict[int, List[Tuple[int, Stamp, RecordId]]] = {
+            atom_id: [] if vdir_rid == _NO_RECORD else [
+                (seq, stamp, rid) for seq, (stamp, rid)
+                in enumerate(self._parse_vdir(vdir_records[vdir_rid]))
+                if meets(stamp)]
+            for atom_id, (_, vdir_rid, _, _) in heads.items()}
         hist_records = self._history.read_many(
-            rid for atom_entries in entries.values()
-            for _, rid in atom_entries)
-        result: Dict[int, List[StoredVersion]] = {}
-        for atom_id, (current_rid, _, stamp) in heads.items():
-            versions = [StoredVersion(*entry_stamp, hist_records[rid])
-                        for entry_stamp, rid in entries[atom_id]]
-            versions.append(
-                StoredVersion(*stamp, current_records[current_rid]))
+            rid for atom_picks in picked.values()
+            for _, _, rid in atom_picks)
+        result: Dict[int, List[Tuple[int, StoredVersion]]] = {}
+        for atom_id, (current_rid, _, count, stamp) in heads.items():
+            versions = [(seq, StoredVersion(*entry_stamp, hist_records[rid]))
+                        for seq, entry_stamp, rid in picked[atom_id]]
+            if meets(stamp):
+                versions.append((count - 1, StoredVersion(
+                    *stamp, current_records[current_rid])))
             result[atom_id] = versions
         return result
 

@@ -60,7 +60,8 @@ def vacuum_superseded(db: TemporalDatabase,
         for atom_id, stored_versions in iter_histories(
                 store, list(store.atom_ids())):
             report.atoms_visited += 1
-            keep = [sv for sv in stored_versions if sv.tt_end > before_tt]
+            keep = [sv for _seq, sv in stored_versions
+                    if sv.tt_end > before_tt]
             removed = len(stored_versions) - len(keep)
             report.versions_kept += len(keep)
             if removed == 0:

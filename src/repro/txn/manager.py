@@ -118,9 +118,10 @@ class TransactionManager:
                       payload: Dict[str, Any]) -> int:
         """Log one operation of *txn*; must precede applying it."""
         txn.require_active()
+        lsn = self._wal.append(LogRecordType.OPERATION, txn.txn_id, payload)
         txn.operations_logged += 1
         self._c_operations.inc()
-        return self._wal.append(LogRecordType.OPERATION, txn.txn_id, payload)
+        return lsn
 
     def commit(self, txn: Transaction) -> None:
         """Force-log the commit (group commit), then release the locks.

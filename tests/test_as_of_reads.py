@@ -192,8 +192,7 @@ def newest_first(store, requests):
     for request in requests:
         atom_id, at, tt = request
         expected[request] = None
-        for seq in reversed(range(len(histories.get(atom_id, ())))):
-            sv = histories[atom_id][seq]
+        for seq, sv in reversed(histories.get(atom_id, ())):
             believed = (sv.live if tt is None
                         else sv.tt_start <= tt < sv.tt_end)
             if sv.contains(at) and believed:

@@ -25,6 +25,8 @@ class TestValidation:
         assert DataType.STRING.validate("a", "x") == "x"
         with pytest.raises(TypeMismatchError):
             DataType.STRING.validate("a", 5)
+        with pytest.raises(TypeMismatchError):
+            DataType.STRING.validate("a", "x\ud800")  # not UTF-8
 
     def test_bool(self):
         assert DataType.BOOL.validate("a", True) is True

@@ -1,9 +1,9 @@
 """The write path's live-version machinery.
 
-Mutation planning only ever reads transaction-time-open versions, so the
-stores expose ``read_live``/``read_versions`` and the engine's per-atom
-cache entry holds a slot for every live version, which ``_apply_plan``
-repairs from its plan.
+Mutation planning only ever reads transaction-time-open versions: the
+stores' ``read_live``, their rectangle read believed now, and the
+engine's per-atom cache entry, which holds a slot for every live version
+and which ``_apply_plan`` repairs from its plan.
 These tests pin the store contracts, prove the cache never drifts from
 store truth under mixed operations (including undo and eviction), and
 guard the headline properties: update cost no longer scans the closed
@@ -15,9 +15,9 @@ import random
 import pytest
 
 from repro.core.engine import DECODE_CACHE_ENTRY_OVERHEAD, DecodedVersionCache
-from repro.errors import StorageError
-from repro.storage.strategies import StoredVersion
-from repro.temporal import FOREVER
+from repro.errors import UnknownAtomError
+from repro.temporal import FOREVER, Interval
+from repro.temporal.timestamp import MAX_CHRONON
 
 
 @pytest.fixture
@@ -37,8 +37,8 @@ def store_live(engine, atom_id):
 
 
 class TestStoreContract:
-    """read_live / read_versions agree with read_all_many on every
-    strategy."""
+    """The rectangle read and ``read_live`` agree with the envelope
+    filter of the whole history on every strategy."""
 
     def _seed(self, engine):
         insert(engine, 1, tt=0)
@@ -50,27 +50,30 @@ class TestStoreContract:
     def test_read_live_matches_filtered_read_all(self, engine):
         self._seed(engine)
         store = engine.store
-        expected = [(seq, sv) for seq, sv
-                    in enumerate(store.read_all_many([1])[1]) if sv.live]
-        assert sorted(store.read_live(1)) == sorted(expected)
+        expected = [(seq, sv) for seq, sv in store.read_all_many([1])[1]
+                    if sv.live]
+        assert store.read_live(1) == expected
 
-    def test_read_versions_matches_read_all(self, engine):
+    def test_rectangle_read_matches_filtered_read_all(self, engine):
         self._seed(engine)
         store = engine.store
         full = store.read_all_many([1])[1]
-        seqs = [0, len(full) - 1, len(full) // 2]
-        got = store.read_versions(1, seqs)
-        assert got == {seq: full[seq] for seq in seqs}
-
-    def test_read_versions_unknown_seq(self, engine):
-        insert(engine, 1, tt=0)
-        with pytest.raises(StorageError):
-            engine.store.read_versions(1, [5])
+        for vt, tt in ((Interval(12, 15), Interval.always()),
+                       (Interval.always(), Interval.instant(2)),
+                       (Interval.instant(6), Interval(1, 3)),
+                       (Interval(0, 10), Interval.instant(MAX_CHRONON))):
+            expected = [(seq, sv) for seq, sv in full
+                        if sv.vt_start < vt.end and vt.start < sv.vt_end
+                        and sv.tt_start < tt.end and tt.start < sv.tt_end]
+            assert 0 < len(expected) < len(full)
+            assert store.read_all_many([1, 9], vt, tt) == {1: expected}
 
     def test_read_live_excludes_fully_deleted(self, engine):
         insert(engine, 1, tt=0)
         engine.delete(1, 0, tt=1)
         assert engine.store.read_live(1) == []
+        with pytest.raises(UnknownAtomError):
+            engine.store.read_live(9)
 
 
 def _mixed_ops_match_store(engine, between=lambda: None):
@@ -140,6 +143,25 @@ class TestLiveSetCache:
         assert engine.live_pairs(1) == store_live(engine, 1)
         assert [v.values.get("cost") for _, v in engine.live_pairs(1)] \
             == [None]
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_undone_rewrites_restore_their_pre_images(self, engine, budget):
+        # A revision inside the tick that wrote a version rewrites it in
+        # place; undo restores the stored version the planning read
+        # held, also when the cache (budget 0) kept none of its slots.
+        if budget is not None:
+            engine._decode_cache = DecodedVersionCache(budget, engine.metrics)
+        insert(engine, 1, tt=0)
+        engine.update(1, {"cost": 1.0}, 10, tt=1)
+        before = engine.store.read_all_many([1])[1]
+        undos = engine.update(1, {"cost": 2.0}, 10, tt=1)
+        undos += engine.correct(1, 12, 15, {"cost": 3.0}, tt=1)
+        rewritten = engine.store.read_all_many([1])[1]
+        assert rewritten[:len(before)] != before
+        for undo in reversed(undos):
+            undo()
+        assert engine.store.read_all_many([1])[1] == before
+        assert engine.live_pairs(1) == store_live(engine, 1)
 
     def test_links_maintain_both_sides(self, engine):
         insert(engine, 1, tt=0)

@@ -59,13 +59,16 @@ class TestClauseCombinations:
         assert entry.valid.start == 0
 
     def test_times_outside_the_chronon_domain(self, loaded):
-        """``AS OF FOREVER`` believes nothing, in an interval query as in
-        a slice, and a DIFF bound at ``FOREVER`` reads to the last
+        """``AS OF FOREVER`` is current knowledge, in an interval query
+        as in a slice; the Python API's belief past the chronon domain
+        still believes nothing; and a DIFF bound at ``FOREVER`` reads to the last
         chronon."""
         db, part, tt_initial = loaded
         for valid in ("VALID AT 5", "VALID HISTORY", "VALID DURING [0, 20)"):
-            assert db.query(
-                f"SELECT ALL FROM Part {valid} AS OF FOREVER").entries == []
+            forever = db.query(f"SELECT ALL FROM Part {valid} AS OF FOREVER")
+            now = db.query(f"SELECT ALL FROM Part {valid}")
+            assert [e.row for e in forever.entries] == [
+                e.row for e in now.entries] != []
         assert db.lifespan(part, tt=2**70).is_empty
         now = db._clock.now()
         assert [e.row for e in db.query(

@@ -602,7 +602,7 @@ class TestHistoryBudget:
         for step in range(1, 6):
             with db.transaction() as txn:
                 txn.update(part, {"cost": float(step)}, valid_from=step)
-        stored = db.engine.store.read_all_many([part])[part]
+        stored = [sv for _, sv in db.engine.store.read_all_many([part])[part]]
         history_cost = (sum(len(sv.payload) for sv in stored)
                         + DECODE_CACHE_ENTRY_OVERHEAD * len(stored))
         # Every single version fits, but not the whole history together
@@ -654,7 +654,7 @@ class TestOneCharge:
         for at in range(1, 20):
             with db.transaction() as txn:
                 txn.update(comp, {"weight": float(at)}, valid_from=at)
-        stored = db.engine.store.read_all_many([comp])[comp]
+        stored = [sv for _, sv in db.engine.store.read_all_many([comp])[comp]]
         expected = DECODE_CACHE_ENTRY_OVERHEAD + sum(
             len(sv.payload) + DECODE_CACHE_ENTRY_OVERHEAD for sv in stored)
         db.engine.drop_caches()
@@ -678,7 +678,7 @@ class TestOneCharge:
         for at in range(1, 20):
             with db.transaction() as txn:
                 txn.update(comp, {"weight": float(at)}, valid_from=at)
-        stored = db.engine.store.read_all_many([comp])[comp]
+        stored = [sv for _, sv in db.engine.store.read_all_many([comp])[comp]]
         db.engine.drop_caches()
         cache = db.engine._decode_cache
         for _ in range(2):

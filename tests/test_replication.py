@@ -24,7 +24,7 @@ from repro.core.database import WAL_CURSORS_KEY
 from repro.errors import RemoteError, ReplicationError, WALError
 from repro.replication import ReplicaApplier, routing_bound
 from repro.server import ClientPool, DatabaseClient, DatabaseServer
-from repro.server.protocol import encode_payload
+from repro.server.protocol import encode_payload, result_to_payload
 
 
 def wait_until(predicate, timeout=10.0, interval=0.02, message="condition"):
@@ -388,6 +388,28 @@ class TestRouting:
                 pool.query("SELECT ALL FROM Part VALID AT 1 AS OF FOREVER")
                 after = c.rdbs[0].metrics.value("server.requests")
                 assert after == before  # replica never touched
+
+    def test_as_of_forever_answers_current_knowledge(self, tmp_path,
+                                                     cad_schema, strategy):
+        # The router pins AS OF FOREVER to the primary as current
+        # knowledge, and the primary answers it as current knowledge.
+        text = "SELECT ALL FROM Part VALID AT 1"
+        with cluster(tmp_path, cad_schema, replicas=1,
+                     strategy=strategy) as c:
+            with c.primary_client() as pc:
+                write_parts(pc, 0, 2)
+            c.wait_caught_up()
+            server = c.rservers[0]
+            pool = ClientPool(
+                c.primary.host, c.primary.port, size=1,
+                replicas=[f"{server.host}:{server.port}"])
+            with pool:
+                pooled = pool.query(f"{text} AS OF FOREVER")["entries"]
+            direct = result_to_payload(
+                c.pdb.query(f"{text} AS OF FOREVER"))["entries"]
+            current = result_to_payload(c.pdb.query(text))["entries"]
+            assert pooled == direct == current
+            assert len(current) == 2
 
     def test_ahead_of_watermark_pins_to_primary(self, tmp_path,
                                                 cad_schema):

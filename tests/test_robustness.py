@@ -14,6 +14,7 @@ from repro import (
 from repro.errors import (
     CatalogError,
     LockTimeoutError,
+    ReproError,
     SerializationConflictError,
 )
 
@@ -117,6 +118,16 @@ class TestUnicode:
         result = db.query(
             "SELECT ALL FROM Part WHERE Part.name = 'łøžká' VALID AT 1")
         assert result.root_ids() == [part]
+
+    def test_lone_surrogate_is_refused_before_logging(self, db):
+        operations = db.metrics.value("txn.operations")
+        with pytest.raises(ReproError):
+            with db.transaction() as txn:
+                txn.insert("Part", {"name": "x\ud800"}, valid_from=0)
+        assert db.metrics.value("txn.operations") == operations
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "x"}, valid_from=0)
+        assert db.version_at(part, 1).values["name"] == "x"
 
 
 class TestContention:

@@ -10,6 +10,7 @@ caps, and graceful drain-then-checkpoint shutdown.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -17,7 +18,8 @@ import time
 import pytest
 
 from repro import DatabaseConfig, TemporalDatabase
-from repro.errors import ConnectionClosedError, HandshakeError, RemoteError
+from repro.errors import (ConnectionClosedError, HandshakeError, RemoteError,
+                          ReproError)
 from repro.server import (
     AdmissionController,
     ClientPool,
@@ -294,6 +296,30 @@ class TestErrorFrames:
         write_frame(sock, Opcode.PING, 10, b"{}")
         assert read_frame(sock).opcode == Opcode.RESULT
         sock.close()
+
+    def test_lone_surrogate_is_a_structured_error(self, server):
+        # ASCII JSON can escape a lone surrogate that UTF-8 cannot hold.
+        sock = _raw_connection(server)
+        mutate = {"op": "insert", "args": {
+            "type": "Part", "values": {"name": "x\ud800"}, "valid_from": 0}}
+        write_frame(sock, Opcode.MUTATE, 2, json.dumps(mutate).encode())
+        frame = read_frame(sock)
+        assert frame.opcode == Opcode.ERROR
+        assert frame.decode()["error"] == "SerializationError"
+        mutate["args"]["values"]["name"] = "x"
+        write_frame(sock, Opcode.MUTATE, 3, json.dumps(mutate).encode())
+        frame = read_frame(sock)
+        assert frame.opcode == Opcode.RESULT
+        assert frame.decode()["atom_id"] >= 1
+        sock.close()
+
+    def test_client_refuses_a_lone_surrogate(self, server):
+        with DatabaseClient(server.host, server.port) as client:
+            with pytest.raises(ReproError):
+                with client.transaction() as txn:
+                    txn.insert("Part", {"name": "x\ud800"}, valid_from=0)
+            with client.transaction() as txn:
+                assert txn.insert("Part", {"name": "x"}, valid_from=0) >= 1
 
     def test_corrupt_frame_reports_then_closes(self, server):
         sock = _raw_connection(server)

@@ -18,7 +18,8 @@ from repro.storage.strategies import (
     believed,
     open_version_store,
 )
-from repro.temporal import FOREVER, TMIN
+from repro.temporal import FOREVER, TMIN, Interval
+from repro.temporal.timestamp import MAX_CHRONON
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ def sv(start, end, live=True, payload=b""):
 
 
 def history(store, atom_id):
-    return store.read_all_many([atom_id])[atom_id]
+    return [version for _, version in store.read_all_many([atom_id])[atom_id]]
 
 
 def current(atom_ids, at):
@@ -147,7 +148,7 @@ class TestContract:
         store.append_version(2, sv(5, 15))
         store.append_version(2, sv(15, 25))
         assert store.read_all_many(store.atom_ids()) == {
-            1: [sv(0, 10)], 2: [sv(5, 15), sv(15, 25)]}
+            1: [(0, sv(0, 10))], 2: [(0, sv(5, 15)), (1, sv(15, 25))]}
 
     def test_batched_reads_accept_an_iterator(self, store):
         store.append_version(1, sv(0, 10))
@@ -155,7 +156,7 @@ class TestContract:
         assert store.read_at_many(iter(current([1, 2, 9, 1], 7))) == {
             (1, 7, None): (0, sv(0, 10)), (2, 7, None): (0, sv(5, 15)),
             (9, 7, None): None}
-        assert store.read_all_many(iter([2, 9])) == {2: [sv(5, 15)]}
+        assert store.read_all_many(iter([2, 9])) == {2: [(0, sv(5, 15))]}
 
     def test_large_payloads_span_pages(self, store):
         big = bytes(range(256)) * 64  # 16 KiB
@@ -234,6 +235,37 @@ class TestSeparatedSignature:
         disk.close()
 
 
+_SEGMENTS = {VersionStrategy.CLUSTERED: ("clustered",),
+             VersionStrategy.CHAINED: ("chained",),
+             VersionStrategy.SEPARATED: ("current", "vdir", "history")}
+
+
+def segment_reads(db, read):
+    """``read(store)`` and the heap records it read per segment."""
+    store = db.engine.store
+    segments = _SEGMENTS[store.strategy]
+    before = {name: db.metrics.value("heap.record_reads", segment=name)
+              for name in segments}
+    answer = read(store)
+    return answer, {name: db.metrics.value("heap.record_reads", segment=name)
+                    - before[name] for name in segments}
+
+
+def deep_part(db):
+    """A part with 41 versions, every one valid at 5: each update from
+    0 closes the live version's transaction time and appends its
+    successor."""
+    with db.transaction() as txn:
+        part = txn.insert("Part", {"name": "p", "cost": 0.0}, valid_from=0)
+    for step in range(1, 41):
+        with db.transaction() as txn:
+            txn.update(part, {"cost": float(step)}, valid_from=0)
+    versions = db.engine.all_versions(part)
+    assert len(versions) == 41
+    assert all(version.vt.contains(5) for version in versions)
+    return part, versions
+
+
 class TestPointReadSegments:
     """CI gate: a point read, current or ``AS OF``, reads per heap
     segment only the records its newest-first walk must pass: the
@@ -241,22 +273,12 @@ class TestPointReadSegments:
     time holds the instant but which is not believed at the request's
     transaction time."""
 
-    SEGMENTS = {VersionStrategy.CLUSTERED: ("clustered",),
-                VersionStrategy.CHAINED: ("chained",),
-                VersionStrategy.SEPARATED: ("current", "vdir", "history")}
-
     def read(self, db, at, tt=None):
         """One cold read of the part at *at* as believed at *tt*: its
         hit and the heap records it read per segment."""
-        store = db.engine.store
-        segments = self.SEGMENTS[store.strategy]
-        before = {name: db.metrics.value("heap.record_reads", segment=name)
-                  for name in segments}
         request = (self.part, at, tt)
-        hit = store.read_at_many([request])[request]
-        reads = {name: db.metrics.value("heap.record_reads", segment=name)
-                 - before[name] for name in segments}
-        return hit, reads
+        return segment_reads(
+            db, lambda store: store.read_at_many([request])[request])
 
     def test_current_reads_skip_closed_records(self, db):
         with db.transaction() as txn:
@@ -312,24 +334,48 @@ class TestPointReadSegments:
 
 
     def test_as_of_reads_open_only_the_selected_record(self, db):
-        # 41 versions, every one valid at 5: each update from 0 closes
-        # the live version's transaction time and appends its successor.
-        with db.transaction() as txn:
-            self.part = txn.insert("Part", {"name": "p", "cost": 0.0},
-                                   valid_from=0)
-        for step in range(1, 41):
-            with db.transaction() as txn:
-                txn.update(self.part, {"cost": float(step)}, valid_from=0)
+        self.part, versions = deep_part(db)
         strategy = db.engine.store.strategy
-        versions = db.engine.all_versions(self.part)
-        assert len(versions) == 41
-        assert all(version.vt.contains(5) for version in versions)
         hit, reads = self.read(db, 5, versions[2].tt.start)
         assert hit[0] == 2
         assert reads == {VersionStrategy.CLUSTERED: {"clustered": 1},
                          VersionStrategy.CHAINED: {"chained": 39},
                          VersionStrategy.SEPARATED: {
                              "current": 0, "vdir": 1, "history": 1},
+                         }[strategy]
+
+
+class TestRangeReadSegments:
+    """CI gate: a rectangle read reads per heap segment the records
+    holding the envelopes it passes and only the payload records it
+    selects: CLUSTERED its one record, CHAINED the whole chain,
+    SEPARATED the vdir, the selected history records and the current
+    record only when its stamp is selected."""
+
+    def read(self, db, part, tt):
+        """One cold read of the part's versions believed during *tt*:
+        their seqs and the heap records it read per segment."""
+        return segment_reads(db, lambda store: [
+            seq for seq, _ in store.read_all_many([part], tt=tt)[part]])
+
+    def test_narrow_beliefs_read_only_the_selected_records(self, db):
+        part, versions = deep_part(db)
+        strategy = db.engine.store.strategy
+        seqs, reads = self.read(db, part,
+                                Interval.instant(versions[2].tt.start))
+        assert seqs == [2]
+        assert reads == {VersionStrategy.CLUSTERED: {"clustered": 1},
+                         VersionStrategy.CHAINED: {"chained": 41},
+                         VersionStrategy.SEPARATED: {
+                             "current": 0, "vdir": 1, "history": 1},
+                         }[strategy]
+        seqs, reads = self.read(
+            db, part, Interval(versions[38].tt.start, FOREVER))
+        assert seqs == [38, 39, 40]
+        assert reads == {VersionStrategy.CLUSTERED: {"clustered": 1},
+                         VersionStrategy.CHAINED: {"chained": 41},
+                         VersionStrategy.SEPARATED: {
+                             "current": 1, "vdir": 1, "history": 2},
                          }[strategy]
 
 
@@ -349,13 +395,12 @@ class TestSeparatedSplices:
 
     @staticmethod
     def assert_same(separated, clustered, atom_ids):
-        assert (separated.read_all_many(atom_ids)
-                == clustered.read_all_many(atom_ids))
-        for atom_id in atom_ids:
-            assert separated.read_live(atom_id) == clustered.read_live(atom_id)
-            seqs = range(len(history(separated, atom_id)))
-            assert (separated.read_versions(atom_id, seqs)
-                    == clustered.read_versions(atom_id, seqs))
+        for vt, tt in ((Interval.always(), Interval.always()),
+                       (Interval.always(), Interval.instant(MAX_CHRONON)),
+                       (Interval(800, 1600), Interval.always()),
+                       (Interval.instant(5), Interval.instant(0))):
+            assert (separated.read_all_many(atom_ids, vt, tt)
+                    == clustered.read_all_many(atom_ids, vt, tt))
         requests = [request for at in (0, 5, 805, 1595, 10_000)
                     for request in current(atom_ids, at)]
         assert (separated.read_at_many(requests)
@@ -460,6 +505,19 @@ _stamp_pairs = st.lists(st.sampled_from(_CHRONONS), min_size=2, max_size=2,
                         unique=True).map(_interval).filter(
     lambda pair: pair[0] != FOREVER and pair[1] != TMIN)
 
+#: One side of a rectangle read: the whole time line, the belief in
+#: current knowledge, an instant, or any interval over the chronons.
+_sides = st.one_of(
+    st.just(Interval.always()), st.just(Interval.instant(MAX_CHRONON)),
+    st.sampled_from(_CHRONONS[:-1]).map(Interval.instant),
+    _stamp_pairs.map(lambda pair: Interval(*pair)))
+
+
+def _overlaps(version, vt, tt):
+    """The model's envelope filter: *version* meets *vt* x *tt*."""
+    return (version.vt_start < vt.end and vt.start < version.vt_end
+            and version.tt_start < tt.end and tt.start < version.tt_end)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["append", "append", "replace",
@@ -469,12 +527,14 @@ _stamp_pairs = st.lists(st.sampled_from(_CHRONONS), min_size=2, max_size=2,
                           _stamp_pairs, _stamp_pairs,
                           st.binary(max_size=50)),
                 max_size=40),
-       st.sampled_from(list(VersionStrategy)))
+       st.sampled_from(list(VersionStrategy)),
+       st.lists(st.tuples(_sides, _sides), max_size=4))
 def test_random_operations_match_model(tmp_path_factory, operations,
-                                       strategy):
+                                       strategy, rectangles):
     """Every strategy behaves like a dict of version lists, whatever
     width its stamps are stored at, and reads the same after reopening
-    from its persisted state."""
+    from its persisted state: a rectangle read returns the versions the
+    model's envelope filter keeps."""
     directory = tmp_path_factory.mktemp("storeprop")
     disk = DiskManager(directory / "s.db")
     pool = BufferManager(disk, capacity=16)
@@ -509,15 +569,19 @@ def test_random_operations_match_model(tmp_path_factory, operations,
                                                  version.tt_end, tt):
                 expected[(atom_id, at, tt)] = (seq, version)
                 break
+    rectangles = [(Interval.always(), Interval.always()),
+                  (Interval.always(), Interval.instant(MAX_CHRONON)),
+                  *rectangles]
     for each in (store, reopened):
-        assert each.read_all_many(each.atom_ids()) == model
+        assert sorted(each.atom_ids()) == sorted(model)
         assert each.read_at_many(requests) == expected
+        for vt, tt in rectangles:
+            assert each.read_all_many(range(1, 6), vt, tt) == {
+                atom_id: [(seq, version)
+                          for seq, version in enumerate(versions)
+                          if _overlaps(version, vt, tt)]
+                for atom_id, versions in model.items()}
         for atom_id, versions in model.items():
             assert each.read_current(atom_id) == (len(versions) - 1,
                                                   versions[-1])
-            assert each.read_live(atom_id) == [
-                (seq, version) for seq, version in enumerate(versions)
-                if version.live]
-            assert each.read_versions(atom_id, range(len(versions))) == dict(
-                enumerate(versions))
     disk.close()
