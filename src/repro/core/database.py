@@ -129,8 +129,8 @@ class DatabaseConfig:
 class TransactionContext:
     """User-facing transaction: temporal DML plus reads.
 
-    Mutations acquire exclusive atom locks (strict two-phase), log the
-    operation, then apply it; :meth:`commit` forces the log.  Use as a
+    Mutations acquire exclusive atom locks (strict two-phase), apply the
+    operation, then log it; :meth:`commit` forces the log.  Use as a
     context manager — exceptions abort, normal exit commits.
     """
 
@@ -212,9 +212,16 @@ class TransactionContext:
         for atom_id in sorted(set(lock_atoms)):
             db._locks.acquire(self._txn.txn_id, ("atom", atom_id),
                               LockMode.EXCLUSIVE)
-        db._txn_manager.log_operation(self._txn, payload)
+        # Applied first, so a refused operation is never logged, and
+        # logged inside the latch, so log order is apply order.
         with db._state_latch.write():
             undos = db.engine.apply(payload)
+            try:
+                db._txn_manager.log_operation(self._txn, payload)
+            except BaseException:
+                for undo in reversed(undos):
+                    undo()
+                raise
         for undo in undos:
             self._txn.add_undo(undo)
 

@@ -32,17 +32,19 @@ current or ``AS OF``, pushed down or projected, is one request ``(atom,
 at, tt)`` answered by :meth:`StorageEngine.point_reads`, which selects
 in one place: a current request bisects the entry's valid-time index
 of its live slots, another request on a whole entry is selected
-newest-first on the slots' envelopes, and the rest go to the store's
-``read_at_many``, which reads just the records it selects.  Envelopes
-carry both valid and transaction time, so no payload is opened to
-choose.  Every interval read (history sweeps, ``DIFF``, ``lifespan``)
-is one :meth:`StorageEngine.all_versions_many` of a valid x transaction
-time rectangle, selected on a whole entry's slots.  Each read decodes
-only what it picks; a pushed-down predicate is judged on the selected
-payloads here, and only here.  A warm mutation plans from
-the entry's live slots and learns its new sequence numbers from
-``append_version``, so it reads nothing from the store before it
-writes.
+newest-first on the slots' envelopes, and the rest go to the store.
+Envelopes carry both valid and transaction time, so no payload is
+opened to choose.  Every interval read (history sweeps, ``DIFF``,
+``lifespan``) is one :meth:`StorageEngine.all_versions_many` of a
+valid x transaction time rectangle, selected on a whole entry's slots.
+Each read decodes only what it picks; a pushed-down predicate is
+judged on the selected payloads here, and only here.  What the cache
+lacks is one store ``read_at_many`` walk, which reads just the records
+it selects: a point (instant x :func:`~repro.core.history.belief`) per
+cold point read, whole histories for interval reads, everything
+believed now for a cold mutation's planning read.  A warm mutation
+plans from the entry's live slots and learns its new sequence numbers
+from ``append_version``, so it reads nothing from the store first.
 
 Concurrency contract: the read methods (``version_at``, ``all_versions``,
 ``lifespan``, their ``_many`` forms, ``atoms_of_type``, the candidate
@@ -64,7 +66,7 @@ import struct
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from functools import partial
+from functools import lru_cache, partial
 from typing import (
     Any,
     Callable,
@@ -94,14 +96,11 @@ from repro.errors import (
     UnknownTypeError,
 )
 from repro.storage.strategies import (
-    PointHit,
-    PointRequest,
     StoredVersion,
     VersionStore,
-    believed,
     iter_histories,
 )
-from repro.temporal import FOREVER, Interval, TemporalElement, Timestamp
+from repro.temporal import FOREVER, TMIN, Interval, TemporalElement, Timestamp
 
 _TYPE_PREFIX = struct.Struct("<H")
 
@@ -134,6 +133,16 @@ DEFAULT_DECODE_CACHE_BYTES = 8 * 1024 * 1024
 DECODE_CACHE_ENTRY_OVERHEAD = 160
 
 _start = operator.itemgetter(0)
+
+#: A point read: (atom id, valid instant, transaction time); a
+#: transaction time of ``None``, or at or past ``FOREVER``, asks for
+#: current knowledge.
+PointRequest = Tuple[int, Timestamp, Optional[Timestamp]]
+
+_ALWAYS = Interval.always()
+#: ``Interval.instant`` memoised: a new interval validates its bounds,
+#: which costs a cold point read more than the rest of its bookkeeping.
+_instant = lru_cache(maxsize=1024)(Interval.instant)
 
 
 class _Slot:
@@ -218,14 +227,15 @@ class _AtomEntry:
         return seq if at < self.slots[seq].stored.vt_end else None
 
     def select_newest_first(self, at: Timestamp,
-                            tt: Timestamp) -> Optional[int]:
-        """The seq of the newest slot valid at *at* and believed at
-        *tt*, on a whole entry: the store's own newest-first walk."""
+                            belief: Interval) -> Optional[int]:
+        """The seq of the newest slot whose envelope overlaps the point
+        *at* x *belief*, on a whole entry: the store's own walk."""
         slots = self.slots
         for seq in range(len(slots) - 1, -1, -1):
             stored = slots[seq].stored
-            if stored.vt_start <= at < stored.vt_end and believed(
-                    stored.tt_start, stored.tt_end, tt):
+            if (stored.vt_start <= at < stored.vt_end
+                    and stored.tt_start < belief.end
+                    and belief.start < stored.tt_end):
                 return seq
         return None
 
@@ -336,13 +346,14 @@ class DecodedVersionCache:
                 if entry is None:
                     rest.append(request)
                     continue
-                if tt is None:
+                belief = hist.belief(tt)
+                if belief is hist.CURRENT:
                     seq = entry.live_at(at)
                     if seq is None and not entry.live_known:
                         rest.append(request)
                         continue
                 elif entry.whole:
-                    seq = entry.select_newest_first(at, tt)
+                    seq = entry.select_newest_first(at, belief)
                 else:
                     rest.append(request)
                     continue
@@ -671,10 +682,12 @@ class StorageEngine:
         place: the atom's cache entry answers what it can
         (:meth:`DecodedVersionCache.select` — a current request from its
         live slots, any request from its slots when it holds the whole
-        history), and the rest take one batched ``store.read_at_many``,
-        which reads only as far back as each answer and leaves the one
-        slot it selected.  A version is believed now when it is live,
-        and at *tt* when its envelope's transaction time contains *tt*.
+        history), and the rest take one batched ``store.read_at_many``
+        of their points, which reads only as far back as each answer and
+        leaves the one slot it selected.  The belief is
+        :func:`~repro.core.history.belief` of *tt*: the live versions for
+        ``None`` and any *tt* at or past ``FOREVER``, otherwise those
+        whose transaction time contains *tt*.
         The first hit newest-first is the only one: versions believed at
         one transaction time are valid-time disjoint (the invariant
         :func:`~repro.core.history.check_history` checks), so the answer
@@ -694,7 +707,7 @@ class StorageEngine:
         self._c_version_reads.inc(len({request[0] for request in pending}))
         selected, rest = self._decode_cache.select(pending)
         if rest:
-            selected.update(self._leave_slots(self.store.read_at_many(rest)))
+            selected.update(self._read_points(rest))
         result: Dict[PointRequest, Optional[Version]] = {}
         survivors: List[PointRequest] = []
         slots: List[_Slot] = []
@@ -715,22 +728,29 @@ class StorageEngine:
         self._c_versions_scanned.inc(len(slots))
         return result
 
-    def _leave_slots(self, hits: Dict[PointRequest, PointHit]
+    def _read_points(self, requests: List[PointRequest]
                      ) -> Dict[PointRequest, Optional[Tuple[int, _Slot]]]:
-        """Store point-read *hits* with their slots: each selected
-        version leaves one in its atom's entry."""
+        """*requests* answered by one store ``read_at_many`` of their
+        points, each instant x :func:`~repro.core.history.belief` (an
+        instant outside the chronon domain holds no version); each
+        selected version leaves a slot in its atom's entry."""
+        asks = {request: (request[0], _instant(request[1]),
+                          hist.belief(request[2]))
+                for request in requests if TMIN <= request[1] < FOREVER}
+        found = self.store.read_at_many(asks.values())
+        hits = {request: found[ask][-1] for request, ask in asks.items()
+                if found.get(ask)}
         by_atom: Dict[int, Dict[int, StoredVersion]] = {}
-        for request, hit in hits.items():
-            if hit is not None:
-                by_atom.setdefault(request[0], {})[hit[0]] = hit[1]
+        for request, (seq, stored) in hits.items():
+            by_atom.setdefault(request[0], {})[seq] = stored
         slots = {atom_id: self._decode_cache.fill(
                      atom_id, self._stored_type_name(
                          next(iter(stored.values())).payload),
                      [(seq, _Slot(sv)) for seq, sv in stored.items()])
                  for atom_id, stored in by_atom.items()}
-        return {request: None if hit is None
-                else (hit[0], slots[request[0]][hit[0]])
-                for request, hit in hits.items()}
+        return {request: None if request not in hits
+                else (hits[request][0], slots[request[0]][hits[request][0]])
+                for request in requests}
 
     def all_versions(self, atom_id: int, vt: Interval = Interval.always(),
                      tt: Interval = Interval.always()) -> List[Version]:
@@ -753,8 +773,9 @@ class StorageEngine:
         """The atom's live slots by seq, in seq order.
 
         Served from the atom's entry when it knows them all; one store
-        ``read_live`` otherwise (raising :class:`UnknownAtomError` for an
-        unknown atom), whose versions join the entry as its live slots.
+        read of the rectangle believed now otherwise (raising
+        :class:`UnknownAtomError` for an unknown atom), whose versions
+        join the entry as its live slots.
         This is the planning read for every mutation — closed versions
         are immutable, so revision never needs them — and each mutation
         repairs the live slots from its plan, so update cost stays
@@ -768,7 +789,11 @@ class StorageEngine:
         if live is not None:
             self._c_live_hits.inc()
         else:
-            stored = self.store.read_live(atom_id)
+            found = self.store.read_at_many(
+                [(atom_id, _ALWAYS, hist.belief())])
+            if not found:
+                raise UnknownAtomError(f"atom {atom_id} not in store")
+            (stored,) = found.values()
             self._c_live_misses.inc()
             self._c_versions_scanned.inc(len(stored))
             live = self._decode_cache.fill(
@@ -787,7 +812,8 @@ class StorageEngine:
         if len(found) == len(ids):
             return found
         misses = [atom_id for atom_id in ids if atom_id not in found]
-        for atom_id, stored in self.store.read_all_many(misses).items():
+        for (atom_id, _, _), stored in self.store.read_at_many(
+                (atom_id, _ALWAYS, _ALWAYS) for atom_id in misses).items():
             found[atom_id] = list(self._decode_cache.fill(
                 atom_id, self._stored_type_name(stored[0][1].payload),
                 [(seq, _Slot(sv)) for seq, sv in stored],

@@ -27,6 +27,7 @@ disjoint valid-time intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.version import Version
@@ -65,13 +66,21 @@ class HistoryPlan:
 # ---------------------------------------------------------------------------
 
 
+#: The belief in current knowledge: the last chronon, which only open
+#: transaction times reach.
+CURRENT = Interval.instant(MAX_CHRONON)
+
+
+@lru_cache(maxsize=1024)
 def belief(tt: Optional[Timestamp] = None) -> Interval:
     """The instant a version's transaction time meets when believed at
-    *tt*: for now (``None``) the last chronon, which only open ones
-    reach; outside the chronon domain ``TMIN``, which none reach."""
-    if tt is None:
-        tt = MAX_CHRONON
-    return Interval.instant(tt if TMIN <= tt < FOREVER else TMIN)
+    *tt*, and the one map from a transaction time to a belief: for
+    current knowledge — *tt* ``None`` or at or past ``FOREVER`` —
+    :data:`CURRENT`; before the chronon domain ``TMIN``, which none
+    reach."""
+    if tt is None or tt >= FOREVER:
+        return CURRENT
+    return Interval.instant(max(tt, TMIN))
 
 
 def live_versions(versions: Sequence[Version],

@@ -28,11 +28,13 @@ benchmarks measure:
 A version is stored as an *envelope*, its bitemporal stamp ``(vt_start,
 vt_end, tt_start, tt_end)``, plus an opaque payload: the engine's
 serialized state, which the store never interprets.  A store answers
-two selecting reads — a point read (the version valid at an instant as
-believed at a transaction time) and a rectangle read (every version
-whose envelope overlaps a valid-time x transaction-time rectangle) —
-and decides each on envelopes alone, so it reads only the payloads it
-selects.  The strategies differ only in how they reach the envelopes.
+one selecting read: each request names an atom and a valid-time x
+transaction-time rectangle and gets the versions whose envelopes
+overlap it, or, when both sides are instants, only the newest of them
+(the version valid at an instant as believed at a transaction time).
+Each strategy walks an atom's envelopes newest-first, once for all its
+requests, and reads only the payloads it selects.  The strategies
+differ only in how they reach the envelopes.
 
 Nearly every chronon fits 32 bits (the transaction clock counts
 commits), so a CLUSTERED or CHAINED record or a SEPARATED vdir whose
@@ -46,8 +48,8 @@ import enum
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Container, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.errors import StorageError, UnknownAtomError
 from repro.storage.buffer import BufferManager
@@ -82,10 +84,7 @@ class StoredVersion:
     @property
     def live(self) -> bool:
         """Still current knowledge: its transaction time is open."""
-        return believed(self.tt_start, self.tt_end, None)
-
-    def contains(self, at: int) -> bool:
-        return self.vt_start <= at < self.vt_end
+        return self.tt_end == FOREVER
 
 
 @dataclass
@@ -114,13 +113,6 @@ def _stamp(sv: StoredVersion) -> Stamp:
     return sv.vt_start, sv.vt_end, sv.tt_start, sv.tt_end
 
 
-def believed(tt_start: int, tt_end: int, tt: Optional[int]) -> bool:
-    """Whether a version whose transaction time is ``[tt_start,
-    tt_end)`` is believed at *tt*: now (``None``) while that interval is
-    open, otherwise when it holds *tt*."""
-    return tt_end == FOREVER if tt is None else tt_start <= tt < tt_end
-
-
 #: Stored stamp widths, the values of a width byte, and per width the
 #: values a field maps to when written (``_STORED``) or read
 #: (``_LOADED``): the sentinels and the 32-bit extremes.
@@ -143,47 +135,74 @@ def _mapped(fields: Sequence[int], mapping: Dict[int, int]) -> Stamp:
     return get(a, a), get(b, b), get(c, c), get(d, d)
 
 
-#: A point read: (atom id, valid instant, transaction time); a
-#: transaction time of ``None`` asks for current knowledge.
-PointRequest = Tuple[int, int, Optional[int]]
-#: Its answer: the selected version with its sequence number, or None.
-PointHit = Optional[Tuple[int, StoredVersion]]
+#: A read request: an atom and a rectangle, valid time x transaction
+#: time.  A request whose two sides are both instants is a point
+#: request.
+Request = Tuple[int, Interval, Interval]
+#: What a read selects for one request: ``(seq, version)`` pairs in seq
+#: order.
+Selected = List[Tuple[int, StoredVersion]]
 
 
-def group_requests(requests: Iterable[PointRequest]
-                   ) -> Tuple[Dict[PointRequest, PointHit],
-                              Dict[int, List[PointRequest]]]:
-    """The answer map of a point-read call, every distinct request
-    unanswered, and the requests grouped by atom."""
-    result: Dict[PointRequest, PointHit] = dict.fromkeys(requests)
-    by_atom: Dict[int, List[PointRequest]] = {}
-    for request in result:
-        by_atom.setdefault(request[0], []).append(request)
-    return result, by_atom
+#: A request as a walk holds it: its index, its rectangle's bounds
+#: unpacked once ``(vt start, vt end, tt start, tt end)``, and whether
+#: it is a point request.
+_Ask = Tuple[int, int, int, int, int, bool]
 
 
-def _settle(pending: List[PointRequest], stamp: Stamp
-            ) -> Tuple[Sequence[PointRequest], List[PointRequest]]:
-    """Split *pending* into the requests a version stamped *stamp*
-    answers and the rest.
+class _Walk:
+    """One read's newest-first walks: the requests still pending on
+    each atom and the versions each request has selected.
 
-    Walks are newest-first, so a request's answer is the first version
-    whose valid time holds its instant and which is :func:`believed` at
-    its transaction time.  Most versions a walk passes answer nothing,
-    so that case allocates nothing.
+    A rectangle request selects every version whose envelope overlaps
+    it.  A point request selects the newest and leaves the walk at that
+    hit: versions believed at one transaction time are valid-time
+    disjoint, so an older one would only be a superseded state.  An
+    atom's walk is over once none of its requests is pending, so a
+    walk of point requests reads only as far back as its oldest answer.
     """
-    vt_start, vt_end, tt_start, tt_end = stamp
-    answered: Optional[List[PointRequest]] = None
-    for request in pending:
-        _, at, tt = request
-        if vt_start <= at < vt_end and believed(tt_start, tt_end, tt):
-            if answered is None:
-                answered = []
-            answered.append(request)
-    if answered is None:
-        return (), pending
-    return answered, [request for request in pending
-                      if request not in answered]
+
+    __slots__ = ("requests", "pending", "found")
+
+    def __init__(self, requests: Iterable[Request]) -> None:
+        self.requests = list(dict.fromkeys(requests))
+        self.pending: Dict[int, List[_Ask]] = {}
+        for index, (atom_id, vt, tt) in enumerate(self.requests):
+            self.pending.setdefault(atom_id, []).append(
+                (index, vt.start, vt.end, tt.start, tt.end,
+                 vt.end - vt.start == 1 == tt.end - tt.start))
+        #: Per request index its selected versions, newest first.
+        self.found: Dict[int, Selected] = {}
+
+    def hits(self, atom_id: int, stamp: Stamp) -> List[_Ask]:
+        """The atom's pending asks whose rectangle *stamp* overlaps; the
+        point requests among them leave the walk."""
+        vt_start, vt_end, tt_start, tt_end = stamp
+        pending = self.pending[atom_id]
+        hits = [ask for ask in pending
+                if ask[1] < vt_end and vt_start < ask[2]
+                and ask[3] < tt_end and tt_start < ask[4]]
+        if hits and any(ask[5] for ask in hits):
+            self.pending[atom_id] = [ask for ask in pending
+                                     if not ask[5] or ask not in hits]
+        return hits
+
+    def select(self, hits: List[_Ask], seq: int, sv: StoredVersion) -> None:
+        """Give version *seq*, *sv*, to the requests *hits* asked."""
+        for ask in hits:
+            self.found.setdefault(ask[0], []).append((seq, sv))
+
+    def done(self, atom_id: int) -> bool:
+        """Whether no request on the atom is pending."""
+        return not self.pending[atom_id]
+
+    def result(self, known: Container[int]) -> Dict[Request, Selected]:
+        """Every request on an atom in *known* with its versions in seq
+        order."""
+        found = self.found
+        return {request: found[index][::-1] if index in found else []
+                for index, request in enumerate(self.requests)
+                if request[0] in known}
 
 
 class VersionStore:
@@ -226,59 +245,48 @@ class VersionStore:
 
     # -- reads ------------------------------------------------------------------
     #
-    # Two selecting reads, both set-oriented: one call answers many
-    # atoms, so a strategy translates all their ids in one
-    # ``AtomDirectory.get_many`` (which pins each direct-mapped
-    # directory page once) and pins every touched record page once per
-    # batch rather than once per atom.  Each selects on envelopes and
-    # reads a payload only for a version it selects, so a read costs the
-    # records it answers with plus whatever holds the envelopes it
-    # passes: nothing more for CLUSTERED, the vdir for SEPARATED, the
-    # chain (down to the answer, for a point read) for CHAINED.  The
+    # One selecting read, set-oriented: ``read_at_many`` answers many
+    # requests on many atoms in one call, so a strategy translates all
+    # their ids in one ``AtomDirectory.get_many`` (which pins each
+    # direct-mapped directory page once) and pins every touched record
+    # page once per batch rather than once per atom.  Each atom's
+    # envelopes are walked newest-first, once for all its requests, and
+    # a payload is read only for a version some request selects, so a
+    # read costs the records it answers with plus whatever holds the
+    # envelopes it passes: nothing more for CLUSTERED, the vdir for
+    # SEPARATED, the chain (down to the oldest answer) for CHAINED.  The
     # store never parses a payload; the engine applies any pushed-down
-    # predicate to the payloads it gets back.
-    #
-    # ``read_at_many`` is the point read, current or bitemporal: it
-    # walks each atom's envelopes newest-first.  ``read_all_many`` is
-    # the rectangle read; with its defaults it returns whole histories,
-    # which are cached above the store.  ``read_current`` serves a cold
-    # type-name lookup.
+    # predicate to the payloads it gets back.  ``read_current`` serves
+    # a cold type-name lookup.
 
     def read_current(self, atom_id: int) -> Tuple[int, StoredVersion]:
         """The newest (highest-sequence) version."""
         raise NotImplementedError
 
-    def read_live(self, atom_id: int) -> List[Tuple[int, StoredVersion]]:
-        """The live versions, the rectangle read believed now: only an
-        open transaction time meets the last chronon."""
-        live = self.read_all_many([atom_id], tt=Interval.instant(MAX_CHRONON))
-        if atom_id not in live:
-            raise UnknownAtomError(f"atom {atom_id} not in store")
-        return live[atom_id]
-
-    def read_at_many(self, requests: Iterable[PointRequest]
-                     ) -> Dict[PointRequest, PointHit]:
-        """For each distinct ``(atom_id, at, tt)`` request, the
-        highest-sequence stored version whose valid time contains *at*
-        and which is believed at *tt* — live when *tt* is ``None``,
-        otherwise with a transaction time that contains *tt* — as
-        ``(seq, version)``; ``None`` when there is none or the atom is
-        unknown.
-
-        Requests on one atom share one newest-first walk of its versions,
-        and each request leaves the walk at its first hit.
-        """
+    def read_at_many(self, requests: Iterable[Request]
+                     ) -> Dict[Request, Selected]:
+        """For each distinct ``(atom_id, vt, tt)`` request on a known
+        atom, the ``(seq, version)`` pairs, in seq order, whose envelope
+        overlaps the rectangle *vt* x *tt* — for a point request only
+        the newest of them (see :class:`_Walk`); requests on atoms not
+        in the store are omitted."""
         raise NotImplementedError
 
     def read_all_many(self, atom_ids: Iterable[int],
                       vt: Interval = Interval.always(),
                       tt: Interval = Interval.always()
-                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        """For each known atom among *atom_ids*, the ``(seq, version)``
-        pairs, in seq order, whose envelope overlaps the rectangle *vt*
-        x *tt* (the defaults give the whole history); atoms not in the
-        store are omitted."""
-        raise NotImplementedError
+                      ) -> Dict[int, Selected]:
+        """:meth:`read_at_many` of the one rectangle *vt* x *tt* (the
+        defaults give the whole history) per known atom."""
+        return {request[0]: selected for request, selected in
+                self.read_at_many((atom_id, vt, tt)
+                                  for atom_id in atom_ids).items()}
+
+    def read_live(self, atom_id: int) -> Selected:
+        """The live versions of a known atom: only an open transaction
+        time meets the last chronon."""
+        return self.read_all_many([atom_id],
+                                  tt=Interval.instant(MAX_CHRONON))[atom_id]
 
     def exists(self, atom_id: int) -> bool:
         raise NotImplementedError
@@ -294,14 +302,6 @@ class VersionStore:
     def persist_state(self) -> Dict[str, List[int]]:
         """Page lists to store in the catalog, keyed by component name."""
         raise NotImplementedError
-
-
-def _selector(vt: Interval, tt: Interval) -> Callable[[Stamp], bool]:
-    """The test of whether an envelope overlaps the rectangle *vt* x
-    *tt*."""
-    vt_start, vt_end, tt_start, tt_end = vt.start, vt.end, tt.start, tt.end
-    return lambda stamp: (stamp[0] < vt_end and vt_start < stamp[1]
-                          and stamp[2] < tt_end and tt_start < stamp[3])
 
 
 #: Atoms per ``read_all_many`` call when a maintenance pass walks many
@@ -527,37 +527,23 @@ class ClusteredStore(_HeadStore):
         records = self._segment.read_many(rid_for.values())
         return {atom_id: records[rid] for atom_id, rid in rid_for.items()}
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      vt: Interval = Interval.always(),
-                      tt: Interval = Interval.always()
-                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        # The one record holds every envelope: copy out only the
-        # payloads they select.
-        meets = _selector(vt, tt)
-        return {atom_id: [(seq, StoredVersion(*stamp, record[begin:end]))
-                          for seq, (stamp, begin, end)
-                          in enumerate(self._envelopes(record))
-                          if meets(stamp)]
-                for atom_id, record
-                in self._raw_records_many(atom_ids).items()}
-
-    def read_at_many(self, requests: Iterable[PointRequest]
-                     ) -> Dict[PointRequest, PointHit]:
-        # The one record holds the whole history: scan its envelopes
-        # newest-first and copy out only the payloads they select.
-        result, by_atom = group_requests(requests)
-        for atom_id, record in self._raw_records_many(by_atom).items():
-            pending = by_atom[atom_id]
+    def read_at_many(self, requests: Iterable[Request]
+                     ) -> Dict[Request, Selected]:
+        # The one record holds the whole history: walk its envelopes
+        # and copy out only the payloads they select.
+        walk = _Walk(requests)
+        records = self._raw_records_many(walk.pending)
+        for atom_id, record in records.items():
             envelopes = self._envelopes(record)
             for seq in range(len(envelopes) - 1, -1, -1):
                 stamp, begin, end = envelopes[seq]
-                answered, pending = _settle(pending, stamp)
-                if answered:
-                    result.update(dict.fromkeys(answered, (seq, StoredVersion(
-                        *stamp, record[begin:end]))))
-                    if not pending:
+                hits = walk.hits(atom_id, stamp)
+                if hits:
+                    walk.select(hits, seq,
+                                StoredVersion(*stamp, record[begin:end]))
+                    if walk.done(atom_id):
                         break
-        return result
+        return walk.result(records)
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +681,13 @@ class ChainedStore(_HeadStore):
                 frontier[atom_id] = (rid, count - 1)
         return frontier
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      vt: Interval = Interval.always(),
-                      tt: Interval = Interval.always()
-                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        # Every chain is walked to its end, keeping the versions whose
-        # envelope the rectangle selects.
-        meets = _selector(vt, tt)
-        frontier = self._frontier(atom_ids)
-        collected: Dict[int, List[Tuple[int, StoredVersion]]] = {
-            atom_id: [] for atom_id in frontier}
+    def read_at_many(self, requests: Iterable[Request]
+                     ) -> Dict[Request, Selected]:
+        # An atom's walk leaves the batch once none of its requests is
+        # pending: with a rectangle request at the end of its chain,
+        # else at its oldest answer.
+        walk = _Walk(requests)
+        frontier = known = self._frontier(walk.pending)
         while frontier:
             records = self._segment.read_many(
                 rid for rid, _ in frontier.values())
@@ -712,36 +695,14 @@ class ChainedStore(_HeadStore):
             for atom_id, (rid, seq) in frontier.items():
                 record = records[rid]
                 prev, stamp, begin = self._head(record)
-                if meets(stamp):  # newest first
-                    collected[atom_id].append(
-                        (seq, StoredVersion(*stamp, record[begin:])))
-                if prev != _NO_RECORD:
+                hits = walk.hits(atom_id, stamp)
+                if hits:
+                    walk.select(hits, seq, StoredVersion(*stamp,
+                                                         record[begin:]))
+                if prev != _NO_RECORD and not walk.done(atom_id):
                     advanced[atom_id] = (prev, seq - 1)
             frontier = advanced
-        for versions in collected.values():
-            versions.reverse()
-        return collected
-
-    def read_at_many(self, requests: Iterable[PointRequest]
-                     ) -> Dict[PointRequest, PointHit]:
-        # An atom's walk leaves the batch once all its requests are
-        # answered, so it reads only as far back as its oldest answer.
-        result, by_atom = group_requests(requests)
-        frontier = self._frontier(by_atom)
-        while frontier:
-            records = self._segment.read_many(
-                rid for rid, _ in frontier.values())
-            advanced: Dict[int, Tuple[RecordId, int]] = {}
-            for atom_id, (rid, seq) in frontier.items():
-                prev, sv = self._decode(records[rid])
-                answered, pending = _settle(by_atom[atom_id], _stamp(sv))
-                if answered:
-                    result.update(dict.fromkeys(answered, (seq, sv)))
-                if pending and prev != _NO_RECORD:
-                    by_atom[atom_id] = pending
-                    advanced[atom_id] = (prev, seq - 1)
-            frontier = advanced
-        return result
+        return walk.result(known)
 
 
 # ---------------------------------------------------------------------------
@@ -926,96 +887,58 @@ class SeparatedStore(_BaseStore):
     # page-grouped read, so the dense current segment in particular is
     # pinned once per page per batch (the strategy's best case).
 
-    def read_all_many(self, atom_ids: Iterable[int],
-                      vt: Interval = Interval.always(),
-                      tt: Interval = Interval.always()
-                      ) -> Dict[int, List[Tuple[int, StoredVersion]]]:
-        # The directory stamp decides the current record and the vdir
-        # entries the history records; each wave reads only those.
-        meets = _selector(vt, tt)
+    def read_at_many(self, requests: Iterable[Request]
+                     ) -> Dict[Request, Selected]:
+        # The directory entry and the vdir hold every envelope, so the
+        # walk runs on them alone, and a wave per segment (directory,
+        # current, vdirs, history) reads just the records it selected.
+        walk = _Walk(requests)
         heads: Dict[int, _DirEntry] = {
             atom_id: self._decode_dir(payload) for atom_id, payload
-            in self._entries_many(atom_ids).items() if payload is not None}
-        current_records = self._current.read_many(
-            rid for rid, _, _, stamp in heads.values() if meets(stamp))
-        vdir_records = self._vdir.read_many(
-            rid for _, rid, _, _ in heads.values() if rid != _NO_RECORD)
-        picked: Dict[int, List[Tuple[int, Stamp, RecordId]]] = {
-            atom_id: [] if vdir_rid == _NO_RECORD else [
-                (seq, stamp, rid) for seq, (stamp, rid)
-                in enumerate(self._parse_vdir(vdir_records[vdir_rid]))
-                if meets(stamp)]
-            for atom_id, (_, vdir_rid, _, _) in heads.items()}
-        hist_records = self._history.read_many(
-            rid for atom_picks in picked.values()
-            for _, _, rid in atom_picks)
-        result: Dict[int, List[Tuple[int, StoredVersion]]] = {}
-        for atom_id, (current_rid, _, count, stamp) in heads.items():
-            versions = [(seq, StoredVersion(*entry_stamp, hist_records[rid]))
-                        for seq, entry_stamp, rid in picked[atom_id]]
-            if meets(stamp):
-                versions.append((count - 1, StoredVersion(
-                    *stamp, current_records[current_rid])))
-            result[atom_id] = versions
-        return result
-
-    def read_at_many(self, requests: Iterable[PointRequest]
-                     ) -> Dict[PointRequest, PointHit]:
-        # The directory entry and the vdir hold every envelope, so the
-        # newest-first walk runs on them alone, and a wave per segment
-        # (directory, current, vdirs, history) reads just the records it
-        # selected.
-        result, by_atom = group_requests(requests)
+            in self._entries_many(walk.pending).items()
+            if payload is not None}
         current_picks: List[_Pick] = []
         vdir_walks: Dict[int, RecordId] = {}
-        for atom_id, payload in self._entries_many(by_atom).items():
-            if payload is None:
-                continue
-            current_rid, vdir_rid, count, stamp = self._decode_dir(payload)
-            answered, pending = _settle(by_atom[atom_id], stamp)
-            if answered:
-                current_picks.append((current_rid, count - 1, stamp,
-                                      answered))
-            if pending and count > 1:
-                by_atom[atom_id] = pending
+        for atom_id, (current_rid, vdir_rid, count, stamp) in heads.items():
+            hits = walk.hits(atom_id, stamp)
+            if hits:
+                current_picks.append((current_rid, count - 1, stamp, hits))
+            if count > 1 and not walk.done(atom_id):
                 vdir_walks[atom_id] = vdir_rid
-        _answer(result, current_picks, self._current)
+        _select_records(walk, current_picks, self._current)
         vdir_records = self._vdir.read_many(vdir_walks.values())
         history_picks: List[_Pick] = []
         for atom_id, vdir_rid in vdir_walks.items():
             vdir = vdir_records[vdir_rid]
             width = vdir[0]
-            unpack = self._VDIR_ENTRIES[width].unpack_from
-            size = self._VDIR_ENTRIES[width].size
-            pending = by_atom[atom_id]
-            seq = (len(vdir) - 1) // size
-            while pending and seq:
-                seq -= 1
-                fields = unpack(vdir, 1 + seq * size)
+            entries = list(self._VDIR_ENTRIES[width].iter_unpack(vdir[1:]))
+            for seq in range(len(entries) - 1, -1, -1):
+                fields = entries[seq]
                 stamp = _mapped(fields, _LOADED[width])
-                answered, pending = _settle(pending, stamp)
-                if answered:
+                hits = walk.hits(atom_id, stamp)
+                if hits:
                     history_picks.append((RecordId(fields[4], fields[5]),
-                                          seq, stamp, answered))
-        _answer(result, history_picks, self._history)
-        return result
+                                          seq, stamp, hits))
+                    if walk.done(atom_id):
+                        break
+        _select_records(walk, history_picks, self._history)
+        return walk.result(heads)
 
 
 #: A SEPARATED directory entry: current, vdir, count, current stamp.
 _DirEntry = Tuple[RecordId, RecordId, int, Stamp]
-#: A SEPARATED point-read selection: the record to read, its seq and
-#: envelope, and the requests it answers.
-_Pick = Tuple[RecordId, int, Stamp, Sequence[PointRequest]]
+#: A SEPARATED selection: the record to read, its seq and envelope, and
+#: the asks it answers.
+_Pick = Tuple[RecordId, int, Stamp, List[_Ask]]
 
 
-def _answer(result: Dict[PointRequest, PointHit], picks: List[_Pick],
-            segment: HeapSegment) -> None:
+def _select_records(walk: _Walk, picks: List[_Pick],
+                    segment: HeapSegment) -> None:
     """Read the records of *picks* from *segment* in one grouped read
-    and answer their requests."""
+    and give each to the requests that selected it."""
     records = segment.read_many(rid for rid, _, _, _ in picks)
-    for rid, seq, stamp, answered in picks:
-        result.update(dict.fromkeys(answered, (seq, StoredVersion(
-            *stamp, records[rid]))))
+    for rid, seq, stamp, hits in picks:
+        walk.select(hits, seq, StoredVersion(*stamp, records[rid]))
 
 
 _STORE_CLASSES = {

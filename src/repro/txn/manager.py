@@ -116,7 +116,11 @@ class TransactionManager:
 
     def log_operation(self, txn: Transaction,
                       payload: Dict[str, Any]) -> int:
-        """Log one operation of *txn*; must precede applying it."""
+        """Log one operation of *txn* once the engine has applied it,
+        so only accepted operations reach the log.  Recovery replays
+        the log onto the last checkpoint and never reads the page file,
+        so an operation applied but not yet logged is lost with a crash
+        exactly like one not applied."""
         txn.require_active()
         lsn = self._wal.append(LogRecordType.OPERATION, txn.txn_id, payload)
         txn.operations_logged += 1

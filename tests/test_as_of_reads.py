@@ -99,14 +99,14 @@ def mixed_history(db, seed=11):
 def requests_for(db, atoms):
     """Every atom (plus one never created) at instants on and around
     each stored boundary, as believed now and at every transaction
-    time."""
+    time, ``FOREVER`` included."""
     unknown = max(atoms) + 1000
     instants = {0, 7, 23, FOREVER - 1}
     for atom_id in atoms:
         if db.engine.atom_exists(atom_id):
             for version in db.engine.all_versions(atom_id):
                 instants.update((version.vt.start, version.vt.end - 1))
-    believed = [None, *range(0, db._clock.now() + 2)]
+    believed = [None, *range(0, db._clock.now() + 2), FOREVER]
     return [(atom_id, at, tt) for atom_id in atoms + [unknown]
             for at in sorted(instants) for tt in believed]
 
@@ -183,22 +183,23 @@ class TestAsOfDifferential:
         assert db.engine.point_reads([]) == {}
 
 
+def as_points(requests):
+    """Engine point requests ``(atom, at, tt)`` as the store reads them:
+    each instant x its belief."""
+    return [(atom_id, Interval.instant(at), hist.belief(tt))
+            for atom_id, at, tt in requests]
+
+
 def newest_first(store, requests):
-    """The point-read reference: each request's answer is the newest
-    version of the atom's full history valid at its instant and believed
-    at its transaction time — live, for a ``None`` one."""
+    """The point-read reference: each request on a known atom selects
+    the newest version of the atom's full history whose envelope
+    overlaps its point."""
     histories = store.read_all_many({a for a, _, _ in requests})
-    expected = {}
-    for request in requests:
-        atom_id, at, tt = request
-        expected[request] = None
-        for seq, sv in reversed(histories.get(atom_id, ())):
-            believed = (sv.live if tt is None
-                        else sv.tt_start <= tt < sv.tt_end)
-            if sv.contains(at) and believed:
-                expected[request] = (seq, sv)
-                break
-    return expected
+    return {request: [(seq, sv) for seq, sv in histories[atom_id]
+                      if sv.vt_start < vt.end and vt.start < sv.vt_end
+                      and sv.tt_start < tt.end and tt.start < sv.tt_end][-1:]
+            for request in requests
+            for atom_id, vt, tt in [request] if atom_id in histories}
 
 
 #: A stored version; a transaction time without length is still open.
@@ -252,7 +253,7 @@ class TestStorePointRead:
                 counts[atom_id] = 0
         # Repeats and several requests per atom share one walk; atoms 5
         # and 6 never exist.
-        requests += requests[:3]
+        requests = as_points(requests + requests[:3])
         assert store.read_at_many(requests) == newest_first(store, requests)
         assert store.read_at_many([]) == {}
         disk.close()
@@ -263,7 +264,7 @@ class TestEnginePointRead:
 
     def check(self, db, atoms):
         store = db.engine.store
-        requests = requests_for(db, atoms)
+        requests = as_points(requests_for(db, atoms))
         assert store.read_at_many(requests) == newest_first(store, requests)
 
     def test_corrections_and_windowed_deletes(self, db):

@@ -36,7 +36,8 @@ import time
 import pytest
 
 from repro import DatabaseConfig, TemporalDatabase
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
+from repro.testing import ReferenceDatabase
 from repro.txn.recovery import (
     MANIFEST_FILE,
     publish_checkpoint,
@@ -136,6 +137,101 @@ class TestProcessKill:
             lost = [a for a in acked if a not in survivors]
             assert lost, ("durability='none' lost nothing; the crash "
                           "demonstration is no longer meaningful")
+        finally:
+            recovered.close()
+
+
+REFUSED_CHILD_SCRIPT = textwrap.dedent("""\
+    import sys
+    import time
+
+    from repro import (AtomType, Attribute, DataType, Schema,
+                       TemporalDatabase)
+    from repro.errors import ReproError
+
+    schema = Schema("refused")
+    schema.add_atom_type(AtomType("Part", [
+        Attribute("name", DataType.STRING, required=True),
+        Attribute("cost", DataType.FLOAT)]))
+    db = TemporalDatabase.create(sys.argv[1], schema)
+    refused = []
+    with db.transaction() as txn:
+        part = txn.insert("Part", {"name": "good"}, valid_from=0)
+        for refuse in (
+                lambda: txn.insert("Part", {"name": 5}, valid_from=0),
+                lambda: txn.update(999, {"cost": 1.0}, valid_from=0),
+                lambda: txn.insert("Part", {"name": "again"}, valid_from=5,
+                                   atom_id=part)):
+            try:
+                refuse()
+            except ReproError as exc:
+                refused.append(type(exc).__name__)
+        txn.update(part, {"cost": 2.0}, valid_from=10)
+        tt = txn.transaction_time
+    sys.stdout.write(f"ACK {part} {tt} {' '.join(refused)}\\n")
+    sys.stdout.flush()
+    time.sleep(60)
+    """)
+
+
+def _refused_schema():
+    from repro import AtomType, Attribute, DataType, Schema
+    schema = Schema("refused")
+    schema.add_atom_type(AtomType("Part", [
+        Attribute("name", DataType.STRING, required=True),
+        Attribute("cost", DataType.FLOAT)]))
+    return schema
+
+
+class TestRefusedOperations:
+    def test_refused_operations_leave_the_log_replayable(self, tmp_path):
+        """A committed transaction whose operations were partly refused
+        (a validation error, an unknown atom, an overlapping insert)
+        survives a SIGKILL before any checkpoint: only the accepted
+        operations were logged, so recovery replays exactly the state
+        the reference model reaches."""
+        db_path = str(tmp_path / "refuseddb")
+        script = tmp_path / "refused.py"
+        script.write_text(REFUSED_CHILD_SCRIPT)
+        child = subprocess.Popen(
+            [sys.executable, str(script), db_path], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_child_env(), text=True)
+        try:
+            assert child.stdout is not None
+            line = child.stdout.readline()
+            if not line.startswith("ACK "):
+                pytest.fail(f"child exited: {child.stderr.read()}")
+            child.kill()
+            child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        _, part, tt, *refused = line.split()
+        part, tt = int(part), int(tt)
+
+        ref = ReferenceDatabase(_refused_schema())
+        ref.insert("Part", {"name": "good"}, 0, tt=tt, atom_id=part)
+        ref_refused = []
+        for refuse in (
+                lambda: ref.insert("Part", {"name": 5}, 0, tt=tt,
+                                   atom_id=part + 1),
+                lambda: ref.update(999, {"cost": 1.0}, 0, tt=tt),
+                lambda: ref.insert("Part", {"name": "again"}, 5, tt=tt,
+                                   atom_id=part)):
+            with pytest.raises(ReproError) as caught:
+                refuse()
+            ref_refused.append(type(caught.value).__name__)
+        ref.update(part, {"cost": 2.0}, 10, tt=tt)
+        assert refused == ref_refused == [
+            "TypeMismatchError", "UnknownAtomError", "TemporalUpdateError"]
+
+        recovered = TemporalDatabase.open(db_path)
+        try:
+            assert recovered.atoms_of_type("Part") == ref.atoms_of_type(
+                "Part") == [part]
+            assert recovered.history(part) == ref.all_versions(part)
         finally:
             recovered.close()
 

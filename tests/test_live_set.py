@@ -1,7 +1,7 @@
 """The write path's live-version machinery.
 
 Mutation planning only ever reads transaction-time-open versions: the
-stores' ``read_live``, their rectangle read believed now, and the
+stores' rectangle read believed now (``read_live``), and the
 engine's per-atom cache entry, which holds a slot for every live version
 and which ``_apply_plan`` repairs from its plan.
 These tests pin the store contracts, prove the cache never drifts from
@@ -28,6 +28,16 @@ def engine(db):
 def insert(engine, atom_id, vf=0, vt=FOREVER, tt=0, **values):
     values = values or {"name": f"atom-{atom_id}"}
     return engine.insert("Part", values, vf, vt, tt, atom_id)
+
+
+def request_kinds(requests):
+    """The kind of each store read request: ``"point"`` (both sides
+    instants), ``"live"`` (every valid time, believed now) or
+    ``"rectangle"``."""
+    now = Interval.instant(MAX_CHRONON)
+    return ["point" if vt.end - vt.start == 1 == tt.end - tt.start
+            else "live" if (vt, tt) == (Interval.always(), now)
+            else "rectangle" for _, vt, tt in requests]
 
 
 def store_live(engine, atom_id):
@@ -72,8 +82,10 @@ class TestStoreContract:
         insert(engine, 1, tt=0)
         engine.delete(1, 0, tt=1)
         assert engine.store.read_live(1) == []
+        assert engine.store.read_all_many(
+            [9], tt=Interval.instant(MAX_CHRONON)) == {}
         with pytest.raises(UnknownAtomError):
-            engine.store.read_live(9)
+            engine.live_pairs(9)
 
 
 def _mixed_ops_match_store(engine, between=lambda: None):
@@ -188,13 +200,22 @@ class TestLiveSetCache:
 
     @staticmethod
     def _count_probes(engine, monkeypatch):
+        """Every store read the engine makes: ``read_current`` and
+        ``exists`` by name, each ``read_at_many`` call by the kinds of
+        its requests."""
         calls = []
         store = engine.store
-        for name in ("read_current", "exists", "read_live"):
+        for name in ("read_current", "exists"):
             def counted(*args, _name=name, _method=getattr(store, name)):
                 calls.append(_name)
                 return _method(*args)
             monkeypatch.setattr(store, name, counted)
+
+        def walk(requests, _method=store.read_at_many):
+            requests = list(requests)
+            calls.append(request_kinds(requests))
+            return _method(requests)
+        monkeypatch.setattr(store, "read_at_many", walk)
         return calls
 
     def test_cold_update_reads_only_the_live_set(self, engine, monkeypatch):
@@ -203,7 +224,7 @@ class TestLiveSetCache:
         engine.drop_caches()
         calls = self._count_probes(engine, monkeypatch)
         engine.update(1, {"cost": 1.0}, 10, tt=1)
-        assert calls == ["read_live"]
+        assert calls == [["live"]]
 
     def test_cold_link_reads_only_the_live_sets(self, engine, monkeypatch):
         # Planning reads come first and name both types: no read_current.
@@ -212,7 +233,7 @@ class TestLiveSetCache:
         engine.drop_caches()
         calls = self._count_probes(engine, monkeypatch)
         engine.link("contains", 1, 2, 5, tt=1)
-        assert calls == ["read_live", "read_live"]
+        assert calls == [["live"], ["live"]]
         monkeypatch.undo()
         assert engine.live_pairs(1) == store_live(engine, 1)
         assert engine.live_pairs(2) == store_live(engine, 2)

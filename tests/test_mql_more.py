@@ -3,6 +3,8 @@ under lossy index keys."""
 
 import pytest
 
+from repro.temporal import FOREVER
+
 
 class TestLossyStringIndex:
     def test_shared_prefix_candidates_are_rechecked(self, db):
@@ -59,9 +61,9 @@ class TestClauseCombinations:
         assert entry.valid.start == 0
 
     def test_times_outside_the_chronon_domain(self, loaded):
-        """``AS OF FOREVER`` is current knowledge, in an interval query
-        as in a slice; the Python API's belief past the chronon domain
-        still believes nothing; and a DIFF bound at ``FOREVER`` reads to the last
+        """A belief at or past ``FOREVER`` is current knowledge, in MQL
+        (an interval query as a slice) and in the Python API alike, warm
+        or cold; and a DIFF bound at ``FOREVER`` reads to the last
         chronon."""
         db, part, tt_initial = loaded
         for valid in ("VALID AT 5", "VALID HISTORY", "VALID DURING [0, 20)"):
@@ -69,7 +71,13 @@ class TestClauseCombinations:
             now = db.query(f"SELECT ALL FROM Part {valid}")
             assert [e.row for e in forever.entries] == [
                 e.row for e in now.entries] != []
-        assert db.lifespan(part, tt=2**70).is_empty
+        db.engine.drop_caches()
+        for _ in ("cold", "warm"):
+            for at in (5, 15):
+                assert db.version_at(part, at, tt=FOREVER) == db.version_at(
+                    part, at) is not None
+            assert db.lifespan(part, tt=2**70) == db.lifespan(part)
+            assert not db.lifespan(part).is_empty
         now = db._clock.now()
         assert [e.row for e in db.query(
             f"DIFF Part BETWEEN {tt_initial} AND FOREVER").entries] == [

@@ -34,6 +34,7 @@ from repro.errors import ReproError, UnknownAtomError
 from repro.mql.planner import PushdownSpec
 from repro.storage.strategies import StoredVersion
 from repro.temporal import FOREVER, Interval
+from repro.temporal.timestamp import MAX_CHRONON
 from repro.tools.vacuum import vacuum_superseded
 
 
@@ -1139,14 +1140,20 @@ class TestWarmSlicesEqualCold:
 
 class TestWarmSliceCounts:
     def _store_reads(self, db, monkeypatch):
-        """The requests of every ``read_at_many`` call, one list each."""
+        """The point requests of every ``read_at_many`` call that has
+        any, one list each, as ``(atom, at, tt)``; rectangle requests
+        (the planning read's) are not counted."""
         calls = []
         store = db.engine.store
         real = store.read_at_many
 
         def counting(requests):
             requests = list(requests)
-            calls.append(requests)
+            points = [(atom_id, vt.start, tt.start)
+                      for atom_id, vt, tt in requests
+                      if vt.end - vt.start == 1 == tt.end - tt.start]
+            if points:
+                calls.append(points)
             return real(requests)
 
         monkeypatch.setattr(store, "read_at_many", counting)
@@ -1189,7 +1196,7 @@ class TestWarmSliceCounts:
         assert db.version_at(part, 5) is None  # no cached slot holds 5
         tt = db._clock.now()
         assert db.version_at(part, 12, tt=tt).values["cost"] == 1.0
-        assert calls == [[(part, 5, None)], [(part, 12, tt)]]
+        assert calls == [[(part, 5, MAX_CHRONON)], [(part, 12, tt)]]
 
     def test_pushdown_and_projection_answer_from_the_slots(self, db,
                                                            monkeypatch):

@@ -298,14 +298,15 @@ class TestErrorFrames:
         sock.close()
 
     def test_lone_surrogate_is_a_structured_error(self, server):
-        # ASCII JSON can escape a lone surrogate that UTF-8 cannot hold.
+        # ASCII JSON can escape a lone surrogate that UTF-8 cannot hold;
+        # the engine's validation refuses it before anything is logged.
         sock = _raw_connection(server)
         mutate = {"op": "insert", "args": {
             "type": "Part", "values": {"name": "x\ud800"}, "valid_from": 0}}
         write_frame(sock, Opcode.MUTATE, 2, json.dumps(mutate).encode())
         frame = read_frame(sock)
         assert frame.opcode == Opcode.ERROR
-        assert frame.decode()["error"] == "SerializationError"
+        assert frame.decode()["error"] == "TypeMismatchError"
         mutate["args"]["values"]["name"] = "x"
         write_frame(sock, Opcode.MUTATE, 3, json.dumps(mutate).encode())
         frame = read_frame(sock)

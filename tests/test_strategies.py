@@ -15,7 +15,6 @@ from repro.storage.disk import DiskManager
 from repro.storage.strategies import (
     StoredVersion,
     VersionStrategy,
-    believed,
     open_version_store,
 )
 from repro.temporal import FOREVER, TMIN, Interval
@@ -38,21 +37,32 @@ def history(store, atom_id):
     return [version for _, version in store.read_all_many([atom_id])[atom_id]]
 
 
+#: The belief in current knowledge: only an open transaction time
+#: meets the last chronon.
+NOW = Interval.instant(MAX_CHRONON)
+
+
+def point(atom_id, at, tt=NOW):
+    """A point request: *atom_id* at *at* as believed during *tt*."""
+    return atom_id, Interval.instant(at), tt
+
+
 def current(atom_ids, at):
     """Current-knowledge point reads of *atom_ids* at *at*."""
-    return [(atom_id, at, None) for atom_id in atom_ids]
+    return [point(atom_id, at) for atom_id in atom_ids]
 
 
 def hit_at(store, atom_id, at):
     """The ``(seq, version)`` a current read at *at* selects, or None."""
-    return store.read_at_many(current([atom_id], at))[(atom_id, at, None)]
+    (selected,) = store.read_at_many(current([atom_id], at)).values()
+    return selected[0] if selected else None
 
 
 class TestContract:
     def test_missing_atom(self, store):
         assert not store.exists(9)
         assert store.read_all_many([9]) == {}
-        assert store.read_at_many(current([9], 0)) == {(9, 0, None): None}
+        assert store.read_at_many(current([9], 0)) == {}
         with pytest.raises(UnknownAtomError):
             store.read_current(9)
 
@@ -154,8 +164,7 @@ class TestContract:
         store.append_version(1, sv(0, 10))
         store.append_version(2, sv(5, 15))
         assert store.read_at_many(iter(current([1, 2, 9, 1], 7))) == {
-            (1, 7, None): (0, sv(0, 10)), (2, 7, None): (0, sv(5, 15)),
-            (9, 7, None): None}
+            point(1, 7): [(0, sv(0, 10))], point(2, 7): [(0, sv(5, 15))]}
         assert store.read_all_many(iter([2, 9])) == {2: [(0, sv(5, 15))]}
 
     def test_large_payloads_span_pages(self, store):
@@ -276,9 +285,10 @@ class TestPointReadSegments:
     def read(self, db, at, tt=None):
         """One cold read of the part at *at* as believed at *tt*: its
         hit and the heap records it read per segment."""
-        request = (self.part, at, tt)
-        return segment_reads(
-            db, lambda store: store.read_at_many([request])[request])
+        request = point(self.part, at,
+                        NOW if tt is None else Interval.instant(tt))
+        return segment_reads(db, lambda store: (
+            store.read_at_many([request])[request] or [None])[0])
 
     def test_current_reads_skip_closed_records(self, db):
         with db.transaction() as txn:
@@ -305,7 +315,7 @@ class TestPointReadSegments:
             txn.correct(self.part, 32, 36, {"cost": -1.0})
         count = len(history(db.engine.store, self.part))
         hit, reads = self.read(db, 34)
-        assert hit[1].live and hit[1].contains(34)
+        assert hit[1].live and hit[1].vt_start <= 34 < hit[1].vt_end
         if strategy is VersionStrategy.CHAINED:
             assert reads == {"chained": count - hit[0]}  # stops at the hit
         elif strategy is VersionStrategy.SEPARATED:
@@ -322,7 +332,7 @@ class TestPointReadSegments:
             txn.delete(self.part, valid_from=52, valid_to=58)
         count = len(history(db.engine.store, self.part))
         closed = [sv for sv in history(db.engine.store, self.part)
-                  if sv.contains(55)]
+                  if sv.vt_start <= 55 < sv.vt_end]
         assert len(closed) >= 2 and not any(sv.live for sv in closed)
         hit, reads = self.read(db, 55)
         assert hit is None
@@ -401,8 +411,11 @@ class TestSeparatedSplices:
                        (Interval.instant(5), Interval.instant(0))):
             assert (separated.read_all_many(atom_ids, vt, tt)
                     == clustered.read_all_many(atom_ids, vt, tt))
+        # Point and rectangle requests mixed in one walk.
         requests = [request for at in (0, 5, 805, 1595, 10_000)
-                    for request in current(atom_ids, at)]
+                    for request in current(atom_ids, at)] + [
+            (atom_id, Interval(800, 1600), tt) for atom_id in atom_ids
+            for tt in (NOW, Interval.always())]
         assert (separated.read_at_many(requests)
                 == clustered.read_at_many(requests))
 
@@ -533,8 +546,9 @@ def test_random_operations_match_model(tmp_path_factory, operations,
                                        strategy, rectangles):
     """Every strategy behaves like a dict of version lists, whatever
     width its stamps are stored at, and reads the same after reopening
-    from its persisted state: a rectangle read returns the versions the
-    model's envelope filter keeps."""
+    from its persisted state: a rectangle request returns the versions
+    the model's envelope filter keeps, a point request the newest of
+    them."""
     directory = tmp_path_factory.mktemp("storeprop")
     disk = DiskManager(directory / "s.db")
     pool = BufferManager(disk, capacity=16)
@@ -559,28 +573,30 @@ def test_random_operations_match_model(tmp_path_factory, operations,
             if not model[atom_id]:
                 del model[atom_id]
     reopened = open_version_store(strategy, pool, store.persist_state())
-    requests = [(atom_id, at, tt) for atom_id in range(1, 6)
-                for at in _CHRONONS[1:-1] for tt in (None, 0, 2**31 - 1)]
-    expected = dict.fromkeys(requests)
-    for atom_id, at, tt in requests:
-        for seq in range(len(model.get(atom_id, ())) - 1, -1, -1):
-            version = model[atom_id][seq]
-            if version.contains(at) and believed(version.tt_start,
-                                                 version.tt_end, tt):
-                expected[(atom_id, at, tt)] = (seq, version)
-                break
     rectangles = [(Interval.always(), Interval.always()),
-                  (Interval.always(), Interval.instant(MAX_CHRONON)),
-                  *rectangles]
+                  (Interval.always(), NOW), *rectangles]
+    # Point and rectangle requests mixed in one walk, atom 5 unknown.
+    requests = [(atom_id, vt, tt) for atom_id in range(1, 6)
+                for vt, tt in rectangles] + [
+        point(atom_id, at, tt) for atom_id in range(1, 6)
+        for at in _CHRONONS[1:-1]
+        for tt in (NOW, Interval.instant(0), Interval.instant(2**31 - 1))]
+    expected = {}
+    for request in requests:
+        atom_id, vt, tt = request
+        if atom_id in model:
+            selected = [(seq, version)
+                        for seq, version in enumerate(model[atom_id])
+                        if _overlaps(version, vt, tt)]
+            # A point request selects only the newest overlapping one.
+            expected[request] = (selected[-1:] if vt.end - vt.start == 1
+                                 == tt.end - tt.start else selected)
     for each in (store, reopened):
         assert sorted(each.atom_ids()) == sorted(model)
         assert each.read_at_many(requests) == expected
         for vt, tt in rectangles:
             assert each.read_all_many(range(1, 6), vt, tt) == {
-                atom_id: [(seq, version)
-                          for seq, version in enumerate(versions)
-                          if _overlaps(version, vt, tt)]
-                for atom_id, versions in model.items()}
+                atom_id: expected[(atom_id, vt, tt)] for atom_id in model}
         for atom_id, versions in model.items():
             assert each.read_current(atom_id) == (len(versions) - 1,
                                                   versions[-1])
