@@ -66,7 +66,7 @@ import struct
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from functools import lru_cache, partial
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -140,9 +140,6 @@ _start = operator.itemgetter(0)
 PointRequest = Tuple[int, Timestamp, Optional[Timestamp]]
 
 _ALWAYS = Interval.always()
-#: ``Interval.instant`` memoised: a new interval validates its bounds,
-#: which costs a cold point read more than the rest of its bookkeeping.
-_instant = lru_cache(maxsize=1024)(Interval.instant)
 
 
 class _Slot:
@@ -734,7 +731,7 @@ class StorageEngine:
         points, each instant x :func:`~repro.core.history.belief` (an
         instant outside the chronon domain holds no version); each
         selected version leaves a slot in its atom's entry."""
-        asks = {request: (request[0], _instant(request[1]),
+        asks = {request: (request[0], Interval.instant(request[1]),
                           hist.belief(request[2]))
                 for request in requests if TMIN <= request[1] < FOREVER}
         found = self.store.read_at_many(asks.values())

@@ -27,7 +27,6 @@ disjoint valid-time intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.version import Version
@@ -71,7 +70,6 @@ class HistoryPlan:
 CURRENT = Interval.instant(MAX_CHRONON)
 
 
-@lru_cache(maxsize=1024)
 def belief(tt: Optional[Timestamp] = None) -> Interval:
     """The instant a version's transaction time meets when believed at
     *tt*, and the one map from a transaction time to a belief: for

@@ -144,10 +144,10 @@ Request = Tuple[int, Interval, Interval]
 Selected = List[Tuple[int, StoredVersion]]
 
 
-#: A request as a walk holds it: its index, its rectangle's bounds
-#: unpacked once ``(vt start, vt end, tt start, tt end)``, and whether
-#: it is a point request.
-_Ask = Tuple[int, int, int, int, int, bool]
+#: A request as a walk holds it: its rectangle's bounds unpacked once
+#: ``(vt start, vt end, tt start, tt end)``, whether it is a point
+#: request, and the versions it has selected, newest first.
+_Ask = Tuple[int, int, int, int, bool, Selected]
 
 
 class _Walk:
@@ -167,30 +167,37 @@ class _Walk:
     def __init__(self, requests: Iterable[Request]) -> None:
         self.requests = list(dict.fromkeys(requests))
         self.pending: Dict[int, List[_Ask]] = {}
-        for index, (atom_id, vt, tt) in enumerate(self.requests):
+        #: Per request, in request order, its selected versions.
+        self.found: List[Selected] = []
+        for atom_id, vt, tt in self.requests:
+            found: Selected = []
+            self.found.append(found)
             self.pending.setdefault(atom_id, []).append(
-                (index, vt.start, vt.end, tt.start, tt.end,
-                 vt.end - vt.start == 1 == tt.end - tt.start))
-        #: Per request index its selected versions, newest first.
-        self.found: Dict[int, Selected] = {}
+                (vt.start, vt.end, tt.start, tt.end,
+                 vt.end - vt.start == 1 == tt.end - tt.start, found))
 
     def hits(self, atom_id: int, stamp: Stamp) -> List[_Ask]:
         """The atom's pending asks whose rectangle *stamp* overlaps; the
         point requests among them leave the walk."""
         vt_start, vt_end, tt_start, tt_end = stamp
         pending = self.pending[atom_id]
-        hits = [ask for ask in pending
-                if ask[1] < vt_end and vt_start < ask[2]
-                and ask[3] < tt_end and tt_start < ask[4]]
-        if hits and any(ask[5] for ask in hits):
+        hits = []
+        settled = False
+        for ask in pending:  # a plain loop: it runs once per envelope
+            if (ask[0] < vt_end and vt_start < ask[1]
+                    and ask[2] < tt_end and tt_start < ask[3]):
+                hits.append(ask)
+                settled |= ask[4]
+        if settled:
             self.pending[atom_id] = [ask for ask in pending
-                                     if not ask[5] or ask not in hits]
+                                     if not ask[4] or ask not in hits]
         return hits
 
-    def select(self, hits: List[_Ask], seq: int, sv: StoredVersion) -> None:
+    @staticmethod
+    def select(hits: List[_Ask], seq: int, sv: StoredVersion) -> None:
         """Give version *seq*, *sv*, to the requests *hits* asked."""
         for ask in hits:
-            self.found.setdefault(ask[0], []).append((seq, sv))
+            ask[5].append((seq, sv))
 
     def done(self, atom_id: int) -> bool:
         """Whether no request on the atom is pending."""
@@ -199,10 +206,8 @@ class _Walk:
     def result(self, known: Container[int]) -> Dict[Request, Selected]:
         """Every request on an atom in *known* with its versions in seq
         order."""
-        found = self.found
-        return {request: found[index][::-1] if index in found else []
-                for index, request in enumerate(self.requests)
-                if request[0] in known}
+        return {request: found[::-1] for request, found
+                in zip(self.requests, self.found) if request[0] in known}
 
 
 class VersionStore:
@@ -277,7 +282,9 @@ class VersionStore:
                       tt: Interval = Interval.always()
                       ) -> Dict[int, Selected]:
         """:meth:`read_at_many` of the one rectangle *vt* x *tt* (the
-        defaults give the whole history) per known atom."""
+        defaults give the whole history) per known atom.  Like any
+        request, a rectangle whose two sides are both instants is a
+        point request: it gets only the newest version it overlaps."""
         return {request[0]: selected for request, selected in
                 self.read_at_many((atom_id, vt, tt)
                                   for atom_id in atom_ids).items()}
@@ -911,9 +918,10 @@ class SeparatedStore(_BaseStore):
         for atom_id, vdir_rid in vdir_walks.items():
             vdir = vdir_records[vdir_rid]
             width = vdir[0]
-            entries = list(self._VDIR_ENTRIES[width].iter_unpack(vdir[1:]))
-            for seq in range(len(entries) - 1, -1, -1):
-                fields = entries[seq]
+            unpack, size = (self._VDIR_ENTRIES[width].unpack_from,
+                            self._VDIR_ENTRIES[width].size)
+            for seq in range((len(vdir) - 1) // size - 1, -1, -1):
+                fields = unpack(vdir, 1 + seq * size)
                 stamp = _mapped(fields, _LOADED[width])
                 hits = walk.hits(atom_id, stamp)
                 if hits:

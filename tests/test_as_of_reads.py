@@ -14,11 +14,11 @@ ones included.
 Below the engine, every strategy answers those reads with
 :meth:`VersionStore.read_at_many`, a newest-first walk that stops at
 each request's first hit.  Its differential tests hold it equal to the
-same newest-first filter over ``read_all_many``, with current and
-``AS OF`` requests mixed in one call, on random store histories and on
-real ones (corrections, windowed deletes, a same-transaction update /
-delete / re-insert, chains long enough to span pages, unknown and
-vacuumed atoms).
+same newest-first filter over a model of what was written, with
+current and ``AS OF`` requests mixed in one call, on random store
+histories and on real ones (corrections, windowed deletes, a
+same-transaction update / delete / re-insert, chains long enough to
+span pages, unknown and vacuumed atoms).
 
 The cost gate holds the point of it: a ``SUBSCRIBE`` poll of N events
 decodes at most 2N versions, and reads the same number of heap records,
@@ -190,16 +190,54 @@ def as_points(requests):
             for atom_id, at, tt in requests]
 
 
-def newest_first(store, requests):
-    """The point-read reference: each request on a known atom selects
-    the newest version of the atom's full history whose envelope
-    overlaps its point."""
-    histories = store.read_all_many({a for a, _, _ in requests})
-    return {request: [(seq, sv) for seq, sv in histories[atom_id]
+def record_writes(store):
+    """A model of *store*'s histories, ``{atom: [StoredVersion]}`` in seq
+    order, kept by wrapping the store's mutators: a reference built from
+    what was written, independent of the read walk under test."""
+    model = {}
+
+    def append_version(atom_id, sv, _append=store.append_version):
+        seq = _append(atom_id, sv)
+        model.setdefault(atom_id, []).append(sv)
+        assert seq == len(model[atom_id]) - 1
+        return seq
+
+    def replace_version(atom_id, seq, sv, _replace=store.replace_version):
+        _replace(atom_id, seq, sv)
+        model[atom_id][seq] = sv
+
+    def restamp(atom_id, seq, stamp, _restamp=store.restamp):
+        _restamp(atom_id, seq, stamp)
+        model[atom_id][seq] = StoredVersion(*stamp,
+                                            model[atom_id][seq].payload)
+
+    def pop_version(atom_id, _pop=store.pop_version):
+        versions = model[atom_id]
+        _pop(atom_id)  # popping the last version deletes the atom
+        versions.pop()
+        if not versions:
+            model.pop(atom_id, None)
+
+    def delete_atom(atom_id, _delete=store.delete_atom):
+        _delete(atom_id)
+        del model[atom_id]
+
+    store.append_version, store.replace_version = (append_version,
+                                                   replace_version)
+    store.restamp, store.pop_version = restamp, pop_version
+    store.delete_atom = delete_atom
+    return model
+
+
+def newest_first(model, requests):
+    """The point-read reference: each request on an atom of *model*
+    (see :func:`record_writes`) selects the newest version of the atom's
+    written history whose envelope overlaps its point."""
+    return {request: [(seq, sv) for seq, sv in enumerate(model[atom_id])
                       if sv.vt_start < vt.end and vt.start < sv.vt_end
                       and sv.tt_start < tt.end and tt.start < sv.tt_end][-1:]
             for request in requests
-            for atom_id, vt, tt in [request] if atom_id in histories}
+            for atom_id, vt, tt in [request] if atom_id in model}
 
 
 #: A stored version; a transaction time without length is still open.
@@ -212,7 +250,7 @@ _version = st.builds(
 
 
 class TestStorePointRead:
-    """``read_at_many`` == the newest-first filter of ``read_all_many``,
+    """``read_at_many`` == the newest-first filter of the written model,
     on all three strategies, with current and ``AS OF`` requests mixed
     in one call."""
 
@@ -233,6 +271,7 @@ class TestStorePointRead:
         disk = DiskManager(tmp_path_factory.mktemp("asof") / "s.db")
         store = open_version_store(strategy, BufferManager(disk,
                                                            capacity=16))
+        model = record_writes(store)
         if deep:  # 160 versions: the vdir and clustered record span
             for step in range(160):
                 store.append_version(1, StoredVersion(
@@ -254,7 +293,7 @@ class TestStorePointRead:
         # Repeats and several requests per atom share one walk; atoms 5
         # and 6 never exist.
         requests = as_points(requests + requests[:3])
-        assert store.read_at_many(requests) == newest_first(store, requests)
+        assert store.read_at_many(requests) == newest_first(model, requests)
         assert store.read_at_many([]) == {}
         disk.close()
 
@@ -262,10 +301,15 @@ class TestStorePointRead:
 class TestEnginePointRead:
     """The same differential over histories the engine wrote."""
 
+    @pytest.fixture(autouse=True)
+    def record(self, db):
+        self.written = record_writes(db.engine.store)
+
     def check(self, db, atoms):
         store = db.engine.store
         requests = as_points(requests_for(db, atoms))
-        assert store.read_at_many(requests) == newest_first(store, requests)
+        assert store.read_at_many(requests) == newest_first(self.written,
+                                                            requests)
 
     def test_corrections_and_windowed_deletes(self, db):
         self.check(db, mixed_history(db, seed=3))

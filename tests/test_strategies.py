@@ -548,7 +548,8 @@ def test_random_operations_match_model(tmp_path_factory, operations,
     width its stamps are stored at, and reads the same after reopening
     from its persisted state: a rectangle request returns the versions
     the model's envelope filter keeps, a point request the newest of
-    them."""
+    them.  ``read_all_many`` is the same walk, so a drawn rectangle
+    whose two sides are both instants is a point request there too."""
     directory = tmp_path_factory.mktemp("storeprop")
     disk = DiskManager(directory / "s.db")
     pool = BufferManager(disk, capacity=16)
