@@ -168,10 +168,8 @@ class _Walk:
         self.requests = list(dict.fromkeys(requests))
         self.pending: Dict[int, List[_Ask]] = {}
         #: Per request, in request order, its selected versions.
-        self.found: List[Selected] = []
-        for atom_id, vt, tt in self.requests:
-            found: Selected = []
-            self.found.append(found)
+        self.found: List[Selected] = [[] for _ in self.requests]
+        for (atom_id, vt, tt), found in zip(self.requests, self.found):
             self.pending.setdefault(atom_id, []).append(
                 (vt.start, vt.end, tt.start, tt.end,
                  vt.end - vt.start == 1 == tt.end - tt.start, found))
