@@ -1,4 +1,4 @@
-"""R-F7 — Predicate and projection pushdown into the version stores.
+"""R-F7 — Predicate pushdown into the version stores.
 
 Two questions:
 
@@ -6,7 +6,9 @@ Two questions:
    into the store must decode strictly fewer versions (target: at least
    2x fewer) than the legacy decode-then-filter pipeline, for every
    storage strategy, while returning byte-identical results — the
-   differential oracle runs inside the benchmark.
+   differential oracle runs inside the benchmark.  The ``projected``
+   row selects paths under a predicate: what it saves is the
+   predicate's work, since every version read is decoded whole.
 2. **Batched index maintenance** — one transaction's index entries are
    buffered and flushed as sorted runs (``index.batch_inserts``); the
    row records entries per batch so the write-path amortization stays

@@ -70,8 +70,7 @@ def test_t2_current_slice(benchmark, capsys, databases, strategy):
     # also when the root comparison of ``WHERE Part.name = $name`` is
     # pushed down, since it is judged on the cached payload.
     name = db.version_at(parts[0], at).values["name"]
-    pred, _ = db.engine.compile_pushdown(
-        PushdownSpec("Part", (("name", "EQ", name),), None))
+    pred = db.engine.compile_pushdown(PushdownSpec("Part", (("name", "EQ", name),)))
     for label, warm_run in (
             ("warm", run),
             ("warm pushdown",

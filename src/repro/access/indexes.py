@@ -200,38 +200,6 @@ class IndexManager:
                 keys.add(key)
         return [decode_int(key[-8:]) for key in sorted(keys)]
 
-    def candidate_atoms_range(self, name: str, lo_key: Optional[bytes],
-                              hi_key: Optional[bytes],
-                              hi_inclusive: bool = False) -> List[int]:
-        """Atoms with some version whose value key lies in the range.
-
-        Distinct-ified: an atom appears once even if many versions match.
-        """
-        self._c_probes.inc()
-        width = self._tree(name).key_size - _ATOM_ID_WIDTH
-        lo = (encode_composite(lo_key, encode_int(-(2**63)))
-              if lo_key is not None else None)
-        if hi_key is not None:
-            hi = encode_composite(hi_key, encode_int(2**63 - 1))
-        else:
-            hi = None
-        matched = {key for key, _ in
-                   self._tree(name).range_scan(lo, hi,
-                                               hi_inclusive=hi_inclusive)}
-        for key in self._pending_attr.get(name, ()):
-            if lo is not None and key < lo:
-                continue
-            if hi is not None and (key > hi if hi_inclusive else key >= hi):
-                continue
-            matched.add(key)
-        seen: Dict[int, None] = {}
-        for key in sorted(matched):
-            if hi_key is not None and not hi_inclusive:
-                if key[:width] >= hi_key:
-                    continue
-            seen.setdefault(decode_int(key[-8:]))
-        return list(seen)
-
     # -- valid-time indexes -----------------------------------------------------------------
 
     def add_vt_entry(self, name: str, vt_start: int, atom_id: int) -> None:

@@ -50,8 +50,8 @@ class VersionReader(Protocol):
     """What the builder needs from an engine: set-oriented version access.
 
     :class:`~repro.core.engine.StorageEngine` additionally accepts the
-    ``pred`` / ``projection`` keywords of its pushdown; the builder
-    passes them only when a caller compiled them against the engine.
+    ``pred`` keyword of its predicate pushdown; the builder passes it
+    only when a caller compiled one against the engine.
     """
 
     def atom_type_name(self, atom_id: int) -> str:
@@ -178,21 +178,19 @@ class MoleculeBuilder:
 
     def _fetch_many(self, atom_ids: Iterable[int], at: Timestamp,
                     tt: Optional[Timestamp],
-                    pred=None, projection=None
-                    ) -> Dict[int, Optional[Version]]:
+                    pred=None) -> Dict[int, Optional[Version]]:
         """One version fetch for a whole frontier level.
 
-        The pushdown arguments are forwarded only when set, so readers
+        The pushdown predicate is forwarded only when set, so readers
         implementing the bare protocol see the plain call shape.
         """
         ids = list(dict.fromkeys(atom_ids))
         if not ids:
             return {}
         self._h_batch.observe(len(ids))
-        if pred is None and projection is None:
+        if pred is None:
             return self._reader.version_at_many(ids, at, tt)
-        return self._reader.version_at_many(ids, at, tt, pred=pred,
-                                            projection=projection)
+        return self._reader.version_at_many(ids, at, tt, pred=pred)
 
     # -- time-slice construction ---------------------------------------------
 
@@ -208,7 +206,7 @@ class MoleculeBuilder:
 
     def build_many(self, root_ids: Iterable[int], mtype: MoleculeType,
                    at: Timestamp, tt: Optional[Timestamp] = None,
-                   root_pred=None, projection=None) -> List[Molecule]:
+                   root_pred=None) -> List[Molecule]:
         """Molecules for every root id that is valid at the instant.
 
         Duplicate root ids are built once (first occurrence wins the
@@ -220,20 +218,18 @@ class MoleculeBuilder:
         *root_pred* (a compiled payload predicate) applies to the root
         fetch only — a root whose version at the instant fails it builds
         no molecule, exactly as the evaluator's WHERE would have dropped
-        it.  *projection* applies to every level: fetched versions carry
-        only the attributes the query reads.
+        it.
         """
         ids = list(dict.fromkeys(root_ids))
         if not ids:
             return []
 
         def fetch(atom_ids: List[int]) -> Dict[int, Optional[Version]]:
-            return self._fetch_many(atom_ids, at, tt, projection=projection)
+            return self._fetch_many(atom_ids, at, tt)
 
         def fetch_roots(atom_ids: List[int]
                         ) -> Dict[int, Optional[Version]]:
-            return self._fetch_many(atom_ids, at, tt, pred=root_pred,
-                                    projection=projection)
+            return self._fetch_many(atom_ids, at, tt, pred=root_pred)
 
         built = self._build_forest(ids, mtype, fetch, fetch_roots)
         return [molecule for molecule in built if molecule is not None]

@@ -2,18 +2,20 @@
 
 The version store keeps each version's bitemporal stamp — valid time and
 transaction time — in its envelope, where every selection reads it; the
-payload this codec produces is the state only: the declared attributes,
-then one integer-list field per reference-set key the type can carry,
-in one row format per atom type.
+payload this codec produces is the state only, self-describing: a 16-bit
+atom type id, then the declared attributes and one integer-list field
+per reference-set key the type can carry, in one row format per atom
+type.  So any record decodes without a separate atom-to-type map.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import struct
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.schema import AtomType, Schema
 from repro.core.version import IN, OUT, Version, ref_key
-from repro.errors import SerializationError
+from repro.errors import SerializationError, UnknownTypeError
 from repro.storage.serialization import (
     FieldSpec,
     FieldType,
@@ -24,6 +26,8 @@ from repro.storage.serialization import (
 from repro.storage.strategies import StoredVersion
 from repro.temporal import Interval
 
+_TYPE_PREFIX = struct.Struct("<H")
+
 
 class VersionCodec:
     """Per-schema encoder/decoder between versions and store payloads."""
@@ -31,16 +35,21 @@ class VersionCodec:
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
         self._formats: Dict[str, List[FieldSpec]] = {}
+        self._prefixes: Dict[str, bytes] = {}
+        self._type_by_id: Dict[int, str] = {}
         for atom_type in schema.atom_types:
             self._formats[atom_type.name] = self._build_format(atom_type)
+            self._prefixes[atom_type.name] = _TYPE_PREFIX.pack(
+                atom_type.type_id)
+            self._type_by_id[atom_type.type_id] = atom_type.name
         # Reference-set keys per type, in row-format order.
         self._ref_keys: Dict[str, Tuple[str, ...]] = {
             name: tuple(spec.name for spec in fields
                         if spec.type is FieldType.INT_LIST)
             for name, fields in self._formats.items()}
-        # (type, attrs, need_refs) -> (fields, flags, stop index);
-        # built lazily, read-only after, so plain dict ops suffice under
-        # the facade's read latch.
+        # (type, attrs) -> (fields, flags, stop index); built lazily,
+        # read-only after, so plain dict ops suffice under the facade's
+        # read latch.
         self._partial_plans: Dict[Tuple, Tuple[List[FieldSpec],
                                                Tuple[bool, ...], int]] = {}
 
@@ -60,100 +69,73 @@ class VersionCodec:
         """The reference-set keys an atom of *type_name* can carry."""
         return list(self._ref_keys[type_name])
 
-    # -- encoding -------------------------------------------------------------
-
-    def encode(self, type_name: str, version: Version) -> StoredVersion:
-        """Serialize a version for the store."""
+    def _format(self, type_name: str) -> List[FieldSpec]:
         try:
-            fields = self._formats[type_name]
+            return self._formats[type_name]
         except KeyError:
             raise SerializationError(
                 f"no row format for atom type {type_name!r}") from None
+
+    # -- encoding -------------------------------------------------------------
+
+    def encode(self, type_name: str, version: Version) -> StoredVersion:
+        """Serialize a version for the store, its payload prefixed with
+        the type id."""
+        fields = self._format(type_name)
         row: Dict[str, object] = dict(version.values)
         for key in self._ref_keys[type_name]:
             targets = version.refs.get(key)
             if targets:
                 row[key] = sorted(targets)
-        payload = encode_row(fields, row)
+        payload = self._prefixes[type_name] + encode_row(fields, row)
         return StoredVersion(version.vt.start, version.vt.end,
                              version.tt.start, version.tt.end, payload)
 
-    def decode(self, type_name: str, stored: StoredVersion) -> Version:
-        """Reconstruct a version from its envelope and payload."""
+    # -- decoding -------------------------------------------------------------
+
+    def type_name(self, payload: bytes) -> str:
+        """The atom type a payload was stored as."""
+        (type_id,) = _TYPE_PREFIX.unpack_from(payload, 0)
         try:
-            fields = self._formats[type_name]
+            return self._type_by_id[type_id]
         except KeyError:
-            raise SerializationError(
-                f"no row format for atom type {type_name!r}") from None
-        row = decode_row_exact(fields, stored.payload)
+            raise UnknownTypeError(
+                f"stored record carries unknown type id {type_id}") from None
+
+    def decode(self, stored: StoredVersion) -> Tuple[str, Version]:
+        """The stored version's type name and the version itself, from
+        its envelope and payload."""
+        type_name = self.type_name(stored.payload)
+        row = decode_row_exact(self._formats[type_name], stored.payload,
+                               _TYPE_PREFIX.size)
         refs = {}
         for key in self._ref_keys[type_name]:
             targets = row.pop(key, None)
             if targets:
                 refs[key] = frozenset(targets)
-        return _version(stored, row, refs)
-
-    # -- partial decoding (predicate/projection pushdown) --------------------
-
-    def _partial_plan(self, type_name: str, attrs: Tuple[str, ...],
-                      need_refs: bool
-                      ) -> Tuple[List[FieldSpec], Tuple[bool, ...], int]:
-        key = (type_name, attrs, need_refs)
-        plan = self._partial_plans.get(key)
-        if plan is not None:
-            return plan
-        try:
-            fields = self._formats[type_name]
-        except KeyError:
-            raise SerializationError(
-                f"no row format for atom type {type_name!r}") from None
-        wanted = set(attrs)
-        flags = tuple(
-            spec.name in wanted
-            or (need_refs and spec.type is FieldType.INT_LIST)
-            for spec in fields)
-        stop = -1
-        for index in range(len(flags) - 1, -1, -1):
-            if flags[index]:
-                stop = index
-                break
-        plan = (fields, flags, stop)
-        self._partial_plans[key] = plan
-        return plan
+        return type_name, Version(Interval(stored.vt_start, stored.vt_end),
+                                  Interval(stored.tt_start, stored.tt_end),
+                                  row, refs)
 
     def peek(self, type_name: str, payload: bytes,
-             attrs: Tuple[str, ...], offset: int = 0) -> Dict[str, object]:
-        """Decode just *attrs* out of a raw payload — no Version built.
+             attrs: Tuple[str, ...]) -> Optional[Dict[str, object]]:
+        """Decode just *attrs* out of a payload of *type_name* — no
+        Version built; ``None`` for a payload of another type.
 
         The cheap probe under pushdown predicates: non-wanted fields
         are jumped over via their fixed widths or length prefixes, and
         nothing past the last wanted field is touched at all.
         """
-        fields, flags, stop = self._partial_plan(type_name, attrs, False)
-        return decode_row_partial(fields, payload, offset, flags, stop)
-
-    def decode_partial(self, type_name: str, stored: StoredVersion,
-                       attrs: Tuple[str, ...], need_refs: bool) -> Version:
-        """Reconstruct a *projected* version.
-
-        Only *attrs* (plus the reference sets when *need_refs* — the
-        molecule builder walks them) are decoded; every other field is
-        skipped.  Attributes outside *attrs* are simply absent from
-        ``values``.
-        """
-        fields, flags, stop = self._partial_plan(type_name, attrs, need_refs)
-        row = decode_row_partial(fields, stored.payload, 0, flags, stop)
-        refs = {}
-        if need_refs:
-            for key in self._ref_keys[type_name]:
-                targets = row.pop(key, None)
-                if targets:
-                    refs[key] = frozenset(targets)
-        return _version(stored, row, refs)
-
-
-def _version(stored: StoredVersion, values: Dict[str, object],
-             refs: Dict[str, frozenset]) -> Version:
-    """A version of *stored*'s envelope with the decoded state."""
-    return Version(Interval(stored.vt_start, stored.vt_end),
-                   Interval(stored.tt_start, stored.tt_end), values, refs)
+        if not payload.startswith(self._prefixes[type_name]):
+            return None
+        key = (type_name, attrs)
+        plan = self._partial_plans.get(key)
+        if plan is None:
+            fields = self._format(type_name)
+            flags = tuple(spec.name in attrs for spec in fields)
+            stop = max((index for index, flag in enumerate(flags) if flag),
+                       default=-1)
+            plan = self._partial_plans[key] = (fields, flags, stop)
+        fields, flags, stop = plan
+        return decode_row_partial(fields, payload, _TYPE_PREFIX.size,
+                                  flags, stop)

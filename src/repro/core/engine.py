@@ -10,9 +10,9 @@ correction.  Each mutation
 3. maintains the affected indexes, and
 4. returns compensating undo actions for transaction rollback.
 
-Stored payloads are self-describing: a 16-bit atom type id precedes the
-codec payload, so any record can be decoded without consulting a
-separate atom-to-type map.
+Stored payloads are self-describing (:class:`~repro.core.codec.
+VersionCodec` prefixes each with its atom type id), so any record can
+be decoded without consulting a separate atom-to-type map.
 
 The engine is deliberately free of transactions and locks — the database
 facade wraps every call in logging and locking.  Live transactions and
@@ -21,14 +21,15 @@ through one dispatch, :meth:`StorageEngine.apply`.
 
 The engine's only per-atom state is its cache entry
 (:class:`DecodedVersionCache`): the type name and a slot table, one
-slot per cached stored version holding its envelope, payload and the
-decodes made of it — the full decode with the canonical JSON fragment
-a response kept on it (:meth:`StorageEngine.keep_fragments`) — with
+slot per cached stored version holding its envelope, payload and its
+one decode, made by the first reader that needs it and shared by every
+read after, with the canonical JSON fragment a response kept on it
+(:meth:`StorageEngine.keep_fragments`) — with
 two flags — every stored version has a slot (``whole``), every live
 one has (``live_known``).  Every reader that sees a stored version
 leaves its slot, and each slot is charged once.
 A warm atom is answered without touching the store.  Every point read,
-current or ``AS OF``, pushed down or projected, is one request ``(atom,
+current, ``AS OF`` or pushed down, is one request ``(atom,
 at, tt)`` answered by :meth:`StorageEngine.point_reads`, which selects
 in one place: a current request bisects the entry's valid-time index
 of its live slots, another request on a whole entry is selected
@@ -55,8 +56,8 @@ which is also what keeps a version read from the store consistent until
 its slot is cached.  The buffer pool and disk manager below are
 internally locked; everything between them and this class is read-pure
 on the read paths.  The cache carries its own lock; a cached slot never
-changes except its decodes, which racing readers may each set to an
-equal version (one attribute or dict store, atomic under the GIL).
+changes except its decode, which racing readers may each set to an
+equal version (one attribute store, atomic under the GIL).
 """
 
 from __future__ import annotations
@@ -102,8 +103,6 @@ from repro.storage.strategies import (
 )
 from repro.temporal import FOREVER, TMIN, Interval, TemporalElement, Timestamp
 
-_TYPE_PREFIX = struct.Struct("<H")
-
 #: Comparison operators a pushdown predicate may carry, by the
 #: :class:`~repro.mql.ast_nodes.CompareOp` member *name*.  The planner
 #: ships plain ``(attr, op name, literal)`` triples rather than AST
@@ -143,9 +142,9 @@ _ALWAYS = Interval.always()
 
 
 class _Slot:
-    """One cached stored version and the decodes made of it."""
+    """One cached stored version and its decode."""
 
-    __slots__ = ("stored", "version", "projected", "seq")
+    __slots__ = ("stored", "version", "seq")
 
     def __init__(self, stored: StoredVersion,
                  version: Optional[Version] = None) -> None:
@@ -154,8 +153,6 @@ class _Slot:
         #: The full decode, once a reader has made it; it carries its
         #: canonical JSON fragment once a response has kept one.
         self.version = version
-        #: Projected decodes by projection key, once made.
-        self.projected: Optional[Dict[Any, Version]] = None
         #: The slot's seq once an entry holds it (:meth:`_AtomEntry.add`).
         self.seq: Optional[int] = None
 
@@ -243,11 +240,11 @@ class DecodedVersionCache:
     Entries are per atom, so one lock, one LRU order, one byte budget
     and one ``pop`` cover everything.  An entry is a **slot table**:
     ``seq -> slot``, where a slot holds one :class:`StoredVersion`
-    (envelope plus type-prefixed payload) and the decodes a reader made
-    of it — the full decode, and partial ones keyed by their projection
-    (the attribute tuple plus a refs flag), so a projected version can
-    never be returned to a caller expecting the full version or vice
-    versa.  The entry also holds the atom's type name and two flags:
+    (envelope plus type-prefixed payload) and its full decode, made
+    once by the first reader that needs it and shared by every later
+    read — a time slice of any projection, a pushed-down slice, a
+    history sweep alike.  The entry also holds the atom's type name and
+    two flags:
 
     * ``whole`` — every stored version has a slot.  Full-history reads
       set it (:meth:`fill` with ``whole``), so a warm one selects and
@@ -271,8 +268,8 @@ class DecodedVersionCache:
     disjoint, so at most one contains the instant.
 
     Each slot is charged once, its *encoded payload size* plus a fixed
-    overhead, whatever decodes it holds — the encoded size is a
-    faithful, already-known proxy for the decoded footprint — plus the
+    overhead, whether or not it holds its decode — the encoded size is
+    a faithful, already-known proxy for the decoded footprint — plus the
     length of the fragment kept on its full decode, if any, and each
     entry one overhead for itself.  An entry never grows past the whole
     budget: a fill that would take it there is served uncached (a
@@ -291,9 +288,9 @@ class DecodedVersionCache:
     * undo, vacuum, eviction and ``clear`` drop the whole entry.  Only
       an undone insert removes an atom, and undo drops its entry.
 
-    A slot never changes except its decodes, which racing readers may
-    each set to an equal version (one attribute or dict store, atomic
-    under the GIL), so readers decode outside the lock.
+    A slot never changes except its decode, which racing readers may
+    each set to an equal version (one attribute store, atomic under the
+    GIL), so readers decode outside the lock.
 
     A response's version fragments are kept (:meth:`keep_fragments`)
     only on the full decode of a slot the atom's entry holds, checked
@@ -505,8 +502,6 @@ class StorageEngine:
         self.store = store
         self.indexes = indexes
         self.codec = VersionCodec(schema)
-        self._type_by_id = {atom_type.type_id: atom_type.name
-                            for atom_type in schema.atom_types}
         self.metrics = indexes.metrics
         self._c_version_reads = self.metrics.counter("engine.version_reads")
         self._c_versions_scanned = self.metrics.counter(
@@ -531,75 +526,18 @@ class StorageEngine:
         self.applied_replay_lsn = 0
 
     # ------------------------------------------------------------------
-    # Encoding helpers (type-prefixed payloads)
-    # ------------------------------------------------------------------
-
-    def _encode(self, type_name: str, version: Version) -> StoredVersion:
-        stored = self.codec.encode(type_name, version)
-        prefix = _TYPE_PREFIX.pack(self.schema.atom_type(type_name).type_id)
-        return StoredVersion(stored.vt_start, stored.vt_end, stored.tt_start,
-                             stored.tt_end, prefix + stored.payload)
-
-    def _stored_type_name(self, payload: bytes) -> str:
-        """The atom type a type-prefixed payload was stored as."""
-        (type_id,) = _TYPE_PREFIX.unpack_from(payload, 0)
-        try:
-            return self._type_by_id[type_id]
-        except KeyError:
-            raise UnknownTypeError(
-                f"stored record carries unknown type id {type_id}") from None
-
-    @staticmethod
-    def _body(stored: StoredVersion) -> StoredVersion:
-        """*stored* without its type prefix, as the codec reads it."""
-        return StoredVersion(stored.vt_start, stored.vt_end, stored.tt_start,
-                             stored.tt_end, stored.payload[_TYPE_PREFIX.size:])
-
-    def _decode(self, stored: StoredVersion) -> Tuple[str, Version]:
-        type_name = self._stored_type_name(stored.payload)
-        return type_name, self.codec.decode(type_name, self._body(stored))
-
-    # ------------------------------------------------------------------
     # VersionReader protocol (used by the molecule builder)
     # ------------------------------------------------------------------
 
-    def _decodes(self, slots: List[_Slot],
-                 projection: Optional[Dict[str, Tuple[Any,
-                                                      Tuple[str, ...],
-                                                      bool]]] = None
-                 ) -> List[Version]:
-        """The decode of each of *slots*, made once and kept on the slot.
-
-        With a *projection* (type name -> (cols key, attribute tuple,
-        need-refs flag), from :meth:`compile_pushdown`), types named in
-        the map are decoded partially and kept under their cols key;
-        types absent from it decode fully, exactly as without one.
-        """
+    def _decodes(self, slots: List[_Slot]) -> List[Version]:
+        """The decode of each of *slots*, made once and kept on the slot."""
         versions: List[Version] = []
         append = versions.append
         misses = 0
         for slot in slots:
             version = slot.version
-            if projection is not None:
-                (type_id,) = _TYPE_PREFIX.unpack_from(slot.stored.payload, 0)
-                type_name = self._type_by_id.get(type_id)
-                wanted = None if type_name is None else projection.get(
-                    type_name)
-                if wanted is not None:
-                    projected = slot.projected
-                    if projected is None:
-                        projected = slot.projected = {}
-                    version = projected.get(wanted[0])
-                    if version is None:
-                        version = projected[wanted[0]] = (
-                            self.codec.decode_partial(
-                                type_name, self._body(slot.stored),
-                                wanted[1], wanted[2]))
-                        misses += 1
-                    append(version)
-                    continue
             if version is None:
-                version = slot.set_version(self._decode(slot.stored)[1])
+                version = slot.set_version(self.codec.decode(slot.stored)[1])
                 misses += 1
             append(version)
         if misses:
@@ -618,7 +556,7 @@ class StorageEngine:
         full decode of a cached slot (:meth:`DecodedVersionCache.
         keep_fragments`), so the next response splices it; it is
         charged to the slot's entry and leaves with the decode.
-        Projected and uncached versions' fragments are not kept.
+        Uncached versions' fragments are not kept.
         """
         if hits:
             self._c_fragment_hits.inc(hits)
@@ -642,7 +580,7 @@ class StorageEngine:
             # Unknown atoms raise here: only atoms the store holds ever
             # get an entry with a type name.
             _, stored = self.store.read_current(atom_id)
-            type_name = self._stored_type_name(stored.payload)
+            type_name = self.codec.type_name(stored.payload)
             self._decode_cache.fill(atom_id, type_name, ())
         return type_name
 
@@ -653,23 +591,17 @@ class StorageEngine:
 
     def version_at_many(self, atom_ids: Iterable[int], at: Timestamp,
                         tt: Optional[Timestamp] = None,
-                        pred: Optional[Callable[[bytes], bool]] = None,
-                        projection: Optional[Dict[str, Tuple[Any,
-                                                             Tuple[str, ...],
-                                                             bool]]] = None
+                        pred: Optional[Callable[[bytes], bool]] = None
                         ) -> Dict[int, Optional[Version]]:
         """Batched :meth:`version_at`: one result per distinct atom id,
         ``None`` for unknown atoms; the :meth:`point_reads` of every atom
         at one instant."""
         requests = [(atom_id, at, tt) for atom_id in dict.fromkeys(atom_ids)]
-        found = self.point_reads(requests, pred, projection)
+        found = self.point_reads(requests, pred)
         return {request[0]: found[request] for request in requests}
 
     def point_reads(self, requests: Iterable[PointRequest],
-                    pred: Optional[Callable[[bytes], bool]] = None,
-                    projection: Optional[Dict[str, Tuple[Any,
-                                                         Tuple[str, ...],
-                                                         bool]]] = None
+                    pred: Optional[Callable[[bytes], bool]] = None
                     ) -> Dict[PointRequest, Optional[Version]]:
         """For each distinct ``(atom, at, tt)`` request, the version
         valid at *at* as believed at *tt* (``None`` = now): one result
@@ -691,12 +623,12 @@ class StorageEngine:
         equals :func:`repro.core.history.version_at` over the full
         decode.
 
-        *pred* / *projection* come from :meth:`compile_pushdown`: the
-        predicate is evaluated on each selected payload, cached or read,
-        so a request whose version fails it comes back ``None`` without
-        being decoded (counted on ``engine.pushdown.skipped``); the
-        projection makes the survivors decode only the attributes the
-        query reads.
+        *pred* comes from :meth:`compile_pushdown`: it is evaluated on
+        each selected payload, cached or read, so a request whose
+        version fails it comes back ``None`` without being decoded
+        (counted on ``engine.pushdown.skipped``).  Each survivor is its
+        slot's one full decode, made by the first read that needs it
+        and shared by every read after, whatever the query selects.
         """
         pending = list(dict.fromkeys(requests))
         if not pending:
@@ -719,7 +651,7 @@ class StorageEngine:
             else:
                 survivors.append(request)
                 slots.append(hit[1])
-        result.update(zip(survivors, self._decodes(slots, projection)))
+        result.update(zip(survivors, self._decodes(slots)))
         if skipped:
             self._c_pushdown_skipped.inc(skipped)
         self._c_versions_scanned.inc(len(slots))
@@ -741,7 +673,7 @@ class StorageEngine:
         for request, (seq, stored) in hits.items():
             by_atom.setdefault(request[0], {})[seq] = stored
         slots = {atom_id: self._decode_cache.fill(
-                     atom_id, self._stored_type_name(
+                     atom_id, self.codec.type_name(
                          next(iter(stored.values())).payload),
                      [(seq, _Slot(sv)) for seq, sv in stored.items()])
                  for atom_id, stored in by_atom.items()}
@@ -795,7 +727,7 @@ class StorageEngine:
             self._c_versions_scanned.inc(len(stored))
             live = self._decode_cache.fill(
                 atom_id,
-                self._stored_type_name(stored[0][1].payload) if stored
+                self.codec.type_name(stored[0][1].payload) if stored
                 else None,
                 [(seq, _Slot(sv)) for seq, sv in stored], live=True)
         return dict(sorted(live.items()))
@@ -812,7 +744,7 @@ class StorageEngine:
         for (atom_id, _, _), stored in self.store.read_at_many(
                 (atom_id, _ALWAYS, _ALWAYS) for atom_id in misses).items():
             found[atom_id] = list(self._decode_cache.fill(
-                atom_id, self._stored_type_name(stored[0][1].payload),
+                atom_id, self.codec.type_name(stored[0][1].payload),
                 [(seq, _Slot(sv)) for seq, sv in stored],
                 whole=True).values())
         return {atom_id: found[atom_id] for atom_id in ids
@@ -867,47 +799,23 @@ class StorageEngine:
         self._decode_cache.clear()
 
     # ------------------------------------------------------------------
-    # Predicate / projection pushdown (compiled from planner specs)
+    # Predicate pushdown (compiled from planner specs)
     # ------------------------------------------------------------------
 
-    def compile_pushdown(self, spec) -> Tuple[
-            Optional[Callable[[bytes], bool]],
-            Optional[Dict[str, Tuple[Any, Tuple[str, ...], bool]]]]:
-        """Compile a planner ``PushdownSpec`` against this schema.
+    def compile_pushdown(self, spec) -> Optional[Callable[[bytes], bool]]:
+        """Compile a planner ``PushdownSpec`` against this schema: a
+        callable over raw type-prefixed payloads, or ``None`` when the
+        spec has no comparisons.
 
-        Returns ``(pred, projection)``:
-
-        * *pred* — a callable over raw type-prefixed payloads, or
-          ``None``.  It is a **necessary condition** for the version to
-          survive the query's WHERE (the evaluator still re-filters),
-          tuned to say "keep" on anything it cannot cheaply judge:
-          foreign type ids and undecodable payloads all pass.
-        * *projection* — type name -> ``(cols key, attrs, need_refs)``
-          for types worth decoding partially; types whose projection
-          covers every declared field are left out so they share the
-          full-decode cache entries.
+        The predicate is a **necessary condition** for the version to
+        survive the query's WHERE (the evaluator still re-filters),
+        tuned to say "keep" on anything it cannot cheaply judge:
+        foreign type ids and undecodable payloads all pass.
         """
-        pred = None
-        if spec.comparisons:
-            pred = self._compile_payload_predicate(spec.type_name,
-                                                   spec.comparisons)
-        projection: Optional[Dict[str, Tuple[Any, Tuple[str, ...],
-                                             bool]]] = None
-        if spec.projection is not None:
-            projection = {}
-            for type_name, attrs, need_refs in spec.projection:
-                atom_type = self.schema.atom_type(type_name)
-                declared = {attr.name for attr in atom_type.attributes}
-                wanted = tuple(attr for attr in attrs if attr in declared)
-                if (set(wanted) >= declared
-                        and (need_refs
-                             or not self.codec.ref_keys(type_name))):
-                    continue  # full coverage: partial buys nothing
-                cols = (wanted, need_refs)
-                projection[type_name] = (cols, wanted, need_refs)
-            if not projection:
-                projection = None
-        return pred, projection
+        if not spec.comparisons:
+            return None
+        return self._compile_payload_predicate(spec.type_name,
+                                               spec.comparisons)
 
     def _compile_payload_predicate(
             self, type_name: str,
@@ -920,23 +828,20 @@ class StorageEngine:
         on incomparable values), so pushing it below decode can only
         drop versions the evaluator would have dropped anyway.
         """
-        type_id = self.schema.atom_type(type_name).type_id
+        self.schema.atom_type(type_name)  # an unknown type raises here
         attrs = tuple(dict.fromkeys(attr for attr, _, _ in comparisons))
         checks = tuple((attr, _PUSHDOWN_OPS[op], literal)
                        for attr, op, literal in comparisons)
-        codec = self.codec
-        prefix_size = _TYPE_PREFIX.size
+        peek = self.codec.peek
 
         def pred(payload: bytes) -> bool:
-            (tid,) = _TYPE_PREFIX.unpack_from(payload, 0)
-            if tid != type_id:
-                return True  # not the pushdown type: never judged here
             try:
-                values = codec.peek(type_name, payload, attrs,
-                                    offset=prefix_size)
+                values = peek(type_name, payload, attrs)
             except (SerializationError, struct.error,
                     KeyError, IndexError):
                 return True  # undecodable: let the full path decide
+            if values is None:
+                return True  # not the pushdown type: never judged here
             for attr, op, literal in checks:
                 value = values.get(attr)
                 if literal is None:
@@ -1045,7 +950,7 @@ class StorageEngine:
             live.pop(seq, None)
         for seq, replacement in plan.rewrites:
             old = planned[seq].stored
-            stored = self._encode(type_name, replacement)
+            stored = self.codec.encode(type_name, replacement)
             store.replace_version(atom_id, seq, stored)
             undos.append(self._undo_invalidating(
                 atom_id,
@@ -1057,7 +962,7 @@ class StorageEngine:
             self._index_version(type_name, atom_id, replacement)
         first_append = False
         for version in plan.appends:
-            stored = self._encode(type_name, version)
+            stored = self.codec.encode(type_name, version)
             seq = store.append_version(atom_id, stored)
             first_append = first_append or seq == 0
             undos.append(self._undo_invalidating(
@@ -1323,7 +1228,7 @@ class StorageEngine:
         for atom_id, history in iter_histories(
                 self.store, self.atoms_of_type(type_name)):
             for _seq, stored in history:
-                _, version = self._decode(stored)
+                _, version = self.codec.decode(stored)
                 value = version.values.get(attribute_name)
                 if value is None:
                     continue

@@ -195,17 +195,16 @@ def _batches(db, query_plan: QueryPlan, roots: List[int], tracer,
     if query.diff is not None:
         # DIFF rows are event records, not molecules: never WHEN-filtered
         # (the window *is* the tt range) and never value-projected.
-        def evaluate(batch, pred, projection):
+        def evaluate(batch, pred):
             return _evaluate_diff(db, analyzed, batch, tracer)
     elif isinstance(valid, (ValidAt, ValidAtNow)):
         # "NOW" in valid time means the current, open-ended state: the
         # far-future instant every until-changed version contains.
         at = valid.at if isinstance(valid, ValidAt) else FOREVER - 1
 
-        def evaluate(batch, pred, projection):
+        def evaluate(batch, pred):
             with tracer.span("slice", at=at) as span:
-                entries = _evaluate_slice(db, analyzed, batch, at,
-                                          pred, projection)
+                entries = _evaluate_slice(db, analyzed, batch, at, pred)
                 span.set("entries", len(entries))
             return _finish(analyzed, entries, tracer)
     elif isinstance(valid, (ValidDuring, ValidHistory)):
@@ -217,7 +216,7 @@ def _batches(db, query_plan: QueryPlan, roots: List[int], tracer,
         if size is not None:
             size = 1
 
-        def evaluate(batch, pred, projection):
+        def evaluate(batch, pred):
             with tracer.span("window", window=label) as span:
                 entries = _evaluate_window(db, analyzed, batch, window,
                                            pred)
@@ -229,11 +228,10 @@ def _batches(db, query_plan: QueryPlan, roots: List[int], tracer,
         size = max(len(roots), 1)
     for start in range(0, max(len(roots), 1), size):
         with db._read_view():
-            pred = projection = None
+            pred = None
             if query_plan.pushdown is not None:
-                pred, projection = db.engine.compile_pushdown(
-                    query_plan.pushdown)
-            entries = evaluate(roots[start:start + size], pred, projection)
+                pred = db.engine.compile_pushdown(query_plan.pushdown)
+            entries = evaluate(roots[start:start + size], pred)
         yield entries
 
 
@@ -309,8 +307,7 @@ def _root_candidates(db, query_plan: QueryPlan) -> List[int]:
 
 
 def _evaluate_slice(db, analyzed: AnalyzedQuery, roots: Iterable[int],
-                    at: Timestamp, pred=None,
-                    projection=None) -> List[ResultEntry]:
+                    at: Timestamp, pred=None) -> List[ResultEntry]:
     tt = analyzed.as_of
     entries: List[ResultEntry] = []
     # All candidate roots grow level-at-a-time through one shared
@@ -319,7 +316,7 @@ def _evaluate_slice(db, analyzed: AnalyzedQuery, roots: Iterable[int],
     # store, before decode; _satisfies below still re-filters, so the
     # pushdown can only remove work, never change the answer.
     molecules = db.builder.build_many(roots, analyzed.molecule_type, at, tt,
-                                      root_pred=pred, projection=projection)
+                                      root_pred=pred)
     for molecule in molecules:
         if not _satisfies(analyzed.query.where, molecule):
             continue

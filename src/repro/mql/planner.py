@@ -10,7 +10,11 @@ itself is fixed by the molecule type) is *root selection*:
   the index exists; the evaluator probes it once, when it runs.
 * ``TypeScan`` — otherwise, enumerate all atoms of the root type.
 
-This is exactly the choice experiment R-T4 measures.
+This is exactly the choice experiment R-T4 measures.  A plan may also
+carry a :class:`PushdownSpec`: the root comparisons the engine judges
+on raw payloads before decode.  There is no projection pushdown: every
+version read is decoded whole, once, and shared by every query that
+reads it (the engine's slot table).
 """
 
 from __future__ import annotations
@@ -23,17 +27,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.engine import StorageEngine
 from repro.mql.analyzer import AnalyzedQuery
 from repro.mql.ast_nodes import (
-    Aggregate,
     And,
     Comparison,
     CompareOp,
-    Not,
-    Or,
     Predicate,
     Query,
-    SelectPaths,
-    ValidAt,
-    ValidAtNow,
 )
 
 
@@ -73,28 +71,15 @@ class PushdownSpec:
     the engine may drop a version failing one before decode, and the
     evaluator still re-checks survivors, so results are byte-identical
     to the post-filter path.
-
-    ``projection`` lists, per molecule atom type, the attribute subset a
-    slice query actually reads (SELECT paths, aggregates, and every
-    WHERE attribute) plus whether reference sets are needed for edge
-    expansion.  ``None`` means decode everything.
     """
 
     type_name: str
-    comparisons: Tuple[Tuple[str, str, Any], ...] = ()
-    projection: Optional[Tuple[Tuple[str, Tuple[str, ...], bool], ...]] = None
+    comparisons: Tuple[Tuple[str, str, Any], ...]
 
     def describe(self) -> str:
-        parts = []
-        if self.comparisons:
-            parts.append("pred(" + " and ".join(
-                f"{attr} {op} {value!r}"
-                for attr, op, value in self.comparisons) + ")")
-        if self.projection is not None:
-            parts.append("project(" + ", ".join(
-                f"{name}[{','.join(attrs)}{'+refs' if refs else ''}]"
-                for name, attrs, refs in self.projection) + ")")
-        return " ".join(parts)
+        return "pred(" + " and ".join(
+            f"{attr} {op} {value!r}"
+            for attr, op, value in self.comparisons) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,28 +276,6 @@ def _conjunctive_comparisons(predicate: Optional[Predicate]
     return []
 
 
-def _predicate_attrs(predicate: Optional[Predicate],
-                     into: Dict[str, set]) -> None:
-    """Collect every ``Type.attr`` the predicate tree touches.
-
-    The *whole* tree, not just conjuncts: a projected version must carry
-    every attribute ``_satisfies`` may read, or an OR/NOT branch would
-    see a missing attribute as NULL.
-    """
-    if predicate is None:
-        return
-    if isinstance(predicate, Comparison):
-        into.setdefault(predicate.path.type_name,
-                        set()).add(predicate.path.attribute)
-        return
-    if isinstance(predicate, (And, Or)):
-        for operand in predicate.operands:
-            _predicate_attrs(operand, into)
-        return
-    if isinstance(predicate, Not):
-        _predicate_attrs(predicate.operand, into)
-
-
 def _pushdown_comparisons(analyzed: AnalyzedQuery
                           ) -> Tuple[Tuple[str, str, Any], ...]:
     """Root comparisons safe to evaluate on raw payloads in the store.
@@ -335,52 +298,11 @@ def _pushdown_comparisons(analyzed: AnalyzedQuery
         if c.path.type_name == root)
 
 
-def _pushdown_projection(analyzed: AnalyzedQuery
-                         ) -> Optional[Tuple[Tuple[str, Tuple[str, ...],
-                                                   bool], ...]]:
-    """The per-type attribute subset a slice query reads, or ``None``.
-
-    Only ``SELECT path`` time-slice queries project: ``SELECT ALL``
-    returns whole molecules, and window queries coalesce adjacent slices
-    by full-state comparison (``same_composition_as``), which needs every
-    value.
-    """
-    query = analyzed.query
-    if analyzed.as_of is not None or query.diff is not None:
-        return None
-    if not isinstance(query.valid, (ValidAt, ValidAtNow)):
-        return None
-    select = query.select
-    if not isinstance(select, SelectPaths):
-        return None
-    mtype = analyzed.molecule_type
-    needed: Dict[str, set] = {}
-    for item in select.paths:
-        if isinstance(item, Aggregate):
-            if item.type_name is None:
-                needed.setdefault(item.path.type_name,
-                                  set()).add(item.path.attribute)
-            continue
-        needed.setdefault(item.type_name, set()).add(item.attribute)
-    _predicate_attrs(query.where, needed)
-    type_names = {mtype.root}
-    for edge in mtype.edges:
-        type_names.add(edge.parent)
-        type_names.add(edge.child)
-    return tuple(
-        (type_name,
-         tuple(sorted(needed.get(type_name, ()))),
-         bool(mtype.edges_from(type_name)))
-        for type_name in sorted(type_names))
-
-
 def plan(analyzed: AnalyzedQuery, engine: StorageEngine) -> QueryPlan:
     """Choose the root access path for an analyzed query."""
     root = analyzed.molecule_type.root
     comparisons = _pushdown_comparisons(analyzed)
-    projection = _pushdown_projection(analyzed)
-    pushdown = (PushdownSpec(root, comparisons, projection)
-                if comparisons or projection is not None else None)
+    pushdown = PushdownSpec(root, comparisons) if comparisons else None
     for comparison in _conjunctive_comparisons(analyzed.query.where):
         if comparison.path.type_name != root:
             continue

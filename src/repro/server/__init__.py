@@ -34,7 +34,7 @@ record source, and the replica-side applier) lives in
 that turns it into a read-only replica.
 """
 
-from repro.server.admission import AdmissionController, SlowQueryLog
+from repro.server.admission import AdmissionController
 from repro.server.client import ClientPool, DatabaseClient, ResultCursor
 from repro.server.http_sidecar import MetricsSidecar
 from repro.server.protocol import (
@@ -68,7 +68,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ResultCursor",
     "SUPPORTED_PROTOCOL_VERSIONS",
-    "SlowQueryLog",
     "decode_payload",
     "encode_frame",
     "encode_payload",

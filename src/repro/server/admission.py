@@ -26,72 +26,20 @@ Every admission outcome is also a **structured event** in the shared
 ``request.shed`` / ``request.queue_timeout``, and requests whose total
 latency crosses the slow-query threshold emit ``slow_query`` carrying
 the request id, session id, opcode name, trace id, query text, and
-latency — correlatable with client-side traces and ERROR frames, unlike
-the free-text log it replaced.  :attr:`slow_queries` remains as a typed
-view over those events.
+latency — correlatable with client-side traces and ERROR frames.
+Read them back with ``events.tail(event="slow_query")``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import RequestTimeoutError, ServerSaturatedError
 from repro.obs.events import EventLog
 
 #: Latency histogram bounds (seconds): sub-millisecond to tens of them.
 LATENCY_BOUNDS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
-
-
-@dataclass(frozen=True, slots=True)
-class SlowQueryEntry:
-    """One over-threshold request, fully correlatable: the request id
-    matches the wire frame, the trace id matches the client's span."""
-
-    session_id: int
-    opcode: str
-    text: str
-    seconds: float
-    request_id: int = 0
-    trace_id: Optional[str] = None
-
-
-class SlowQueryLog:
-    """Typed view over the event log's ``slow_query`` events.
-
-    Kept for API continuity with the free-text log it replaced; the
-    entries now live in the shared :class:`EventLog` ring (so they are
-    also visible through ``STATS`` and the ``monitor`` CLI), and each
-    carries the request id, session id, opcode name, and trace id.
-    """
-
-    def __init__(self, events: EventLog,
-                 threshold_ms: float = 250.0) -> None:
-        self.threshold_ms = threshold_ms
-        self._events = events
-
-    def record(self, session_id: int, opcode: str, text: str,
-               seconds: float, request_id: int = 0,
-               trace_id: Optional[str] = None) -> None:
-        if seconds * 1000.0 < self.threshold_ms:
-            return
-        self._events.emit("slow_query", session=session_id,
-                          opcode=opcode, text=text,
-                          seconds=round(seconds, 6),
-                          request_id=request_id, trace_id=trace_id)
-
-    def entries(self) -> List[SlowQueryEntry]:
-        return [SlowQueryEntry(session_id=event.get("session", 0),
-                               opcode=event.get("opcode", ""),
-                               text=event.get("text", ""),
-                               seconds=event.get("seconds", 0.0),
-                               request_id=event.get("request_id", 0),
-                               trace_id=event.get("trace_id"))
-                for event in self._events.tail(event="slow_query")]
-
-    def __len__(self) -> int:
-        return len(self._events.tail(event="slow_query"))
 
 
 class AdmissionController:
@@ -120,8 +68,7 @@ class AdmissionController:
         self.max_queued = max_queued
         self.request_timeout = request_timeout
         self.events = events if events is not None else EventLog()
-        self.slow_queries = SlowQueryLog(self.events,
-                                         threshold_ms=slow_query_ms)
+        self.slow_query_ms = slow_query_ms
         self._lock = threading.Lock()
         self._inflight = 0
         self._queued = 0
@@ -225,11 +172,14 @@ class AdmissionController:
     def observe(self, session_id: int, opcode: str, text: str,
                 seconds: float, request_id: int = 0,
                 trace_id: Optional[str] = None) -> None:
-        """Record one finished request's latency (histogram + slow-query
-        log)."""
+        """Record one finished request's latency in the histogram, and
+        emit a ``slow_query`` event when it reaches the threshold."""
         self._h_latency.observe(seconds)
-        self.slow_queries.record(session_id, opcode, text, seconds,
-                                 request_id=request_id, trace_id=trace_id)
+        if seconds * 1000.0 >= self.slow_query_ms:
+            self.events.emit("slow_query", session=session_id,
+                             opcode=opcode, text=text,
+                             seconds=round(seconds, 6),
+                             request_id=request_id, trace_id=trace_id)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

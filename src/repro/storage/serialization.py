@@ -173,9 +173,10 @@ def decode_row(fields: Sequence[FieldSpec], data: bytes,
     return values, at
 
 
-def decode_row_exact(fields: Sequence[FieldSpec], data: bytes) -> Dict[str, Any]:
-    """Decode a record that must contain exactly one row."""
-    values, end = decode_row(fields, data)
+def decode_row_exact(fields: Sequence[FieldSpec], data: bytes,
+                     offset: int = 0) -> Dict[str, Any]:
+    """Decode a record that must contain exactly one row from *offset*."""
+    values, end = decode_row(fields, data, offset)
     if end != len(data):
         raise SerializationError(
             f"trailing {len(data) - end} bytes after row")

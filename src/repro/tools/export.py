@@ -81,8 +81,8 @@ def load_database(path: str, document: Dict[str, Any],
                 dict(raw["values"]),
                 {key: frozenset(int(p) for p in partners)
                  for key, partners in raw.get("refs", {}).items()})
-            engine.store.append_version(atom_id,
-                                        engine._encode(type_name, version))
+            engine.store.append_version(
+                atom_id, engine.codec.encode(type_name, version))
         engine.indexes.register_atom(type_id, atom_id)
     with db._id_mutex:
         # Never below a loaded id: a stale high-water mark would hand a

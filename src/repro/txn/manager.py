@@ -39,6 +39,10 @@ class TxnState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
+    #: The commit's fsync failed after its COMMIT record was appended.
+    #: The record may be in the log file, where recovery counts it, so
+    #: the transaction is neither durable nor undoable: it ends as is.
+    IN_DOUBT = "in doubt"
 
 
 class Transaction:
@@ -133,15 +137,20 @@ class TransactionManager:
         When :meth:`commit` returns under the default durability mode,
         the COMMIT record has been fsynced — possibly by another
         committing thread's fsync that covered this transaction's LSN.
+        When the force fails the transaction ends :attr:`TxnState.
+        IN_DOUBT` and the error propagates: no undo runs and no ABORT
+        record follows, since recovery would redo a COMMIT that reached
+        the file whatever came after it.
         """
         txn.require_active()
         commit_lsn = self._wal.append(LogRecordType.COMMIT, txn.txn_id)
-        self._wal.sync_to(commit_lsn)
+        try:
+            self._wal.sync_to(commit_lsn)
+        except BaseException:
+            self._end(txn, TxnState.IN_DOUBT)
+            raise
         self._c_commits.inc()
-        txn._state = TxnState.COMMITTED
-        self.locks.release_all(txn.txn_id)
-        with self._mutex:
-            self._active.pop(txn.txn_id, None)
+        self._end(txn, TxnState.COMMITTED)
 
     def abort(self, txn: Transaction) -> None:
         """Undo applied operations in reverse, log the abort, release."""
@@ -155,7 +164,11 @@ class TransactionManager:
         self._wal.append(LogRecordType.ABORT, txn.txn_id)
         self._wal.flush(sync=False)
         self._c_aborts.inc()
-        txn._state = TxnState.ABORTED
+        self._end(txn, TxnState.ABORTED)
+
+    def _end(self, txn: Transaction, state: TxnState) -> None:
+        """Give *txn* its final *state* and release what it holds."""
+        txn._state = state
         self.locks.release_all(txn.txn_id)
         with self._mutex:
             self._active.pop(txn.txn_id, None)

@@ -344,8 +344,8 @@ class TestEnginePointRead:
 
 
 class TestPointReadPushdown:
-    """A pushed-down predicate and projection apply to every point
-    read: an ``AS OF`` request whose selected version fails the
+    """A pushed-down predicate applies to every point read: an
+    ``AS OF`` request whose selected version fails the
     predicate comes back ``None``, undecoded and counted."""
 
     def test_as_of_request_honours_pushdown(self, db):
@@ -356,9 +356,8 @@ class TestPointReadPushdown:
         first_tt = db.version_at(part, 2).tt.start
         with db.transaction() as txn:
             txn.update(part, {"cost": 5.0}, valid_from=0)
-        pred, projection = db.engine.compile_pushdown(PushdownSpec(
-            "Part", (("cost", "GT", 3.0),),
-            (("Part", ("cost",), False),)))
+        pred = db.engine.compile_pushdown(PushdownSpec(
+            "Part", (("cost", "GT", 3.0),)))
         skipped = db.metrics.counter("engine.pushdown.skipped")
         for warm in (False, True):
             db.engine.drop_caches()
@@ -368,13 +367,12 @@ class TestPointReadPushdown:
             before = skipped.value
             with db._read_view():
                 failing = db.engine.version_at_many(
-                    [part], 2, tt=first_tt, pred=pred, projection=projection)
+                    [part], 2, tt=first_tt, pred=pred)
                 passing = db.engine.version_at_many(
-                    [part], 2, tt=db._clock.now(), pred=pred,
-                    projection=projection)
+                    [part], 2, tt=db._clock.now(), pred=pred)
             assert failing == {part: None}
             assert skipped.value == before + 1
-            assert dict(passing[part].values) == {"cost": 5.0}  # projected
+            assert passing[part].values["cost"] == 5.0
 
 
 def _chain_db(path, strategy, chain):

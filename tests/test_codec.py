@@ -1,10 +1,12 @@
 """Tests for the version codec (model objects to store payloads)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.codec import VersionCodec
 from repro.core.version import Version
-from repro.errors import SerializationError
+from repro.errors import SerializationError, UnknownTypeError
 from repro.temporal import FOREVER, Interval
 
 
@@ -24,41 +26,39 @@ class TestRoundTrip:
         stored = codec.encode("Part", version)
         assert stored.vt_start == 0 and stored.vt_end == 10
         assert stored.live
-        decoded = codec.decode("Part", stored)
-        assert decoded == version
+        assert codec.decode(stored) == ("Part", version)
 
     def test_closed_version_not_live(self, codec):
         version = make_version(tt=(1, 7))
         stored = codec.encode("Part", version)
         assert not stored.live
-        assert codec.decode("Part", stored).tt == Interval(1, 7)
+        assert codec.decode(stored)[1].tt == Interval(1, 7)
 
     def test_refs_round_trip(self, codec):
         version = make_version(
             {"name": "x"},
             {"contains.out": frozenset({9, 3, 7})})
-        decoded = codec.decode("Part", codec.encode("Part", version))
+        _, decoded = codec.decode(codec.encode("Part", version))
         assert decoded.refs["contains.out"] == frozenset({3, 7, 9})
 
     def test_in_refs(self, codec):
         version = make_version({"cname": "hub"},
                                {"contains.in": frozenset({1}),
                                 "supplied_by.out": frozenset({5})})
-        decoded = codec.decode("Component", codec.encode("Component",
-                                                         version))
+        _, decoded = codec.decode(codec.encode("Component", version))
         assert decoded.refs == {"contains.in": frozenset({1}),
                                 "supplied_by.out": frozenset({5})}
 
     def test_null_values(self, codec):
         version = make_version({"name": "x", "cost": None,
                                 "released": None})
-        decoded = codec.decode("Part", codec.encode("Part", version))
+        _, decoded = codec.decode(codec.encode("Part", version))
         assert decoded.values["cost"] is None
 
     def test_empty_refs_dropped(self, codec):
         version = make_version({"name": "x"},
                                {"contains.out": frozenset()})
-        decoded = codec.decode("Part", codec.encode("Part", version))
+        _, decoded = codec.decode(codec.encode("Part", version))
         assert decoded.refs == {}
 
 
@@ -78,9 +78,17 @@ class TestErrors:
     def test_unknown_type_rejected(self, codec):
         with pytest.raises(SerializationError):
             codec.encode("Mystery", make_version())
-        with pytest.raises(SerializationError):
-            codec.decode("Mystery", codec.encode("Part", make_version(
-                {"name": "x"})))
+        stored = codec.encode("Part", make_version({"name": "x"}))
+        with pytest.raises(UnknownTypeError):
+            codec.decode(dataclasses.replace(
+                stored, payload=b"\xff\xff" + stored.payload[2:]))
+
+    def test_payload_carries_its_type(self, codec):
+        stored = codec.encode("Supplier", make_version({"sname": "s"}))
+        assert codec.type_name(stored.payload) == "Supplier"
+        assert codec.peek("Supplier", stored.payload, ("sname",)) == {
+            "sname": "s"}
+        assert codec.peek("Part", stored.payload, ("name",)) is None
 
     def test_self_link_schema(self):
         from repro import AtomType, Attribute, DataType, LinkType, Schema
@@ -93,6 +101,6 @@ class TestErrors:
         version = make_version({"name": "x"},
                                {"part_of.out": frozenset({2}),
                                 "part_of.in": frozenset({3})})
-        decoded = codec.decode("Part", codec.encode("Part", version))
+        _, decoded = codec.decode(codec.encode("Part", version))
         assert decoded.refs == {"part_of.out": frozenset({2}),
                                 "part_of.in": frozenset({3})}

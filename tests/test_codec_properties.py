@@ -77,8 +77,7 @@ def test_codec_round_trips_any_schema(data):
         [atom_type.name for atom_type in schema.atom_types]))
     version = data.draw(versions_for(schema, type_name))
     stored = codec.encode(type_name, version)
-    decoded = codec.decode(type_name, stored)
-    assert decoded == version
+    assert codec.decode(stored) == (type_name, version)
     assert stored.live == version.live
     assert (stored.vt_start, stored.vt_end) == (version.vt.start,
                                                 version.vt.end)
@@ -87,7 +86,7 @@ def test_codec_round_trips_any_schema(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_codec_through_engine_prefix(tmp_path_factory, data):
-    """The engine's type-prefixed payload round-trips as well."""
+    """A database's codec round-trips its type-prefixed payloads."""
     from repro import DatabaseConfig, TemporalDatabase
 
     schema = data.draw(schemas())
@@ -96,8 +95,8 @@ def test_codec_through_engine_prefix(tmp_path_factory, data):
     version = data.draw(versions_for(schema, type_name))
     path = tmp_path_factory.mktemp("codecprop")
     db = TemporalDatabase.create(str(path / "db"), schema)
-    stored = db.engine._encode(type_name, version)
-    got_type, decoded = db.engine._decode(stored)
-    assert got_type == type_name
-    assert decoded == version
+    codec = db.engine.codec
+    stored = codec.encode(type_name, version)
+    assert codec.type_name(stored.payload) == type_name
+    assert codec.decode(stored) == (type_name, version)
     db.close()

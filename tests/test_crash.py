@@ -25,6 +25,7 @@ published manifest generation.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -36,8 +37,14 @@ import time
 import pytest
 
 from repro import DatabaseConfig, TemporalDatabase
-from repro.errors import RecoveryError, ReproError
+from repro.errors import (
+    RecoveryError,
+    ReproError,
+    TransactionStateError,
+    WALError,
+)
 from repro.testing import ReferenceDatabase
+from repro.txn import wal as wal_module
 from repro.txn.recovery import (
     MANIFEST_FILE,
     publish_checkpoint,
@@ -511,3 +518,110 @@ FRESH_CHILD_SCRIPT = textwrap.dedent("""\
     sys.stdout.flush()
     time.sleep(60)
     """)
+
+
+# -- a commit whose fsync fails ------------------------------------------------------
+
+FAILED_FSYNC_CHILD_SCRIPT = textwrap.dedent("""\
+    import errno
+    import os
+    import sys
+    import time
+
+    from repro import (AtomType, Attribute, DataType, Schema,
+                       TemporalDatabase)
+    from repro.errors import ReproError, WALError
+
+    schema = Schema("eio")
+    schema.add_atom_type(AtomType("Part", [
+        Attribute("name", DataType.STRING, required=True),
+        Attribute("cost", DataType.FLOAT)]))
+    db = TemporalDatabase.create(sys.argv[1], schema)
+    with db.transaction() as txn:
+        part = txn.insert("Part", {"name": "p", "cost": 100.0},
+                          valid_from=0)
+    txn = db.begin()
+    txn.update(part, {"cost": 123.0}, valid_from=0)
+
+    def eio(fd):
+        raise OSError(errno.EIO, "Input/output error")
+
+    os.fsync = eio
+    try:
+        txn.commit()
+    except WALError:
+        pass
+    try:
+        txn.abort()
+        aborted = "aborted"
+    except ReproError as exc:
+        aborted = type(exc).__name__
+    live = db.version_at(part, 0).values["cost"]
+    sys.stdout.write(f"ACK {part} {live} {aborted}\\n")
+    sys.stdout.flush()
+    time.sleep(60)
+    """)
+
+
+def _eio(fd):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+class TestFailedCommitFsync:
+    """A commit whose fsync fails may have left its COMMIT record in the
+    log file, where recovery counts it: the transaction ends in doubt,
+    so no undo or ABORT record can contradict what recovery replays."""
+
+    def test_in_doubt_transaction_refuses_abort_and_close_proceeds(
+            self, tmp_path, cad_schema, monkeypatch):
+        path = str(tmp_path / "eio")
+        db = TemporalDatabase.create(path, cad_schema)
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 100.0},
+                              valid_from=0)
+        txn = db.begin()
+        txn.update(part, {"cost": 123.0}, valid_from=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_module.os, "fsync", _eio)
+            with pytest.raises(WALError, match="fsync failed"):
+                txn.commit()
+        assert not txn.is_active
+        with pytest.raises(TransactionStateError, match="in doubt"):
+            txn.abort()
+        with pytest.raises(TransactionStateError, match="in doubt"):
+            txn.commit()
+        live = db.version_at(part, 0).values["cost"]
+        assert live == 123.0
+        db.close()
+        reopened = TemporalDatabase.open(path)
+        try:
+            assert reopened.version_at(part, 0).values["cost"] == live
+        finally:
+            reopened.close()
+
+    def test_recovery_after_kill_matches_the_live_state(self, tmp_path):
+        db_path = str(tmp_path / "eiodb")
+        script = tmp_path / "eio.py"
+        script.write_text(FAILED_FSYNC_CHILD_SCRIPT)
+        child = subprocess.Popen(
+            [sys.executable, str(script), db_path], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_child_env(), text=True)
+        try:
+            assert child.stdout is not None
+            line = child.stdout.readline()
+            if not line.startswith("ACK "):
+                pytest.fail(f"child exited: {child.stderr.read()}")
+            child.kill()
+            child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
+        _, part, live, aborted = line.split()
+        recovered = TemporalDatabase.open(db_path)
+        try:
+            assert recovered.version_at(int(part), 0).values["cost"] == \
+                float(live)
+        finally:
+            recovered.close()
+        assert aborted == "TransactionStateError"

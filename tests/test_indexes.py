@@ -55,30 +55,6 @@ class TestAttributeIndex:
             indexes.add_attribute_entry(name, encode_int(10), 1)
         assert indexes.candidate_atoms_eq(name, encode_int(10)) == [1]
 
-    def test_range_candidates(self, indexes):
-        name = indexes.create_attribute_index("Part", "cost", 8)
-        for value, atom_id in ((5, 1), (10, 2), (15, 3), (20, 4)):
-            indexes.add_attribute_entry(name, encode_int(value), atom_id)
-        got = indexes.candidate_atoms_range(name, encode_int(10),
-                                            encode_int(20))
-        assert got == [2, 3]
-        got = indexes.candidate_atoms_range(name, encode_int(10),
-                                            encode_int(20),
-                                            hi_inclusive=True)
-        assert got == [2, 3, 4]
-
-    def test_range_unbounded(self, indexes):
-        name = indexes.create_attribute_index("Part", "cost", 8)
-        for value, atom_id in ((5, 1), (10, 2)):
-            indexes.add_attribute_entry(name, encode_int(value), atom_id)
-        assert indexes.candidate_atoms_range(name, None, None) == [1, 2]
-
-    def test_range_dedupes_atoms(self, indexes):
-        name = indexes.create_attribute_index("Part", "cost", 8)
-        indexes.add_attribute_entry(name, encode_int(5), 1)
-        indexes.add_attribute_entry(name, encode_int(7), 1)
-        assert indexes.candidate_atoms_range(name, None, None) == [1]
-
     def test_string_keys(self, indexes):
         name = indexes.create_attribute_index("Part", "name", 16)
         indexes.add_attribute_entry(name, encode_string("wheel"), 1)

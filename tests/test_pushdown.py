@@ -1,4 +1,4 @@
-"""Differential oracle for predicate/projection pushdown.
+"""Differential oracle for predicate pushdown and ``SELECT path`` slices.
 
 Every test here runs the same analyzed query twice — once through the
 planned pushdown path and once with the pushdown spec stripped (the
@@ -134,12 +134,12 @@ class TestDifferentialOracle:
 
     def test_projection_never_leaks_partial_decodes(self, stocked):
         db = stocked["db"]
-        # Populate the decode cache with projected (partial) entries...
+        # Populate the decode cache from a projected slice...
         _differential(
             db, "SELECT Part.name FROM Part WHERE Part.cost >= 0 VALID AT 1")
-        # ...then a SELECT ALL must still see every attribute: a partial
-        # entry keyed as a full one would surface molecules with
-        # missing attributes here.
+        # ...then a SELECT ALL must still see every attribute: a decode
+        # cut to the projection would surface molecules with missing
+        # attributes here.
         full = db.query("SELECT ALL FROM Part VALID AT 1")
         assert len(full) > 0
         for entry in full:

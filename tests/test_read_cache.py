@@ -2,7 +2,7 @@
 invalidation path.
 
 The engine caches, per atom, a slot table — one slot per cached stored
-version, holding its envelope, payload and the decodes made of it,
+version, holding its envelope, payload and its one full decode,
 filled by every reader that sees the version — with the atom's type
 name and two flags: the whole history is cached, every live version is.
 A stale entry would silently serve old state, so every route that
@@ -36,6 +36,12 @@ from repro.storage.strategies import StoredVersion
 from repro.temporal import FOREVER, Interval
 from repro.temporal.timestamp import MAX_CHRONON
 from repro.tools.vacuum import vacuum_superseded
+from repro.workloads import (
+    WorkloadSpec,
+    apply_to_database,
+    generate_bom,
+)
+from repro.workloads import cad_schema as workload_schema
 
 
 def _closed_version():
@@ -388,8 +394,7 @@ class TestHistoryEntries:
 
     def test_prune_roots_fills(self, db):
         parts = [_insert_part(db, name=f"p{i}") for i in range(3)]
-        pred, _ = db.engine.compile_pushdown(_spec("Part", "name", "EQ",
-                                                   "p1"))
+        pred = db.engine.compile_pushdown(_spec("Part", "name", "EQ", "p1"))
         assert db.engine.prune_roots(parts, pred) == [parts[1]]
         for part in parts:
             assert _cached_history(db, part) is not None
@@ -432,7 +437,7 @@ class TestHistoryEntries:
 
 
 def _spec(type_name, attr, op, literal):
-    return PushdownSpec(type_name, ((attr, op, literal),), None)
+    return PushdownSpec(type_name, ((attr, op, literal),))
 
 
 class TestHistoryInvalidation:
@@ -966,11 +971,9 @@ def _mutate_once(txn, parts, comps, kind, a, b, value, start, end):
                            valid_to=end)
 
 
-#: A root comparison and a projection the slices below push down: the
-#: predicate judges Parts only and passes every Component.
-_PUSHDOWN = PushdownSpec("Part", (("cost", "GT", 1.5),),
-                         (("Part", ("cost",), False),
-                          ("Component", ("cname",), True)))
+#: A root comparison the slices below push down: the predicate judges
+#: Parts only and passes every Component.
+_PUSHDOWN = PushdownSpec("Part", (("cost", "GT", 1.5),))
 
 
 def _warm_reads(db, ids, kind, start):
@@ -979,9 +982,9 @@ def _warm_reads(db, ids, kind, start):
         db.engine.version_at_many(ids, start)
         db.engine.version_at_many(ids, _NOW)
     elif kind == "pushdown":
-        pred, projection = db.engine.compile_pushdown(_PUSHDOWN)
+        pred = db.engine.compile_pushdown(_PUSHDOWN)
         db.engine.version_at_many(ids, start, pred=pred)
-        db.engine.version_at_many(ids, _NOW, projection=projection)
+        db.engine.version_at_many(ids, _NOW, pred=pred)
     elif kind == "during":
         db.engine.all_versions_many(ids, Interval(start, start + 3),
                                     belief())
@@ -1022,34 +1025,32 @@ def _run_slice_program(db, parts, comps, steps):
 
 
 def _assert_warm_slices_equal_cold(db, ids, instants):
-    """``version_at_many`` answers — plain, with a pushed-down predicate
-    (and the versions it skipped) and projected — and
+    """``version_at_many`` answers — plain and with a pushed-down
+    predicate (and the versions it skipped) — and
     current-knowledge ``all_versions_many`` answers over windows
     starting at the same instants, twice warm (whatever the entries
     hold, then after that pass's own fills), equal the cold answers."""
     engine = db.engine
     windows = [Interval(0, FOREVER)] + [Interval(at, min(at + 5, FOREVER))
                                         for at in instants]
-    pred, projection = engine.compile_pushdown(_PUSHDOWN)
+    pred = engine.compile_pushdown(_PUSHDOWN)
     skipped = db.metrics.counter("engine.pushdown.skipped")
 
-    def pushed(at, kwargs):
+    def pushed(at):
         before = skipped.value
-        return engine.version_at_many(ids, at, **kwargs), skipped.value - before
+        return (engine.version_at_many(ids, at, pred=pred),
+                skipped.value - before)
 
     def read(warm):
         answers = {}
-        keys = instants + windows + [
-            (at, name) for at in instants for name in ("pred", "projection")]
+        keys = instants + windows + [(at, "pred") for at in instants]
         for key in keys:
             if not warm:
                 engine.drop_caches()
             if isinstance(key, Interval):
                 answers[key] = engine.all_versions_many(ids, key, belief())
             elif isinstance(key, tuple):
-                at, name = key
-                answers[key] = pushed(at, {"pred": pred} if name == "pred"
-                                      else {"projection": projection})
+                answers[key] = pushed(key[0])
             else:
                 answers[key] = engine.version_at_many(ids, key)
         return answers
@@ -1066,8 +1067,8 @@ _SLICE_INSTANTS = st.lists(st.integers(0, 45), min_size=1, max_size=5)
 
 
 class TestWarmSlicesEqualCold:
-    """A slice served from a cache entry's slots — plain, pushed down or
-    projected — equals the store's answer after every invalidation
+    """A slice served from a cache entry's slots — plain or pushed
+    down — equals the store's answer after every invalidation
     route, on every strategy."""
 
     @settings(max_examples=40, deadline=None,
@@ -1205,20 +1206,20 @@ class TestWarmSliceCounts:
         calls = self._store_reads(db, monkeypatch)
         engine = db.engine
         skipped = db.metrics.counter("engine.pushdown.skipped")
-        passes, _ = engine.compile_pushdown(_spec("Part", "cost", "GT", 0.5))
-        fails, _ = engine.compile_pushdown(_spec("Part", "cost", "GT", 5.0))
-        _, projection = engine.compile_pushdown(PushdownSpec(
-            "Part", (), (("Part", ("cost",), False),)))
+        passes = engine.compile_pushdown(_spec("Part", "cost", "GT", 0.5))
+        fails = engine.compile_pushdown(_spec("Part", "cost", "GT", 5.0))
         with db._read_view():
-            assert engine.version_at_many(
-                [part], 12, pred=passes)[part].values["cost"] == 1.0
+            survivor = engine.version_at_many([part], 12, pred=passes)[part]
             before = skipped.value
             assert engine.version_at_many([part], 12, pred=fails) == {
                 part: None}
             assert skipped.value == before + 1
-            projected = engine.version_at_many([part], 12,
-                                               projection=projection)[part]
-        assert projected.values == {"cost": 1.0}
+        # A projected slice reads the same slot: every query shares the
+        # slot's one full decode.
+        projected = db.query("SELECT Part.cost FROM Part VALID AT 12")
+        assert [row["Part.cost"] for row in projected.rows()] == [1.0]
+        assert survivor is db.version_at(part, 12)
+        assert survivor.values["cost"] == 1.0
         assert calls == []
 
     def test_closed_decodes_are_not_indexed(self, db):
@@ -1234,3 +1235,45 @@ class TestWarmSliceCounts:
         assert [entry.slots[seq].version.values["cost"]
                 for seq in live] == [2.0]
         assert all(entry.slots[seq].version.live for seq in live)
+
+
+#: The R-F7 database (``benchmarks/bench_f7_pushdown.py``) and pairs of
+#: slices over the same atoms: whole molecules, then projected paths.
+_F7_SPEC = WorkloadSpec(parts=32, fanout=4, suppliers=6,
+                        versions_per_atom=4, seed=1992)
+_SHARED_SLICES = (
+    ("SELECT ALL FROM Part WHERE Part.cost > 250 VALID AT 1",
+     "SELECT Part.name, Part.cost FROM Part WHERE Part.cost > 250 "
+     "VALID AT 1"),
+    ("SELECT ALL FROM Part.contains.Component.supplied_by.Supplier "
+     "VALID AT 1",
+     "SELECT Part.name, Component.cname, Supplier.rating "
+     "FROM Part.contains.Component.supplied_by.Supplier VALID AT 1"),
+)
+
+
+class TestOneDecodePerVersion:
+    """Every slice reads a version through its slot's one full decode,
+    so a ``SELECT path`` slice after a ``SELECT ALL`` over the same
+    atoms decodes nothing more: one decode miss per distinct version."""
+
+    @pytest.mark.parametrize("whole, paths", _SHARED_SLICES)
+    def test_select_all_then_paths_decode_each_version_once(
+            self, tmp_path, strategy, whole, paths):
+        db = TemporalDatabase.create(
+            str(tmp_path / "db"), workload_schema(),
+            DatabaseConfig(strategy=strategy, buffer_pages=1024))
+        try:
+            apply_to_database(db, generate_bom(_F7_SPEC)[0])
+            db.engine.drop_caches()
+            misses = db.metrics.counter("engine.decode_cache.misses")
+            before = misses.value
+            molecules = db.query(whole).molecules()
+            rows = db.query(paths).rows()
+            versions = {(atom.atom_id, atom.version.vt, atom.version.tt)
+                        for molecule in molecules
+                        for atom in molecule.atoms()}
+            assert rows and len(versions) >= len(molecules) > 0
+            assert misses.value - before == len(versions)
+        finally:
+            db.close()

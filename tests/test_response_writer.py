@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 
 from repro import DatabaseConfig, TemporalDatabase
 from repro.core.engine import DECODE_CACHE_ENTRY_OVERHEAD, _slot_cost
-from repro.core.molecule import Molecule, MoleculeAtom, MoleculeType
 from repro.errors import ReproError
-from repro.mql.planner import PushdownSpec
 from repro.mql.result import QueryResult, ResultEntry
 from repro.server.protocol import (
     encode_fetch,
@@ -39,8 +37,7 @@ MT = "Part.contains.Component"
 
 #: Every query shape the writer serves: molecules at an instant (NOW
 #: too), as of a transaction time, over windows and whole histories;
-#: DIFF rows, projected paths, aggregates, a pushed-down predicate and a
-#: projection pushdown.
+#: DIFF rows, projected paths, aggregates and a pushed-down predicate.
 QUERIES = (
     "SELECT ALL FROM {mt} VALID AT {at}",
     "SELECT ALL FROM {mt}",
@@ -303,23 +300,6 @@ class TestFragments:
             assert db.engine._decode_cache.bytes_used == 0
         finally:
             db.close()
-
-    def test_projected_decodes_keep_nothing(self, stocked):
-        db, parts, _ = stocked
-        _, projection = db.engine.compile_pushdown(
-            PushdownSpec("Part", (), (("Part", ("cost",), False),)))
-        version = db.engine.version_at_many(
-            [parts[0]], 3, projection=projection)[parts[0]]
-        molecule = Molecule(MoleculeType("Part"),
-                            MoleculeAtom(parts[0], "Part", version))
-        result = QueryResult([ResultEntry(parts[0], Interval(3, 4),
-                                          molecule, None)], "p", False)
-        used = db.engine._decode_cache.bytes_used
-        for _ in range(2):
-            assert _written(db, result) == _oracle(result)
-        assert db.metrics.value("engine.fragment_cache.misses") == 2
-        assert version.fragment is None
-        assert db.engine._decode_cache.bytes_used == used
 
     def test_null_molecule_and_profile_members(self, stocked):
         db, _, _ = stocked

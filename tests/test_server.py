@@ -422,8 +422,8 @@ class TestAdmission:
             assert sdb.metrics.value("server.requests") >= 1
             histogram = sdb.metrics.histogram("server.request_seconds")
             assert histogram.count >= 1
-            entries = admission.slow_queries.entries()
-            assert any(e.opcode == "QUERY" and "SELECT" in e.text
+            entries = admission.events.tail(event="slow_query")
+            assert any(e["opcode"] == "QUERY" and "SELECT" in e["text"]
                        for e in entries)
 
 
@@ -847,12 +847,12 @@ class TestStructuredEvents:
         with DatabaseServer(sdb, admission=admission) as srv:
             with DatabaseClient(srv.host, srv.port) as client:
                 client.query("SELECT ALL FROM Part VALID AT 5")
-            entry = next(e for e in admission.slow_queries.entries()
-                         if e.opcode == "QUERY")
-            assert "SELECT" in entry.text
-            assert entry.request_id >= 1
-            assert entry.session_id >= 1
-            assert entry.trace_id and len(entry.trace_id) == 16
+            entry = next(e for e in admission.events.tail(event="slow_query")
+                         if e["opcode"] == "QUERY")
+            assert "SELECT" in entry["text"]
+            assert entry["request_id"] >= 1
+            assert entry["session"] >= 1
+            assert entry["trace_id"] and len(entry["trace_id"]) == 16
 
     def test_session_lifecycle_events(self, sdb):
         with DatabaseServer(sdb) as srv:

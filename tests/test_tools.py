@@ -60,10 +60,10 @@ class TestVerify:
             txn.link("contains", part, hub, valid_from=0)
         # Sabotage: strip the component's back reference at store level.
         seq, stored = db.store.read_current(hub)
-        _, version = db.engine._decode(stored)
+        _, version = db.engine.codec.decode(stored)
         bare = version.with_state(version.values, {})
-        db.store.replace_version(hub, seq, db.engine._encode("Component",
-                                                             bare))
+        db.store.replace_version(hub, seq, db.engine.codec.encode("Component",
+                                                                  bare))
         report = verify_database(db)
         assert not report.ok
         assert any("asymmetric link" in problem
